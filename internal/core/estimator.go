@@ -49,24 +49,25 @@ func newEstimator(tp *grid.Topology, spec *userspec.Spec, bytesPerPoint, spillFa
 }
 
 // iterTime predicts one iteration of the placement under the given cost
-// parameters: max_i (A_i * P_i * spillMult_i + C_i). Candidate sets are
-// small, so hosts are matched by linear scan rather than a per-call map.
+// parameters: max_i (A_i * P_i * spillMult_i + C_i). A planned placement
+// lists its hosts in cost order (zero-row hosts dropped), so a forward
+// cursor over costs finds each assignment in one pass; a placement in
+// any other order falls back to a name scan per host.
 func (es *estimator) iterTime(p *partition.Placement, costs []partition.HostCost) float64 {
 	worst := 0.0
+	next := 0
 	for _, a := range p.Assignments {
 		if a.Points == 0 {
 			continue
 		}
-		var c *partition.HostCost
-		for i := range costs {
-			if costs[i].Host == a.Host {
-				c = &costs[i]
-				break
-			}
+		c := matchCost(costs, a.Host, next)
+		if c < 0 {
+			c = matchCost(costs, a.Host, 0)
 		}
-		if c == nil {
+		if c < 0 {
 			return math.Inf(1)
 		}
+		next = c + 1
 		mult := 1.0
 		if memMB, ok := es.memMB[a.Host]; ok && es.bytesPerPoint > 0 {
 			needMB := float64(a.Points) * es.bytesPerPoint / 1e6
@@ -75,12 +76,23 @@ func (es *estimator) iterTime(p *partition.Placement, costs []partition.HostCost
 				mult = 1 + spill*(es.spillFactor-1)
 			}
 		}
-		t := float64(a.Points)*c.SecPerPoint*mult + c.CommSec
+		t := float64(a.Points)*costs[c].SecPerPoint*mult + costs[c].CommSec
 		if t > worst {
 			worst = t
 		}
 	}
 	return worst
+}
+
+// matchCost returns the index of the first cost at or after from that
+// belongs to host, or -1.
+func matchCost(costs []partition.HostCost, host string, from int) int {
+	for i := from; i < len(costs); i++ {
+		if costs[i].Host == host {
+			return i
+		}
+	}
+	return -1
 }
 
 // score converts a candidate schedule into the user's objective value

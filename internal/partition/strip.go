@@ -98,7 +98,7 @@ func WeightedStrip(n int, hosts []string, weights []float64, borderBytesPerPoint
 //	T_i = A_i*P_i + C_i  ->  A_i = (T - C_i)/P_i,  sum A_i = n^2
 //
 // Hosts whose balanced share would be negative (too slow or too expensive
-// to reach) are dropped and the system re-solved; hosts whose share would
+// to reach) are dropped together and the system re-solved; hosts whose share would
 // exceed their memory capacity are clamped to it and the remainder
 // redistributed (this is what lets Figure 6's AppLeS schedule overflow the
 // SP-2 gracefully instead of spilling).
@@ -157,7 +157,7 @@ func TimeBalanced(n int, costs []HostCost, borderBytesPerPoint float64) (*Placem
 			break
 		}
 		T := (remaining + sumCoverP) / sumInvP
-		worstNeg, worstNegIdx := 0.0, -1
+		dropped := false
 		worstOver, worstOverIdx := 0.0, -1
 		for i, c := range relaxed {
 			if state[i] != 0 {
@@ -165,8 +165,16 @@ func TimeBalanced(n int, costs []HostCost, borderBytesPerPoint float64) (*Placem
 			}
 			a := (T - c.CommSec) / c.SecPerPoint
 			area[i] = a
-			if a < 0 && a < worstNeg {
-				worstNeg, worstNegIdx = a, i
+			if a < 0 {
+				// Too slow to be worth its communication cost: drop it.
+				// Dropping a host with C_i > T strictly lowers T, so every
+				// host negative now stays negative after the re-solve —
+				// dropping them all at once reaches the same active set
+				// as dropping the worst one per re-solve.
+				state[i] = 1
+				area[i] = 0
+				dropped = true
+				continue
 			}
 			if c.MaxPoints > 0 && a > c.MaxPoints {
 				if over := a - c.MaxPoints; over > worstOver {
@@ -174,10 +182,7 @@ func TimeBalanced(n int, costs []HostCost, borderBytesPerPoint float64) (*Placem
 				}
 			}
 		}
-		if worstNegIdx >= 0 {
-			// Too slow to be worth its communication cost: drop it.
-			state[worstNegIdx] = 1
-			area[worstNegIdx] = 0
+		if dropped {
 			continue
 		}
 		if worstOverIdx >= 0 {
