@@ -260,7 +260,7 @@ func NewAgent(tp *Topology, tpl *Template, spec *UserSpec, info Information, opt
 // Agent construction options.
 var (
 	// WithSpillFactor sets the estimator's out-of-memory penalty
-	// (replaces writing the deprecated Agent.SpillFactor field).
+	// (default 25).
 	WithSpillFactor = core.WithSpillFactor
 	// WithParallelism bounds the evaluation worker pool (0 = GOMAXPROCS,
 	// 1 = sequential).

@@ -115,7 +115,7 @@ func TestFacadeAgentOptionsAndErrors(t *testing.T) {
 
 	seq, err := apples.NewAgent(tp, apples.JacobiTemplate(600, 10), &apples.UserSpec{},
 		apples.OracleInformation(tp),
-		apples.WithParallelism(1), apples.WithInfoSnapshot(false))
+		apples.WithParallelism(1), apples.WithInfoSnapshot(false), apples.WithSpillFactor(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +129,6 @@ func TestFacadeAgentOptionsAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Match spill factors so only the evaluation mode differs.
-	seq.SpillFactor = 30
 	want, err := seq.Schedule(600)
 	if err != nil {
 		t.Fatal(err)

@@ -57,22 +57,18 @@ func (f ActuatorFunc) Actuate(p *partition.Placement) (float64, error) { return 
 // Agent is an AppLeS: an application-level scheduling agent for one
 // application instance (here, the Jacobi2D blueprint of Section 5). It is
 // a thin instantiation of the shared Coordinator round: its Resource
-// Selector enumerates strip-chain resource sets and its fused
-// Planner+Estimator balances and prices each one.
+// Selector enumerates strip-chain resource sets and the strip kernel
+// (sessionsolver.go) balances and prices each one.
 type Agent struct {
 	tp    *grid.Topology
 	tpl   *hat.Template
 	spec  *userspec.Spec
 	coord Coordinator
 
-	// SpillFactor mirrors the execution substrate's out-of-memory penalty
-	// so the estimator prices spills honestly (default 25, matching
-	// jacobi.Config).
-	//
-	// Deprecated: pass WithSpillFactor to NewAgent instead. Writing the
-	// field still works for this release; it is read at every scheduling
-	// round.
-	SpillFactor float64
+	// spillFactor mirrors the execution substrate's out-of-memory penalty
+	// so spills are priced honestly (default 25, matching jacobi.Config;
+	// see WithSpillFactor).
+	spillFactor float64
 }
 
 // NewAgent assembles an agent from its information pool: the application
@@ -104,9 +100,9 @@ func NewAgent(tp *grid.Topology, tpl *hat.Template, spec *userspec.Spec, info In
 	if err := cfg.selector.validate(); err != nil {
 		return nil, err
 	}
-	a := &Agent{tp: tp, tpl: tpl, spec: spec, coord: cfg.Coordinator, SpillFactor: 25}
+	a := &Agent{tp: tp, tpl: tpl, spec: spec, coord: cfg.Coordinator, spillFactor: 25}
 	if cfg.spillFactor > 0 {
-		a.SpillFactor = cfg.spillFactor
+		a.spillFactor = cfg.spillFactor
 	}
 	return a, nil
 }
@@ -146,56 +142,106 @@ func rankCandidates(cands []Candidate, k int) []Candidate {
 	return ranked
 }
 
-// round assembles the Jacobi blueprint's Round for an n x n problem: the
-// US-filtered pool, a Resource Selector enumerating strip-chain sets, the
-// fused Planner+Estimator, and (under MinExecutionTime) the compute-time
-// pruning bound. The Coordinator owns everything else — snapshotting,
-// fan-out, pruning bookkeeping, and the deterministic reduce.
-func (a *Agent) round(n int) Round {
+// roundPricer is the Jacobi blueprint's CandidateEvaluator for one
+// scheduling round: it feeds each candidate chain from the round's
+// information view into a private strip kernel and prices it. Its
+// fields are fixed once the round binds, so concurrent workers share
+// it; after the round it re-solves the winner (and any requested top-k)
+// into placements against the same view.
+type roundPricer struct {
+	m    stripModel
+	tp   *grid.Topology
+	task *hat.Task
+	spec *userspec.Spec
+	info Information
+	solo float64 // MaxSpeedup baseline: best single-host total
+}
+
+func (a *Agent) newPricer(n int) *roundPricer {
+	return &roundPricer{m: a.model(n), tp: a.tp, task: &a.tpl.Tasks[0], spec: a.spec}
+}
+
+// solve feeds and solves chain set into kn.
+func (rp *roundPricer) solve(kn *stripKernel, set []*grid.Host) (float64, bool) {
+	if kn.feedSet(&rp.m, rp.task, rp.spec, rp.info, set) >= 0 {
+		return 0, false
+	}
+	return kn.solve(&rp.m, len(set))
+}
+
+// Evaluate implements CandidateEvaluator. The candidate carries no
+// placement: only the winner and a requested top-k are ever built.
+func (rp *roundPricer) Evaluate(set []*grid.Host) (Candidate, bool) {
+	kn := kernelPool.Get().(*stripKernel)
+	iterT, ok := rp.solve(kn, set)
+	var score float64
+	if ok {
+		score = kn.score(&rp.m, len(set), iterT, rp.solo)
+	}
+	kernelPool.Put(kn)
+	if !ok {
+		return Candidate{}, false
+	}
+	hosts := make([]string, len(set))
+	for j, h := range set {
+		hosts[j] = h.Name
+	}
+	return Candidate{
+		Hosts:             hosts,
+		PredictedIterTime: iterT,
+		PredictedTotal:    iterT * float64(rp.m.iterations),
+		Score:             score,
+	}, true
+}
+
+// resolve re-solves an evaluated candidate's chain into kn, returning
+// its iteration time.
+func (rp *roundPricer) resolve(kn *stripKernel, c *Candidate) float64 {
+	set := make([]*grid.Host, len(c.Hosts))
+	for i, name := range c.Hosts {
+		set[i] = rp.tp.Host(name)
+	}
+	iterT, _ := rp.solve(kn, set)
+	return iterT
+}
+
+// place builds the placement of every candidate in cands.
+func (rp *roundPricer) place(cands []Candidate) {
+	kn := kernelPool.Get().(*stripKernel)
+	for i := range cands {
+		rp.resolve(kn, &cands[i])
+		cands[i].Placement = kn.placement(&rp.m, cands[i].Hosts)
+	}
+	kernelPool.Put(kn)
+}
+
+// round assembles the Jacobi blueprint's Round for rp's problem: the
+// US-filtered pool, a Resource Selector enumerating strip-chain sets,
+// rp as the fused Planner+Estimator bound to the round's information
+// view, and (under MinExecutionTime) the compute-time pruning bound.
+// The Coordinator owns everything else — snapshotting, fan-out, pruning
+// bookkeeping, and the deterministic reduce.
+func (a *Agent) round(rp *roundPricer) Round {
+	pool := a.spec.Filter(a.tp.Hosts())
 	return Round{
-		Pool:     a.spec.Filter(a.tp.Hosts()),
+		Pool:     pool,
 		Selector: string(a.coord.selector.normalized().Kind),
 		Bind: func(info Information, snapshotted bool) (ResourceSelector, CandidateEvaluator, error) {
 			rs := &resourceSelector{tp: a.tp, info: info}
-			pl := &planner{tp: a.tp, tpl: a.tpl, info: info}
-			es := newEstimator(a.tp, a.spec, a.tpl.Tasks[0].BytesPerUnit, a.SpillFactor, max(a.tpl.Iterations, 1))
-
 			sel := newSelector(a.coord.selector, rs, a.spec.MaxResourceSets, snapshotted)
-
-			// Solo baseline for the speedup metric: best predicted
-			// single-host total.
-			solo := math.Inf(1)
-			if a.spec.Metric == userspec.MaxSpeedup {
-				for _, h := range a.spec.Filter(a.tp.Hosts()) {
-					p, costs, _, err := pl.plan(n, []*grid.Host{h})
-					if err != nil {
-						continue
-					}
-					if t := es.iterTime(p, costs) * float64(es.iterations); t < solo {
-						solo = t
+			rp.info = info
+			rp.solo = math.Inf(1)
+			if rp.m.metric == userspec.MaxSpeedup {
+				kn := kernelPool.Get().(*stripKernel)
+				for _, h := range pool {
+					iterT, ok := rp.solve(kn, []*grid.Host{h})
+					if t := iterT * float64(rp.m.iterations); ok && t < rp.solo {
+						rp.solo = t
 					}
 				}
+				kernelPool.Put(kn)
 			}
-
-			ev := CandidateEvaluatorFunc(func(set []*grid.Host) (Candidate, bool) {
-				p, costs, _, err := pl.plan(n, set)
-				if err != nil {
-					return Candidate{}, false
-				}
-				iterT := es.iterTime(p, costs)
-				hosts := make([]string, len(set))
-				for j, h := range set {
-					hosts[j] = h.Name
-				}
-				return Candidate{
-					Hosts:             hosts,
-					PredictedIterTime: iterT,
-					PredictedTotal:    iterT * float64(es.iterations),
-					Score:             es.score(iterT, p, solo),
-					Placement:         p,
-				}, true
-			})
-			return sel, ev, nil
+			return sel, rp, nil
 		},
 		Bound: func(info Information) LowerBounder {
 			// The bound is only sound for objectives that equal predicted
@@ -203,23 +249,26 @@ func (a *Agent) round(n int) Round {
 			if a.spec.Metric != userspec.MinExecutionTime {
 				return nil
 			}
-			pool := a.spec.Filter(a.tp.Hosts())
 			secPP := secondsPerPoint(pool, info, a.tpl.Tasks[0])
-			iterations := max(a.tpl.Iterations, 1)
 			return LowerBoundFunc(func(set []*grid.Host) float64 {
-				return computeLowerBound(set, secPP, n, iterations)
+				return computeLowerBound(set, secPP, rp.m.n, rp.m.iterations)
 			})
 		},
 	}
 }
 
 // evaluate runs the shared Coordinator round over the Jacobi blueprint
-// and returns the scored candidates (in selector order) plus bookkeeping.
-func (a *Agent) evaluate(n int) ([]Candidate, int, error) {
+// against view (nil: the agent's own snapshotting) with a worker grant
+// (0: the configured parallelism). It returns the feasible candidates
+// in selector order, without placements, the number of sets
+// considered, and the round's pricer for building placements.
+func (a *Agent) evaluate(n int, view infoView, workers int) ([]Candidate, int, *roundPricer, error) {
 	if n <= 0 {
-		return nil, 0, fmt.Errorf("core: non-positive problem size %d", n)
+		return nil, 0, nil, fmt.Errorf("core: non-positive problem size %d", n)
 	}
-	return a.coord.EvaluateRound(a.round(n))
+	rp := a.newPricer(n)
+	cands, considered, err := a.coord.evaluateRound(a.round(rp), view, workers)
+	return cands, considered, rp, err
 }
 
 // secondsPerPoint resolves the planner's compute-cost coefficient for
@@ -270,11 +319,7 @@ func computeLowerBound(set []*grid.Host, secPP map[string]float64, n, iterations
 // The returned schedule is not yet actuated; pass it to Run or an
 // Actuator.
 func (a *Agent) Schedule(n int) (*Schedule, error) {
-	cands, considered, err := a.evaluate(n)
-	if err != nil {
-		return nil, err
-	}
-	return a.pickBest(cands, considered)
+	return a.scheduleWith(n, nil, 0)
 }
 
 // scheduleWith is Schedule with the SchedService's injection points: the
@@ -285,42 +330,27 @@ func (a *Agent) Schedule(n int) (*Schedule, error) {
 // snapshot ownership out of the round, and the worker grant only bounds
 // fan-out, which the deterministic (score, index) reduce is immune to.
 func (a *Agent) scheduleWith(n int, view infoView, workers int) (*Schedule, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("core: non-positive problem size %d", n)
-	}
-	cands, considered, err := a.coord.evaluateRound(a.round(n), view, workers)
+	cands, considered, rp, err := a.evaluate(n, view, workers)
 	if err != nil {
 		return nil, err
 	}
-	return a.pickBest(cands, considered)
+	return a.pickBest(rp, cands, considered)
 }
 
-func (a *Agent) pickBest(cands []Candidate, considered int) (*Schedule, error) {
+// pickBest reduces the round's candidates and builds the winner's
+// schedule — the only placement a plain round constructs.
+func (a *Agent) pickBest(rp *roundPricer, cands []Candidate, considered int) (*Schedule, error) {
 	bestIdx := bestCandidate(cands)
 	if bestIdx < 0 {
 		return nil, fmt.Errorf("core: %w: no feasible schedule among %d candidate sets", ErrNoFeasiblePlan, considered)
 	}
-	c := cands[bestIdx]
-	best := &Schedule{
-		Placement:            c.Placement,
-		PredictedIterTime:    c.PredictedIterTime,
-		PredictedTotal:       c.PredictedTotal,
-		Hosts:                append([]string(nil), c.Hosts...),
-		InfoSource:           a.coord.Information().Source(),
-		CandidatesConsidered: considered,
-		CandidatesPlanned:    len(cands),
-	}
-	// Normalize host list order for reporting: the placement order is the
-	// chain; keep hosts that actually received work first. Shares are
-	// resolved once up front — Fraction scans the assignment list, and a
-	// comparator doing that per probe turns quadratic on grid-size pools.
-	share := make(map[string]float64, len(best.Hosts))
-	for _, h := range best.Hosts {
-		share[h] = best.Placement.Fraction(h)
-	}
-	sort.SliceStable(best.Hosts, func(i, j int) bool {
-		return share[best.Hosts[i]] > share[best.Hosts[j]]
-	})
+	c := &cands[bestIdx]
+	kn := kernelPool.Get().(*stripKernel)
+	best := kn.schedule(&rp.m, append([]string(nil), c.Hosts...), rp.resolve(kn, c))
+	kernelPool.Put(kn)
+	best.InfoSource = a.coord.Information().Source()
+	best.CandidatesConsidered = considered
+	best.CandidatesPlanned = len(cands)
 	return best, nil
 }
 
@@ -332,15 +362,17 @@ func (a *Agent) pickBest(cands []Candidate, considered int) (*Schedule, error) {
 // PipelineAgent.ScheduleExplained: both blueprints explain themselves in
 // the same Candidate terms.
 func (a *Agent) ScheduleExplained(n, topK int) (*Schedule, []Candidate, error) {
-	cands, considered, err := a.evaluate(n)
+	cands, considered, rp, err := a.evaluate(n, nil, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	best, err := a.pickBest(cands, considered)
+	best, err := a.pickBest(rp, cands, considered)
 	if err != nil {
 		return nil, nil, err
 	}
-	return best, rankCandidates(cands, topK), nil
+	ranked := rankCandidates(cands, topK)
+	rp.place(ranked)
+	return best, ranked, nil
 }
 
 // Candidates evaluates the n x n problem and returns the top-k feasible
@@ -348,11 +380,13 @@ func (a *Agent) ScheduleExplained(n, topK int) (*Schedule, []Candidate, error) {
 // k <= 0 returns all of them. Candidates(n, 1)[0] describes the schedule
 // Schedule(n) would pick.
 func (a *Agent) Candidates(n, k int) ([]Candidate, error) {
-	cands, _, err := a.evaluate(n)
+	cands, _, rp, err := a.evaluate(n, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	return rankCandidates(cands, k), nil
+	ranked := rankCandidates(cands, k)
+	rp.place(ranked)
+	return ranked, nil
 }
 
 // Run schedules the problem and immediately actuates the best schedule,

@@ -175,8 +175,9 @@ func TestConcurrentScheduleCalls(t *testing.T) {
 	}
 }
 
-// TestAgentOptions covers the functional-options surface and the
-// deprecated SpillFactor field's continued operation.
+// TestAgentOptions covers the functional-options surface: the spill
+// factor comes from WithSpillFactor (default 25) and prices spills in
+// the schedule.
 func TestAgentOptions(t *testing.T) {
 	eng := sim.NewEngine()
 	tp := grid.SDSCPCL(eng, grid.TestbedOptions{Seed: 1, Quiet: true})
@@ -185,24 +186,22 @@ func TestAgentOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.SpillFactor != 40 {
-		t.Fatalf("WithSpillFactor not applied: %v", a.SpillFactor)
+	if a.spillFactor != 40 {
+		t.Fatalf("WithSpillFactor not applied: %v", a.spillFactor)
 	}
 	if a.coord.parallelism != 2 || !a.coord.pruning || !a.coord.snapshot {
 		t.Fatalf("options not applied: parallelism=%d pruning=%v snapshot=%v",
 			a.coord.parallelism, a.coord.pruning, a.coord.snapshot)
 	}
-	// Legacy field write still takes effect (deprecated but supported).
-	b, err := NewAgent(tp, hat.Jacobi2D(500, 10), &userspec.Spec{}, OracleInformation(tp))
+	if _, err := a.Schedule(500); err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewAgent(tp, hat.Jacobi2D(500, 10), &userspec.Spec{}, OracleInformation(tp), WithSpillFactor(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.SpillFactor != 25 {
-		t.Fatalf("default spill factor %v, want 25", b.SpillFactor)
-	}
-	b.SpillFactor = 40
-	if _, err := b.Schedule(500); err != nil {
-		t.Fatal(err)
+	if b.spillFactor != 25 {
+		t.Fatalf("default spill factor %v, want 25", b.spillFactor)
 	}
 }
 

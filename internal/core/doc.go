@@ -15,13 +15,15 @@
 //     the User Specifications and enumerates candidate resource sets,
 //     ordered and pruned by an application-specific notion of resource
 //     distance;
-//   - the Planner (planner.go) computes a resource-dependent schedule for
-//     each candidate set — for the Jacobi2D blueprint, a strip
-//     decomposition that balances T_i = A_i*P_i + C_i using forecast
-//     availability and bandwidth;
-//   - the Performance Estimator (estimator.go) evaluates each candidate
-//     schedule under the user's own metric, including memory-spill
-//     penalties the cost model would otherwise hide;
+//   - the Planner computes a resource-dependent schedule for each
+//     candidate set — for the Jacobi2D blueprint, a strip decomposition
+//     that balances T_i = A_i*P_i + C_i using forecast availability and
+//     bandwidth;
+//   - the Performance Estimator evaluates each candidate schedule under
+//     the user's own metric, including memory-spill penalties the cost
+//     model would otherwise hide. For the Jacobi2D blueprint both are
+//     one fused, allocation-free strip kernel (sessionsolver.go) that
+//     every scheduling path shares;
 //   - the Actuator (agent.go) implements the best schedule on the target
 //     resource management system — here, the simulated metacomputer.
 //

@@ -8,8 +8,9 @@ import (
 	"apples/internal/userspec"
 )
 
-// estimator implements the Performance Estimator subsystem: it evaluates a
-// candidate schedule under the user's own performance metric.
+// estimator is the allocating reference Performance Estimator the strip
+// kernel (sessionsolver.go) is tested against: it evaluates a candidate
+// schedule under the user's own performance metric.
 //
 // Unlike the Planner's balance equation, the estimator re-scores the
 // *rounded, clamped* placement — including the spill penalty for any strip

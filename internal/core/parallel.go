@@ -11,49 +11,10 @@ import (
 	"apples/internal/grid"
 )
 
-// evalChunk is how many candidate indices a worker claims per grab. Plan +
-// estimate for one set costs microseconds, so claiming one index at a time
-// would spend a meaningful fraction of the round on the shared counter;
-// chunks amortize it while still load-balancing across uneven set sizes.
+// evalChunk sizes the streamed job queue: workers*evalChunk sets may
+// wait in the channel, enough to keep every worker fed between the
+// producer's yields without buffering the whole enumeration.
 const evalChunk = 16
-
-// runIndexed fans f out over indices [0, n) on up to `workers` goroutines.
-// Each index is processed exactly once; f must be safe to call
-// concurrently for distinct indices. workers <= 1 runs inline with no
-// goroutines — the sequential path is literally the same loop.
-func runIndexed(n, workers int, f func(int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				start := int(next.Add(evalChunk)) - evalChunk
-				if start >= n {
-					return
-				}
-				end := min(start+evalChunk, n)
-				for i := start; i < end; i++ {
-					f(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // runStreamed consumes candidate sets from a selector sequence as they
 // are produced, evaluating each with eval, and returns the feasible

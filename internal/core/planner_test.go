@@ -1,14 +1,99 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"apples/internal/grid"
 	"apples/internal/hat"
 	"apples/internal/load"
+	"apples/internal/partition"
 	"apples/internal/sim"
 )
+
+// planner is the allocating reference Planner the strip kernel
+// (sessionsolver.go) is tested against: it parameterizes the strip cost
+// model from the HAT and the information pool into []HostCost, then
+// solves for the time-balanced decomposition with partition.TimeBalanced.
+type planner struct {
+	tp   *grid.Topology
+	tpl  *hat.Template
+	info Information
+}
+
+// borderBytes returns the per-unit border exchange volume from the HAT's
+// neighbor-exchange comm edge (0 when the template has none).
+func (pl *planner) borderBytes() float64 {
+	b := 0.0
+	for _, c := range pl.tpl.Comms {
+		if c.Pattern == hat.NeighborExchange {
+			b = c.BytesPerUnit
+		}
+	}
+	return b
+}
+
+// costsFor builds the per-host cost-model parameters for a chain-ordered
+// resource set and problem size n:
+//
+//	P_i = flop/point / (speed * availability * implementation factor)
+//	C_i = sum over strip neighbors of 2*(latency + borderBytes/bandwidth)
+//	cap = host memory / bytes per point
+func (pl *planner) costsFor(n int, chain []*grid.Host) ([]partition.HostCost, error) {
+	task := pl.tpl.Tasks[0]
+	borderBytes := pl.borderBytes()
+	costs := make([]partition.HostCost, len(chain))
+	for i, h := range chain {
+		avail := floorAvailability(pl.info.Availability(h.Name))
+		speed := h.Speed * avail * task.SpeedFactorOn(h.Arch) // Mflop/s deliverable
+		if speed <= 0 {
+			return nil, fmt.Errorf("core: host %s has no deliverable speed", h.Name)
+		}
+		p := task.FlopPerUnit / 1e6 / speed // seconds per point
+
+		comm := 0.0
+		edge := float64(n) * borderBytes / 1e6 // MB per border per direction
+		for _, j := range []int{i - 1, i + 1} {
+			if j < 0 || j >= len(chain) {
+				continue
+			}
+			bw := pl.info.RouteBandwidth(h.Name, chain[j].Name)
+			if bw <= 0 {
+				bw = 1e-6
+			}
+			lat := pl.info.RouteLatency(h.Name, chain[j].Name)
+			comm += 2 * (lat + edge/bw) // send + receive
+		}
+
+		capPoints := 0.0
+		if task.BytesPerUnit > 0 {
+			capPoints = h.MemoryMB * 1e6 / task.BytesPerUnit
+		}
+		costs[i] = partition.HostCost{
+			Host:        h.Name,
+			SecPerPoint: p,
+			CommSec:     comm,
+			MaxPoints:   capPoints,
+		}
+	}
+	return costs, nil
+}
+
+// plan produces the strip schedule for one candidate resource set,
+// returning the placement, its cost parameters, and the model's predicted
+// per-iteration time.
+func (pl *planner) plan(n int, chain []*grid.Host) (*partition.Placement, []partition.HostCost, float64, error) {
+	costs, err := pl.costsFor(n, chain)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	p, tIter, err := partition.TimeBalanced(n, costs, pl.borderBytes())
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return p, costs, tIter, nil
+}
 
 // plannerFixture: two hosts over one dedicated link with known numbers.
 func plannerFixture(t *testing.T, loadA load.Source) (*planner, *grid.Topology) {

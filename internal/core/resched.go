@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"apples/internal/grid"
 	"apples/internal/jacobi"
 	"apples/internal/obs"
@@ -16,23 +18,21 @@ func (a *Agent) EstimatePlacement(n int, p *partition.Placement) (float64, error
 		if asg.Points == 0 {
 			continue
 		}
-		h := a.tp.Host(asg.Host)
-		if h == nil {
-			continue
+		if h := a.tp.Host(asg.Host); h != nil {
+			chain = append(chain, h)
 		}
-		chain = append(chain, h)
 	}
 	names := make([]string, len(chain))
 	for i, h := range chain {
 		names[i] = h.Name
 	}
-	pl := &planner{tp: a.tp, tpl: a.tpl, info: a.coord.View(names)}
-	costs, err := pl.costsFor(n, chain)
-	if err != nil {
-		return 0, err
+	m := a.model(n)
+	kn := kernelPool.Get().(*stripKernel)
+	defer kernelPool.Put(kn)
+	if bad := kn.feedSet(&m, &a.tpl.Tasks[0], a.spec, a.coord.View(names), chain); bad >= 0 {
+		return 0, fmt.Errorf("core: host %s has no deliverable speed", chain[bad].Name)
 	}
-	es := newEstimator(a.tp, a.spec, a.tpl.Tasks[0].BytesPerUnit, a.SpillFactor, max(a.tpl.Iterations, 1))
-	return es.iterTime(p, costs), nil
+	return kn.estimateAssignments(&m, a.tp, p), nil
 }
 
 // Rescheduler returns the redistribution policy of Section 3.2 as a

@@ -248,7 +248,9 @@ type RoundResult struct {
 	// Delta carries the session round's bookkeeping for session-backed
 	// tenants; nil otherwise.
 	Delta *DeltaStats
-	// Elapsed is queue wait + evaluation wall-time.
+	// Elapsed is the round's wall time once a service worker takes it
+	// off the ready list: snapshot acquire, worker grant, and evaluation.
+	// It excludes the wait in the admission queue.
 	Elapsed time.Duration
 }
 

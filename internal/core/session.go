@@ -7,7 +7,6 @@ import (
 
 	"apples/internal/grid"
 	"apples/internal/obs"
-	"apples/internal/partition"
 	"apples/internal/userspec"
 )
 
@@ -62,15 +61,8 @@ import (
 // are refreshed in place on carried rounds. Copy it if you need a
 // round-frozen snapshot. A session is not safe for concurrent use.
 type ReschedSession struct {
-	a          *Agent
-	n          int
-	iterations int
-	metric     userspec.Metric
-
-	flopPerUnit  float64
-	bytesPerUnit float64
-	borderBytes  float64
-	spillFactor  float64
+	a *Agent
+	m stripModel
 
 	// Frozen pool, in userspec filter order. poolIdx inverts names to
 	// frozen indices; every per-host array below is indexed by it.
@@ -130,6 +122,7 @@ type ReschedSession struct {
 	rounds   int
 
 	scr sessionScratch
+	kn  stripKernel
 }
 
 // DeltaStats describes what one session round did.
@@ -171,17 +164,11 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	task := a.tpl.Tasks[0]
 	np := len(pool)
 	s := &ReschedSession{
-		a:            a,
-		n:            n,
-		iterations:   max(a.tpl.Iterations, 1),
-		metric:       a.spec.Metric,
-		flopPerUnit:  task.FlopPerUnit,
-		bytesPerUnit: task.BytesPerUnit,
-		borderBytes:  (&planner{tp: a.tp, tpl: a.tpl}).borderBytes(),
-		spillFactor:  a.SpillFactor,
-		pool:         pool,
-		words:        maskWords(np),
-		winner:       -1,
+		a:      a,
+		m:      a.model(n),
+		pool:   pool,
+		words:  maskWords(np),
+		winner: -1,
 	}
 	s.names = make([]string, np)
 	s.poolIdx = make(map[string]int, np)
@@ -281,6 +268,7 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	s.feasible = make([]bool, s.candCount)
 
 	s.scr.init(np, s.words)
+	s.kn.reserve(np)
 	s.scr.effSort.eff = s.scr.eff
 	s.scr.effSort.names = s.names
 	s.scr.siteSort.siteID = s.siteID
@@ -437,7 +425,7 @@ func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 		}
 		scr.effSort.idx = scr.effOrder
 		sort.Sort(&scr.effSort)
-		if s.metric == userspec.MaxSpeedup {
+		if s.m.metric == userspec.MaxSpeedup {
 			old := s.solo
 			s.solo = s.computeSolo()
 			soloChanged = cold || s.solo != old
@@ -504,34 +492,9 @@ func (s *ReschedSession) solve(c int) {
 		s.total[c] = 0
 		return
 	}
-	total := iterT * float64(s.iterations)
 	s.feasible[c] = true
-	s.total[c] = total
-	switch s.metric {
-	case userspec.MinExecutionTime:
-		s.score[c] = total
-	case userspec.MaxSpeedup:
-		if total <= 0 {
-			s.score[c] = math.Inf(1)
-		} else {
-			s.score[c] = -s.solo / total
-		}
-	case userspec.MinCost:
-		cost := 0.0
-		for i := 0; i < k; i++ {
-			if s.scr.rows[i] == 0 {
-				continue
-			}
-			rate := s.rate[s.scr.chain[i]]
-			if rate == 0 {
-				rate = 1
-			}
-			cost += total / 3600 * rate
-		}
-		s.score[c] = cost
-	default:
-		s.score[c] = total
-	}
+	s.total[c] = iterT * float64(s.m.iterations)
+	s.score[c] = s.kn.score(&s.m, k, iterT, s.solo)
 }
 
 // computeSolo mirrors the agent's MaxSpeedup baseline: the best
@@ -544,68 +507,28 @@ func (s *ReschedSession) computeSolo() float64 {
 		if !ok {
 			continue
 		}
-		if t := iterT * float64(s.iterations); t < solo {
+		if t := iterT * float64(s.m.iterations); t < solo {
 			solo = t
 		}
 	}
 	return solo
 }
 
-// materialize rebuilds the winner's *Schedule exactly as pickBest
-// would: re-solve the candidate into scratch, assemble the strip
-// placement (stripFromRows shape, including nil Borders on a single
-// band), and share-sort the reported host list. This is the only
-// allocating step of a non-carried round.
+// materialize rebuilds the winner's *Schedule exactly as the agent's
+// pickBest does: re-solve the candidate into the kernel and build the
+// schedule from it. This is the only allocating step of a non-carried
+// round.
 func (s *ReschedSession) materialize(c int) *Schedule {
 	k := s.chainFor(s.mask(c))
 	iterT, _ := s.solveChain(k)
-	scr := &s.scr
-
-	type band struct {
-		name string
-		rows int
-	}
-	bands := make([]band, 0, k)
-	for i := 0; i < k; i++ {
-		if scr.rows[i] > 0 {
-			bands = append(bands, band{s.names[scr.chain[i]], scr.rows[i]})
-		}
-	}
-	edge := float64(s.n) * s.borderBytes
-	p := &partition.Placement{N: s.n, Kind: "strip"}
-	p.Assignments = make([]partition.Assignment, 0, len(bands))
-	for i, b := range bands {
-		a := partition.Assignment{Host: b.name, Rows: b.rows, Points: b.rows * s.n}
-		if i > 0 || i < len(bands)-1 {
-			a.Borders = make([]partition.Border, 0, 2)
-		}
-		if i > 0 {
-			a.Borders = append(a.Borders, partition.Border{Peer: bands[i-1].name, Bytes: edge})
-		}
-		if i < len(bands)-1 {
-			a.Borders = append(a.Borders, partition.Border{Peer: bands[i+1].name, Bytes: edge})
-		}
-		p.Assignments = append(p.Assignments, a)
-	}
-
 	hosts := make([]string, k)
 	for i := 0; i < k; i++ {
-		hosts[i] = s.names[scr.chain[i]]
+		hosts[i] = s.names[s.scr.chain[i]]
 	}
-	sched := &Schedule{
-		Placement:            p,
-		PredictedIterTime:    iterT,
-		PredictedTotal:       iterT * float64(s.iterations),
-		Hosts:                hosts,
-		InfoSource:           s.a.coord.Information().Source(),
-		CandidatesConsidered: s.candCount,
-		CandidatesPlanned:    s.planned,
-	}
-	share := make(map[string]float64, len(hosts))
-	for _, h := range hosts {
-		share[h] = p.Fraction(h)
-	}
-	sortHostsByShare(sched.Hosts, share)
+	sched := s.kn.schedule(&s.m, hosts, iterT)
+	sched.InfoSource = s.a.coord.Information().Source()
+	sched.CandidatesConsidered = s.candCount
+	sched.CandidatesPlanned = s.planned
 	return sched
 }
 

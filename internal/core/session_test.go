@@ -316,3 +316,38 @@ func TestGoldenTraceDeltaRounds(t *testing.T) {
 		t.Fatalf("one-host delta bookkeeping wrong: %+v", delta)
 	}
 }
+
+// TestAgentScheduleAllocs gates the allocation cost of a plain
+// Coordinator round: a 12-host exhaustive Agent.Schedule (4095
+// candidate sets, sequential) prices every set on the strip kernel and
+// builds a placement for the winner only. What remains is two
+// allocations per set (the selector's yielded set and the candidate's
+// host names, 8,190 in all) plus about a hundred for the snapshot,
+// selector setup, candidate slice growth, and the winner.
+func TestAgentScheduleAllocs(t *testing.T) {
+	tp, info := buildPool(t, 3, 4, 11)
+	const n = 600
+	agent, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{}, info, WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := agent.Schedule(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.CandidatesConsidered != 4095 {
+		t.Fatalf("considered %d sets, want 4095", s.CandidatesConsidered)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := agent.Schedule(n); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Agent.Schedule: %.0f allocs/op over %d sets", allocs, s.CandidatesConsidered)
+	if allocs > 8500 {
+		t.Fatalf("Agent.Schedule allocates %.0f objects/op, want <= 8500", allocs)
+	}
+}
