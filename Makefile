@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet cover fuzz bench bench-evaluate bench-pipeline bench-selector bench-resched bench-service bench-nws bench-json tables clean
+.PHONY: all build test race vet cover fuzz bench bench-evaluate bench-pipeline bench-selector bench-resched bench-service bench-nws bench-jacobi bench-json tables clean
 
 all: build vet test
 
@@ -54,6 +54,12 @@ bench-selector:
 # 0 allocs/op — the gate TestSessionSteadyStateAllocFree enforces).
 bench-resched:
 	$(GO) test -bench=BenchmarkResched -benchmem -benchtime=3x -run '^$$' .
+
+# Simulated Jacobi run on the loaded SDSC/PCL testbed (8 hosts, N=2000,
+# 40 iterations): time, sim events and allocations per run of the
+# event heap and fluid CPU/network models (gated by TestJacobiRunAllocs).
+bench-jacobi:
+	$(GO) test -bench='BenchmarkJacobiRun$$' -benchmem -run '^$$' ./internal/jacobi
 
 # Multi-tenant serving: 64 agents round-robin through one SchedService,
 # copy-on-write snapshot sharing, greedy vs exhaustive selection.

@@ -414,12 +414,14 @@ func (s *SchedService) serveTenant(t *Tenant) {
 	t.qmu.Unlock()
 
 	res := s.runRound(t, req)
-	req.ch <- res
 
+	// Leave the queue before answering, so a caller that reads the
+	// depth after its result never counts its own request.
 	s.queued.Add(-1)
 	if s.met != nil {
 		s.met.queueDepth.Set(float64(s.queued.Load()))
 	}
+	req.ch <- res
 	s.reqWG.Done()
 
 	t.qmu.Lock()

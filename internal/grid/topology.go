@@ -408,6 +408,20 @@ func (tp *Topology) Route(a, b string) []*Link {
 // network border exchange).
 func (tp *Topology) Send(a, b string, sizeMB float64, done func()) *Transfer {
 	if a == b {
+		return tp.SendRoute(nil, sizeMB, done)
+	}
+	route := tp.Route(a, b)
+	if route == nil {
+		panic(fmt.Sprintf("grid: Send between unrouted hosts %q -> %q", a, b))
+	}
+	return tp.SendRoute(route, sizeMB, done)
+}
+
+// SendRoute is Send along a route resolved once with Route, for a caller
+// that sends between the same hosts many times. An empty route is a
+// same-host send.
+func (tp *Topology) SendRoute(route []*Link, sizeMB float64, done func()) *Transfer {
+	if len(route) == 0 {
 		t := &Transfer{}
 		tp.Engine.Schedule(0, func() {
 			t.finished = true
@@ -416,10 +430,6 @@ func (tp *Topology) Send(a, b string, sizeMB float64, done func()) *Transfer {
 			}
 		})
 		return t
-	}
-	route := tp.Route(a, b)
-	if route == nil {
-		panic(fmt.Sprintf("grid: Send between unrouted hosts %q -> %q", a, b))
 	}
 	return tp.net.send(route, sizeMB, done)
 }

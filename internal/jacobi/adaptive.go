@@ -72,18 +72,13 @@ func RunAdaptive(tp *grid.Topology, p *partition.Placement, cfg AdaptiveConfig) 
 	start := eng.Now()
 	iterStart := start
 	iter := 0
-	outstanding := 0
 	var runErr error
 
+	var s *sweeper
 	var beginIteration func()
 	var afterIteration func()
-	var opDone func()
 
-	opDone = func() {
-		outstanding--
-		if outstanding > 0 {
-			return
-		}
+	iterationDone := func() {
 		res.IterTimes = append(res.IterTimes, eng.Now()-iterStart)
 		iter++
 		if iter >= cfg.Iterations {
@@ -93,6 +88,7 @@ func RunAdaptive(tp *grid.Topology, p *partition.Placement, cfg AdaptiveConfig) 
 		}
 		afterIteration()
 	}
+	s = newSweeper(tp, workers, iterationDone)
 
 	// afterIteration decides whether this is a rescheduling point and, if
 	// a new placement is accepted, runs the migration phase before the
@@ -117,6 +113,7 @@ func RunAdaptive(tp *grid.Topology, p *partition.Placement, cfg AdaptiveConfig) 
 		res.Replans++
 		current = next
 		workers = newWorkersList
+		s = newSweeper(tp, workers, iterationDone)
 		refreshSpill()
 		if len(moves) == 0 {
 			beginIteration()
@@ -138,25 +135,7 @@ func RunAdaptive(tp *grid.Topology, p *partition.Placement, cfg AdaptiveConfig) 
 
 	beginIteration = func() {
 		iterStart = eng.Now()
-		outstanding = len(workers)
-		for _, w := range workers {
-			w := w
-			w.host.Submit(w.mflop, func() {
-				if len(w.asg.Borders) == 0 {
-					opDone()
-					return
-				}
-				sends := len(w.asg.Borders)
-				for _, b := range w.asg.Borders {
-					tp.Send(w.asg.Host, b.Peer, b.Bytes/1e6, func() {
-						sends--
-						if sends == 0 {
-							opDone()
-						}
-					})
-				}
-			})
-		}
+		s.begin()
 	}
 
 	beginIteration()

@@ -92,14 +92,18 @@ func (r *Result) MaxIterTime() float64 {
 
 // worker is one host's per-iteration work under a placement.
 type worker struct {
-	host  *grid.Host
-	asg   partition.Assignment
-	mflop float64 // per-iteration compute including spill penalty
-	spill float64
+	host   *grid.Host
+	asg    partition.Assignment
+	mflop  float64 // per-iteration compute including spill penalty
+	spill  float64
+	routes [][]*grid.Link // per border, resolved once per placement
+	sends  int            // border sends still in flight this iteration
+
+	computed, sent func() // completion callbacks, bound by newSweeper
 }
 
-// newWorkers binds a placement to hosts, computing per-iteration work and
-// spill fractions.
+// newWorkers binds a placement to hosts, computing per-iteration work,
+// spill fractions, and each border's route.
 func newWorkers(tp *grid.Topology, p *partition.Placement, cfg Config) ([]*worker, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -119,17 +123,78 @@ func newWorkers(tp *grid.Topology, p *partition.Placement, cfg Config) ([]*worke
 			spill = (needMB - h.MemoryMB) / needMB
 		}
 		mult := 1 + spill*(cfg.SpillFactor-1)
-		workers = append(workers, &worker{
-			host:  h,
-			asg:   a,
-			mflop: float64(a.Points) * cfg.FlopPerPoint / 1e6 * mult,
-			spill: spill,
-		})
+		w := &worker{
+			host:   h,
+			asg:    a,
+			mflop:  float64(a.Points) * cfg.FlopPerPoint / 1e6 * mult,
+			spill:  spill,
+			routes: make([][]*grid.Link, len(a.Borders)),
+		}
+		for i, b := range a.Borders {
+			if b.Peer == a.Host {
+				continue // a local copy: the empty route
+			}
+			if w.routes[i] = tp.Route(a.Host, b.Peer); w.routes[i] == nil {
+				return nil, fmt.Errorf("jacobi: no route from %q to %q", a.Host, b.Peer)
+			}
+		}
+		workers = append(workers, w)
 	}
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("jacobi: placement has no work")
 	}
 	return workers, nil
+}
+
+// sweeper runs synchronous iterations of one placement's workers: each
+// host computes its strip, then exchanges borders with its neighbors,
+// and done fires when the last border of the iteration lands (Jacobi
+// updates all points simultaneously, so every sweep ends in a global
+// synchronization). The callbacks are bound once per placement, so an
+// iteration allocates only what the simulator itself needs.
+type sweeper struct {
+	workers     []*worker
+	outstanding int // workers whose compute or borders are in flight
+}
+
+func newSweeper(tp *grid.Topology, workers []*worker, done func()) *sweeper {
+	s := &sweeper{workers: workers}
+	opDone := func() {
+		s.outstanding--
+		if s.outstanding == 0 {
+			done()
+		}
+	}
+	for _, w := range workers {
+		w.sent = func() {
+			w.sends--
+			if w.sends == 0 {
+				opDone()
+			}
+		}
+		w.computed = func() {
+			// Compute done: exchange borders. Each border edge sends
+			// the strip boundary to the peer; the matching receive is
+			// the peer's own send, so one send per edge direction.
+			if len(w.asg.Borders) == 0 {
+				opDone()
+				return
+			}
+			w.sends = len(w.asg.Borders)
+			for i, b := range w.asg.Borders {
+				tp.SendRoute(w.routes[i], b.Bytes/1e6, w.sent)
+			}
+		}
+	}
+	return s
+}
+
+// begin starts one iteration.
+func (s *sweeper) begin() {
+	s.outstanding = len(s.workers)
+	for _, w := range s.workers {
+		w.host.Submit(w.mflop, w.computed)
+	}
 }
 
 // Start begins executing the placement asynchronously: all events are
@@ -149,61 +214,29 @@ func Start(tp *grid.Topology, p *partition.Placement, cfg Config, whenDone func(
 	}
 
 	eng := tp.Engine
-	res := &Result{SpillFraction: map[string]float64{}, Hosts: len(workers)}
+	res := &Result{
+		IterTimes:     make([]float64, 0, cfg.Iterations),
+		SpillFraction: map[string]float64{},
+		Hosts:         len(workers),
+	}
 	for _, w := range workers {
 		res.SpillFraction[w.asg.Host] = w.spill
 	}
 
 	start := eng.Now()
 	iterStart := start
-	iter := 0
-	outstanding := 0
-
-	var beginIteration func()
-	var opDone func()
-
-	opDone = func() {
-		outstanding--
-		if outstanding > 0 {
-			return
-		}
+	var s *sweeper
+	s = newSweeper(tp, workers, func() {
 		res.IterTimes = append(res.IterTimes, eng.Now()-iterStart)
-		iter++
-		if iter >= cfg.Iterations {
+		if len(res.IterTimes) >= cfg.Iterations {
 			res.Time = eng.Now() - start
 			whenDone(res)
 			return
 		}
-		beginIteration()
-	}
-
-	beginIteration = func() {
 		iterStart = eng.Now()
-		outstanding = len(workers)
-		for _, w := range workers {
-			w := w
-			w.host.Submit(w.mflop, func() {
-				// Compute done: exchange borders. Each border edge sends
-				// the strip boundary to the peer; the matching receive is
-				// the peer's own send, so one send per edge direction.
-				if len(w.asg.Borders) == 0 {
-					opDone()
-					return
-				}
-				sends := len(w.asg.Borders)
-				for _, b := range w.asg.Borders {
-					tp.Send(w.asg.Host, b.Peer, b.Bytes/1e6, func() {
-						sends--
-						if sends == 0 {
-							opDone()
-						}
-					})
-				}
-			})
-		}
-	}
-
-	beginIteration()
+		s.begin()
+	})
+	s.begin()
 	return nil
 }
 

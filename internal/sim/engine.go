@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -49,7 +48,7 @@ func (e *Engine) Now() float64 { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are scheduled but not yet fired.
-func (e *Engine) Pending() int { return e.queue.Len() }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // SetEventLimit installs a safety cap on the total number of dispatched
 // events. Run returns ErrEventLimit once the cap is exceeded. Zero disables
@@ -83,13 +82,25 @@ func (e *Engine) Schedule(delay float64, fn Handler) *Event {
 // ScheduleAt queues fn to run at absolute virtual time t. Scheduling before
 // the current time panics.
 func (e *Engine) ScheduleAt(t float64, fn Handler) *Event {
+	ev := &Event{index: -1}
+	e.enqueue(ev, t, fn)
+	return ev
+}
+
+// enqueue queues ev to run fn at t with the next sequence number. An
+// event already queued is re-keyed in place: the heap's order is total
+// on (time, seq), so that dispatches exactly as Cancel then ScheduleAt.
+func (e *Engine) enqueue(ev *Event, t float64, fn Handler) {
 	if math.IsNaN(t) || t < e.now {
 		panic(fmt.Sprintf("sim: ScheduleAt %v before now %v", t, e.now))
 	}
-	ev := &Event{time: t, seq: e.seq, handler: fn, index: -1}
+	ev.time, ev.seq, ev.handler = t, e.seq, fn
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
+	if ev.index >= 0 {
+		e.queue.fix(ev.index)
+	} else {
+		e.queue.push(ev)
+	}
 }
 
 // Cancel removes a scheduled event. It reports whether the event was still
@@ -98,8 +109,7 @@ func (e *Engine) Cancel(ev *Event) bool {
 	if ev == nil || ev.index < 0 {
 		return false
 	}
-	heap.Remove(&e.queue, ev.index)
-	ev.index = -1
+	e.queue.remove(ev.index)
 	ev.handler = nil
 	return true
 }
@@ -118,11 +128,10 @@ func (e *Engine) Reschedule(ev *Event, delay float64) *Event {
 // Step dispatches the single earliest pending event, advancing the clock to
 // its time. It reports false when no events are pending.
 func (e *Engine) Step() bool {
-	if e.queue.Len() == 0 {
+	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*Event)
-	ev.index = -1
+	ev := e.queue.pop()
 	e.now = ev.time
 	e.fired++
 	if e.events != nil {
@@ -145,8 +154,8 @@ func (e *Engine) Run() error {
 // halted early and the horizon is finite.
 func (e *Engine) RunUntil(horizon float64) error {
 	e.halted = false
-	for e.queue.Len() > 0 && !e.halted {
-		if e.queue.peek().time > horizon {
+	for len(e.queue) > 0 && !e.halted {
+		if e.queue[0].time > horizon {
 			break
 		}
 		if e.limit > 0 && e.fired >= e.limit {
@@ -162,3 +171,39 @@ func (e *Engine) RunUntil(horizon float64) error {
 
 // Halt stops Run/RunUntil after the currently dispatching event returns.
 func (e *Engine) Halt() { e.halted = true }
+
+// Timer is a reusable event for a model component that keeps at most
+// one wakeup of a kind pending: a CPU's next completion, a link's next
+// cross-traffic change. Arming it is exactly Cancel followed by
+// ScheduleAt — the wakeup takes a fresh sequence number, so same-instant
+// FIFO order is as if a new event had been scheduled — but the event is
+// reused, so re-arming allocates nothing.
+type Timer struct {
+	eng *Engine
+	fn  Handler
+	ev  Event
+}
+
+// NewTimer returns an unarmed timer that runs fn each time it fires.
+func (e *Engine) NewTimer(fn Handler) *Timer {
+	return &Timer{eng: e, fn: fn, ev: Event{index: -1}}
+}
+
+// ArmAt (re)schedules the timer for absolute virtual time at, replacing
+// any pending wakeup. Arming before the current time panics.
+func (t *Timer) ArmAt(at float64) { t.eng.enqueue(&t.ev, at, t.fn) }
+
+// Arm (re)schedules the timer delay seconds from now. A negative or NaN
+// delay panics.
+func (t *Timer) Arm(delay float64) {
+	if math.IsNaN(delay) || delay < 0 {
+		panic(fmt.Sprintf("sim: Timer.Arm with invalid delay %v at t=%v", delay, t.eng.now))
+	}
+	t.ArmAt(t.eng.now + delay)
+}
+
+// Stop cancels the pending wakeup, reporting whether there was one.
+func (t *Timer) Stop() bool { return t.eng.Cancel(&t.ev) }
+
+// Pending reports whether the timer is armed and has not yet fired.
+func (t *Timer) Pending() bool { return t.ev.index >= 0 }

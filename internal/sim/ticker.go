@@ -6,7 +6,7 @@ type Ticker struct {
 	eng    *Engine
 	period float64
 	fn     func(now float64)
-	ev     *Event
+	timer  *Timer
 	stop   bool
 	ticks  uint64
 	max    uint64 // 0 = unbounded
@@ -19,7 +19,8 @@ func NewTicker(eng *Engine, period float64, fn func(now float64)) *Ticker {
 		panic("sim: Ticker period must be positive")
 	}
 	t := &Ticker{eng: eng, period: period, fn: fn}
-	t.arm()
+	t.timer = eng.NewTimer(t.fire)
+	t.timer.Arm(period)
 	return t
 }
 
@@ -28,10 +29,6 @@ func NewTickerN(eng *Engine, period float64, max uint64, fn func(now float64)) *
 	t := NewTicker(eng, period, fn)
 	t.max = max
 	return t
-}
-
-func (t *Ticker) arm() {
-	t.ev = t.eng.Schedule(t.period, t.fire)
 }
 
 func (t *Ticker) fire() {
@@ -43,15 +40,13 @@ func (t *Ticker) fire() {
 	if t.stop || (t.max > 0 && t.ticks >= t.max) {
 		return
 	}
-	t.arm()
+	t.timer.Arm(t.period)
 }
 
 // Stop prevents any further firings.
 func (t *Ticker) Stop() {
 	t.stop = true
-	if t.ev != nil {
-		t.eng.Cancel(t.ev)
-	}
+	t.timer.Stop()
 }
 
 // Ticks reports how many times the callback has fired.
