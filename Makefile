@@ -28,7 +28,6 @@ cover:
 # under testdata/fuzz replay as regular tests on every `make test`.
 fuzz:
 	$(GO) test -fuzz=FuzzReadPlacement -fuzztime=10s ./internal/partition
-	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=10s ./internal/nws
 	$(GO) test -fuzz=FuzzSegmentDecode -fuzztime=10s ./internal/mstore
 
 # Full reproduction benchmarks (paper figures + ablations).

@@ -133,22 +133,12 @@ func NewNWS(eng *Engine, period float64, opts ...NWSOption) *NWS {
 	return nws.NewService(eng, period, opts...)
 }
 
-// WithNWSRetention caps how many raw measurements per watched series the
-// service retains for snapshots (forecaster banks still see everything).
-func WithNWSRetention(n int) NWSOption { return nws.WithRetention(n) }
-
 // WithNWSBankFactory replaces the forecaster bank new sensors start with.
 func WithNWSBankFactory(mk func() *ForecasterBank) NWSOption { return nws.WithBankFactory(mk) }
 
 // NewForecasterBank builds a predictor bank (the standard NWS set when
 // called with no arguments).
 func NewForecasterBank(fcs ...Forecaster) *ForecasterBank { return nws.NewBank(fcs...) }
-
-// NWSSnapshot is the serializable sensor history of an NWS instance.
-type NWSSnapshot = nws.Snapshot
-
-// ReadNWSSnapshot deserializes a snapshot written by Snapshot.WriteTo.
-func ReadNWSSnapshot(r io.Reader) (*NWSSnapshot, error) { return nws.ReadSnapshot(r) }
 
 // Durable measurement history: an append-only segment/WAL store shared
 // by NWS sensing, load traces, and replay experiments.
@@ -192,6 +182,10 @@ func WithStoreMetrics(m *Metrics) StoreOption { return mstore.WithMetrics(m) }
 // the store; pair with NWS.RestoreFromStore to warm-start forecaster
 // banks bit-identically across restarts.
 func WithNWSStore(st *MeasurementStore) NWSOption { return nws.WithStore(st) }
+
+// ErrNWSRestoreAfterWatch is returned by NWS.RestoreFromStore once the
+// instance already watches a resource; restore before WatchTopology.
+var ErrNWSRestoreAfterWatch = nws.ErrRestoreAfterWatch
 
 // Application templates (HAT) and user specifications (US).
 type (

@@ -3,9 +3,14 @@
 // then prints the per-resource forecasts, the forecaster each series
 // selected, and the per-forecaster error table for one host.
 //
+// With -store DIR every sample is appended to a durable measurement
+// store, and a later run on the same directory warm-starts its
+// forecasters from the recorded history before sensing resumes.
+//
 // Usage:
 //
 //	nws -seed 11 -horizon 3600 -period 10 -detail sparc2
+//	nws -horizon 300 -store ./history   # run twice: the second warm-starts
 package main
 
 import (
@@ -22,44 +27,46 @@ func main() {
 	horizon := flag.Float64("horizon", 3600, "virtual seconds to sense")
 	period := flag.Float64("period", 10, "sensor period (virtual seconds)")
 	detail := flag.String("detail", "sparc2", "host whose forecaster error table to print")
-	save := flag.String("save", "", "write the sensor history snapshot to this file")
-	restore := flag.String("restore", "", "seed the forecaster banks from a snapshot file")
+	storeDir := flag.String("store", "", "durable measurement store directory: samples are appended, and existing history warm-starts the forecasters")
 	flag.Parse()
 
 	eng := apples.NewEngine()
 	tp := apples.SDSCPCL(eng, apples.TestbedOptions{Seed: *seed})
-	svc := apples.NewNWS(eng, *period)
-	if *restore != "" {
-		f, err := os.Open(*restore)
+	var nwsOpts []apples.NWSOption
+	var store *apples.MeasurementStore
+	if *storeDir != "" {
+		var err error
+		store, err = apples.OpenMeasurementStore(*storeDir)
 		if err != nil {
 			fail(err)
 		}
-		snap, err := apples.ReadNWSSnapshot(f)
-		f.Close()
+		if rec := store.Recovery(); rec.DroppedBytes > 0 {
+			fmt.Printf("store %s: recovered after unclean shutdown, dropped %d torn trailing bytes\n",
+				*storeDir, rec.DroppedBytes)
+		}
+		nwsOpts = append(nwsOpts, apples.WithNWSStore(store))
+	}
+	svc := apples.NewNWS(eng, *period, nwsOpts...)
+	if store != nil {
+		replayed, err := svc.RestoreFromStore(store)
 		if err != nil {
 			fail(err)
 		}
-		if err := svc.Restore(snap); err != nil {
-			fail(err)
+		if replayed > 0 {
+			fmt.Printf("store %s: warm-started forecasters from %d records\n\n", *storeDir, replayed)
 		}
-		fmt.Printf("restored %d host and %d link series from %s\n\n", len(snap.CPU), len(snap.Links), *restore)
 	}
 	svc.WatchTopology(tp)
 	if err := eng.RunUntil(*horizon); err != nil {
 		fail(err)
 	}
-	if *save != "" {
-		f, err := os.Create(*save)
-		if err != nil {
+	if store != nil {
+		if err := svc.StoreErr(); err != nil {
 			fail(err)
 		}
-		if _, err := svc.Snapshot().WriteTo(f); err != nil {
+		if err := store.Close(); err != nil {
 			fail(err)
 		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("snapshot written to %s\n\n", *save)
 	}
 
 	fmt.Printf("Network Weather Service after %.0f s of virtual time (period %.0f s)\n\n", *horizon, *period)

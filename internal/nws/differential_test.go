@@ -248,7 +248,7 @@ func TestStabilityOnLargeOffsetSeries(t *testing.T) {
 	}
 }
 
-// ring unit coverage: wraparound, back indexing, bounded values().
+// ring unit coverage: wraparound and back indexing.
 func TestRingWraparound(t *testing.T) {
 	r := newRing(3)
 	for i := 1; i <= 5; i++ {
@@ -261,10 +261,6 @@ func TestRingWraparound(t *testing.T) {
 		if got := r.back(i); got != want {
 			t.Fatalf("back(%d)=%v, want %v", i, got, want)
 		}
-	}
-	vals := r.values()
-	if fmt.Sprint(vals) != "[3 4 5]" {
-		t.Fatalf("values %v", vals)
 	}
 }
 

@@ -23,4 +23,9 @@
 // copy+sort implementations are kept (legacy.go) as differential-test
 // oracles: the incremental forecasters are pinned bit-identical to them
 // (windowed AR(1): identical up to float re-association, ~1e-9 relative).
+//
+// Sensor history persists in one format, the crash-safe measurement
+// store: WithStore appends every sample, and RestoreFromStore replays
+// the recorded history into fresh banks before any resource is watched,
+// reproducing forecasts and error state bit for bit.
 package nws

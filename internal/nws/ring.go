@@ -1,10 +1,10 @@
 package nws
 
 // ring is a fixed-capacity circular buffer of measurements. It is the
-// backing store for every windowed forecaster and for the service's
-// bounded raw-series retention: pushing into a full ring overwrites the
-// oldest sample in place, so steady-state sensing never allocates and
-// never shifts memory the way the old `buf = buf[1:]` append churn did.
+// backing store for every windowed forecaster in a bank: pushing into a
+// full ring overwrites the oldest sample in place, so steady-state
+// sensing never allocates and never shifts memory the way the old
+// `buf = buf[1:]` append churn did.
 //
 // A ring also counts every sample ever pushed (total), which lets several
 // forecasters with different window sizes share one ring: a forecaster
@@ -53,20 +53,3 @@ func (r *ring) back(i int) float64 {
 
 // len reports how many samples the ring currently retains.
 func (r *ring) len() int { return r.count }
-
-// values returns the retained samples oldest-first as a fresh slice.
-// Only snapshotting uses it; the sensing path never does.
-func (r *ring) values() []float64 {
-	if r.count == 0 {
-		return nil
-	}
-	out := make([]float64, r.count)
-	for i := 0; i < r.count; i++ {
-		idx := r.start + i
-		if idx >= len(r.data) {
-			idx -= len(r.data)
-		}
-		out[i] = r.data[idx]
-	}
-	return out
-}

@@ -11,24 +11,8 @@ import (
 	"apples/internal/sim"
 )
 
-// DefaultRetention is how many raw measurements per watched series a
-// Service keeps for snapshots when WithRetention does not override it —
-// generous enough that every reproduced experiment retains its full
-// history, while still bounding memory for week-long sensing runs.
-const DefaultRetention = 4096
-
 // ServiceOption configures a Service at construction.
 type ServiceOption func(*Service)
-
-// WithRetention caps how many raw measurements per series the service
-// retains for snapshots (the forecaster banks always see every
-// measurement). n must be >= 1.
-func WithRetention(n int) ServiceOption {
-	if n < 1 {
-		panic("nws: retention must be >= 1")
-	}
-	return func(s *Service) { s.retention = n }
-}
 
 // WithBankFactory replaces the forecaster bank a new sensor starts with
 // (NewBank() by default) — e.g. to add windowed AR(1) predictors or to
@@ -74,10 +58,9 @@ func WithStageTiming(st *obs.StageTimer) ServiceOption {
 // event queue no more than one with ten, and the sweep itself does not
 // allocate in steady state.
 type Service struct {
-	eng       *sim.Engine
-	period    float64
-	retention int
-	newBank   func() *Bank
+	eng     *sim.Engine
+	period  float64
+	newBank func() *Bank
 
 	cpuBanks map[string]*Bank // host name -> availability series
 	bwBanks  map[string]*Bank // link name -> available-bandwidth series
@@ -87,10 +70,6 @@ type Service struct {
 
 	watchedHosts map[string]bool
 	watchedLinks map[string]bool
-	// Raw measurement series for snapshots (persist.go), bounded to the
-	// last `retention` samples each.
-	cpuSeries map[string]*ring
-	bwSeries  map[string]*ring
 
 	// Metric handles (nil when WithMetrics was not given). sweepHook
 	// records that the batch carries a leading sweep-counting callback,
@@ -118,7 +97,6 @@ func NewService(eng *sim.Engine, period float64, opts ...ServiceOption) *Service
 	s := &Service{
 		eng:          eng,
 		period:       period,
-		retention:    DefaultRetention,
 		newBank:      func() *Bank { return NewBank() },
 		cpuBanks:     make(map[string]*Bank),
 		bwBanks:      make(map[string]*Bank),
@@ -126,8 +104,6 @@ func NewService(eng *sim.Engine, period float64, opts ...ServiceOption) *Service
 		links:        make(map[string]*grid.Link),
 		watchedHosts: make(map[string]bool),
 		watchedLinks: make(map[string]bool),
-		cpuSeries:    make(map[string]*ring),
-		bwSeries:     make(map[string]*ring),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -137,7 +113,7 @@ func NewService(eng *sim.Engine, period float64, opts ...ServiceOption) *Service
 
 // addSensor registers one sampling callback on the shared batch tick,
 // creating the tick lazily so an idle service schedules nothing.
-func (s *Service) addSensor(kind mstore.Kind, name string, bank *Bank, series *ring, sample func() float64) {
+func (s *Service) addSensor(kind mstore.Kind, name string, bank *Bank, sample func() float64) {
 	if s.batch == nil {
 		s.batch = sim.NewBatchTicker(s.eng, s.period)
 		s.sweepHook = false
@@ -162,15 +138,14 @@ func (s *Service) addSensor(kind mstore.Kind, name string, bank *Bank, series *r
 			observeResiduals(s.residuals, kind, name, bank, v)
 		}
 		bank.Update(v)
-		series.push(v)
 		if updates != nil {
 			updates.Inc()
 		}
 		if s.store != nil && s.storeErr == nil {
-			// The ring's total is the sample's 1-based position in its
+			// The bank's length is the sample's 1-based position in its
 			// series — monotonic across restarts once RestoreFromStore
 			// has replayed the history.
-			err := s.store.Append(mstore.Record{Kind: kind, Series: name, Tick: series.total, Value: v})
+			err := s.store.Append(mstore.Record{Kind: kind, Series: name, Tick: uint64(bank.Len()), Value: v})
 			if err != nil {
 				s.storeErr = err
 			}
@@ -179,7 +154,8 @@ func (s *Service) addSensor(kind mstore.Kind, name string, bank *Bank, series *r
 }
 
 // WatchHost installs a CPU availability sensor on the host. A bank
-// restored from a snapshot keeps its history; new measurements append.
+// warm-started by RestoreFromStore keeps its history; new measurements
+// append.
 func (s *Service) WatchHost(h *grid.Host) {
 	if s.watchedHosts[h.Name] {
 		return
@@ -190,17 +166,13 @@ func (s *Service) WatchHost(h *grid.Host) {
 		bank = s.newBank()
 		s.cpuBanks[h.Name] = bank
 	}
-	series := s.cpuSeries[h.Name]
-	if series == nil {
-		series = newRing(s.retention)
-		s.cpuSeries[h.Name] = series
-	}
 	s.hosts[h.Name] = h
-	s.addSensor(mstore.KindCPU, h.Name, bank, series, h.Availability)
+	s.addSensor(mstore.KindCPU, h.Name, bank, h.Availability)
 }
 
 // WatchLink installs an available-bandwidth sensor on the link. A bank
-// restored from a snapshot keeps its history; new measurements append.
+// warm-started by RestoreFromStore keeps its history; new measurements
+// append.
 func (s *Service) WatchLink(l *grid.Link) {
 	if s.watchedLinks[l.Name] {
 		return
@@ -211,13 +183,8 @@ func (s *Service) WatchLink(l *grid.Link) {
 		bank = s.newBank()
 		s.bwBanks[l.Name] = bank
 	}
-	series := s.bwSeries[l.Name]
-	if series == nil {
-		series = newRing(s.retention)
-		s.bwSeries[l.Name] = series
-	}
 	s.links[l.Name] = l
-	s.addSensor(mstore.KindBandwidth, l.Name, bank, series, l.AvailableBandwidth)
+	s.addSensor(mstore.KindBandwidth, l.Name, bank, l.AvailableBandwidth)
 }
 
 // WatchTopology installs sensors on every host and link of a topology.
@@ -252,10 +219,10 @@ func (s *Service) Sensors() int {
 	return n
 }
 
-// Stop halts all sensors (e.g. before draining the simulation). Banks and
-// retained series stay queryable; a resource watched after Stop starts a
-// fresh batch tick covering only newly watched resources, matching the
-// per-sensor semantics the service had before batching.
+// Stop halts all sensors (e.g. before draining the simulation). Banks
+// stay queryable; a resource watched after Stop starts a fresh batch
+// tick covering only newly watched resources, matching the per-sensor
+// semantics the service had before batching.
 func (s *Service) Stop() {
 	if s.batch != nil {
 		s.batch.Stop()

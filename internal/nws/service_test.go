@@ -225,3 +225,97 @@ func TestServiceSweepSpans(t *testing.T) {
 		t.Fatalf("bank updates = %d, want %d (2 hosts x %d sweeps)", got, 2*sweeps, sweeps)
 	}
 }
+
+// Report lists hosts then links, each block sorted by name, regardless of
+// watch order (map iteration must not leak into the output).
+func TestReportStableOrdering(t *testing.T) {
+	eng := sim.NewEngine()
+	tp := grid.NewTopology(eng)
+	names := []string{"zeta", "alpha", "mu", "beta", "omega"}
+	for _, n := range names {
+		tp.AddHost(grid.HostSpec{Name: n, Speed: 1, MemoryMB: 1, Load: load.Constant(1)})
+	}
+	l := tp.AddLink(grid.LinkSpec{Name: "wire", Latency: 0, Bandwidth: 4})
+	for _, n := range names {
+		tp.Attach(n, l)
+	}
+	tp.Finalize()
+
+	svc := NewService(eng, 10)
+	for _, n := range names {
+		svc.WatchHost(tp.Host(n))
+	}
+	svc.WatchLink(l)
+	if err := eng.RunUntil(50); err != nil {
+		t.Fatal(err)
+	}
+
+	first := svc.Report()
+	for i := 0; i < 10; i++ {
+		if svc.Report() != first {
+			t.Fatal("Report output is not deterministic across calls")
+		}
+	}
+	var prev string
+	sawLink := false
+	for _, line := range strings.Split(strings.TrimSpace(first), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) < 2 {
+			t.Fatalf("malformed report line %q", line)
+		}
+		kind, name := fields[0], fields[1]
+		switch kind {
+		case "cpu":
+			if sawLink {
+				t.Fatalf("host line %q after link lines", line)
+			}
+			if prev != "" && name < prev {
+				t.Fatalf("host %q out of order after %q", name, prev)
+			}
+			prev = name
+		case "bw":
+			sawLink = true
+		default:
+			t.Fatalf("unknown report line kind %q", kind)
+		}
+	}
+	if !sawLink {
+		t.Fatal("report missing link section")
+	}
+}
+
+// Sensors counts registered samplers; ObserveAll drives one sweep without
+// the simulation clock.
+func TestSensorsAndObserveAll(t *testing.T) {
+	eng := sim.NewEngine()
+	tp := grid.NewTopology(eng)
+	a := tp.AddHost(grid.HostSpec{Name: "a", Speed: 1, MemoryMB: 1, Load: load.Constant(1)})
+	b := tp.AddHost(grid.HostSpec{Name: "b", Speed: 1, MemoryMB: 1, Load: load.Constant(3)})
+	l := tp.AddLink(grid.LinkSpec{Name: "ab", Latency: 0, Bandwidth: 4})
+	tp.Attach("a", l)
+	tp.Attach("b", l)
+	tp.Finalize()
+
+	svc := NewService(eng, 10)
+	if svc.Sensors() != 0 {
+		t.Fatalf("idle service reports %d sensors, want 0", svc.Sensors())
+	}
+	svc.WatchHost(a)
+	svc.WatchHost(b)
+	if svc.Sensors() != 2 {
+		t.Fatalf("Sensors() = %d, want 2", svc.Sensors())
+	}
+	for i := 0; i < 5; i++ {
+		svc.ObserveAll(float64(i))
+	}
+	if got := svc.CPUBank("a").Len(); got != 5 {
+		t.Fatalf("host a bank has %d samples after 5 sweeps, want 5", got)
+	}
+	if v, ok := svc.AvailabilityForecast("b"); !ok || v != 0.25 {
+		t.Fatalf("host b forecast %v ok=%v, want 0.25", v, ok)
+	}
+	svc.Stop()
+	if svc.Sensors() != 0 {
+		t.Fatalf("Sensors() after Stop = %d, want 0", svc.Sensors())
+	}
+}

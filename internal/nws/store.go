@@ -1,6 +1,7 @@
 package nws
 
 import (
+	"errors"
 	"fmt"
 
 	"apples/internal/mstore"
@@ -23,21 +24,30 @@ func WithStore(st *mstore.Store) ServiceOption {
 // exit).
 func (s *Service) StoreErr() error { return s.storeErr }
 
+// ErrRestoreAfterWatch is returned by RestoreFromStore when the service
+// already watches a host or link. The running sensors hold the banks
+// they were installed with, so swapping in restored banks would leave
+// the service answering from banks that never see another sample.
+var ErrRestoreAfterWatch = errors.New("nws: restore from store after resources are watched")
+
 // RestoreFromStore replays every sensor record in the store — the full
-// history, not one retention window — into fresh forecaster banks and
-// retention rings, exactly as living through the samples would have:
-// forecasts, per-forecaster error state, and bank winners come out
-// bit-identical (forecasters are deterministic functions of their input
-// series, and the store preserves append order). Series present in the
-// service but absent from the store are left untouched; records of
-// non-sensor kinds (e.g. load-trace steps sharing the store) are
-// skipped. Call it before watching resources, like Restore; subsequent
-// sensing appends to both the banks and — when WithStore points at the
-// same store — the history itself, so ticks stay monotonic across
-// restarts.
+// history — into fresh forecaster banks, exactly as living through the
+// samples would have: forecasts, per-forecaster error state, and bank
+// winners come out bit-identical (forecasters are deterministic
+// functions of their input series, and the store preserves append
+// order). Series present in the service but absent from the store are
+// left untouched; records of non-sensor kinds (e.g. load-trace steps
+// sharing the store) are skipped. Call it before watching any resource:
+// once a host or link is watched it returns ErrRestoreAfterWatch and
+// changes nothing. Subsequent sensing appends to both the banks and —
+// when WithStore points at the same store — the history itself, so
+// ticks stay monotonic across restarts.
 //
 // It returns how many sensor records were replayed.
 func (s *Service) RestoreFromStore(st *mstore.Store) (int, error) {
+	if len(s.watchedHosts) > 0 || len(s.watchedLinks) > 0 {
+		return 0, ErrRestoreAfterWatch
+	}
 	replayed := 0
 	fresh := make(map[string]bool) // kind-prefixed series started over
 	for r, err := range st.Records() {
@@ -45,12 +55,11 @@ func (s *Service) RestoreFromStore(st *mstore.Store) (int, error) {
 			return replayed, fmt.Errorf("nws: restore from store: %w", err)
 		}
 		var banks map[string]*Bank
-		var rings map[string]*ring
 		switch r.Kind {
 		case mstore.KindCPU:
-			banks, rings = s.cpuBanks, s.cpuSeries
+			banks = s.cpuBanks
 		case mstore.KindBandwidth:
-			banks, rings = s.bwBanks, s.bwSeries
+			banks = s.bwBanks
 		default:
 			continue
 		}
@@ -58,10 +67,8 @@ func (s *Service) RestoreFromStore(st *mstore.Store) (int, error) {
 		if !fresh[key] {
 			fresh[key] = true
 			banks[r.Series] = s.newBank()
-			rings[r.Series] = newRing(s.retention)
 		}
 		banks[r.Series].Update(r.Value)
-		rings[r.Series].push(r.Value)
 		replayed++
 	}
 	return replayed, nil
