@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet cover fuzz bench bench-evaluate bench-pipeline bench-selector bench-resched bench-service bench-nws bench-jacobi bench-json tables clean
+.PHONY: all build test race vet cover fuzz bench bench-evaluate bench-pipeline bench-selector bench-resched bench-service bench-nws bench-jacobi tables clean
 
 all: build vet test
 
@@ -34,7 +34,9 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
-# Candidate-evaluation engine sweep only: pool size x evaluation mode.
+# Candidate-evaluation engine sweep only: pool size x evaluation mode
+# (snapshot on one worker, the worker pool, the pool plus pruning). Short
+# and noisy; the bench/ module gives spread-aware end-to-end numbers.
 bench-evaluate:
 	$(GO) test -bench=BenchmarkEvaluate -benchmem -benchtime=3x .
 
@@ -69,11 +71,6 @@ bench-service:
 # and full-service sweep cost at 100/1k/10k watched series.
 bench-nws:
 	$(GO) test -bench='BenchmarkBankUpdate|BenchmarkServiceTick' -benchmem -run '^$$' ./internal/nws
-
-# Headline sweeps (candidate evaluation + NWS bank update) as machine-
-# readable JSON, for diffing performance across revisions.
-bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_sched.json
 
 # Paper-style tables via the experiment driver.
 tables:

@@ -223,7 +223,7 @@ type (
 	// AgentSchedule is the coordinator's chosen schedule.
 	AgentSchedule = core.Schedule
 	// AgentOption configures NewAgent (see WithSpillFactor,
-	// WithParallelism, WithPruning, WithInfoSnapshot).
+	// WithParallelism, WithPruning, WithSelector).
 	AgentOption = core.AgentOption
 	// Candidate is one evaluated resource set or pipeline mapping, the
 	// shared explain currency of Agent.ScheduleExplained/Candidates and
@@ -261,9 +261,6 @@ var (
 	WithParallelism = core.WithParallelism
 	// WithPruning enables best-so-far candidate pruning.
 	WithPruning = core.WithPruning
-	// WithInfoSnapshot toggles the per-round information snapshot
-	// (default on; disable only for ablation).
-	WithInfoSnapshot = core.WithInfoSnapshot
 	// WithSelector picks the resource-selector family an agent enumerates
 	// candidates with (exhaustive below 2^12, or the greedy / beam / LP+GA
 	// heuristics that scale to thousand-host pools).
@@ -570,9 +567,9 @@ type (
 )
 
 // NewPipelineAgent assembles a pipeline-blueprint AppLeS. It shares the
-// Agent's evaluation engine and accepts the same options (WithParallelism,
-// WithInfoSnapshot; the pipeline blueprint has no spill model or pruning
-// bound, so WithSpillFactor and WithPruning are no-ops).
+// Agent's evaluation engine and accepts the same options (WithParallelism;
+// the pipeline blueprint has no spill model or pruning bound, so
+// WithSpillFactor and WithPruning are no-ops).
 func NewPipelineAgent(tp *Topology, tpl *Template, spec *UserSpec, info Information, opt ReactOptions, opts ...AgentOption) (*PipelineAgent, error) {
 	return core.NewPipelineAgent(tp, tpl, spec, info, opt, opts...)
 }

@@ -115,7 +115,7 @@ func TestFacadeAgentOptionsAndErrors(t *testing.T) {
 
 	seq, err := apples.NewAgent(tp, apples.JacobiTemplate(600, 10), &apples.UserSpec{},
 		apples.OracleInformation(tp),
-		apples.WithParallelism(1), apples.WithInfoSnapshot(false), apples.WithSpillFactor(30))
+		apples.WithParallelism(1), apples.WithSpillFactor(30))
 	if err != nil {
 		t.Fatal(err)
 	}

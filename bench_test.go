@@ -18,8 +18,7 @@ import (
 // sizes and evaluation modes on warmed NWS-backed cluster-of-clusters
 // scenarios. The 8- and 12-host pools enumerate every subset (255 and
 // 4095 candidate sets); 32 and 64 hosts use desirability prefixes.
-// "sequential" is the legacy loop (no snapshot, one worker, re-querying
-// the information source per set); "snapshot" resolves the pool once;
+// "snapshot" resolves the pool once and evaluates on one worker;
 // "parallel" adds the worker pool; "pruned" adds best-so-far pruning.
 func BenchmarkEvaluate(b *testing.B) {
 	pools := []struct {
@@ -35,7 +34,6 @@ func BenchmarkEvaluate(b *testing.B) {
 		name string
 		opts []core.AgentOption
 	}{
-		{"sequential", []core.AgentOption{core.WithParallelism(1), core.WithInfoSnapshot(false)}},
 		{"snapshot", []core.AgentOption{core.WithParallelism(1)}},
 		{"parallel", []core.AgentOption{core.WithParallelism(4)}},
 		{"pruned", []core.AgentOption{core.WithParallelism(4), core.WithPruning(true)}},

@@ -7,15 +7,20 @@
 //	expt -fig 5 -quick       # just Figure 5, reduced sweep
 //	expt -fig react -seed 7
 //
-// Figures: 3, 4, 5, 6, react, nile, a1 (forecast ablation), a3
-// (selection ablation), sched / pipeline-sched (scheduler decision
-// latency for the two blueprints), nws-scale (sensing throughput),
-// obs-overhead (decision-trace instrumentation cost), tenant-converge
-// (competing agents on one scheduling service: oscillation vs
-// damped convergence), replay (record a sensing run to a durable
-// store, replay it twice, assert identical decision traces), audit
-// (forecast & decision quality: predicted-vs-actual joins,
-// per-series forecast skill, drift alarms under injected churn), all.
+// Figures: 3, 4, 5, 6, react, nile, a1 (forecast ablation), a2
+// (forecaster ablation), a3 (selection ablation), a4 (risk ablation),
+// adapt, fail, multi, wait, scale (cluster-of-clusters pools),
+// selector-gap (heuristic selectors' optimality gap), tenant-converge
+// (competing agents on one scheduling service: oscillation vs damped
+// convergence), replay (record a sensing run to a durable store, replay
+// it twice, assert identical decision traces), audit (forecast &
+// decision quality: predicted-vs-actual joins, per-series forecast
+// skill, drift alarms under injected churn), all.
+//
+// Every table reports simulated times and predictions only, so two runs
+// with the same flags print byte-identical output. Wall-clock costs of
+// the scheduler live in the go benchmarks (make bench-*) and the bench
+// module.
 package main
 
 import (
@@ -31,7 +36,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which figure/table to regenerate: 3,4,5,6,react,nile,a1,a2,a3,a4,adapt,fail,multi,wait,scale,sched,pipeline-sched,selector-gap,nws-scale,obs-overhead,tenant-converge,replay,audit,all")
+	fig := flag.String("fig", "all", "which figure/table to regenerate: 3,4,5,6,react,nile,a1,a2,a3,a4,adapt,fail,multi,wait,scale,selector-gap,tenant-converge,replay,audit,all")
 	seed := flag.Int64("seed", 11, "base seed for ambient load")
 	quick := flag.Bool("quick", false, "reduced sweeps for a fast run")
 	csvDir := flag.String("csv", "", "also write per-figure CSV files into this directory")
@@ -269,32 +274,6 @@ func main() {
 		return nil
 	})
 
-	run("sched", func() error {
-		sizes := [][2]int{{2, 4}, {3, 4}, {8, 4}, {8, 8}}
-		if *quick {
-			sizes = [][2]int{{2, 4}, {3, 4}}
-		}
-		rows, err := expt.SchedLatency(sizes, 2000, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(expt.FormatSchedLatency(rows))
-		return nil
-	})
-
-	run("pipeline-sched", func() error {
-		sizes := [][2]int{{2, 4}, {4, 4}, {8, 4}, {8, 8}}
-		if *quick {
-			sizes = [][2]int{{2, 4}, {4, 4}}
-		}
-		rows, err := expt.PipelineSchedLatency(sizes, 600, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(expt.FormatPipelineSchedLatency(rows))
-		return nil
-	})
-
 	run("selector-gap", func() error {
 		var sizes [][2]int
 		seeds := []int64{*seed, *seed + 12, *seed + 26}
@@ -306,45 +285,8 @@ func main() {
 			return err
 		}
 		fmt.Print(expt.FormatSelectorGap(rows))
-		scaleSizes := [][2]int{{8, 16}, {32, 16}}
-		if *quick {
-			scaleSizes = scaleSizes[:1]
-		}
-		scale, err := expt.SelectorScale(scaleSizes, 2000, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(expt.FormatSelectorScale(scale))
 		h, c := expt.SelectorGapCSV(rows)
 		return writeCSV("selector-gap", h, c)
-	})
-
-	run("obs-overhead", func() error {
-		sizes := [][2]int{{2, 4}, {3, 4}, {8, 4}, {8, 8}}
-		if *quick {
-			sizes = [][2]int{{2, 4}, {3, 4}}
-		}
-		rows, err := expt.ObsOverhead(sizes, 2000, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(expt.FormatObsOverhead(rows))
-		h, c := expt.ObsOverheadCSV(rows)
-		return writeCSV("obs-overhead", h, c)
-	})
-
-	run("nws-scale", func() error {
-		series := []int{100, 1000, 10000}
-		windows := []int{5, 21, 101}
-		ticks := 200
-		if *quick {
-			series, windows, ticks = []int{100, 1000}, []int{5, 21}, 50
-		}
-		rows := expt.NWSScale(series, windows, ticks, *seed)
-		fmt.Print(expt.FormatNWSScale(rows))
-		h, c := expt.NWSScaleCSV(rows)
-		return writeCSV("nws-scale", h, c)
 	})
 
 	run("wait", func() error {

@@ -83,7 +83,13 @@ func main() {
 	for n := range mse {
 		names = append(names, n)
 	}
-	sort.Slice(names, func(i, j int) bool { return mse[names[i]] < mse[names[j]] })
+	// Ties on MSE print in name order, so equal rows never shuffle.
+	sort.Slice(names, func(i, j int) bool {
+		if mse[names[i]] != mse[names[j]] {
+			return mse[names[i]] < mse[names[j]]
+		}
+		return names[i] < names[j]
+	})
 	fmt.Println("  forecaster     MSE        MAE")
 	for _, n := range names {
 		fmt.Printf("  %-12s %9.6f  %9.6f\n", n, mse[n], mae[n])

@@ -226,9 +226,9 @@ func (a *Agent) round(rp *roundPricer) Round {
 	return Round{
 		Pool:     pool,
 		Selector: string(a.coord.selector.normalized().Kind),
-		Bind: func(info Information, snapshotted bool) (ResourceSelector, CandidateEvaluator, error) {
+		Bind: func(info Information) (ResourceSelector, CandidateEvaluator, error) {
 			rs := &resourceSelector{tp: a.tp, info: info}
-			sel := newSelector(a.coord.selector, rs, a.spec.MaxResourceSets, snapshotted)
+			sel := newSelector(a.coord.selector, rs, a.spec.MaxResourceSets)
 			rp.info = info
 			rp.solo = math.Inf(1)
 			if rp.m.metric == userspec.MaxSpeedup {

@@ -114,9 +114,8 @@ type Round struct {
 	// pool fails the round with ErrNoFeasibleHosts.
 	Pool []*grid.Host
 	// Bind builds the round's Resource Selector and fused
-	// Planner+Estimator against the resolved information view (a frozen
-	// snapshot when snapshotting is on; snapshotted reports which).
-	Bind func(info Information, snapshotted bool) (ResourceSelector, CandidateEvaluator, error)
+	// Planner+Estimator against the round's frozen information view.
+	Bind func(info Information) (ResourceSelector, CandidateEvaluator, error)
 	// Bound, when non-nil, builds the pruning bound for the round. It is
 	// only invoked when the Coordinator has pruning enabled, and may
 	// return nil to decline (e.g. when the user's metric is not the one
@@ -130,7 +129,7 @@ type Round struct {
 
 // Coordinator owns the generic AppLeS scheduling round. It is configured
 // once per agent (information source, worker-pool width, pruning,
-// snapshotting) and reused every round; the zero value is not useful —
+// selector) and reused every round; the zero value is not useful —
 // construct through NewCoordinator or an agent constructor.
 type Coordinator struct {
 	info Information
@@ -141,9 +140,6 @@ type Coordinator struct {
 	// pruning enables best-so-far candidate pruning for rounds that
 	// supply a LowerBounder. See WithPruning.
 	pruning bool
-	// snapshot resolves the information pool once per round (default
-	// true). See WithInfoSnapshot.
-	snapshot bool
 	// selector is the candidate-enumeration strategy the blueprint
 	// agents bind each round (default exhaustive). See WithSelector.
 	selector SelectorSpec
@@ -220,16 +216,12 @@ func NewCoordinator(info Information, opts ...AgentOption) *Coordinator {
 // (not the per-round snapshot).
 func (c *Coordinator) Information() Information { return c.info }
 
-// View resolves the information view the coordinator would evaluate the
-// named hosts against: a frozen snapshot when snapshotting is enabled,
-// the live source otherwise. Sequential re-estimation paths (e.g. pricing
-// an existing placement before a rescheduling decision) share it so they
-// see exactly what a scheduling round would.
+// View resolves the frozen information view the coordinator would
+// evaluate the named hosts against. Sequential re-estimation paths (e.g.
+// pricing an existing placement before a rescheduling decision) share it
+// so they see exactly what a scheduling round would.
 func (c *Coordinator) View(hosts []string) Information {
-	if c.snapshot {
-		return snapshotInformation(c.info, hosts)
-	}
-	return c.info
+	return snapshotInformation(c.info, hosts)
 }
 
 // EvaluateRound runs the blueprint round: resolve the information view,
@@ -286,14 +278,11 @@ func (c *Coordinator) evaluateRound(r Round, view infoView, workersOverride int)
 		round = c.rounds.Add(1)
 		start = time.Now()
 	}
-	info := c.info
 	workers := c.parallelism
 	if workersOverride > 0 {
 		workers = workersOverride
 	}
-	snapshotted := c.snapshot || view != nil
-	switch {
-	case view != nil:
+	if view != nil {
 		// An injected view is already frozen; the round reads it exactly
 		// like a snapshot it built itself. The snapshot event re-reports
 		// the original build's stats and marks the reuse.
@@ -302,29 +291,23 @@ func (c *Coordinator) evaluateRound(r Round, view infoView, workersOverride int)
 			tr.Emit(obs.Event{Round: round, Type: obs.EvSnapshot, Pool: st.Hosts,
 				Pairs: st.Pairs, Queries: st.SourceQueries, SharedSnap: true})
 		}
-		info = view
-	case c.snapshot:
+	} else {
 		snapSpan := stages.Start(round, obs.StageSnapshot)
-		snap := roundSnapshot(c.info, r.Pool)
+		view = roundSnapshot(c.info, r.Pool)
 		if observing {
 			if met != nil {
 				met.snapshotLatency.Observe(time.Since(start).Seconds())
 			}
 			if tr != nil {
-				st := snap.Stats()
+				st := view.Stats()
 				tr.Emit(obs.Event{Round: round, Type: obs.EvSnapshot,
 					Pool: st.Hosts, Pairs: st.Pairs, Queries: st.SourceQueries})
 			}
 			snapSpan.End()
 		}
-		info = snap
-	default:
-		// Without a frozen view, workers would race on the underlying
-		// Information source (forecast banks are not thread-safe).
-		workers = 1
 	}
 	selSpan := stages.Start(round, obs.StageSelect)
-	sel, ev, err := r.Bind(info, snapshotted)
+	sel, ev, err := r.Bind(view)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -334,7 +317,7 @@ func (c *Coordinator) evaluateRound(r Round, view infoView, workersOverride int)
 	var bound LowerBounder
 	var incumbent *bestScore
 	if c.pruning && r.Bound != nil {
-		if bound = r.Bound(info); bound != nil {
+		if bound = r.Bound(view); bound != nil {
 			incumbent = newBestScore()
 		}
 	}

@@ -37,8 +37,8 @@ func buildPool(t *testing.T, clusters, per int, seed int64) (*grid.Topology, Inf
 
 // TestParallelMatchesSequential is the engine's determinism contract:
 // across seeds and pool sizes, parallel snapshotted evaluation must
-// produce a Schedule bit-identical to the legacy sequential loop that
-// queries the information source directly.
+// produce a Schedule bit-identical to the sequential reference loop that
+// queries the live information source directly (liveAgentSchedule).
 func TestParallelMatchesSequential(t *testing.T) {
 	configs := []struct {
 		name          string
@@ -53,17 +53,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 			tp, info := buildPool(t, cfg.clusters, cfg.per, seed)
 			tpl := hat.Jacobi2D(600, 10)
 
-			seq, err := NewAgent(tp, tpl, &userspec.Spec{}, info,
-				WithParallelism(1), WithInfoSnapshot(false))
-			if err != nil {
-				t.Fatal(err)
-			}
 			par, err := NewAgent(tp, tpl, &userspec.Spec{}, info, WithParallelism(8))
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			want, err := seq.Schedule(600)
+			want, _, err := liveAgentSchedule(tp, tpl, &userspec.Spec{}, info, 25, 600)
 			if err != nil {
 				t.Fatalf("%s seed %d sequential: %v", cfg.name, seed, err)
 			}
@@ -83,18 +78,15 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestParallelExplainedMatchesSequential(t *testing.T) {
 	tp, info := buildPool(t, 3, 4, 5)
 	tpl := hat.Jacobi2D(500, 10)
-	seq, err := NewAgent(tp, tpl, &userspec.Spec{}, info, WithParallelism(1), WithInfoSnapshot(false))
-	if err != nil {
-		t.Fatal(err)
-	}
 	par, err := NewAgent(tp, tpl, &userspec.Spec{}, info, WithParallelism(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, err := seq.ScheduleExplained(500, 0)
+	_, seqCands, err := liveAgentSchedule(tp, tpl, &userspec.Spec{}, info, 25, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := rankCandidates(seqCands, 0)
 	_, got, err := par.ScheduleExplained(500, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -189,9 +181,9 @@ func TestAgentOptions(t *testing.T) {
 	if a.spillFactor != 40 {
 		t.Fatalf("WithSpillFactor not applied: %v", a.spillFactor)
 	}
-	if a.coord.parallelism != 2 || !a.coord.pruning || !a.coord.snapshot {
-		t.Fatalf("options not applied: parallelism=%d pruning=%v snapshot=%v",
-			a.coord.parallelism, a.coord.pruning, a.coord.snapshot)
+	if a.coord.parallelism != 2 || !a.coord.pruning {
+		t.Fatalf("options not applied: parallelism=%d pruning=%v",
+			a.coord.parallelism, a.coord.pruning)
 	}
 	if _, err := a.Schedule(500); err != nil {
 		t.Fatal(err)

@@ -18,9 +18,9 @@ type coordConfig struct {
 }
 
 // newCoordConfig returns the default configuration over an information
-// source: per-round snapshotting on, GOMAXPROCS worker pool, no pruning.
+// source: GOMAXPROCS worker pool, no pruning, exhaustive selection.
 func newCoordConfig(info Information) coordConfig {
-	return coordConfig{Coordinator: Coordinator{info: info, snapshot: true, rounds: new(atomic.Uint64)}}
+	return coordConfig{Coordinator: Coordinator{info: info, rounds: new(atomic.Uint64)}}
 }
 
 // AgentOption configures a blueprint agent's Coordinator at construction.
@@ -63,16 +63,6 @@ func WithParallelism(n int) AgentOption {
 // every set.
 func WithPruning(on bool) AgentOption {
 	return func(c *coordConfig) { c.pruning = on }
-}
-
-// WithInfoSnapshot toggles the per-round information snapshot (default
-// on). Disabling it restores the legacy behavior of querying the
-// Information source for every candidate set — useful only for ablation
-// and benchmarking the snapshot's effect; it also forces sequential
-// evaluation, since parallel workers may only read the immutable
-// snapshot.
-func WithInfoSnapshot(on bool) AgentOption {
-	return func(c *coordConfig) { c.snapshot = on }
 }
 
 // WithSelector picks the Resource Selector strategy the blueprint

@@ -25,6 +25,19 @@ import (
 // legacyAgentSchedule is the pre-Coordinator sequential Jacobi round:
 // snapshot, enumerate, plan+estimate in order, reduce by (score, index).
 func legacyAgentSchedule(tp *grid.Topology, tpl *hat.Template, spec *userspec.Spec, baseInfo Information, spillFactor float64, n int) (*Schedule, []Candidate, error) {
+	return sequentialAgentSchedule(tp, tpl, spec, baseInfo, spillFactor, n, false)
+}
+
+// liveAgentSchedule is legacyAgentSchedule without the snapshot: the
+// selector (candidatesDirect), planner and estimator all query the live
+// Information source for every value, the way rounds ran before the
+// snapshot existed. Agreement with it pins that the snapshot changes no
+// value.
+func liveAgentSchedule(tp *grid.Topology, tpl *hat.Template, spec *userspec.Spec, baseInfo Information, spillFactor float64, n int) (*Schedule, []Candidate, error) {
+	return sequentialAgentSchedule(tp, tpl, spec, baseInfo, spillFactor, n, true)
+}
+
+func sequentialAgentSchedule(tp *grid.Topology, tpl *hat.Template, spec *userspec.Spec, baseInfo Information, spillFactor float64, n int, live bool) (*Schedule, []Candidate, error) {
 	pool := spec.Filter(tp.Hosts())
 	if len(pool) == 0 {
 		return nil, nil, fmt.Errorf("no hosts")
@@ -33,12 +46,20 @@ func legacyAgentSchedule(tp *grid.Topology, tpl *hat.Template, spec *userspec.Sp
 	for i, h := range pool {
 		names[i] = h.Name
 	}
-	info := SnapshotInformation(baseInfo, names)
+	info := baseInfo
+	if !live {
+		info = SnapshotInformation(baseInfo, names)
+	}
 
 	rs := &resourceSelector{tp: tp, info: info}
 	pl := &planner{tp: tp, tpl: tpl, info: info}
 	es := newEstimator(tp, spec, tpl.Tasks[0].BytesPerUnit, spillFactor, max(tpl.Iterations, 1))
-	sets := rs.candidates(pool, spec.MaxResourceSets)
+	var sets [][]*grid.Host
+	if live {
+		sets = rs.candidatesDirect(pool, spec.MaxResourceSets)
+	} else {
+		sets = rs.candidates(pool, spec.MaxResourceSets)
+	}
 
 	solo := math.Inf(1)
 	if spec.Metric == userspec.MaxSpeedup {

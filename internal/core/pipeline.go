@@ -201,7 +201,7 @@ func (a *PipelineAgent) round() Round {
 	return Round{
 		Pool:     a.spec.Filter(a.tp.Hosts()),
 		Selector: string(spec.Kind),
-		Bind: func(info Information, _ bool) (ResourceSelector, CandidateEvaluator, error) {
+		Bind: func(info Information) (ResourceSelector, CandidateEvaluator, error) {
 			sel := pairSelector(spec, info)
 
 			minU, maxU := a.tpl.PipelineUnitMin, a.tpl.PipelineUnitMax

@@ -13,19 +13,15 @@ import (
 // machines; beyond this we fall back to desirability prefixes.
 const maxExhaustiveHosts = 12
 
-// exhaustiveSelector adapts the all-subsets enumeration (and its legacy
-// re-querying twin) to the streaming ResourceSelector contract. The
-// enumeration itself stays eager — it is the work the select stage span
-// measures, and on exhaustive-size pools the whole list fits easily —
-// but consumers still pull sets one at a time, and the cap that
-// userspec.MaxResourceSets applies is reported through
-// TruncationReporter instead of silently shrinking the round.
+// exhaustiveSelector adapts the all-subsets enumeration to the streaming
+// ResourceSelector contract. The enumeration itself stays eager — it is
+// the work the select stage span measures, and on exhaustive-size pools
+// the whole list fits easily — but consumers still pull sets one at a
+// time, and the cap that userspec.MaxResourceSets applies is reported
+// through TruncationReporter instead of silently shrinking the round.
 type exhaustiveSelector struct {
 	rs      *resourceSelector
 	maxSets int
-	// direct switches to candidatesDirect, the per-set re-querying path
-	// used when the per-round snapshot is disabled.
-	direct  bool
 	dropped int
 	capped  bool
 }
@@ -33,12 +29,7 @@ type exhaustiveSelector struct {
 // SelectSeq implements ResourceSelector.
 func (s *exhaustiveSelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
 	s.dropped, s.capped = 0, false
-	var sets [][]*grid.Host
-	if s.direct {
-		sets = s.rs.candidatesDirect(pool, s.maxSets)
-	} else {
-		sets = s.rs.candidates(pool, s.maxSets)
-	}
+	sets := s.rs.candidates(pool, s.maxSets)
 	if s.maxSets > 0 && len(pool) > 0 {
 		total := len(pool)
 		if len(pool) <= maxExhaustiveHosts {
@@ -67,33 +58,6 @@ func (s *exhaustiveSelector) Truncated() (int, bool) { return s.dropped, s.cappe
 type resourceSelector struct {
 	tp   *grid.Topology
 	info Information
-}
-
-// desirability scores a host by forecast deliverable speed discounted by
-// its network distance to the rest of the pool — the application-specific
-// "closeness" of Section 3.3: a fast machine behind a slow shared WAN is
-// less desirable to a border-exchanging stencil code than a modest one on
-// the local segment.
-func (rs *resourceSelector) desirability(h *grid.Host, pool []*grid.Host) float64 {
-	eff := h.Speed * rs.info.Availability(h.Name)
-	// Mean logical distance to the other pool members: seconds to move a
-	// nominal 1 MB border to each.
-	if len(pool) <= 1 {
-		return eff
-	}
-	dist := 0.0
-	for _, o := range pool {
-		if o.Name == h.Name {
-			continue
-		}
-		bw := rs.info.RouteBandwidth(h.Name, o.Name)
-		if bw <= 0 {
-			bw = 1e-6
-		}
-		dist += rs.info.RouteLatency(h.Name, o.Name) + 1.0/bw
-	}
-	dist /= float64(len(pool) - 1)
-	return eff / (1 + dist)
 }
 
 // orderChain arranges a resource set into a strip chain that keeps
@@ -141,98 +105,31 @@ func (rs *resourceSelector) orderChain(set []*grid.Host) []*grid.Host {
 	return chain
 }
 
-// candidatesDirect enumerates resource sets the way the pre-snapshot
-// engine did: build each subset, rank by aggregate desirability, and run
-// every set through orderChain — re-querying the information source for
-// the same availability and route values on every set. It remains the
-// evaluation path when the per-round snapshot is disabled
-// (WithInfoSnapshot(false)): without a frozen information view, hoisting
-// those lookups out of the per-set loop would just be snapshotting by
-// another name, and the ablation is meant to measure exactly that cost.
-// Its output is bit-identical to candidates (a differential test pins
-// this).
-func (rs *resourceSelector) candidatesDirect(pool []*grid.Host, maxSets int) [][]*grid.Host {
-	if len(pool) == 0 {
-		return nil
-	}
-	des := make(map[string]float64, len(pool))
-	for _, h := range pool {
-		des[h.Name] = rs.desirability(h, pool)
-	}
-	ranked := append([]*grid.Host(nil), pool...)
-	sort.Slice(ranked, func(i, j int) bool {
-		di, dj := des[ranked[i].Name], des[ranked[j].Name]
-		if di != dj {
-			return di > dj
-		}
-		return ranked[i].Name < ranked[j].Name
-	})
-
-	var sets [][]*grid.Host
-	if len(ranked) <= maxExhaustiveHosts {
-		n := len(ranked)
-		for mask := 1; mask < 1<<n; mask++ {
-			var set []*grid.Host
-			for b := 0; b < n; b++ {
-				if mask&(1<<b) != 0 {
-					set = append(set, ranked[b])
-				}
-			}
-			sets = append(sets, set)
-		}
-		// Prefer larger aggregate desirability first so a cap keeps the
-		// most promising sets.
-		agg := make([]float64, len(sets))
-		for i, set := range sets {
-			sum := 0.0
-			for _, h := range set {
-				sum += des[h.Name]
-			}
-			agg[i] = sum
-		}
-		order := make([]int, len(sets))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(i, j int) bool { return agg[order[i]] > agg[order[j]] })
-		sorted := make([][]*grid.Host, len(sets))
-		for i, idx := range order {
-			sorted[i] = sets[idx]
-		}
-		sets = sorted
-	} else {
-		for k := 1; k <= len(ranked); k++ {
-			sets = append(sets, append([]*grid.Host(nil), ranked[:k]...))
-		}
-	}
-	if maxSets > 0 && len(sets) > maxSets {
-		sets = sets[:maxSets]
-	}
-	for i, set := range sets {
-		sets[i] = rs.orderChain(set)
-	}
-	return sets
-}
-
 // candidates enumerates resource sets for the Planner, each already
 // ordered as a strip chain. With a small pool every non-empty subset is
 // considered (as the paper's prototype did); larger pools use prefixes of
 // the desirability ranking. maxSets caps the result when positive.
 //
+// A host's desirability is its forecast deliverable speed discounted by
+// its mean network distance to the rest of the pool — the
+// application-specific "closeness" of Section 3.3: a fast machine behind
+// a slow shared WAN is less desirable to a border-exchanging stencil code
+// than a modest one on the local segment.
+//
 // The exhaustive path is the hot loop of a scheduling round (2^pool - 1
 // sets), so every information value it needs — per-host effective speed
 // and the pairwise transfer cost — is resolved once up front; subsets are
 // then enumerated as bitmasks and chained by index arithmetic. The
-// resulting sets are identical, element for element, to candidatesDirect
-// (a differential test pins this).
+// resulting sets are identical, element for element, to the naive
+// per-set construction the package tests keep as an oracle.
 func (rs *resourceSelector) candidates(pool []*grid.Host, maxSets int) [][]*grid.Host {
 	n := len(pool)
 	if n == 0 {
 		return nil
 	}
 	// eff[i] is host i's deliverable speed; cost[i][j] the seconds to move
-	// a nominal 1 MB border from i to j — the same quantities desirability
-	// and orderChain compute, resolved once for the whole enumeration.
+	// a nominal 1 MB border from i to j — the same quantities orderChain
+	// computes, resolved once for the whole enumeration.
 	eff := make([]float64, n)
 	for i, h := range pool {
 		eff[i] = h.Speed * rs.info.Availability(h.Name)

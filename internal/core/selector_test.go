@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"testing"
 
 	"apples/internal/grid"
@@ -121,7 +122,7 @@ func TestCandidatesPrefixLargePool(t *testing.T) {
 // enumeration (precomputed eff/cost matrices, bitmask subsets, index-based
 // chaining) to candidatesDirect — the legacy per-set-query construction —
 // on both a hand-built two-site topology and a loaded cluster-of-clusters
-// pool. This equivalence is what lets WithInfoSnapshot(false) serve as a
+// pool. This equivalence is what lets liveAgentSchedule serve as a
 // bit-identical sequential reference for the parallel engine.
 func TestCandidatesMatchLegacyConstruction(t *testing.T) {
 	check := func(name string, rs *resourceSelector, pool []*grid.Host, maxSets int) {
@@ -150,6 +151,103 @@ func TestCandidatesMatchLegacyConstruction(t *testing.T) {
 	ctp := grid.ClusterOfClusters(eng, grid.ClusterOptions{Clusters: 3, PerCluster: 3, Seed: 7, Quiet: true})
 	crs := &resourceSelector{tp: ctp, info: OracleInformation(ctp)}
 	check("cluster-9host", crs, ctp.Hosts(), 0)
+}
+
+// desirability scores one host the way candidates ranks the pool —
+// forecast deliverable speed discounted by its mean network distance to
+// the rest of the pool — querying the information source directly. It is
+// candidatesDirect's ranking key.
+func (rs *resourceSelector) desirability(h *grid.Host, pool []*grid.Host) float64 {
+	eff := h.Speed * rs.info.Availability(h.Name)
+	// Mean logical distance to the other pool members: seconds to move a
+	// nominal 1 MB border to each.
+	if len(pool) <= 1 {
+		return eff
+	}
+	dist := 0.0
+	for _, o := range pool {
+		if o.Name == h.Name {
+			continue
+		}
+		bw := rs.info.RouteBandwidth(h.Name, o.Name)
+		if bw <= 0 {
+			bw = 1e-6
+		}
+		dist += rs.info.RouteLatency(h.Name, o.Name) + 1.0/bw
+	}
+	dist /= float64(len(pool) - 1)
+	return eff / (1 + dist)
+}
+
+// candidatesDirect is the test oracle for candidates: it enumerates
+// resource sets the way the pre-snapshot engine did — build each subset,
+// rank by aggregate desirability, and run every set through orderChain,
+// re-querying the information source for the same availability and
+// route values on every set. Its output must be bit-identical to
+// candidates (TestCandidatesMatchLegacyConstruction), and because it
+// reads the live source it is also the selector of the live-source
+// sequential reference, liveAgentSchedule.
+func (rs *resourceSelector) candidatesDirect(pool []*grid.Host, maxSets int) [][]*grid.Host {
+	if len(pool) == 0 {
+		return nil
+	}
+	des := make(map[string]float64, len(pool))
+	for _, h := range pool {
+		des[h.Name] = rs.desirability(h, pool)
+	}
+	ranked := append([]*grid.Host(nil), pool...)
+	sort.Slice(ranked, func(i, j int) bool {
+		di, dj := des[ranked[i].Name], des[ranked[j].Name]
+		if di != dj {
+			return di > dj
+		}
+		return ranked[i].Name < ranked[j].Name
+	})
+
+	var sets [][]*grid.Host
+	if len(ranked) <= maxExhaustiveHosts {
+		n := len(ranked)
+		for mask := 1; mask < 1<<n; mask++ {
+			var set []*grid.Host
+			for b := 0; b < n; b++ {
+				if mask&(1<<b) != 0 {
+					set = append(set, ranked[b])
+				}
+			}
+			sets = append(sets, set)
+		}
+		// Prefer larger aggregate desirability first so a cap keeps the
+		// most promising sets.
+		agg := make([]float64, len(sets))
+		for i, set := range sets {
+			sum := 0.0
+			for _, h := range set {
+				sum += des[h.Name]
+			}
+			agg[i] = sum
+		}
+		order := make([]int, len(sets))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(i, j int) bool { return agg[order[i]] > agg[order[j]] })
+		sorted := make([][]*grid.Host, len(sets))
+		for i, idx := range order {
+			sorted[i] = sets[idx]
+		}
+		sets = sorted
+	} else {
+		for k := 1; k <= len(ranked); k++ {
+			sets = append(sets, append([]*grid.Host(nil), ranked[:k]...))
+		}
+	}
+	if maxSets > 0 && len(sets) > maxSets {
+		sets = sets[:maxSets]
+	}
+	for i, set := range sets {
+		sets[i] = rs.orderChain(set)
+	}
+	return sets
 }
 
 func TestCandidatesPreferLoadedPoolShift(t *testing.T) {

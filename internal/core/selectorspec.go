@@ -75,11 +75,9 @@ func (s SelectorSpec) normalized() SelectorSpec {
 	return s
 }
 
-// newSelector binds the configured selector for one data-parallel round.
-// The exhaustive selector keeps the legacy re-querying path when the
-// per-round snapshot is off (the ablation candidatesDirect preserves);
-// the heuristic selectors read whatever information view they are given.
-func newSelector(spec SelectorSpec, rs *resourceSelector, maxSets int, snapshotted bool) ResourceSelector {
+// newSelector binds the configured selector for one data-parallel round
+// over rs, whose information view is the round's frozen snapshot.
+func newSelector(spec SelectorSpec, rs *resourceSelector, maxSets int) ResourceSelector {
 	spec = spec.normalized()
 	switch spec.Kind {
 	case SelectorGreedy:
@@ -89,6 +87,6 @@ func newSelector(spec SelectorSpec, rs *resourceSelector, maxSets int, snapshott
 	case SelectorLPGA:
 		return &lpgaSelector{rs: rs, seed: spec.Seed, maxSets: maxSets}
 	default:
-		return &exhaustiveSelector{rs: rs, maxSets: maxSets, direct: !snapshotted}
+		return &exhaustiveSelector{rs: rs, maxSets: maxSets}
 	}
 }

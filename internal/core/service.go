@@ -449,7 +449,7 @@ func (s *SchedService) runRound(t *Tenant, req roundRequest) RoundResult {
 		var entry *snapEntry
 		var view infoView
 		pool := t.agent.spec.Filter(t.agent.tp.Hosts())
-		if len(pool) > 0 && t.agent.coord.snapshot {
+		if len(pool) > 0 {
 			entry, res.SharedSnapshot = s.cache.acquire(t.agent.coord.info, pool)
 			view = entry.view
 		}

@@ -248,7 +248,7 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	// information, honoring MaxResourceSets.
 	snap := roundSnapshot(a.coord.info, pool)
 	rs := &resourceSelector{tp: a.tp, info: snap}
-	sel := newSelector(a.coord.selector, rs, a.spec.MaxResourceSets, true)
+	sel := newSelector(a.coord.selector, rs, a.spec.MaxResourceSets)
 	for set := range sel.SelectSeq(pool) {
 		base := len(s.candMask)
 		for w := 0; w < s.words; w++ {

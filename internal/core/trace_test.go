@@ -222,7 +222,7 @@ func TestStageTimingAcrossConcurrentRounds(t *testing.T) {
 	for i := range pool {
 		tp, info := buildPool(t, 3, 4, int64(200+i))
 		a, err := NewAgent(tp, hat.Jacobi2D(600, 10), &userspec.Spec{}, info,
-			WithInfoSnapshot(true), WithParallelism(4), WithStageTiming(st))
+			WithParallelism(4), WithStageTiming(st))
 		if err != nil {
 			t.Fatal(err)
 		}

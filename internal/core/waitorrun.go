@@ -83,7 +83,7 @@ func (a *Agent) WaitOrRun(n int, offer DedicatedOffer) (*WaitOrRunDecision, erro
 		hostSet[h] = true
 	}
 	// Clone so the dedicated evaluation inherits the agent's full
-	// configuration (spill factor, parallelism, pruning, snapshotting).
+	// configuration (spill factor, parallelism, pruning, selector).
 	dedAgent := a.clone()
 	dedAgent.spec = &dedSpec
 	dedAgent.coord.info = &dedicatedInfo{Information: snap, hosts: hostSet}

@@ -66,8 +66,16 @@ func AblationForecasters(samples int, seed int64) ([]ForecasterClassRow, error) 
 		if len(mse) == 0 {
 			return nil, fmt.Errorf("ablation A2: class %s produced no scored forecasters", cls.name)
 		}
+		// Walk the forecasters in name order so equal-MSE ties resolve to
+		// the first name, not to map iteration order.
+		names := make([]string, 0, len(mse))
+		for name := range mse {
+			names = append(names, name)
+		}
+		sort.Strings(names)
 		row := ForecasterClassRow{Class: cls.name, BestMSE: math.Inf(1), WorstMSE: -1}
-		for name, m := range mse {
+		for _, name := range names {
+			m := mse[name]
 			if m < row.BestMSE {
 				row.BestMSE, row.BestName = m, name
 			}

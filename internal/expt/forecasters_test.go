@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -45,5 +46,26 @@ func TestAblationForecastersNoSingleWinner(t *testing.T) {
 	out := FormatAblationForecasters(rows)
 	if !strings.Contains(out, "Ablation A2") {
 		t.Fatalf("format: %q", out)
+	}
+}
+
+// TestAblationForecastersReproducible pins ablation A2 to its inputs:
+// classes where several forecasters tie on MSE (the constant load makes
+// most of them exact) must name the same best and worst forecaster on
+// every run, whatever order the bank's MSE map iterates in.
+func TestAblationForecastersReproducible(t *testing.T) {
+	want, err := AblationForecasters(2000, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run < 10; run++ {
+		got, err := AblationForecasters(2000, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", run,
+				FormatAblationForecasters(want), FormatAblationForecasters(got))
+		}
 	}
 }

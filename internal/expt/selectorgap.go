@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"apples/internal/core"
 )
@@ -17,18 +16,6 @@ type SelectorGapRow struct {
 	GreedyGap  float64 // mean (greedy - exhaustive)/exhaustive, percent
 	BeamGap    float64
 	LPGAGap    float64
-}
-
-// SelectorScaleRow is one large-pool row of the experiment: decision
-// latency per selector family where exhaustive subset enumeration is
-// impossible (the exhaustive column falls back to desirability
-// prefixes).
-type SelectorScaleRow struct {
-	Hosts        int
-	ExhaustiveMS float64
-	GreedyMS     float64
-	BeamMS       float64
-	LPGAMS       float64
 }
 
 var selectorGapSpecs = []struct {
@@ -90,53 +77,6 @@ func SelectorGap(sizes [][2]int, n int, seeds []int64) ([]SelectorGapRow, error)
 	return rows, nil
 }
 
-// SelectorScale measures one-round decision latency per selector family
-// on pools far past the 2^n wall. Best of three rounds per cell.
-func SelectorScale(sizes [][2]int, n int, seed int64) ([]SelectorScaleRow, error) {
-	if len(sizes) == 0 {
-		sizes = [][2]int{{8, 16}, {32, 16}}
-	}
-	if n == 0 {
-		n = 2000
-	}
-	specs := append([]struct {
-		name string
-		spec core.SelectorSpec
-	}{{"exhaustive", core.SelectorSpec{Kind: core.SelectorExhaustive}}}, selectorGapSpecs...)
-	var rows []SelectorScaleRow
-	for _, cp := range sizes {
-		row := SelectorScaleRow{Hosts: cp[0] * cp[1]}
-		for _, s := range specs {
-			agent, err := NewScaleAgent(cp[0], cp[1], n, seed, core.WithSelector(s.spec))
-			if err != nil {
-				return nil, err
-			}
-			best := 0.0
-			for trial := 0; trial < 3; trial++ {
-				wall := time.Now()
-				if _, err := agent.Schedule(n); err != nil {
-					return nil, fmt.Errorf("selector scale %dx%d %s: %w", cp[0], cp[1], s.name, err)
-				}
-				if ms := float64(time.Since(wall).Microseconds()) / 1000; trial == 0 || ms < best {
-					best = ms
-				}
-			}
-			switch s.name {
-			case "exhaustive":
-				row.ExhaustiveMS = best
-			case "greedy":
-				row.GreedyMS = best
-			case "beam":
-				row.BeamMS = best
-			case "lpga":
-				row.LPGAMS = best
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // FormatSelectorGap renders the optimality-gap table.
 func FormatSelectorGap(rows []SelectorGapRow) string {
 	var sb strings.Builder
@@ -145,18 +85,6 @@ func FormatSelectorGap(rows []SelectorGapRow) string {
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "  %5d  %13.2f  %+9.2f  %+7.2f  %+7.2f\n",
 			r.Hosts, r.Exhaustive, r.GreedyGap, r.BeamGap, r.LPGAGap)
-	}
-	return sb.String()
-}
-
-// FormatSelectorScale renders the large-pool latency table.
-func FormatSelectorScale(rows []SelectorScaleRow) string {
-	var sb strings.Builder
-	sb.WriteString("Selector decision latency past the 2^n wall — one round (ms wall-clock)\n")
-	sb.WriteString("  hosts  exhaustive(ms)  greedy(ms)  beam(ms)  lpga(ms)\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "  %5d  %14.1f  %10.1f  %8.1f  %8.1f\n",
-			r.Hosts, r.ExhaustiveMS, r.GreedyMS, r.BeamMS, r.LPGAMS)
 	}
 	return sb.String()
 }

@@ -33,10 +33,10 @@ func windowBank(k int, legacy bool) *Bank {
 	if legacy {
 		return NewBank(
 			NewLastValue(),
-			NewLegacySlidingMean(k, "mean"),
-			NewLegacySlidingMedian(k, "median"),
-			NewLegacyTrimmedMean(k, k/8, "trim"),
-			NewLegacyWindowedAR1(ark, "ar"),
+			newLegacySlidingMean(k, "mean"),
+			newLegacySlidingMedian(k, "median"),
+			newLegacyTrimmedMean(k, k/8, "trim"),
+			newLegacyWindowedAR1(ark, "ar"),
 		)
 	}
 	return NewBank(
@@ -68,7 +68,7 @@ func BenchmarkBankUpdate(b *testing.B) {
 		})
 	}
 	run("default", func() *Bank { return NewBank() })
-	run("legacy-default", func() *Bank { return NewBank(LegacyDefaultForecasters()...) })
+	run("legacy-default", func() *Bank { return NewBank(legacyDefaultForecasters()...) })
 	for _, k := range []int{5, 21, 101} {
 		k := k
 		run(fmt.Sprintf("w%d", k), func() *Bank { return windowBank(k, false) })

@@ -50,14 +50,14 @@ func TestIncrementalMatchesLegacyBitIdentical(t *testing.T) {
 				name        string
 				incr, legcy Forecaster
 			}{
-				{"mean", NewSlidingMean(k, "m"), NewLegacySlidingMean(k, "m")},
-				{"median", NewSlidingMedian(k, "m"), NewLegacySlidingMedian(k, "m")},
+				{"mean", NewSlidingMean(k, "m"), newLegacySlidingMean(k, "m")},
+				{"median", NewSlidingMedian(k, "m"), newLegacySlidingMedian(k, "m")},
 			}
 			if trim := k / 4; 2*trim < k {
 				pairs = append(pairs, struct {
 					name        string
 					incr, legcy Forecaster
-				}{"trimmed", NewTrimmedMean(k, trim, "t"), NewLegacyTrimmedMean(k, trim, "t")})
+				}{"trimmed", NewTrimmedMean(k, trim, "t"), newLegacyTrimmedMean(k, trim, "t")})
 			}
 			for _, p := range pairs {
 				for i, v := range series {
@@ -85,7 +85,7 @@ func TestWindowedAR1MatchesLegacy(t *testing.T) {
 		for kind := 0; kind < 4; kind++ {
 			series := diffSeries(int64(7*k+kind), 400, kind)
 			incr := NewWindowedAR1(k, "w")
-			legcy := NewLegacyWindowedAR1(k, "w")
+			legcy := newLegacyWindowedAR1(k, "w")
 			for i, v := range series {
 				incr.Update(v)
 				legcy.Update(v)
@@ -117,11 +117,11 @@ func TestBankSharedRingMatchesLegacyBank(t *testing.T) {
 	mkLegacy := func() *Bank {
 		return NewBank(
 			NewLastValue(),
-			NewLegacySlidingMean(5, "win_mean_5"),
-			NewLegacySlidingMean(20, "win_mean_20"),
-			NewLegacySlidingMedian(5, "win_med_5"),
-			NewLegacySlidingMedian(21, "win_med_21"),
-			NewLegacyTrimmedMean(15, 3, "trim_15_3"),
+			newLegacySlidingMean(5, "win_mean_5"),
+			newLegacySlidingMean(20, "win_mean_20"),
+			newLegacySlidingMedian(5, "win_med_5"),
+			newLegacySlidingMedian(21, "win_med_21"),
+			newLegacyTrimmedMean(15, 3, "trim_15_3"),
 		)
 	}
 	f := func(seed int64, kindRaw uint8) bool {
@@ -206,7 +206,7 @@ func TestBankKeepsWarmForecasterPrivate(t *testing.T) {
 	if got := warm.Forecast(); got != 7 {
 		t.Fatalf("warm median %v, want 7", got)
 	}
-	ref := NewLegacySlidingMedian(5, "ref")
+	ref := newLegacySlidingMedian(5, "ref")
 	for _, v := range []float64{2, 8} {
 		ref.Update(v)
 	}

@@ -20,8 +20,8 @@
 // instead of re-fitting from scratch. A Service batches every sensor onto
 // one engine event per period (ObserveAll), so watching ten thousand
 // resources costs the event queue no more than watching ten. The legacy
-// copy+sort implementations are kept (legacy.go) as differential-test
-// oracles: the incremental forecasters are pinned bit-identical to them
+// copy+sort implementations are kept in the package tests
+// (legacy_test.go) as differential-test oracles: the incremental forecasters are pinned bit-identical to them
 // (windowed AR(1): identical up to float re-association, ~1e-9 relative).
 //
 // Sensor history persists in one format, the crash-safe measurement

@@ -7,9 +7,9 @@ package nws
 // Every forecaster in this package is incremental: Update does O(log k)
 // work for a window of k samples (plus an O(trim)/O(1) standing-forecast
 // refresh) and Forecast is an O(1) read of the standing prediction. The
-// pre-optimization copy+sort implementations survive as NewLegacy*
-// constructors in legacy.go; differential tests pin the incremental
-// forms to them value-for-value.
+// pre-optimization copy+sort implementations survive as test oracles
+// (legacy_test.go); differential tests pin the incremental forms to
+// them value-for-value.
 type Forecaster interface {
 	Name() string
 	Update(v float64)

@@ -4,11 +4,11 @@ import "sort"
 
 // This file preserves the pre-optimization forecaster implementations —
 // append-and-reslice buffers, per-query copy + sort.Float64s, raw running
-// sums — verbatim. They are the ground truth the incremental forecasters
-// in forecasters.go are differentially tested against (bit-identical for
-// the windowed mean/median/trimmed family, tight-tolerance for the
-// re-derived AR fits), and the "before" side of the bench-nws and
-// nws-scale comparisons. Nothing on the sensing hot path uses them.
+// sums — verbatim, as test oracles. They are the ground truth the
+// incremental forecasters in forecasters.go are differentially tested
+// against (bit-identical for the windowed mean/median/trimmed family,
+// tight-tolerance for the re-derived AR fits), and the "before" side of
+// the BenchmarkBankUpdate legacy-* comparisons.
 
 // legacySlidingMean is the reference sliding mean.
 type legacySlidingMean struct {
@@ -18,8 +18,8 @@ type legacySlidingMean struct {
 	sum  float64
 }
 
-// NewLegacySlidingMean returns the reference copy-buffer sliding mean.
-func NewLegacySlidingMean(k int, name string) Forecaster {
+// newLegacySlidingMean returns the reference copy-buffer sliding mean.
+func newLegacySlidingMean(k int, name string) Forecaster {
 	if k < 1 {
 		panic("nws: sliding window must be >= 1")
 	}
@@ -45,8 +45,8 @@ type legacySlidingMedian struct {
 	k    int
 }
 
-// NewLegacySlidingMedian returns the reference copy+sort sliding median.
-func NewLegacySlidingMedian(k int, name string) Forecaster {
+// newLegacySlidingMedian returns the reference copy+sort sliding median.
+func newLegacySlidingMedian(k int, name string) Forecaster {
 	if k < 1 {
 		panic("nws: sliding window must be >= 1")
 	}
@@ -79,8 +79,8 @@ type legacyTrimmedMean struct {
 	trim int
 }
 
-// NewLegacyTrimmedMean returns the reference copy+sort trimmed mean.
-func NewLegacyTrimmedMean(k, trim int, name string) Forecaster {
+// newLegacyTrimmedMean returns the reference copy+sort trimmed mean.
+func newLegacyTrimmedMean(k, trim int, name string) Forecaster {
 	if k < 1 || trim < 0 || 2*trim >= k {
 		panic("nws: invalid trimmed-mean window")
 	}
@@ -116,9 +116,9 @@ type legacyWindowedAR1 struct {
 	k    int
 }
 
-// NewLegacyWindowedAR1 returns the reference windowed AR(1) that re-fits
+// newLegacyWindowedAR1 returns the reference windowed AR(1) that re-fits
 // mean and lag-1 coefficient with two full passes per query.
-func NewLegacyWindowedAR1(k int, name string) Forecaster {
+func newLegacyWindowedAR1(k int, name string) Forecaster {
 	if k < 3 {
 		panic("nws: windowed AR(1) needs k >= 3")
 	}
@@ -170,8 +170,8 @@ type legacyRunningMean struct {
 	n   int
 }
 
-// NewLegacyRunningMean returns the reference raw-sum running mean.
-func NewLegacyRunningMean() Forecaster { return &legacyRunningMean{} }
+// newLegacyRunningMean returns the reference raw-sum running mean.
+func newLegacyRunningMean() Forecaster { return &legacyRunningMean{} }
 
 func (f *legacyRunningMean) Name() string { return "run_mean" }
 func (f *legacyRunningMean) Update(v float64) {
@@ -191,8 +191,8 @@ type legacyAR1Fit struct {
 	n        float64
 }
 
-// NewLegacyAR1Fit returns the reference raw-sum AR(1) fit.
-func NewLegacyAR1Fit() Forecaster { return &legacyAR1Fit{} }
+// newLegacyAR1Fit returns the reference raw-sum AR(1) fit.
+func newLegacyAR1Fit() Forecaster { return &legacyAR1Fit{} }
 
 func (f *legacyAR1Fit) Name() string { return "ar1" }
 func (f *legacyAR1Fit) Update(v float64) {
@@ -226,22 +226,22 @@ func (f *legacyAR1Fit) Forecast() float64 {
 }
 func (f *legacyAR1Fit) Ready() bool { return f.seen > 0 }
 
-// LegacyDefaultForecasters mirrors DefaultForecasters with the reference
+// legacyDefaultForecasters mirrors DefaultForecasters with the reference
 // implementations substituted where they exist — the "before" bank for
 // differential tests and throughput comparisons.
-func LegacyDefaultForecasters() []Forecaster {
+func legacyDefaultForecasters() []Forecaster {
 	return []Forecaster{
 		NewLastValue(),
-		NewLegacyRunningMean(),
-		NewLegacySlidingMean(5, "win_mean_5"),
-		NewLegacySlidingMean(20, "win_mean_20"),
-		NewLegacySlidingMedian(5, "win_med_5"),
-		NewLegacySlidingMedian(21, "win_med_21"),
+		newLegacyRunningMean(),
+		newLegacySlidingMean(5, "win_mean_5"),
+		newLegacySlidingMean(20, "win_mean_20"),
+		newLegacySlidingMedian(5, "win_med_5"),
+		newLegacySlidingMedian(21, "win_med_21"),
 		NewExpSmoothing(0.05, "exp_0.05"),
 		NewExpSmoothing(0.3, "exp_0.30"),
 		NewExpSmoothing(0.7, "exp_0.70"),
 		NewAdaptiveSmoothing(),
-		NewLegacyAR1Fit(),
-		NewLegacyTrimmedMean(15, 3, "trim_15_3"),
+		newLegacyAR1Fit(),
+		newLegacyTrimmedMean(15, 3, "trim_15_3"),
 	}
 }

@@ -10,7 +10,7 @@ import "sort"
 // only the surviving middle of the window. Nothing allocates after
 // construction, and — unlike a heap pair — the fully sorted window lets
 // the trimmed mean accumulate its sum in ascending order, which keeps it
-// bit-identical to the legacy copy+sort implementation.
+// bit-identical to the legacy copy+sort test oracle.
 type orderedWindow struct {
 	sorted []float64
 }

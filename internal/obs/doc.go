@@ -38,8 +38,9 @@
 //
 // All surfaces are optional everywhere they are threaded: a nil Tracer,
 // Metrics, or StageTimer handle is a single pointer check on the hot
-// path, so disabled observability costs nothing measurable (see `expt
-// -fig obs-overhead`). Every implementation in this package is safe for
-// concurrent use — parallel candidate-evaluation workers emit events
-// and bump counters from multiple goroutines.
+// path, so disabled observability costs nothing measurable (the bench
+// module reports the enabled cost as trace.overhead_pct). Every
+// implementation in this package is safe for concurrent use — parallel
+// candidate-evaluation workers emit events and bump counters from
+// multiple goroutines.
 package obs
