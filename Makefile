@@ -10,9 +10,10 @@ build:
 test:
 	$(GO) test ./...
 
-# Race coverage of the parallel candidate-evaluation engine. The core
-# package holds the worker pool, snapshot, and determinism tests; the
-# root package exercises the facade against the same engine.
+# Race coverage of the candidate-evaluation engine. The core package
+# holds the snapshot and determinism tests, whose pools above 64 hosts
+# run the parallel worker path; the root package exercises the facade
+# against the same engine.
 race:
 	$(GO) test -race ./internal/core/... ./internal/mstore/... .
 
@@ -34,14 +35,15 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
-# Candidate-evaluation engine sweep only: pool size x evaluation mode
-# (snapshot on one worker, the worker pool, the pool plus pruning). Short
-# and noisy; the bench/ module gives spread-aware end-to-end numbers.
+# Candidate-evaluation engine sweep only: pool size (8 to 128 hosts,
+# straddling the 64-host boundary above which rounds fan out to workers)
+# x plain or pruned evaluation. Short and noisy; the bench/ module gives
+# spread-aware end-to-end numbers.
 bench-evaluate:
 	$(GO) test -bench=BenchmarkEvaluate -benchmem -benchtime=3x .
 
-# Pipeline-blueprint evaluation sweep: pool size x worker-pool width,
-# through the same shared Coordinator as bench-evaluate.
+# Pipeline-blueprint evaluation sweep over pool size, through the same
+# shared Coordinator as bench-evaluate.
 bench-pipeline:
 	$(GO) test -bench=BenchmarkPipelineEvaluate -benchmem -benchtime=3x .
 

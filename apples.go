@@ -223,7 +223,7 @@ type (
 	// AgentSchedule is the coordinator's chosen schedule.
 	AgentSchedule = core.Schedule
 	// AgentOption configures NewAgent (see WithSpillFactor,
-	// WithParallelism, WithPruning, WithSelector).
+	// WithPruning, WithSelector).
 	AgentOption = core.AgentOption
 	// Candidate is one evaluated resource set or pipeline mapping, the
 	// shared explain currency of Agent.ScheduleExplained/Candidates and
@@ -243,10 +243,10 @@ type (
 )
 
 // NewAgent assembles an AppLeS from its information pool. Options tune
-// the candidate-evaluation engine; by default the agent snapshots its
-// information source once per round and evaluates candidate sets on a
-// GOMAXPROCS-wide worker pool, making exactly the decision sequential
-// evaluation would.
+// the candidate-evaluation engine. Every round snapshots the information
+// source once and evaluates candidate sets inline on pools up to 64
+// hosts, or on a GOMAXPROCS-wide worker pool above that; either way the
+// decision is exactly the one sequential evaluation makes.
 func NewAgent(tp *Topology, tpl *Template, spec *UserSpec, info Information, opts ...AgentOption) (*Agent, error) {
 	return core.NewAgent(tp, tpl, spec, info, opts...)
 }
@@ -256,9 +256,6 @@ var (
 	// WithSpillFactor sets the estimator's out-of-memory penalty
 	// (default 25).
 	WithSpillFactor = core.WithSpillFactor
-	// WithParallelism bounds the evaluation worker pool (0 = GOMAXPROCS,
-	// 1 = sequential).
-	WithParallelism = core.WithParallelism
 	// WithPruning enables best-so-far candidate pruning.
 	WithPruning = core.WithPruning
 	// WithSelector picks the resource-selector family an agent enumerates
@@ -350,9 +347,6 @@ var (
 	// WithServiceRunners sets how many rounds the service serves
 	// concurrently (default GOMAXPROCS).
 	WithServiceRunners = core.WithServiceRunners
-	// WithServiceBudget caps the service-wide evaluation worker pool
-	// shared by all concurrent rounds (default GOMAXPROCS).
-	WithServiceBudget = core.WithServiceBudget
 	// WithServiceMetrics registers the service's queue, snapshot, and
 	// per-tenant round instruments in a shared registry.
 	WithServiceMetrics = core.WithServiceMetrics
@@ -567,9 +561,9 @@ type (
 )
 
 // NewPipelineAgent assembles a pipeline-blueprint AppLeS. It shares the
-// Agent's evaluation engine and accepts the same options (WithParallelism;
-// the pipeline blueprint has no spill model or pruning bound, so
-// WithSpillFactor and WithPruning are no-ops).
+// Agent's evaluation engine and accepts the same options (the pipeline
+// blueprint has no spill model or pruning bound, so WithSpillFactor and
+// WithPruning are no-ops).
 func NewPipelineAgent(tp *Topology, tpl *Template, spec *UserSpec, info Information, opt ReactOptions, opts ...AgentOption) (*PipelineAgent, error) {
 	return core.NewPipelineAgent(tp, tpl, spec, info, opt, opts...)
 }

@@ -113,32 +113,30 @@ func TestFacadeAgentOptionsAndErrors(t *testing.T) {
 	eng := apples.NewEngine()
 	tp := apples.SDSCPCL(eng, apples.TestbedOptions{Seed: 5, Quiet: true})
 
-	seq, err := apples.NewAgent(tp, apples.JacobiTemplate(600, 10), &apples.UserSpec{},
-		apples.OracleInformation(tp),
-		apples.WithParallelism(1), apples.WithSpillFactor(30))
+	plain, err := apples.NewAgent(tp, apples.JacobiTemplate(600, 10), &apples.UserSpec{},
+		apples.OracleInformation(tp), apples.WithSpillFactor(30))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := apples.NewAgent(tp, apples.JacobiTemplate(600, 10), &apples.UserSpec{},
-		apples.OracleInformation(tp),
-		apples.WithParallelism(4), apples.WithPruning(true), apples.WithSpillFactor(30))
+	pruned, err := apples.NewAgent(tp, apples.JacobiTemplate(600, 10), &apples.UserSpec{},
+		apples.OracleInformation(tp), apples.WithPruning(true), apples.WithSpillFactor(30))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := par.Schedule(600)
+	got, err := pruned.Schedule(600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := seq.Schedule(600)
+	want, err := plain.Schedule(600)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.PredictedTotal != want.PredictedTotal {
-		t.Fatalf("parallel+pruned %v != sequential %v", got.PredictedTotal, want.PredictedTotal)
+		t.Fatalf("pruned %v != plain %v", got.PredictedTotal, want.PredictedTotal)
 	}
 
 	// Candidates accessor on the facade alias.
-	top, err := par.Candidates(600, 2)
+	top, err := pruned.Candidates(600, 2)
 	if err != nil || len(top) != 2 {
 		t.Fatalf("Candidates: %v %v", top, err)
 	}

@@ -17,9 +17,10 @@ import (
 // BenchmarkEvaluate sweeps the candidate-evaluation engine across pool
 // sizes and evaluation modes on warmed NWS-backed cluster-of-clusters
 // scenarios. The 8- and 12-host pools enumerate every subset (255 and
-// 4095 candidate sets); 32 and 64 hosts use desirability prefixes.
-// "snapshot" resolves the pool once and evaluates on one worker;
-// "parallel" adds the worker pool; "pruned" adds best-so-far pruning.
+// 4095 candidate sets); 32, 64 and 128 hosts use desirability prefixes.
+// Pools up to 64 hosts are evaluated inline and the 128-host pool on
+// GOMAXPROCS workers, so the sweep straddles the fan-out boundary.
+// "plain" evaluates every set; "pruned" adds best-so-far pruning.
 func BenchmarkEvaluate(b *testing.B) {
 	pools := []struct {
 		name          string
@@ -29,14 +30,14 @@ func BenchmarkEvaluate(b *testing.B) {
 		{"12host", 3, 4},
 		{"32host", 8, 4},
 		{"64host", 8, 8},
+		{"128host", 8, 16},
 	}
 	modes := []struct {
 		name string
 		opts []core.AgentOption
 	}{
-		{"snapshot", []core.AgentOption{core.WithParallelism(1)}},
-		{"parallel", []core.AgentOption{core.WithParallelism(4)}},
-		{"pruned", []core.AgentOption{core.WithParallelism(4), core.WithPruning(true)}},
+		{"plain", nil},
+		{"pruned", []core.AgentOption{core.WithPruning(true)}},
 	}
 	const n = 2000
 	for _, p := range pools {
@@ -266,13 +267,11 @@ func BenchmarkService(b *testing.B) {
 }
 
 // BenchmarkPipelineEvaluate sweeps the pipeline blueprint's evaluation
-// across pool sizes and worker-pool widths on the same warmed
-// cluster-of-clusters scenarios as BenchmarkEvaluate. A pool of h hosts
-// enumerates h + h·(h−1) mappings (singles plus ordered pairs), each
-// parameterizing the analytic pipeline model and tuning the transfer
-// unit; since the shared Coordinator fans mappings across the worker pool
-// with a deterministic (score, index) reduce, "parallel4" must pick the
-// identical mapping to "sequential" while finishing >1.5x sooner.
+// across pool sizes on the same warmed cluster-of-clusters scenarios as
+// BenchmarkEvaluate. A pool of h hosts enumerates h + h·(h−1) mappings
+// (singles plus ordered pairs), each parameterizing the analytic
+// pipeline model and tuning the transfer unit; every pool here is at
+// most 64 hosts, so the Coordinator evaluates them inline.
 func BenchmarkPipelineEvaluate(b *testing.B) {
 	pools := []struct {
 		name          string
@@ -283,35 +282,25 @@ func BenchmarkPipelineEvaluate(b *testing.B) {
 		{"32host", 8, 4},
 		{"64host", 8, 8},
 	}
-	modes := []struct {
-		name string
-		opts []core.AgentOption
-	}{
-		{"sequential", []core.AgentOption{core.WithParallelism(1)}},
-		{"parallel4", []core.AgentOption{core.WithParallelism(4)}},
-		{"parallel", []core.AgentOption{core.WithParallelism(0)}},
-	}
 	const surfaceFunctions = 600
 	for _, p := range pools {
-		for _, m := range modes {
-			b.Run(p.name+"/"+m.name, func(b *testing.B) {
-				agent, err := expt.NewScalePipelineAgent(p.clusters, p.per, surfaceFunctions, 11, m.opts...)
+		b.Run(p.name, func(b *testing.B) {
+			agent, err := expt.NewScalePipelineAgent(p.clusters, p.per, surfaceFunctions, 11)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var mappings int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sched, err := agent.Schedule()
 				if err != nil {
 					b.Fatal(err)
 				}
-				var mappings int
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sched, err := agent.Schedule()
-					if err != nil {
-						b.Fatal(err)
-					}
-					mappings = sched.CandidatesConsidered
-				}
-				b.ReportMetric(float64(mappings), "mappings")
-			})
-		}
+				mappings = sched.CandidatesConsidered
+			}
+			b.ReportMetric(float64(mappings), "mappings")
+		})
 	}
 }
 

@@ -41,7 +41,6 @@ func main() {
 	viaRMS := flag.Bool("rms", false, "actuate through the PVM-style rms substrate")
 	explain := flag.Int("explain", 0, "also print the top-K candidate schedules the agent weighed")
 	metric := flag.String("metric", "min-time", "user performance metric: min-time, speedup, cost")
-	parallel := flag.Int("parallel", 0, "candidate-evaluation workers (0 = GOMAXPROCS, 1 = sequential)")
 	selector := flag.String("selector", "exhaustive", "resource selector family: exhaustive, greedy, beam, lpga")
 	beamWidth := flag.Int("beam-width", 8, "beam width for -selector beam")
 	gaSeed := flag.Int64("ga-seed", 1, "PRNG seed for -selector lpga")
@@ -266,7 +265,6 @@ func main() {
 
 	tpl := apples.JacobiTemplate(*n, *iters)
 	agentOpts := []apples.AgentOption{
-		apples.WithParallelism(*parallel),
 		apples.WithPruning(*prune),
 		apples.WithSpillFactor(*spill),
 		apples.WithSelector(selSpec),

@@ -26,8 +26,9 @@ type Schedule struct {
 	// CandidatesConsidered counts resource sets evaluated, and
 	// CandidatesPlanned those that produced a feasible plan. With
 	// WithPruning enabled, sets skipped by the bound are not planned, so
-	// CandidatesPlanned can be lower (and timing-dependent under parallel
-	// evaluation); the selected schedule itself never changes.
+	// CandidatesPlanned can be lower (and timing-dependent on pools above
+	// 64 hosts, which fan out to workers); the selected schedule itself
+	// never changes.
 	CandidatesConsidered int
 	CandidatesPlanned    int
 	// InfoSource names the information pool variant used.
@@ -74,9 +75,9 @@ type Agent struct {
 // NewAgent assembles an agent from its information pool: the application
 // template (HAT), the user specification (US), and a dynamic information
 // source (NWS, oracle, or static). Options tune the evaluation engine;
-// the zero-option agent evaluates candidates in parallel over GOMAXPROCS
-// workers against a per-round information snapshot and makes exactly the
-// decision the sequential path would.
+// every agent evaluates candidates against a per-round information
+// snapshot — inline on pools up to 64 hosts, over GOMAXPROCS workers on
+// larger ones — and makes exactly the decision the sequential path would.
 func NewAgent(tp *grid.Topology, tpl *hat.Template, spec *userspec.Spec, info Information, opts ...AgentOption) (*Agent, error) {
 	if err := tpl.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w: %w", ErrBadTemplate, err)
@@ -258,16 +259,15 @@ func (a *Agent) round(rp *roundPricer) Round {
 }
 
 // evaluate runs the shared Coordinator round over the Jacobi blueprint
-// against view (nil: the agent's own snapshotting) with a worker grant
-// (0: the configured parallelism). It returns the feasible candidates
-// in selector order, without placements, the number of sets
-// considered, and the round's pricer for building placements.
-func (a *Agent) evaluate(n int, view infoView, workers int) ([]Candidate, int, *roundPricer, error) {
+// against view (nil: the agent's own snapshotting). It returns the
+// feasible candidates in selector order, without placements, the number
+// of sets considered, and the round's pricer for building placements.
+func (a *Agent) evaluate(n int, view infoView) ([]Candidate, int, *roundPricer, error) {
 	if n <= 0 {
 		return nil, 0, nil, fmt.Errorf("core: non-positive problem size %d", n)
 	}
 	rp := a.newPricer(n)
-	cands, considered, err := a.coord.evaluateRound(a.round(rp), view, workers)
+	cands, considered, err := a.coord.evaluateRound(a.round(rp), view)
 	return cands, considered, rp, err
 }
 
@@ -319,18 +319,16 @@ func computeLowerBound(set []*grid.Host, secPP map[string]float64, n, iterations
 // The returned schedule is not yet actuated; pass it to Run or an
 // Actuator.
 func (a *Agent) Schedule(n int) (*Schedule, error) {
-	return a.scheduleWith(n, nil, 0)
+	return a.scheduleWith(n, nil)
 }
 
-// scheduleWith is Schedule with the SchedService's injection points: the
+// scheduleWith is Schedule with the SchedService's injection point: the
 // round evaluates against an externally resolved frozen view (nil falls
-// back to the agent's own snapshotting) with a granted worker count
-// (0 keeps the configured parallelism). The decision is bit-identical to
-// Schedule(n) against the same frozen values — the view only moves
-// snapshot ownership out of the round, and the worker grant only bounds
-// fan-out, which the deterministic (score, index) reduce is immune to.
-func (a *Agent) scheduleWith(n int, view infoView, workers int) (*Schedule, error) {
-	cands, considered, rp, err := a.evaluate(n, view, workers)
+// back to the agent's own snapshotting). The decision is bit-identical
+// to Schedule(n) against the same frozen values — the view only moves
+// snapshot ownership out of the round.
+func (a *Agent) scheduleWith(n int, view infoView) (*Schedule, error) {
+	cands, considered, rp, err := a.evaluate(n, view)
 	if err != nil {
 		return nil, err
 	}
@@ -362,7 +360,7 @@ func (a *Agent) pickBest(rp *roundPricer, cands []Candidate, considered int) (*S
 // PipelineAgent.ScheduleExplained: both blueprints explain themselves in
 // the same Candidate terms.
 func (a *Agent) ScheduleExplained(n, topK int) (*Schedule, []Candidate, error) {
-	cands, considered, rp, err := a.evaluate(n, nil, 0)
+	cands, considered, rp, err := a.evaluate(n, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -380,7 +378,7 @@ func (a *Agent) ScheduleExplained(n, topK int) (*Schedule, []Candidate, error) {
 // k <= 0 returns all of them. Candidates(n, 1)[0] describes the schedule
 // Schedule(n) would pick.
 func (a *Agent) Candidates(n, k int) ([]Candidate, error) {
-	cands, _, rp, err := a.evaluate(n, nil, 0)
+	cands, _, rp, err := a.evaluate(n, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -17,7 +18,7 @@ import (
 // Estimator -> Actuator for *every* application paradigm. A concrete
 // agent (the Jacobi2D Agent, the 3D-REACT PipelineAgent, or a future
 // master/worker HAT agent) only supplies the pluggable subsystems below;
-// the round itself — information snapshot, bounded parallel fan-out,
+// the round itself — information snapshot, pool-size-driven fan-out,
 // optional selection-preserving pruning, and the deterministic
 // (score, index) reduce — is shared code.
 
@@ -128,15 +129,12 @@ type Round struct {
 }
 
 // Coordinator owns the generic AppLeS scheduling round. It is configured
-// once per agent (information source, worker-pool width, pruning,
-// selector) and reused every round; the zero value is not useful —
+// once per agent (information source, pruning, selector, observability)
+// and reused every round; the zero value is not useful —
 // construct through NewCoordinator or an agent constructor.
 type Coordinator struct {
 	info Information
 
-	// parallelism bounds the candidate-evaluation worker pool (0 =
-	// GOMAXPROCS, 1 = sequential). See WithParallelism.
-	parallelism int
 	// pruning enables best-so-far candidate pruning for rounds that
 	// supply a LowerBounder. See WithPruning.
 	pruning bool
@@ -225,20 +223,21 @@ func (c *Coordinator) View(hosts []string) Information {
 }
 
 // EvaluateRound runs the blueprint round: resolve the information view,
-// bind the subsystems, stream candidate sets off the selector, fan them
-// across the worker pool, and reduce deterministically. It returns the
-// feasible candidates in enumeration order plus the number of sets
-// considered.
+// bind the subsystems, stream candidate sets off the selector, evaluate
+// them (inline, or across a worker pool on large pools), and reduce
+// deterministically. It returns the feasible candidates in enumeration
+// order plus the number of sets considered.
 //
 // The round proceeds in three steps:
 //
 //  1. snapshot the information pool for the filtered hosts, so every
 //     availability/bandwidth/latency value is resolved exactly once
 //     (large pools freeze per-link values and compose pairs on demand);
-//  2. consume the selector's sequence as it is produced — sequentially
-//     inline, or through a bounded worker pool fed by the producing
-//     goroutine — planning and estimating each set against the immutable
-//     snapshot; the full candidate list is never materialized;
+//  2. consume the selector's sequence as it is produced — inline for
+//     pools up to lazySnapshotThreshold hosts, through a GOMAXPROCS
+//     worker pool fed by the producing goroutine above it — planning and
+//     estimating each set against the immutable snapshot; the full
+//     candidate list is never materialized;
 //  3. merge worker results and reduce in enumeration-index order, which
 //     makes the outcome independent of goroutine interleaving: the same
 //     candidates are feasible with the same scores, so the eventual
@@ -250,20 +249,17 @@ func (c *Coordinator) View(hosts []string) Information {
 // exceeds it. The bound never overestimates, so a pruned set could not
 // have won; pruning only reduces how many sets are planned.
 func (c *Coordinator) EvaluateRound(r Round) ([]Candidate, int, error) {
-	return c.evaluateRound(r, nil, 0)
+	return c.evaluateRound(r, nil)
 }
 
 // evaluateRound is EvaluateRound with the SchedService's injection
-// points exposed: a non-nil view is an externally resolved frozen
+// point exposed: a non-nil view is an externally resolved frozen
 // information view (typically a cache-shared snapshot) that replaces
-// the round's own freeze, and workers > 0 overrides the configured
-// parallelism for this round only — the service grants each round's
-// fan-out width out of a service-wide budget. With view == nil and
-// workers == 0 this is exactly the standalone round; an injected view
-// built by roundSnapshot over the same pool yields bit-identical
-// decisions, since the view only changes who froze the values, never
-// the values themselves.
-func (c *Coordinator) evaluateRound(r Round, view infoView, workersOverride int) ([]Candidate, int, error) {
+// the round's own freeze. With view == nil this is exactly the
+// standalone round; an injected view built by roundSnapshot over the
+// same pool yields bit-identical decisions, since the view only changes
+// who froze the values, never the values themselves.
+func (c *Coordinator) evaluateRound(r Round, view infoView) ([]Candidate, int, error) {
 	if len(r.Pool) == 0 {
 		return nil, 0, fmt.Errorf("core: %w: user specification filters out every host", ErrNoFeasibleHosts)
 	}
@@ -277,10 +273,6 @@ func (c *Coordinator) evaluateRound(r Round, view infoView, workersOverride int)
 	if observing {
 		round = c.rounds.Add(1)
 		start = time.Now()
-	}
-	workers := c.parallelism
-	if workersOverride > 0 {
-		workers = workersOverride
 	}
 	if view != nil {
 		// An injected view is already frozen; the round reads it exactly
@@ -362,6 +354,19 @@ func (c *Coordinator) evaluateRound(r Round, view infoView, workersOverride int)
 		return cand, true
 	}
 
+	// Fan-out follows the pool size, on the same boundary that picks the
+	// snapshot type. Up to lazySnapshotThreshold hosts sets are evaluated
+	// inline: the exhaustive 8-host round (bench fig2-round) and the
+	// 64-tenant service traffic (service-mixed) lose more to channel
+	// hand-off than workers win back. Above it GOMAXPROCS workers let
+	// the producer's selector chain overlap with evaluation, which the
+	// greedy 2048-host rounds (grid-2048, sense-2048) need. Inline rounds
+	// also emit trace events and prune in enumeration order, so their
+	// traces and CandidatesPlanned are reproducible.
+	workers := 1
+	if len(r.Pool) > lazySnapshotThreshold {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	planSpan := stages.Start(round, obs.StagePlanEstimate)
 	cands, considered := runStreamed(seq, workers, evalOne)
 	planSpan.End()

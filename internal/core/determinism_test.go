@@ -36,9 +36,11 @@ func buildPool(t *testing.T, clusters, per int, seed int64) (*grid.Topology, Inf
 }
 
 // TestParallelMatchesSequential is the engine's determinism contract:
-// across seeds and pool sizes, parallel snapshotted evaluation must
-// produce a Schedule bit-identical to the sequential reference loop that
-// queries the live information source directly (liveAgentSchedule).
+// across seeds and pool sizes, snapshotted evaluation must produce a
+// Schedule bit-identical to the sequential reference loop that queries
+// the live information source directly (liveAgentSchedule). The 64-host
+// pool is the largest one evaluated inline; the 72-host pool takes the
+// parallel worker path.
 func TestParallelMatchesSequential(t *testing.T) {
 	configs := []struct {
 		name          string
@@ -47,13 +49,15 @@ func TestParallelMatchesSequential(t *testing.T) {
 		{"sdscpcl-8host", 0, 0},
 		{"cluster-12host", 3, 4},
 		{"cluster-24host", 6, 4},
+		{"cluster-64host", 8, 8},
+		{"cluster-72host", 9, 8},
 	}
 	for _, cfg := range configs {
 		for _, seed := range []int64{1, 7, 23} {
 			tp, info := buildPool(t, cfg.clusters, cfg.per, seed)
 			tpl := hat.Jacobi2D(600, 10)
 
-			par, err := NewAgent(tp, tpl, &userspec.Spec{}, info, WithParallelism(8))
+			par, err := NewAgent(tp, tpl, &userspec.Spec{}, info)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,31 +78,38 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestParallelExplainedMatchesSequential extends the contract to the
-// explain surface: the ranked candidate slices must agree exactly.
+// explain surface: the ranked candidate slices must agree exactly, on
+// inline pools (12 hosts, the 64-host boundary) and on a parallel one
+// (72 hosts).
 func TestParallelExplainedMatchesSequential(t *testing.T) {
-	tp, info := buildPool(t, 3, 4, 5)
-	tpl := hat.Jacobi2D(500, 10)
-	par, err := NewAgent(tp, tpl, &userspec.Spec{}, info, WithParallelism(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, seqCands, err := liveAgentSchedule(tp, tpl, &userspec.Spec{}, info, 25, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := rankCandidates(seqCands, 0)
-	_, got, err := par.ScheduleExplained(500, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("explained candidates diverged: %d vs %d entries", len(want), len(got))
+	for _, cfg := range []struct{ clusters, per int }{{3, 4}, {8, 8}, {9, 8}} {
+		tp, info := buildPool(t, cfg.clusters, cfg.per, 5)
+		tpl := hat.Jacobi2D(500, 10)
+		par, err := NewAgent(tp, tpl, &userspec.Spec{}, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, seqCands, err := liveAgentSchedule(tp, tpl, &userspec.Spec{}, info, 25, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rankCandidates(seqCands, 0)
+		_, got, err := par.ScheduleExplained(500, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%d hosts: explained candidates diverged: %d vs %d entries",
+				cfg.clusters*cfg.per, len(want), len(got))
+		}
 	}
 }
 
 // TestPruningPreservesSelection is the pruning property: across seeds,
 // enabling pruning must never change the selected schedule — only
-// CandidatesPlanned may shrink (pruned sets are never planned).
+// CandidatesPlanned may shrink (pruned sets are never planned). The
+// 12-host pool is evaluated inline, so how many sets prune is the same
+// every round.
 func TestPruningPreservesSelection(t *testing.T) {
 	for _, seed := range []int64{2, 11, 29, 47} {
 		tp, info := buildPool(t, 3, 4, seed)
@@ -124,6 +135,16 @@ func TestPruningPreservesSelection(t *testing.T) {
 			t.Fatalf("seed %d: pruning planned more sets (%d) than exhaustive (%d)",
 				seed, got.CandidatesPlanned, want.CandidatesPlanned)
 		}
+		for r := 0; r < 3; r++ {
+			again, err := pruned.Schedule(800)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.CandidatesPlanned != got.CandidatesPlanned {
+				t.Fatalf("seed %d round %d: pruned round planned %d sets, first round %d",
+					seed, r, again.CandidatesPlanned, got.CandidatesPlanned)
+			}
+		}
 		// Everything except the planned count must be identical.
 		got.CandidatesPlanned = want.CandidatesPlanned
 		if !reflect.DeepEqual(want, got) {
@@ -132,37 +153,42 @@ func TestPruningPreservesSelection(t *testing.T) {
 	}
 }
 
-// TestConcurrentScheduleCalls drives the worker pool from multiple
-// goroutines at once (run with -race): an agent must support concurrent
-// scheduling rounds, and each must reach the same decision.
+// TestConcurrentScheduleCalls drives one agent from multiple goroutines
+// at once (run with -race): an agent must support concurrent scheduling
+// rounds, and each must reach the same decision. The 72-host agent runs
+// every round on the parallel worker pool, with pruning sharing the
+// incumbent across workers.
 func TestConcurrentScheduleCalls(t *testing.T) {
-	tp, info := buildPool(t, 3, 4, 3)
-	a, err := NewAgent(tp, hat.Jacobi2D(500, 10), &userspec.Spec{}, info,
-		WithParallelism(8), WithPruning(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := a.Schedule(500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	scheds := make([]*Schedule, 6)
-	errs := make([]error, 6)
-	for i := range scheds {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			scheds[i], errs[i] = a.Schedule(500)
-		}(i)
-	}
-	wg.Wait()
-	for i, s := range scheds {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
+	for _, cfg := range []struct{ clusters, per int }{{3, 4}, {9, 8}} {
+		tp, info := buildPool(t, cfg.clusters, cfg.per, 3)
+		a, err := NewAgent(tp, hat.Jacobi2D(500, 10), &userspec.Spec{}, info,
+			WithPruning(true))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(s.Hosts, ref.Hosts) || s.PredictedTotal != ref.PredictedTotal {
-			t.Fatalf("concurrent round %d diverged: %v vs %v", i, s, ref)
+		ref, err := a.Schedule(500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		scheds := make([]*Schedule, 6)
+		errs := make([]error, 6)
+		for i := range scheds {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				scheds[i], errs[i] = a.Schedule(500)
+			}(i)
+		}
+		wg.Wait()
+		for i, s := range scheds {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if !reflect.DeepEqual(s.Hosts, ref.Hosts) || s.PredictedTotal != ref.PredictedTotal {
+				t.Fatalf("%d hosts: concurrent round %d diverged: %v vs %v",
+					cfg.clusters*cfg.per, i, s, ref)
+			}
 		}
 	}
 }
@@ -174,16 +200,15 @@ func TestAgentOptions(t *testing.T) {
 	eng := sim.NewEngine()
 	tp := grid.SDSCPCL(eng, grid.TestbedOptions{Seed: 1, Quiet: true})
 	a, err := NewAgent(tp, hat.Jacobi2D(500, 10), &userspec.Spec{}, OracleInformation(tp),
-		WithSpillFactor(40), WithParallelism(2), WithPruning(true))
+		WithSpillFactor(40), WithPruning(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.spillFactor != 40 {
 		t.Fatalf("WithSpillFactor not applied: %v", a.spillFactor)
 	}
-	if a.coord.parallelism != 2 || !a.coord.pruning {
-		t.Fatalf("options not applied: parallelism=%d pruning=%v",
-			a.coord.parallelism, a.coord.pruning)
+	if !a.coord.pruning {
+		t.Fatal("WithPruning not applied")
 	}
 	if _, err := a.Schedule(500); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ type coordConfig struct {
 }
 
 // newCoordConfig returns the default configuration over an information
-// source: GOMAXPROCS worker pool, no pruning, exhaustive selection.
+// source: no pruning, exhaustive selection, observability off.
 func newCoordConfig(info Information) coordConfig {
 	return coordConfig{Coordinator: Coordinator{info: info, rounds: new(atomic.Uint64)}}
 }
@@ -28,7 +28,7 @@ func newCoordConfig(info Information) coordConfig {
 // NewAgent, NewPipelineAgent, and NewCoordinator all accept them:
 //
 //	a, err := core.NewAgent(tp, tpl, spec, info,
-//		core.WithParallelism(8), core.WithPruning(true))
+//		core.WithSpillFactor(30), core.WithPruning(true))
 type AgentOption func(*coordConfig)
 
 // WithSpillFactor sets the estimator's out-of-memory penalty multiplier
@@ -43,24 +43,15 @@ func WithSpillFactor(f float64) AgentOption {
 	}
 }
 
-// WithParallelism bounds the candidate-evaluation worker pool. n <= 0
-// (the default) sizes the pool to GOMAXPROCS; n == 1 forces sequential
-// evaluation. Regardless of n, the chosen schedule is bit-identical to
-// the sequential path: results are reduced by (score, candidate index),
-// so goroutine interleaving cannot change the decision.
-func WithParallelism(n int) AgentOption {
-	return func(c *coordConfig) { c.parallelism = n }
-}
-
 // WithPruning enables best-so-far pruning: workers share the incumbent
 // best score through an atomic and skip candidate sets whose lower bound
 // already exceeds it, saving the plan + estimate work. The bound is
 // conservative, so pruning never changes the selected schedule — only
-// Schedule.CandidatesPlanned may be lower (pruned sets are never planned,
-// and under parallel evaluation how many prune depends on timing).
-// Pruning applies to rounds that supply a sound bound (the Jacobi
-// blueprint under the MinExecutionTime metric); other rounds evaluate
-// every set.
+// Schedule.CandidatesPlanned may be lower (pruned sets are never planned;
+// on pools above 64 hosts, evaluated by parallel workers, how many prune
+// depends on timing). Pruning applies to rounds that supply a sound
+// bound (the Jacobi blueprint under the MinExecutionTime metric); other
+// rounds evaluate every set.
 func WithPruning(on bool) AgentOption {
 	return func(c *coordConfig) { c.pruning = on }
 }
@@ -80,9 +71,10 @@ func WithSelector(spec SelectorSpec) AgentOption {
 // scheduling round emits structured events for the snapshot built, each
 // candidate evaluated/pruned/rejected, and the winner selected, plus
 // reschedule and wait-or-run verdicts. The tracer must be safe for
-// concurrent Emit calls (parallel workers trace from multiple
-// goroutines; obs.JSONLTracer and obs.Collector both are). nil leaves
-// tracing off — the default, costing one pointer check per site.
+// concurrent Emit calls (concurrent rounds, and the parallel workers of
+// pools above 64 hosts, trace from multiple goroutines; obs.JSONLTracer
+// and obs.Collector both are). nil leaves tracing off — the default,
+// costing one pointer check per site.
 func WithTracer(t obs.Tracer) AgentOption {
 	return func(c *coordConfig) { c.tracer = t }
 }

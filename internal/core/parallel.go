@@ -3,7 +3,6 @@ package core
 import (
 	"iter"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,7 +27,7 @@ const evalChunk = 16
 // the sequential path regardless of interleaving.
 func runStreamed(seq iter.Seq[[]*grid.Host], workers int, eval func(int, []*grid.Host) (Candidate, bool)) ([]Candidate, int) {
 	considered := 0
-	if workers == 1 {
+	if workers <= 1 {
 		var cands []Candidate
 		for set := range seq {
 			i := considered
@@ -38,9 +37,6 @@ func runStreamed(seq iter.Seq[[]*grid.Host], workers int, eval func(int, []*grid
 			}
 		}
 		return cands, considered
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	type job struct {
 		i   int

@@ -19,8 +19,7 @@ import (
 // transcriptions of the private evaluate loops Agent and PipelineAgent
 // had before the generic Coordinator absorbed them. The differential
 // tests below must keep both refactored agents bit-identical to these
-// oracles across seeds, pool sizes, worker-pool widths, and pruning
-// settings — run them under -race to also exercise the parallel path.
+// oracles across seeds, pool sizes, and pruning settings.
 
 // legacyAgentSchedule is the pre-Coordinator sequential Jacobi round:
 // snapshot, enumerate, plan+estimate in order, reduce by (score, index).
@@ -211,7 +210,7 @@ func legacyPipelineSchedule(tp *grid.Topology, tpl *hat.Template, spec *userspec
 }
 
 // TestAgentParityWithLegacy pins the refactored Agent to the pre-refactor
-// oracle across seeds, pool sizes, worker widths, and pruning settings.
+// oracle across seeds, pool sizes, and pruning settings.
 func TestAgentParityWithLegacy(t *testing.T) {
 	pools := []struct {
 		name          string
@@ -231,30 +230,27 @@ func TestAgentParityWithLegacy(t *testing.T) {
 				t.Fatalf("%s seed %d legacy: %v", pc.name, seed, err)
 			}
 
-			for _, workers := range []int{1, 2, 8} {
-				for _, prune := range []bool{false, true} {
-					name := fmt.Sprintf("%s/seed%d/w%d/prune=%v", pc.name, seed, workers, prune)
-					a, err := NewAgent(tp, tpl, spec, info,
-						WithParallelism(workers), WithPruning(prune))
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, gotCands, err := a.ScheduleExplained(600, 0)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					// Pruning legitimately skips planning dominated sets,
-					// so only the planned count may differ.
-					norm := *got
-					if prune {
-						norm.CandidatesPlanned = want.CandidatesPlanned
-					}
-					if !reflect.DeepEqual(want, &norm) {
-						t.Fatalf("%s: schedule diverged from legacy\nlegacy: %v\ngot:    %v", name, want, got)
-					}
-					if !prune && !reflect.DeepEqual(rankCandidates(wantCands, 0), gotCands) {
-						t.Fatalf("%s: candidate ranking diverged from legacy", name)
-					}
+			for _, prune := range []bool{false, true} {
+				name := fmt.Sprintf("%s/seed%d/prune=%v", pc.name, seed, prune)
+				a, err := NewAgent(tp, tpl, spec, info, WithPruning(prune))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, gotCands, err := a.ScheduleExplained(600, 0)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				// Pruning legitimately skips planning dominated sets,
+				// so only the planned count may differ.
+				norm := *got
+				if prune {
+					norm.CandidatesPlanned = want.CandidatesPlanned
+				}
+				if !reflect.DeepEqual(want, &norm) {
+					t.Fatalf("%s: schedule diverged from legacy\nlegacy: %v\ngot:    %v", name, want, got)
+				}
+				if !prune && !reflect.DeepEqual(rankCandidates(wantCands, 0), gotCands) {
+					t.Fatalf("%s: candidate ranking diverged from legacy", name)
 				}
 			}
 		}
@@ -263,7 +259,7 @@ func TestAgentParityWithLegacy(t *testing.T) {
 
 // TestPipelineParityWithLegacy pins the refactored PipelineAgent to the
 // pre-refactor oracle, on both the paper's CASA pair and a larger loaded
-// pool, across worker widths.
+// pool.
 func TestPipelineParityWithLegacy(t *testing.T) {
 	type poolFn func(t *testing.T) (*grid.Topology, Information)
 	pools := []struct {
@@ -292,22 +288,19 @@ func TestPipelineParityWithLegacy(t *testing.T) {
 			t.Fatalf("%s legacy: %v", pc.name, err)
 		}
 
-		for _, workers := range []int{1, 2, 8} {
-			name := fmt.Sprintf("%s/w%d", pc.name, workers)
-			a, err := NewPipelineAgent(tp, tpl, spec, info, opt, WithParallelism(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotCands, err := a.ScheduleExplained(0)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s: schedule diverged from legacy\nlegacy: %v\ngot:    %v", name, want, got)
-			}
-			if !reflect.DeepEqual(rankCandidates(wantCands, 0), gotCands) {
-				t.Fatalf("%s: candidate ranking diverged from legacy", name)
-			}
+		a, err := NewPipelineAgent(tp, tpl, spec, info, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotCands, err := a.ScheduleExplained(0)
+		if err != nil {
+			t.Fatalf("%s: %v", pc.name, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: schedule diverged from legacy\nlegacy: %v\ngot:    %v", pc.name, want, got)
+		}
+		if !reflect.DeepEqual(rankCandidates(wantCands, 0), gotCands) {
+			t.Fatalf("%s: candidate ranking diverged from legacy", pc.name)
 		}
 	}
 }

@@ -48,8 +48,8 @@ func (s *PipelineSchedule) String() string {
 // yields the necessary overlap", and the Performance Estimator compares
 // candidate mappings (including single-site fallbacks) under the user's
 // metric. Like Agent, it is a thin instantiation of the shared
-// Coordinator round, so it evaluates mappings in parallel against a
-// per-round information snapshot and accepts the same options.
+// Coordinator round, so it evaluates mappings against a per-round
+// information snapshot and accepts the same options.
 type PipelineAgent struct {
 	tp    *grid.Topology
 	tpl   *hat.Template

@@ -21,9 +21,11 @@ import (
 //     frozen information view through a copy-on-write snapshotCache
 //     (one routeBatcher pass over the forecaster bank, refcounted
 //     immutable fan-out) instead of N independent freezes;
-//   - coordinator layer: candidate-evaluation parallelism is a global
-//     sharded workerBudget instead of a per-Agent pool — each round is
-//     granted fan-out width for its duration and returns it;
+//   - runner layer: concurrency lives across requests — up to
+//     WithServiceRunners rounds run at once, each the same agent round
+//     a standalone Schedule runs (inline on pools up to 64 hosts,
+//     GOMAXPROCS workers above), so evaluation goroutines stay bounded
+//     by runners × (GOMAXPROCS + 1) however many tenants register;
 //   - service layer: a bounded admission queue with typed backpressure
 //     (ErrQueueFull) and deterministic per-tenant round ordering —
 //     one tenant's rounds complete in submission order, always;
@@ -41,8 +43,7 @@ import (
 type SchedService struct {
 	cfg serviceConfig
 
-	budget *workerBudget
-	cache  *snapshotCache
+	cache *snapshotCache
 
 	mu      sync.RWMutex
 	tenants map[string]*Tenant
@@ -72,8 +73,6 @@ type SchedService struct {
 type serviceConfig struct {
 	queueDepth int
 	runners    int
-	budget     int
-	shards     int
 	metrics    *obs.Metrics
 	tracer     obs.Tracer
 }
@@ -99,30 +98,6 @@ func WithServiceRunners(n int) ServiceOption {
 	return func(c *serviceConfig) {
 		if n > 0 {
 			c.runners = n
-		}
-	}
-}
-
-// WithServiceBudget sets the global extra-worker budget rounds draw
-// their candidate-evaluation fan-out from (default GOMAXPROCS). A lone
-// round claims the whole budget; concurrent rounds split it. Every
-// round keeps at least its own goroutine, so the budget never blocks
-// progress — and never changes decisions, only evaluation width.
-func WithServiceBudget(workers int) ServiceOption {
-	return func(c *serviceConfig) {
-		if workers > 0 {
-			c.budget = workers
-		}
-	}
-}
-
-// WithServiceShards sets how many cache-line-padded shards the worker
-// budget spreads over (default min(8, budget)). Purely a contention
-// knob.
-func WithServiceShards(n int) ServiceOption {
-	return func(c *serviceConfig) {
-		if n > 0 {
-			c.shards = n
 		}
 	}
 }
@@ -159,19 +134,14 @@ func NewSchedService(opts ...ServiceOption) *SchedService {
 	cfg := serviceConfig{
 		queueDepth: 1024,
 		runners:    runtime.GOMAXPROCS(0),
-		budget:     runtime.GOMAXPROCS(0),
 	}
 	for _, opt := range opts {
 		if opt != nil {
 			opt(&cfg)
 		}
 	}
-	if cfg.shards == 0 {
-		cfg.shards = min(8, cfg.budget)
-	}
 	s := &SchedService{
 		cfg:     cfg,
-		budget:  newWorkerBudget(cfg.budget, cfg.shards),
 		cache:   newSnapshotCache(),
 		tenants: make(map[string]*Tenant),
 		tracer:  cfg.tracer,
@@ -203,7 +173,6 @@ type Tenant struct {
 	id    string
 	agent *Agent          // Agent-backed tenant (shared-snapshot path)
 	sess  *ReschedSession // session-backed tenant (delta path)
-	shard int             // home shard in the worker budget
 
 	qmu    sync.Mutex
 	fifo   []roundRequest
@@ -249,15 +218,14 @@ type RoundResult struct {
 	// tenants; nil otherwise.
 	Delta *DeltaStats
 	// Elapsed is the round's wall time once a service worker takes it
-	// off the ready list: snapshot acquire, worker grant, and evaluation.
+	// off the ready list: snapshot acquire and evaluation.
 	// It excludes the wait in the admission queue.
 	Elapsed time.Duration
 }
 
 // Register adds an Agent-backed tenant under a unique id. The agent's
-// rounds will evaluate against cache-shared snapshots with fan-out
-// granted from the service budget; its own WithParallelism setting is
-// superseded while served by the service.
+// rounds evaluate against cache-shared snapshots; otherwise each is the
+// agent's own Schedule round.
 func (s *SchedService) Register(id string, agent *Agent) (*Tenant, error) {
 	if agent == nil {
 		return nil, fmt.Errorf("core: nil agent for tenant %q", id)
@@ -291,7 +259,6 @@ func (s *SchedService) register(id string, t *Tenant) (*Tenant, error) {
 		return nil, fmt.Errorf("core: tenant %q already registered", id)
 	}
 	t.svc = s
-	t.shard = len(s.order)
 	if s.met != nil {
 		// Per-tenant labeled series, resolved once here so the round hot
 		// path only performs atomic updates.
@@ -435,9 +402,8 @@ func (s *SchedService) serveTenant(t *Tenant) {
 	}
 }
 
-// runRound evaluates one round: resolve the shared snapshot, draw a
-// worker grant, run the tenant's scheduler, return both, publish
-// observability.
+// runRound evaluates one round: resolve the shared snapshot, run the
+// tenant's scheduler, release the snapshot, publish observability.
 func (s *SchedService) runRound(t *Tenant, req roundRequest) RoundResult {
 	start := time.Now()
 	res := RoundResult{Tenant: t.id, Seq: req.seq}
@@ -453,9 +419,7 @@ func (s *SchedService) runRound(t *Tenant, req roundRequest) RoundResult {
 			entry, res.SharedSnapshot = s.cache.acquire(t.agent.coord.info, pool)
 			view = entry.view
 		}
-		workers := s.budget.grant(t.shard, s.cfg.budget)
-		res.Schedule, res.Err = t.agent.scheduleWith(req.n, view, workers)
-		s.budget.release(t.shard, workers)
+		res.Schedule, res.Err = t.agent.scheduleWith(req.n, view)
 		if entry != nil {
 			s.cache.release(entry)
 			if s.met != nil {

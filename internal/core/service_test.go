@@ -16,8 +16,7 @@ import (
 // service with one registered tenant must produce exactly the schedule
 // standalone Agent.Schedule produces, across the parity sweep's pools,
 // selectors, and metrics. The service moves snapshot ownership into the
-// cache and fan-out width into the budget; neither may move the
-// decision.
+// cache; that may not move the decision.
 func TestServiceSingleTenantParity(t *testing.T) {
 	pools := []struct {
 		name          string
@@ -48,7 +47,7 @@ func TestServiceSingleTenantParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				svc := NewSchedService(WithServiceRunners(2), WithServiceBudget(4))
+				svc := NewSchedService(WithServiceRunners(2))
 				tenant, err := svc.Register("solo", client)
 				if err != nil {
 					t.Fatal(err)
@@ -69,8 +68,8 @@ func TestServiceSingleTenantParity(t *testing.T) {
 // TestServiceConcurrentTenantsRace is the satellite race sweep: N
 // tenants × concurrent rounds over ONE shared snapshot and ONE shared
 // Metrics registry, with exact bookkeeping afterwards. Run under -race
-// this exercises the cache's once-build fan-out, the sharded budget,
-// and the labeled metric series concurrently.
+// this exercises the cache's once-build fan-out and the labeled metric
+// series concurrently.
 func TestServiceConcurrentTenantsRace(t *testing.T) {
 	const tenants, rounds = 8, 5
 	tp, info := buildPool(t, 3, 4, 9)
@@ -78,7 +77,7 @@ func TestServiceConcurrentTenantsRace(t *testing.T) {
 
 	reg := obs.NewMetrics()
 	col := obs.NewCollector()
-	svc := NewSchedService(WithServiceRunners(4), WithServiceBudget(4),
+	svc := NewSchedService(WithServiceRunners(4),
 		WithServiceMetrics(reg), WithServiceTracer(col))
 
 	standalone, err := NewAgent(tp, tpl, &userspec.Spec{}, info)
@@ -353,37 +352,6 @@ func TestServiceSessionTenant(t *testing.T) {
 		if res.Delta == nil || *res.Delta != wantSt {
 			t.Fatalf("round %d delta stats diverged: %+v vs %+v", round, res.Delta, wantSt)
 		}
-	}
-}
-
-// TestWorkerBudget pins the sharded budget arithmetic: grants never
-// exceed availability+1, never fall below 1, steal across shards, and
-// conserve tokens across release.
-func TestWorkerBudget(t *testing.T) {
-	b := newWorkerBudget(8, 4)
-	if got := b.available(); got != 8 {
-		t.Fatalf("initial tokens = %d, want 8", got)
-	}
-	g1 := b.grant(0, 6) // wants 5 extra: drains shard 0 (2) + steals 3
-	if g1 != 6 {
-		t.Fatalf("grant(0,6) = %d, want 6", g1)
-	}
-	if got := b.available(); got != 3 {
-		t.Fatalf("tokens after grant = %d, want 3", got)
-	}
-	g2 := b.grant(1, 10) // wants 9 extra, only 3 remain
-	if g2 != 4 {
-		t.Fatalf("grant(1,10) = %d, want 4", g2)
-	}
-	g3 := b.grant(2, 4) // budget empty: sequential grant
-	if g3 != 1 {
-		t.Fatalf("grant on empty budget = %d, want 1", g3)
-	}
-	b.release(0, g1)
-	b.release(1, g2)
-	b.release(2, g3)
-	if got := b.available(); got != 8 {
-		t.Fatalf("tokens after release = %d, want 8 (leak)", got)
 	}
 }
 

@@ -53,8 +53,8 @@ import (
 // but does not re-run desirability ranking, so heuristic selectors keep
 // the universe they opened with (exhaustive pools ≤12 hosts enumerate
 // every subset, so for them the universe never depends on information).
-// Pruning and parallelism options are ignored — the session scores
-// every candidate sequentially, which preserves the decision exactly.
+// The pruning option is ignored — the session scores every candidate
+// sequentially, which preserves the decision exactly.
 //
 // The returned *Schedule is owned by the session: it stays valid until
 // a later Round re-materializes the winner, and its candidate counters

@@ -50,7 +50,7 @@ func TestSessionColdParity(t *testing.T) {
 			for _, m := range metrics {
 				name := p.name + "/" + sel.name + "/" + m.String()
 				agent, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{Metric: m}, info,
-					WithSelector(sel.spec), WithParallelism(1))
+					WithSelector(sel.spec))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -327,7 +327,7 @@ func TestGoldenTraceDeltaRounds(t *testing.T) {
 func TestAgentScheduleAllocs(t *testing.T) {
 	tp, info := buildPool(t, 3, 4, 11)
 	const n = 600
-	agent, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{}, info, WithParallelism(1))
+	agent, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{}, info)
 	if err != nil {
 		t.Fatal(err)
 	}

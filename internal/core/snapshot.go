@@ -154,7 +154,9 @@ func (s *InfoSnapshot) Source() string { return s.source }
 // freezes per-link values instead of materializing every ordered pair:
 // at p hosts the full snapshot stores 2·p·(p−1) route values, which at
 // 2048 hosts is ~8.4M map entries per round — far more than any
-// heuristic selector will ever read.
+// heuristic selector will ever read. The same boundary decides whether
+// the round evaluates candidates inline or on a worker pool (see
+// Coordinator.evaluateRound).
 const lazySnapshotThreshold = 64
 
 // infoView is what a scheduling round evaluates against: a frozen

@@ -30,16 +30,16 @@ func TestGoldenTraceJacobiRound(t *testing.T) {
 	var buf bytes.Buffer
 	tr := obs.NewJSONLTracer(&buf)
 	// Four accessible hosts keep the golden file a reviewable 21 lines
-	// (1 snapshot + 15 candidate sets + 1 winner + 4 stage spans);
-	// sequential evaluation fixes the emission order. The stage timer
-	// reads an injected counting clock (1 ms per read) so span durations
-	// are bit-stable across machines.
+	// (1 snapshot + 15 candidate sets + 1 winner + 4 stage spans); a
+	// pool that small is evaluated inline, which fixes the emission
+	// order. The stage timer reads an injected counting clock (1 ms per
+	// read) so span durations are bit-stable across machines.
 	spec := &userspec.Spec{Accessible: []string{"alpha1", "alpha2", "alpha3", "alpha4"}}
 	tick := 0
 	clock := func() float64 { tick++; return float64(tick) * 1e-3 }
 	st := obs.NewStageTimer(obs.NewMetrics(), tr, clock)
 	agent, err := NewAgent(tp, hat.Jacobi2D(600, 10), spec, info,
-		WithParallelism(1), WithTracer(tr), WithStageTiming(st))
+		WithTracer(tr), WithStageTiming(st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +138,41 @@ func sameHosts(a, b []string) bool {
 	return reflect.DeepEqual(as, bs)
 }
 
+// TestDefaultTraceReproducible pins that a default-option agent's
+// decision trace is a pure function of its inputs: two rounds on the
+// 8-host testbed, each traced into its own buffer with no stage timing,
+// must write byte-identical traces. Pools this small are evaluated
+// inline, so candidate events follow enumeration order however many
+// CPUs the machine has.
+func TestDefaultTraceReproducible(t *testing.T) {
+	tp, info := buildPool(t, 0, 0, 11)
+	var traces [2][]byte
+	for i := range traces {
+		var buf bytes.Buffer
+		tr := obs.NewJSONLTracer(&buf)
+		agent, err := NewAgent(tp, hat.Jacobi2D(2000, 10), &userspec.Spec{}, info, WithTracer(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := agent.Schedule(2000); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Err(); err != nil {
+			t.Fatal(err)
+		}
+		traces[i] = buf.Bytes()
+	}
+	a, b := bytes.Split(traces[0], []byte("\n")), bytes.Split(traces[1], []byte("\n"))
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if !bytes.Equal(a[i], b[i]) {
+			t.Fatalf("default-option traces diverge at line %d:\n%s\n%s", i+1, a[i], b[i])
+		}
+	}
+	if len(a) != len(b) {
+		t.Fatalf("default-option traces have %d and %d lines", len(a), len(b))
+	}
+}
+
 // TestSharedObsAcrossConcurrentRounds drives several agents through
 // parallel scheduling rounds that all feed one Metrics registry and one
 // Collector. Correctness is exact bookkeeping — every event and count
@@ -206,12 +241,12 @@ func TestSharedObsAcrossConcurrentRounds(t *testing.T) {
 	}
 }
 
-// TestStageTimingAcrossConcurrentRounds drives several agents — each
-// evaluating candidates with parallel workers — through simultaneous
-// rounds that share one StageTimer, one Metrics registry, and one
-// RingTracer. Every round must land exactly one observation in each
-// stage histogram, and the ring must account for every span emitted;
-// the -race job checks the shared handles under contention.
+// TestStageTimingAcrossConcurrentRounds drives several agents — half on
+// 72-host pools, evaluating candidates with parallel workers — through
+// simultaneous rounds that share one StageTimer, one Metrics registry,
+// and one RingTracer. Every round must land exactly one observation in
+// each stage histogram, and the ring must account for every span
+// emitted; the -race job checks the shared handles under contention.
 func TestStageTimingAcrossConcurrentRounds(t *testing.T) {
 	reg := obs.NewMetrics()
 	ring := obs.NewRingTracer(32)
@@ -220,9 +255,13 @@ func TestStageTimingAcrossConcurrentRounds(t *testing.T) {
 
 	pool := make([]*Agent, agents)
 	for i := range pool {
-		tp, info := buildPool(t, 3, 4, int64(200+i))
+		clusters, per := 3, 4
+		if i%2 == 1 {
+			clusters, per = 9, 8
+		}
+		tp, info := buildPool(t, clusters, per, int64(200+i))
 		a, err := NewAgent(tp, hat.Jacobi2D(600, 10), &userspec.Spec{}, info,
-			WithParallelism(4), WithStageTiming(st))
+			WithStageTiming(st))
 		if err != nil {
 			t.Fatal(err)
 		}

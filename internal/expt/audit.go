@@ -209,11 +209,8 @@ func auditScenario(spec AuditSpec, name string, churn bool) (AuditScenarioRow, e
 		BytesPerPoint:       tpl.Tasks[0].BytesPerUnit,
 		BorderBytesPerPoint: tpl.Comms[0].BytesPerUnit,
 	}
-	// Sequential candidate evaluation pins determinism the same way the
-	// replay figure does: the scenario rows must be a pure function of
-	// the seed.
 	agent, err := core.NewAgent(tp, tpl, &userspec.Spec{Decomposition: "strip"},
-		core.NWSInformation(svc, tp), core.WithParallelism(1),
+		core.NWSInformation(svc, tp),
 		core.WithAudit(aud), core.WithAuditTenant("apples"))
 	if err != nil {
 		return row, err

@@ -81,17 +81,17 @@ type ReplayResult struct {
 
 // runReplayRound drives one scheduling round on a warmed testbed whose
 // forecasts come from svc, traces every decision, and actuates the
-// winner. Sequential candidate evaluation pins the trace's emission
-// order, and no stage timing is attached, so the trace bytes are a pure
-// function of the forecast state and the testbed — the determinism
-// contract the replay figure asserts.
+// winner. The 8-host testbed is evaluated inline, which pins the
+// trace's emission order, and no stage timing is attached, so the trace
+// bytes are a pure function of the forecast state and the testbed — the
+// determinism contract the replay figure asserts.
 func runReplayRound(spec ReplaySpec, eng *sim.Engine, tp *grid.Topology, svc *nws.Service) (ReplayRound, error) {
 	var round ReplayRound
 	var buf bytes.Buffer
 	tr := obs.NewJSONLTracer(&buf)
 	agent, err := core.NewAgent(tp, hat.Jacobi2D(spec.N, spec.Iterations),
 		&userspec.Spec{Decomposition: "strip"}, core.NWSInformation(svc, tp),
-		core.WithParallelism(1), core.WithTracer(tr))
+		core.WithTracer(tr))
 	if err != nil {
 		return round, err
 	}

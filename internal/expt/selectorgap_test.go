@@ -12,7 +12,7 @@ import (
 func scheduleWith(t *testing.T, clusters, per int, seed int64, spec core.SelectorSpec) float64 {
 	t.Helper()
 	agent, err := NewScaleAgent(clusters, per, 600, seed,
-		core.WithSelector(spec), core.WithParallelism(1))
+		core.WithSelector(spec))
 	if err != nil {
 		t.Fatalf("agent %dx%d seed %d: %v", clusters, per, seed, err)
 	}
