@@ -37,7 +37,8 @@ bench:
 
 # Candidate-evaluation engine sweep only: pool size (8 to 128 hosts,
 # straddling the 64-host boundary above which rounds fan out to workers)
-# x plain or pruned evaluation. Short and noisy; the bench/ module gives
+# x Schedule (prunes sets that cannot win) or ScheduleExplained (plans
+# every set to rank them). Short and noisy; the bench/ module gives
 # spread-aware end-to-end numbers.
 bench-evaluate:
 	$(GO) test -bench=BenchmarkEvaluate -benchmem -benchtime=3x .
@@ -48,7 +49,7 @@ bench-pipeline:
 	$(GO) test -bench=BenchmarkPipelineEvaluate -benchmem -benchtime=3x .
 
 # Selector-family sweep past the 2^n wall: 128/512/2048-host grids
-# under exhaustive, greedy, beam, and LP+GA selection.
+# under exhaustive, greedy, and beam selection.
 bench-selector:
 	$(GO) test -bench=BenchmarkSelect -benchmem -benchtime=3x -run '^$$' .
 

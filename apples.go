@@ -223,7 +223,7 @@ type (
 	// AgentSchedule is the coordinator's chosen schedule.
 	AgentSchedule = core.Schedule
 	// AgentOption configures NewAgent (see WithSpillFactor,
-	// WithPruning, WithSelector).
+	// WithSelector).
 	AgentOption = core.AgentOption
 	// Candidate is one evaluated resource set or pipeline mapping, the
 	// shared explain currency of Agent.ScheduleExplained/Candidates and
@@ -256,10 +256,8 @@ var (
 	// WithSpillFactor sets the estimator's out-of-memory penalty
 	// (default 25).
 	WithSpillFactor = core.WithSpillFactor
-	// WithPruning enables best-so-far candidate pruning.
-	WithPruning = core.WithPruning
 	// WithSelector picks the resource-selector family an agent enumerates
-	// candidates with (exhaustive below 2^12, or the greedy / beam / LP+GA
+	// candidates with (exhaustive below 2^12, or the greedy / beam
 	// heuristics that scale to thousand-host pools).
 	WithSelector = core.WithSelector
 )
@@ -282,12 +280,10 @@ const (
 	SelectorGreedy = core.SelectorGreedy
 	// SelectorBeam runs a width-W beam search over add/drop/swap moves.
 	SelectorBeam = core.SelectorBeam
-	// SelectorLPGA seeds a genetic search from an LP-style relaxation.
-	SelectorLPGA = core.SelectorLPGA
 )
 
 // ParseSelector parses a -selector flag value ("exhaustive", "greedy",
-// "beam", "lpga") into a SelectorSpec.
+// "beam") into a SelectorSpec.
 var ParseSelector = core.ParseSelector
 
 // SnapshotInformation freezes an Information source over a host set.
@@ -562,8 +558,7 @@ type (
 
 // NewPipelineAgent assembles a pipeline-blueprint AppLeS. It shares the
 // Agent's evaluation engine and accepts the same options (the pipeline
-// blueprint has no spill model or pruning bound, so WithSpillFactor and
-// WithPruning are no-ops).
+// blueprint has no spill model, so WithSpillFactor is a no-op).
 func NewPipelineAgent(tp *Topology, tpl *Template, spec *UserSpec, info Information, opt ReactOptions, opts ...AgentOption) (*PipelineAgent, error) {
 	return core.NewPipelineAgent(tp, tpl, spec, info, opt, opts...)
 }
@@ -573,8 +568,9 @@ func NewPipelineAgent(tp *Topology, tpl *Template, spec *UserSpec, info Informat
 // subsystems. See DESIGN.md §9 for a walkthrough.
 type (
 	// Coordinator owns the generic scheduling round: per-round
-	// information snapshot, bounded parallel fan-out, optional
-	// selection-preserving pruning, deterministic (score, index) reduce.
+	// information snapshot, bounded parallel fan-out,
+	// selection-preserving pruning on rounds that supply a bound,
+	// deterministic (score, index) reduce.
 	Coordinator = core.Coordinator
 	// CoordinatorRound is one round handed to Coordinator.EvaluateRound:
 	// the filtered host pool plus the factories binding the

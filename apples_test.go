@@ -113,30 +113,27 @@ func TestFacadeAgentOptionsAndErrors(t *testing.T) {
 	eng := apples.NewEngine()
 	tp := apples.SDSCPCL(eng, apples.TestbedOptions{Seed: 5, Quiet: true})
 
-	plain, err := apples.NewAgent(tp, apples.JacobiTemplate(600, 10), &apples.UserSpec{},
+	agent, err := apples.NewAgent(tp, apples.JacobiTemplate(600, 10), &apples.UserSpec{},
 		apples.OracleInformation(tp), apples.WithSpillFactor(30))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := apples.NewAgent(tp, apples.JacobiTemplate(600, 10), &apples.UserSpec{},
-		apples.OracleInformation(tp), apples.WithPruning(true), apples.WithSpillFactor(30))
+	// Schedule prunes; ScheduleExplained ranks every set. Both must pick
+	// the same schedule.
+	got, err := agent.Schedule(600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pruned.Schedule(600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := plain.Schedule(600)
+	want, _, err := agent.ScheduleExplained(600, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.PredictedTotal != want.PredictedTotal {
-		t.Fatalf("pruned %v != plain %v", got.PredictedTotal, want.PredictedTotal)
+		t.Fatalf("pruned %v != unpruned %v", got.PredictedTotal, want.PredictedTotal)
 	}
 
 	// Candidates accessor on the facade alias.
-	top, err := pruned.Candidates(600, 2)
+	top, err := agent.Candidates(600, 2)
 	if err != nil || len(top) != 2 {
 		t.Fatalf("Candidates: %v %v", top, err)
 	}

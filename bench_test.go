@@ -20,7 +20,9 @@ import (
 // 4095 candidate sets); 32, 64 and 128 hosts use desirability prefixes.
 // Pools up to 64 hosts are evaluated inline and the 128-host pool on
 // GOMAXPROCS workers, so the sweep straddles the fan-out boundary.
-// "plain" evaluates every set; "pruned" adds best-so-far pruning.
+// "schedule" is Agent.Schedule, which prunes sets that cannot beat the
+// best so far; "explained" is ScheduleExplained(n, 1), which plans every
+// set to rank them, so the cost of a full ranking stays visible.
 func BenchmarkEvaluate(b *testing.B) {
 	pools := []struct {
 		name          string
@@ -33,31 +35,33 @@ func BenchmarkEvaluate(b *testing.B) {
 		{"128host", 8, 16},
 	}
 	modes := []struct {
-		name string
-		opts []core.AgentOption
+		name  string
+		round func(a *core.Agent, n int) (*core.Schedule, error)
 	}{
-		{"plain", nil},
-		{"pruned", []core.AgentOption{core.WithPruning(true)}},
+		{"schedule", (*core.Agent).Schedule},
+		{"explained", func(a *core.Agent, n int) (*core.Schedule, error) {
+			s, _, err := a.ScheduleExplained(n, 1)
+			return s, err
+		}},
 	}
 	const n = 2000
 	for _, p := range pools {
 		for _, m := range modes {
 			b.Run(p.name+"/"+m.name, func(b *testing.B) {
-				agent, err := expt.NewScaleAgent(p.clusters, p.per, n, 11, m.opts...)
+				agent, err := expt.NewScaleAgent(p.clusters, p.per, n, 11)
 				if err != nil {
 					b.Fatal(err)
 				}
-				var considered int
+				var sched *core.Schedule
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sched, err := agent.Schedule(n)
-					if err != nil {
+					if sched, err = m.round(agent, n); err != nil {
 						b.Fatal(err)
 					}
-					considered = sched.CandidatesConsidered
 				}
-				b.ReportMetric(float64(considered), "candidate_sets")
+				b.ReportMetric(float64(sched.CandidatesConsidered), "candidate_sets")
+				b.ReportMetric(float64(sched.CandidatesPlanned), "planned_sets")
 			})
 		}
 	}
@@ -86,7 +90,6 @@ func BenchmarkSelect(b *testing.B) {
 		{"exhaustive", core.SelectorSpec{Kind: core.SelectorExhaustive}},
 		{"greedy", core.SelectorSpec{Kind: core.SelectorGreedy}},
 		{"beam", core.SelectorSpec{Kind: core.SelectorBeam, BeamWidth: 8}},
-		{"lpga", core.SelectorSpec{Kind: core.SelectorLPGA, Seed: 1}},
 	}
 	const n = 4000
 	for _, p := range pools {

@@ -41,10 +41,8 @@ func main() {
 	viaRMS := flag.Bool("rms", false, "actuate through the PVM-style rms substrate")
 	explain := flag.Int("explain", 0, "also print the top-K candidate schedules the agent weighed")
 	metric := flag.String("metric", "min-time", "user performance metric: min-time, speedup, cost")
-	selector := flag.String("selector", "exhaustive", "resource selector family: exhaustive, greedy, beam, lpga")
+	selector := flag.String("selector", "exhaustive", "resource selector family: exhaustive, greedy, beam")
 	beamWidth := flag.Int("beam-width", 8, "beam width for -selector beam")
-	gaSeed := flag.Int64("ga-seed", 1, "PRNG seed for -selector lpga")
-	prune := flag.Bool("prune", false, "skip candidate sets whose compute lower bound exceeds the best so far")
 	spill := flag.Float64("spill", 25, "estimator out-of-memory penalty multiplier")
 	saveSched := flag.String("save-schedule", "", "write the chosen placement as JSON to this file")
 	loadSched := flag.String("load-schedule", "", "skip scheduling; execute the placement JSON from this file")
@@ -261,11 +259,9 @@ func main() {
 		fail(err)
 	}
 	selSpec.BeamWidth = *beamWidth
-	selSpec.Seed = *gaSeed
 
 	tpl := apples.JacobiTemplate(*n, *iters)
 	agentOpts := []apples.AgentOption{
-		apples.WithPruning(*prune),
 		apples.WithSpillFactor(*spill),
 		apples.WithSelector(selSpec),
 	}

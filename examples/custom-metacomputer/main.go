@@ -66,7 +66,7 @@ func main() {
 	// Seven hosts is comfortably inside the exhaustive selector's 2^n
 	// range; ask for the greedy heuristic anyway to show the selector is
 	// pluggable — on hundreds of hosts this is what keeps the round
-	// interactive (beam and lpga trade more search for tighter gaps).
+	// interactive (beam trades more search for tighter gaps).
 	const n, iters = 1000, 80
 	agent, err := apples.NewAgent(tp, apples.JacobiTemplate(n, iters),
 		&apples.UserSpec{Decomposition: "strip"}, apples.NWSInformation(nws, tp),

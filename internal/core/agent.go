@@ -24,11 +24,12 @@ type Schedule struct {
 	// Hosts lists the selected resources in strip-chain order.
 	Hosts []string
 	// CandidatesConsidered counts resource sets evaluated, and
-	// CandidatesPlanned those that produced a feasible plan. With
-	// WithPruning enabled, sets skipped by the bound are not planned, so
-	// CandidatesPlanned can be lower (and timing-dependent on pools above
-	// 64 hosts, which fan out to workers); the selected schedule itself
-	// never changes.
+	// CandidatesPlanned those that produced a feasible plan. Under
+	// MinExecutionTime, Schedule and Run skip sets whose compute bound
+	// cannot beat the best score seen, so their CandidatesPlanned is
+	// lower than ScheduleExplained's (and timing-dependent on pools
+	// above 64 hosts, which fan out to workers); the selected schedule
+	// itself never changes.
 	CandidatesConsidered int
 	CandidatesPlanned    int
 	// InfoSource names the information pool variant used.
@@ -219,12 +220,12 @@ func (rp *roundPricer) place(cands []Candidate) {
 // round assembles the Jacobi blueprint's Round for rp's problem: the
 // US-filtered pool, a Resource Selector enumerating strip-chain sets,
 // rp as the fused Planner+Estimator bound to the round's information
-// view, and (under MinExecutionTime) the compute-time pruning bound.
+// view, and, when winnerOnly is set, the compute-time pruning bound.
 // The Coordinator owns everything else — snapshotting, fan-out, pruning
 // bookkeeping, and the deterministic reduce.
-func (a *Agent) round(rp *roundPricer) Round {
+func (a *Agent) round(rp *roundPricer, winnerOnly bool) Round {
 	pool := a.spec.Filter(a.tp.Hosts())
-	return Round{
+	r := Round{
 		Pool:     pool,
 		Selector: string(a.coord.selector.normalized().Kind),
 		Bind: func(info Information) (ResourceSelector, CandidateEvaluator, error) {
@@ -244,30 +245,33 @@ func (a *Agent) round(rp *roundPricer) Round {
 			}
 			return sel, rp, nil
 		},
-		Bound: func(info Information) LowerBounder {
-			// The bound is only sound for objectives that equal predicted
-			// total time.
-			if a.spec.Metric != userspec.MinExecutionTime {
-				return nil
-			}
+	}
+	// The bound is only sound for objectives that equal predicted total
+	// time, and for spill penalties that never speed a strip up.
+	if winnerOnly && a.spec.Metric == userspec.MinExecutionTime && a.spillFactor >= 1 {
+		r.Bound = func(info Information) LowerBounder {
 			secPP := secondsPerPoint(pool, info, a.tpl.Tasks[0])
 			return LowerBoundFunc(func(set []*grid.Host) float64 {
 				return computeLowerBound(set, secPP, rp.m.n, rp.m.iterations)
 			})
-		},
+		}
 	}
+	return r
 }
 
 // evaluate runs the shared Coordinator round over the Jacobi blueprint
 // against view (nil: the agent's own snapshotting). It returns the
 // feasible candidates in selector order, without placements, the number
 // of sets considered, and the round's pricer for building placements.
-func (a *Agent) evaluate(n int, view infoView) ([]Candidate, int, *roundPricer, error) {
+// Rounds that only need the winner pass winnerOnly, which prunes sets
+// that cannot beat it out of the candidates; rankings pass false to get
+// every feasible set.
+func (a *Agent) evaluate(n int, view infoView, winnerOnly bool) ([]Candidate, int, *roundPricer, error) {
 	if n <= 0 {
 		return nil, 0, nil, fmt.Errorf("core: non-positive problem size %d", n)
 	}
 	rp := a.newPricer(n)
-	cands, considered, err := a.coord.evaluateRound(a.round(rp), view)
+	cands, considered, err := a.coord.evaluateRound(a.round(rp, winnerOnly), view)
 	return cands, considered, rp, err
 }
 
@@ -288,11 +292,22 @@ func secondsPerPoint(pool []*grid.Host, info Information, task hat.Task) map[str
 	return out
 }
 
+// boundMargin shaves the compute bound below floating-point rounding.
+// The bound takes 2k+2 rounded steps for a k-host set (k reciprocals,
+// k-1 adds, a divide and two multiplies) and the kernel's score 4
+// (points·P_i, the spill multiplier, +C_i, the iteration count), each
+// off by at most one part in 2^53. 1e-9 is about 2^23 such parts, which
+// covers the accumulated error of any set up to four million hosts.
+// Without it, single-host sets, whose bound equals their score in exact
+// arithmetic, came out up to 2 ulp above the score.
+const boundMargin = 1e-9
+
 // computeLowerBound is the least total time any plan on `set` can cost
 // under the MinExecutionTime objective: n² points spread perfectly over
-// the set's aggregate point rate, with zero communication and no spill.
-// The estimator's max_i(points_i·P_i·mult_i + C_i) is ≥ this for every
-// placement, so exceeding the incumbent strictly proves the set loses.
+// the set's aggregate point rate, with zero communication and no spill,
+// shaved by boundMargin. The estimator's max_i(points_i·P_i·mult_i +
+// C_i) is ≥ this for every placement (mult_i ≥ 1), so exceeding the
+// incumbent strictly proves the set loses.
 func computeLowerBound(set []*grid.Host, secPP map[string]float64, n, iterations int) float64 {
 	rate := 0.0
 	for _, h := range set {
@@ -305,7 +320,7 @@ func computeLowerBound(set []*grid.Host, secPP map[string]float64, n, iterations
 	if rate <= 0 {
 		return math.Inf(1)
 	}
-	return float64(n) * float64(n) / rate * float64(iterations)
+	return float64(n) * float64(n) / rate * float64(iterations) * (1 - boundMargin)
 }
 
 // Schedule runs the Coordinator blueprint for an n x n problem:
@@ -328,7 +343,7 @@ func (a *Agent) Schedule(n int) (*Schedule, error) {
 // to Schedule(n) against the same frozen values — the view only moves
 // snapshot ownership out of the round.
 func (a *Agent) scheduleWith(n int, view infoView) (*Schedule, error) {
-	cands, considered, rp, err := a.evaluate(n, view)
+	cands, considered, rp, err := a.evaluate(n, view, true)
 	if err != nil {
 		return nil, err
 	}
@@ -356,11 +371,13 @@ func (a *Agent) pickBest(rp *roundPricer, cands []Candidate, considered int) (*S
 // candidates by predicted score, so the user can inspect what the agent
 // considered (the paper: the agent works "at machine speeds and with more
 // comprehensive information" — this is the comprehension made visible).
-// topK <= 0 returns every feasible candidate. The slice is shared with
-// PipelineAgent.ScheduleExplained: both blueprints explain themselves in
-// the same Candidate terms.
+// The round does not prune, so topK <= 0 returns every feasible
+// candidate; the schedule equals Schedule(n)'s apart from
+// CandidatesPlanned, which counts every feasible set. The slice is
+// shared with PipelineAgent.ScheduleExplained: both blueprints explain
+// themselves in the same Candidate terms.
 func (a *Agent) ScheduleExplained(n, topK int) (*Schedule, []Candidate, error) {
-	cands, considered, rp, err := a.evaluate(n, nil)
+	cands, considered, rp, err := a.evaluate(n, nil, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -378,7 +395,7 @@ func (a *Agent) ScheduleExplained(n, topK int) (*Schedule, []Candidate, error) {
 // k <= 0 returns all of them. Candidates(n, 1)[0] describes the schedule
 // Schedule(n) would pick.
 func (a *Agent) Candidates(n, k int) ([]Candidate, error) {
-	cands, _, rp, err := a.evaluate(n, nil)
+	cands, _, rp, err := a.evaluate(n, nil, false)
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,75 @@
+package core
+
+import (
+	"math"
+	"testing"
+
+	"apples/internal/grid"
+	"apples/internal/hat"
+	"apples/internal/userspec"
+)
+
+// TestLowerBoundNeverExceedsScore is the soundness property pruning
+// rests on: for every feasible set of loaded SDSC/PCL and
+// cluster-of-clusters pools, single hosts included, the round's compute
+// bound is ≤ the score the strip kernel computes for that set, rounding
+// included. A single host's bound equals its score in exact arithmetic,
+// so an unshaved bound can land an ulp above it; an incumbent inside
+// that gap would prune the set that should win.
+func TestLowerBoundNeverExceedsScore(t *testing.T) {
+	pools := []struct{ clusters, per int }{{0, 0}, {3, 4}, {2, 4}, {3, 3}}
+	sets := 0
+	for _, p := range pools {
+		for _, seed := range []int64{1, 2, 3, 4} {
+			tp, info := buildPool(t, p.clusters, p.per, seed)
+			for _, n := range []int{400, 800, 1600, 4000} {
+				a, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{}, info)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := a.round(a.newPricer(n), true)
+				view := roundSnapshot(info, r.Pool)
+				sel, ev, err := r.Bind(view)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bound := r.Bound(view)
+				for set := range sel.SelectSeq(r.Pool) {
+					c, ok := ev.Evaluate(set)
+					if !ok {
+						continue
+					}
+					sets++
+					if lb := bound.LowerBound(set); lb > c.Score {
+						t.Errorf("%d×%d seed %d n=%d %v: bound %.17g > score %.17g",
+							p.clusters, p.per, seed, n, c.Hosts, lb, c.Score)
+					}
+				}
+			}
+		}
+	}
+	if sets == 0 {
+		t.Fatal("no feasible set checked")
+	}
+}
+
+// prunedPlanned replays the Coordinator's inline pruning over the
+// sequential oracle's feasible candidates, in enumeration order: a set
+// is planned unless its compute bound exceeds the best score of the
+// sets before it. A pruned set cannot lower that best score, so the
+// replay needs only the feasible candidates.
+func prunedPlanned(tp *grid.Topology, tpl *hat.Template, info Information, n int, cands []Candidate) int {
+	secPP := secondsPerPoint(tp.Hosts(), info, tpl.Tasks[0])
+	planned, best := 0, math.Inf(1)
+	for _, c := range cands {
+		set := make([]*grid.Host, len(c.Hosts))
+		for i, name := range c.Hosts {
+			set[i] = tp.Host(name)
+		}
+		if computeLowerBound(set, secPP, n, max(tpl.Iterations, 1)) <= best {
+			planned++
+		}
+		best = min(best, c.Score)
+	}
+	return planned
+}

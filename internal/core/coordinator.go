@@ -19,8 +19,8 @@ import (
 // agent (the Jacobi2D Agent, the 3D-REACT PipelineAgent, or a future
 // master/worker HAT agent) only supplies the pluggable subsystems below;
 // the round itself — information snapshot, pool-size-driven fan-out,
-// optional selection-preserving pruning, and the deterministic
-// (score, index) reduce — is shared code.
+// selection-preserving pruning, and the deterministic (score, index)
+// reduce — is shared code.
 
 // ResourceSelector enumerates the candidate resource sets the Coordinator
 // fans out in one scheduling round. For a data-parallel blueprint the
@@ -94,9 +94,10 @@ type CandidateEvaluatorFunc func(set []*grid.Host) (Candidate, bool)
 func (f CandidateEvaluatorFunc) Evaluate(set []*grid.Host) (Candidate, bool) { return f(set) }
 
 // LowerBounder supplies a cheap bound on the best score any plan over a
-// candidate set can achieve. The bound must never overestimate: the
-// Coordinator skips a set only when its bound already exceeds the best
-// score seen, so a sound bound makes pruning selection-preserving.
+// candidate set can achieve. The bound must never overestimate the
+// score the evaluator computes, rounding included: the Coordinator
+// skips a set only when its bound already exceeds the best score seen,
+// so a sound bound makes pruning selection-preserving.
 type LowerBounder interface {
 	LowerBound(set []*grid.Host) float64
 }
@@ -117,10 +118,12 @@ type Round struct {
 	// Bind builds the round's Resource Selector and fused
 	// Planner+Estimator against the round's frozen information view.
 	Bind func(info Information) (ResourceSelector, CandidateEvaluator, error)
-	// Bound, when non-nil, builds the pruning bound for the round. It is
-	// only invoked when the Coordinator has pruning enabled, and may
-	// return nil to decline (e.g. when the user's metric is not the one
-	// the bound is sound for).
+	// Bound, when non-nil, builds the pruning bound for the round: sets
+	// whose bound exceeds the best score seen are skipped, so they are
+	// neither planned nor returned. It may return nil to decline (e.g.
+	// when the user's metric is not the one the bound is sound for).
+	// Rounds that must list every feasible candidate, such as rankings,
+	// leave it nil.
 	Bound func(info Information) LowerBounder
 	// Selector labels the round's candidate counter
 	// (`sched_candidates_total{selector=...}`). The blueprint agents set
@@ -129,15 +132,12 @@ type Round struct {
 }
 
 // Coordinator owns the generic AppLeS scheduling round. It is configured
-// once per agent (information source, pruning, selector, observability)
-// and reused every round; the zero value is not useful —
-// construct through NewCoordinator or an agent constructor.
+// once per agent (information source, selector, observability) and
+// reused every round; the zero value is not useful — construct through
+// NewCoordinator or an agent constructor.
 type Coordinator struct {
 	info Information
 
-	// pruning enables best-so-far candidate pruning for rounds that
-	// supply a LowerBounder. See WithPruning.
-	pruning bool
 	// selector is the candidate-enumeration strategy the blueprint
 	// agents bind each round (default exhaustive). See WithSelector.
 	selector SelectorSpec
@@ -244,10 +244,11 @@ func (c *Coordinator) View(hosts []string) Information {
 //     (score, index) minimum is the one the sequential loop would have
 //     picked.
 //
-// With pruning enabled and a bound supplied, workers additionally share
-// the best score seen so far and skip sets whose lower bound already
-// exceeds it. The bound never overestimates, so a pruned set could not
-// have won; pruning only reduces how many sets are planned.
+// When the round supplies a bound, evaluation additionally tracks the
+// best score seen so far (shared across workers) and skips sets whose
+// lower bound already exceeds it. The bound never overestimates, so a
+// pruned set could not have won; pruning only reduces how many sets are
+// planned and returned.
 func (c *Coordinator) EvaluateRound(r Round) ([]Candidate, int, error) {
 	return c.evaluateRound(r, nil)
 }
@@ -308,7 +309,7 @@ func (c *Coordinator) evaluateRound(r Round, view infoView) ([]Candidate, int, e
 
 	var bound LowerBounder
 	var incumbent *bestScore
-	if c.pruning && r.Bound != nil {
+	if r.Bound != nil {
 		if bound = r.Bound(view); bound != nil {
 			incumbent = newBestScore()
 		}

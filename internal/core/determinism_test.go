@@ -39,8 +39,9 @@ func buildPool(t *testing.T, clusters, per int, seed int64) (*grid.Topology, Inf
 // across seeds and pool sizes, snapshotted evaluation must produce a
 // Schedule bit-identical to the sequential reference loop that queries
 // the live information source directly (liveAgentSchedule). The 64-host
-// pool is the largest one evaluated inline; the 72-host pool takes the
-// parallel worker path.
+// pool is the largest one evaluated inline, so its pruned planned count
+// must equal the sequential pruning replay's; the 72-host pool takes the
+// parallel worker path, where how many sets prune depends on timing.
 func TestParallelMatchesSequential(t *testing.T) {
 	configs := []struct {
 		name          string
@@ -62,7 +63,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			want, _, err := liveAgentSchedule(tp, tpl, &userspec.Spec{}, info, 25, 600)
+			want, wantCands, err := liveAgentSchedule(tp, tpl, &userspec.Spec{}, info, 25, 600)
 			if err != nil {
 				t.Fatalf("%s seed %d sequential: %v", cfg.name, seed, err)
 			}
@@ -70,6 +71,16 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d parallel: %v", cfg.name, seed, err)
 			}
+			if len(tp.Hosts()) <= lazySnapshotThreshold {
+				if wantPlanned := prunedPlanned(tp, tpl, info, 600, wantCands); got.CandidatesPlanned != wantPlanned {
+					t.Fatalf("%s seed %d: planned %d sets, sequential pruning plans %d",
+						cfg.name, seed, got.CandidatesPlanned, wantPlanned)
+				}
+			} else if got.CandidatesPlanned < 1 || got.CandidatesPlanned > want.CandidatesPlanned {
+				t.Fatalf("%s seed %d: planned %d sets, want 1..%d",
+					cfg.name, seed, got.CandidatesPlanned, want.CandidatesPlanned)
+			}
+			got.CandidatesPlanned = want.CandidatesPlanned
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("%s seed %d: parallel schedule diverged\nseq: %v\npar: %v", cfg.name, seed, want, got)
 			}
@@ -106,28 +117,24 @@ func TestParallelExplainedMatchesSequential(t *testing.T) {
 }
 
 // TestPruningPreservesSelection is the pruning property: across seeds,
-// enabling pruning must never change the selected schedule — only
-// CandidatesPlanned may shrink (pruned sets are never planned). The
-// 12-host pool is evaluated inline, so how many sets prune is the same
-// every round.
+// the pruned Schedule must pick exactly the schedule the unpruned
+// ScheduleExplained round picks — only CandidatesPlanned may shrink
+// (pruned sets are never planned). The 12-host pool is evaluated
+// inline, so how many sets prune is the same every round.
 func TestPruningPreservesSelection(t *testing.T) {
+	prunedAny := false
 	for _, seed := range []int64{2, 11, 29, 47} {
 		tp, info := buildPool(t, 3, 4, seed)
 		tpl := hat.Jacobi2D(800, 20)
-		plain, err := NewAgent(tp, tpl, &userspec.Spec{Metric: userspec.MinExecutionTime}, info)
+		a, err := NewAgent(tp, tpl, &userspec.Spec{Metric: userspec.MinExecutionTime}, info)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pruned, err := NewAgent(tp, tpl, &userspec.Spec{Metric: userspec.MinExecutionTime}, info,
-			WithPruning(true))
+		want, _, err := a.ScheduleExplained(800, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := plain.Schedule(800)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := pruned.Schedule(800)
+		got, err := a.Schedule(800)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,8 +142,9 @@ func TestPruningPreservesSelection(t *testing.T) {
 			t.Fatalf("seed %d: pruning planned more sets (%d) than exhaustive (%d)",
 				seed, got.CandidatesPlanned, want.CandidatesPlanned)
 		}
+		prunedAny = prunedAny || got.CandidatesPlanned < want.CandidatesPlanned
 		for r := 0; r < 3; r++ {
-			again, err := pruned.Schedule(800)
+			again, err := a.Schedule(800)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,6 +159,28 @@ func TestPruningPreservesSelection(t *testing.T) {
 			t.Fatalf("seed %d: pruning changed the selection\nplain:  %v\npruned: %v", seed, want, got)
 		}
 	}
+	if !prunedAny {
+		t.Fatal("Schedule pruned no set on any seed")
+	}
+
+	// A spill factor below 1 prices spilled strips below the bound's
+	// no-spill floor, so such an agent must not prune.
+	tp, info := buildPool(t, 3, 4, 2)
+	a, err := NewAgent(tp, hat.Jacobi2D(800, 20), &userspec.Spec{}, info, WithSpillFactor(0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := a.ScheduleExplained(800, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := a.Schedule(800)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("spill factor 0.5: Schedule pruned or diverged\nexplained: %+v\nschedule:  %+v", want, got)
+	}
 }
 
 // TestConcurrentScheduleCalls drives one agent from multiple goroutines
@@ -161,8 +191,7 @@ func TestPruningPreservesSelection(t *testing.T) {
 func TestConcurrentScheduleCalls(t *testing.T) {
 	for _, cfg := range []struct{ clusters, per int }{{3, 4}, {9, 8}} {
 		tp, info := buildPool(t, cfg.clusters, cfg.per, 3)
-		a, err := NewAgent(tp, hat.Jacobi2D(500, 10), &userspec.Spec{}, info,
-			WithPruning(true))
+		a, err := NewAgent(tp, hat.Jacobi2D(500, 10), &userspec.Spec{}, info)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,15 +229,12 @@ func TestAgentOptions(t *testing.T) {
 	eng := sim.NewEngine()
 	tp := grid.SDSCPCL(eng, grid.TestbedOptions{Seed: 1, Quiet: true})
 	a, err := NewAgent(tp, hat.Jacobi2D(500, 10), &userspec.Spec{}, OracleInformation(tp),
-		WithSpillFactor(40), WithPruning(true))
+		WithSpillFactor(40))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.spillFactor != 40 {
 		t.Fatalf("WithSpillFactor not applied: %v", a.spillFactor)
-	}
-	if !a.coord.pruning {
-		t.Fatal("WithPruning not applied")
 	}
 	if _, err := a.Schedule(500); err != nil {
 		t.Fatal(err)

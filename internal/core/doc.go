@@ -6,8 +6,8 @@
 // The Coordinator itself is generic (coordinator.go): it owns the whole
 // scheduling round — per-round information snapshot, evaluation of the
 // candidate resource sets (inline on pools up to 64 hosts, fanned out to
-// GOMAXPROCS workers above), optional selection-preserving
-// pruning, and the deterministic (score, index) reduce — while each
+// GOMAXPROCS workers above), selection-preserving pruning on rounds
+// that supply a bound, and the deterministic (score, index) reduce — while each
 // application paradigm plugs in its subsystems through a Round. The
 // Jacobi2D Agent (agent.go) and the 3D-REACT PipelineAgent (pipeline.go)
 // are both thin instantiations of this one blueprint.

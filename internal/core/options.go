@@ -18,7 +18,7 @@ type coordConfig struct {
 }
 
 // newCoordConfig returns the default configuration over an information
-// source: no pruning, exhaustive selection, observability off.
+// source: exhaustive selection, observability off.
 func newCoordConfig(info Information) coordConfig {
 	return coordConfig{Coordinator: Coordinator{info: info, rounds: new(atomic.Uint64)}}
 }
@@ -28,7 +28,7 @@ func newCoordConfig(info Information) coordConfig {
 // NewAgent, NewPipelineAgent, and NewCoordinator all accept them:
 //
 //	a, err := core.NewAgent(tp, tpl, spec, info,
-//		core.WithSpillFactor(30), core.WithPruning(true))
+//		core.WithSpillFactor(30), core.WithMetrics(reg))
 type AgentOption func(*coordConfig)
 
 // WithSpillFactor sets the estimator's out-of-memory penalty multiplier
@@ -43,26 +43,13 @@ func WithSpillFactor(f float64) AgentOption {
 	}
 }
 
-// WithPruning enables best-so-far pruning: workers share the incumbent
-// best score through an atomic and skip candidate sets whose lower bound
-// already exceeds it, saving the plan + estimate work. The bound is
-// conservative, so pruning never changes the selected schedule — only
-// Schedule.CandidatesPlanned may be lower (pruned sets are never planned;
-// on pools above 64 hosts, evaluated by parallel workers, how many prune
-// depends on timing). Pruning applies to rounds that supply a sound
-// bound (the Jacobi blueprint under the MinExecutionTime metric); other
-// rounds evaluate every set.
-func WithPruning(on bool) AgentOption {
-	return func(c *coordConfig) { c.pruning = on }
-}
-
 // WithSelector picks the Resource Selector strategy the blueprint
 // agents bind each scheduling round: exhaustive subsets (the default,
-// faithful to the paper but walled at 2^pool), or one of the heuristic
-// family — greedy marginal gain, width-W beam search, LP-seeded GA —
-// that scales candidate enumeration to 100–4096-host grids. Unknown
-// kinds fail agent construction. Every heuristic is deterministic for a
-// fixed SelectorSpec, so scheduling stays reproducible.
+// faithful to the paper but walled at 2^pool), or a heuristic — greedy
+// marginal gain or width-W beam search — that scales candidate
+// enumeration to 100–4096-host grids. Unknown kinds fail agent
+// construction. Every heuristic is deterministic for a fixed
+// SelectorSpec, so scheduling stays reproducible.
 func WithSelector(spec SelectorSpec) AgentOption {
 	return func(c *coordConfig) { c.selector = spec }
 }

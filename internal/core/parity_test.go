@@ -19,7 +19,7 @@ import (
 // transcriptions of the private evaluate loops Agent and PipelineAgent
 // had before the generic Coordinator absorbed them. The differential
 // tests below must keep both refactored agents bit-identical to these
-// oracles across seeds, pool sizes, and pruning settings.
+// oracles across seeds and pool sizes, pruned or not.
 
 // legacyAgentSchedule is the pre-Coordinator sequential Jacobi round:
 // snapshot, enumerate, plan+estimate in order, reduce by (score, index).
@@ -210,7 +210,9 @@ func legacyPipelineSchedule(tp *grid.Topology, tpl *hat.Template, spec *userspec
 }
 
 // TestAgentParityWithLegacy pins the refactored Agent to the pre-refactor
-// oracle across seeds, pool sizes, and pruning settings.
+// oracle across seeds and pool sizes: the unpruned ScheduleExplained
+// round must match it exactly, ranking included, and the pruned
+// Schedule round everywhere but the planned count.
 func TestAgentParityWithLegacy(t *testing.T) {
 	pools := []struct {
 		name          string
@@ -230,28 +232,30 @@ func TestAgentParityWithLegacy(t *testing.T) {
 				t.Fatalf("%s seed %d legacy: %v", pc.name, seed, err)
 			}
 
-			for _, prune := range []bool{false, true} {
-				name := fmt.Sprintf("%s/seed%d/prune=%v", pc.name, seed, prune)
-				a, err := NewAgent(tp, tpl, spec, info, WithPruning(prune))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, gotCands, err := a.ScheduleExplained(600, 0)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				// Pruning legitimately skips planning dominated sets,
-				// so only the planned count may differ.
-				norm := *got
-				if prune {
-					norm.CandidatesPlanned = want.CandidatesPlanned
-				}
-				if !reflect.DeepEqual(want, &norm) {
-					t.Fatalf("%s: schedule diverged from legacy\nlegacy: %v\ngot:    %v", name, want, got)
-				}
-				if !prune && !reflect.DeepEqual(rankCandidates(wantCands, 0), gotCands) {
-					t.Fatalf("%s: candidate ranking diverged from legacy", name)
-				}
+			name := fmt.Sprintf("%s/seed%d", pc.name, seed)
+			a, err := NewAgent(tp, tpl, spec, info)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotCands, err := a.ScheduleExplained(600, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s: schedule diverged from legacy\nlegacy: %v\ngot:    %v", name, want, got)
+			}
+			if !reflect.DeepEqual(rankCandidates(wantCands, 0), gotCands) {
+				t.Fatalf("%s: candidate ranking diverged from legacy", name)
+			}
+			// Pruning legitimately skips planning dominated sets, so
+			// only the planned count may differ.
+			pruned, err := a.Schedule(600)
+			if err != nil {
+				t.Fatalf("%s pruned: %v", name, err)
+			}
+			pruned.CandidatesPlanned = want.CandidatesPlanned
+			if !reflect.DeepEqual(want, pruned) {
+				t.Fatalf("%s: pruned schedule diverged from legacy\nlegacy: %v\ngot:    %v", name, want, pruned)
 			}
 		}
 	}

@@ -62,8 +62,7 @@ type PipelineAgent struct {
 // task-parallel with lhsf/logd tasks joined by a PipelineFlow comm edge
 // (the 3D-REACT shape). Options tune the shared evaluation engine
 // exactly as for NewAgent (the pipeline blueprint has no memory model,
-// so WithSpillFactor is ignored, and no pruning bound, so WithPruning is
-// a no-op).
+// so WithSpillFactor is ignored).
 func NewPipelineAgent(tp *grid.Topology, tpl *hat.Template, spec *userspec.Spec, info Information, opt react.Options, opts ...AgentOption) (*PipelineAgent, error) {
 	if err := tpl.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w: %w", ErrBadTemplate, err)
@@ -195,7 +194,7 @@ func pairSelector(spec SelectorSpec, info Information) ResourceSelector {
 // reduces to minimizing predicted time here (speedup is bestSingle/t,
 // monotone in t for a fixed baseline), so Score is the predicted
 // execution time. The blueprint has no pruning bound, so Round.Bound is
-// nil and WithPruning is a no-op.
+// nil and every round evaluates every mapping.
 func (a *PipelineAgent) round() Round {
 	spec := a.coord.selector.normalized()
 	return Round{

@@ -63,21 +63,17 @@ func TestGreedySelector2048Hosts(t *testing.T) {
 	t.Logf("2048-host greedy round: %v (best of 3), %d candidates", best, considered)
 }
 
-// TestHeuristicSelectors512Hosts checks beam and lpga complete a round
-// on a 512-host grid and agree on feasibility — a breadth check that
-// every family survives pools far past the exhaustive range.
+// TestHeuristicSelectors512Hosts checks beam completes a round on a
+// 512-host grid with a non-empty placement — a breadth check that the
+// wider heuristic survives pools far past the exhaustive range (greedy
+// has its own 2048-host test).
 func TestHeuristicSelectors512Hosts(t *testing.T) {
-	for _, spec := range []SelectorSpec{
-		{Kind: SelectorBeam, BeamWidth: 8},
-		{Kind: SelectorLPGA, Seed: 1},
-	} {
-		agent := newGridAgent(t, 32, 16, spec)
-		sched, err := agent.Schedule(4000)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Kind, err)
-		}
-		if len(sched.Placement.Assignments) == 0 {
-			t.Fatalf("%s: empty placement", spec.Kind)
-		}
+	agent := newGridAgent(t, 32, 16, SelectorSpec{Kind: SelectorBeam, BeamWidth: 8})
+	sched, err := agent.Schedule(4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sched.Placement.Assignments) == 0 {
+		t.Fatal("empty placement")
 	}
 }

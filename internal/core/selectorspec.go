@@ -22,11 +22,6 @@ const (
 	// under a communication-aware surrogate objective, emitting each
 	// surviving beam state as a candidate.
 	SelectorBeam SelectorKind = "beam"
-	// SelectorLPGA seeds a genetic algorithm from an LP-relaxation
-	// threshold sweep of the desirability ranking (after Garg et al.'s
-	// LP-driven GA for utility-grid meta-scheduling) and emits each new
-	// individual as a candidate. Deterministic for a fixed Seed.
-	SelectorLPGA SelectorKind = "lpga"
 )
 
 // SelectorSpec selects and parameterizes the Resource Selector a
@@ -38,9 +33,6 @@ type SelectorSpec struct {
 	// (SelectorBeam; default 8). The pipeline blueprint also uses it to
 	// size its pair-enumeration cutoff under heuristic selectors.
 	BeamWidth int
-	// Seed drives SelectorLPGA's rounding and genetic operators; runs
-	// with equal seeds enumerate identical candidates (default 1).
-	Seed int64
 }
 
 // ParseSelector parses a -selector flag value into a SelectorSpec.
@@ -55,22 +47,19 @@ func ParseSelector(s string) (SelectorSpec, error) {
 // validate rejects unknown kinds (empty means exhaustive).
 func (s SelectorSpec) validate() error {
 	switch s.Kind {
-	case "", SelectorExhaustive, SelectorGreedy, SelectorBeam, SelectorLPGA:
+	case "", SelectorExhaustive, SelectorGreedy, SelectorBeam:
 		return nil
 	}
-	return fmt.Errorf("core: unknown selector %q (want exhaustive, greedy, beam, or lpga)", s.Kind)
+	return fmt.Errorf("core: unknown selector %q (want exhaustive, greedy, or beam)", s.Kind)
 }
 
-// normalized fills defaults: exhaustive kind, beam width 8, seed 1.
+// normalized fills defaults: exhaustive kind, beam width 8.
 func (s SelectorSpec) normalized() SelectorSpec {
 	if s.Kind == "" {
 		s.Kind = SelectorExhaustive
 	}
 	if s.BeamWidth <= 0 {
 		s.BeamWidth = 8
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
 	}
 	return s
 }
@@ -84,8 +73,6 @@ func newSelector(spec SelectorSpec, rs *resourceSelector, maxSets int) ResourceS
 		return &greedySelector{rs: rs, maxSets: maxSets}
 	case SelectorBeam:
 		return &beamSelector{rs: rs, width: spec.BeamWidth, maxSets: maxSets}
-	case SelectorLPGA:
-		return &lpgaSelector{rs: rs, seed: spec.Seed, maxSets: maxSets}
 	default:
 		return &exhaustiveSelector{rs: rs, maxSets: maxSets}
 	}

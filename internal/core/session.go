@@ -44,8 +44,8 @@ import (
 // chains, cost rows, balance areas, and row counts live in
 // session-owned scratch reused across rounds.
 //
-// Equivalence: the first Round() is bit-identical to Agent.Schedule(n)
-// called at the same instant, and every later Round() is bit-identical
+// Equivalence: the first Round() is bit-identical to the schedule
+// Agent.ScheduleExplained(n, k) returns at the same instant, and every later Round() is bit-identical
 // to FullRound(), which re-plans the entire frozen universe (the parity
 // suite in session_test.go pins both, DeepEqual on schedules and float
 // bits on scores). The session deliberately pins candidate *membership*
@@ -53,8 +53,10 @@ import (
 // but does not re-run desirability ranking, so heuristic selectors keep
 // the universe they opened with (exhaustive pools ≤12 hosts enumerate
 // every subset, so for them the universe never depends on information).
-// The pruning option is ignored — the session scores every candidate
-// sequentially, which preserves the decision exactly.
+// The session does not prune: it scores every candidate, so its
+// CandidatesPlanned counts every feasible set, like ScheduleExplained's.
+// Agent.Schedule picks the same schedule but, under MinExecutionTime,
+// skips sets its compute bound rules out and reports fewer planned.
 //
 // The returned *Schedule is owned by the session: it stays valid until
 // a later Round re-materializes the winner, and its candidate counters

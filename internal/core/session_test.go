@@ -24,14 +24,14 @@ var sessionSelectors = []struct {
 	{"exhaustive", SelectorSpec{Kind: SelectorExhaustive}},
 	{"greedy", SelectorSpec{Kind: SelectorGreedy}},
 	{"beam", SelectorSpec{Kind: SelectorBeam, BeamWidth: 8}},
-	{"lpga", SelectorSpec{Kind: SelectorLPGA, Seed: 1}},
 }
 
 // TestSessionColdParity is the session's base contract: the first
 // Round() must be bit-identical — DeepEqual on the whole Schedule,
-// which pins float bits, placement shape, and host order — to what
-// Agent.Schedule produces at the same instant, across pools, selector
-// families, and user metrics.
+// which pins float bits, placement shape, and host order — to the
+// schedule Agent.ScheduleExplained produces at the same instant, across
+// pools, selector families, and user metrics. Neither prunes, so the
+// planned counts agree too.
 func TestSessionColdParity(t *testing.T) {
 	pools := []struct {
 		name          string
@@ -54,7 +54,7 @@ func TestSessionColdParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				want, err := agent.Schedule(n)
+				want, _, err := agent.ScheduleExplained(n, 1)
 				if err != nil {
 					t.Fatalf("%s schedule: %v", name, err)
 				}

@@ -30,9 +30,9 @@ func TestGoldenTraceJacobiRound(t *testing.T) {
 	var buf bytes.Buffer
 	tr := obs.NewJSONLTracer(&buf)
 	// Four accessible hosts keep the golden file a reviewable 21 lines
-	// (1 snapshot + 15 candidate sets + 1 winner + 4 stage spans); a
-	// pool that small is evaluated inline, which fixes the emission
-	// order. The stage timer reads an injected counting clock (1 ms per
+	// (1 snapshot + 15 candidate or pruned sets + 1 winner + 4 stage
+	// spans); a pool that small is evaluated inline, which fixes the
+	// emission order. The stage timer reads an injected counting clock (1 ms per
 	// read) so span durations are bit-stable across machines.
 	spec := &userspec.Spec{Accessible: []string{"alpha1", "alpha2", "alpha3", "alpha4"}}
 	tick := 0
@@ -190,7 +190,7 @@ func TestSharedObsAcrossConcurrentRounds(t *testing.T) {
 	for i := range pool {
 		tp, info := buildPool(t, 3, 4, int64(100+i))
 		a, err := NewAgent(tp, hat.Jacobi2D(600, 10), &userspec.Spec{}, info,
-			WithPruning(true), WithTracer(col), WithMetrics(reg))
+			WithTracer(col), WithMetrics(reg))
 		if err != nil {
 			t.Fatal(err)
 		}

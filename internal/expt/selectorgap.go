@@ -15,7 +15,6 @@ type SelectorGapRow struct {
 	Exhaustive float64 // mean predicted time, seconds
 	GreedyGap  float64 // mean (greedy - exhaustive)/exhaustive, percent
 	BeamGap    float64
-	LPGAGap    float64
 }
 
 var selectorGapSpecs = []struct {
@@ -24,7 +23,6 @@ var selectorGapSpecs = []struct {
 }{
 	{"greedy", core.SelectorSpec{Kind: core.SelectorGreedy}},
 	{"beam", core.SelectorSpec{Kind: core.SelectorBeam, BeamWidth: 8}},
-	{"lpga", core.SelectorSpec{Kind: core.SelectorLPGA, Seed: 1}},
 }
 
 // SelectorGap measures the optimality gap of the heuristic selector
@@ -71,7 +69,7 @@ func SelectorGap(sizes [][2]int, n int, seeds []int64) ([]SelectorGapRow, error)
 				gaps[s.name] += 100 * (pred - exact) / exact / float64(len(seeds))
 			}
 		}
-		row.GreedyGap, row.BeamGap, row.LPGAGap = gaps["greedy"], gaps["beam"], gaps["lpga"]
+		row.GreedyGap, row.BeamGap = gaps["greedy"], gaps["beam"]
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -81,17 +79,17 @@ func SelectorGap(sizes [][2]int, n int, seeds []int64) ([]SelectorGapRow, error)
 func FormatSelectorGap(rows []SelectorGapRow) string {
 	var sb strings.Builder
 	sb.WriteString("Selector optimality gap vs exhaustive enumeration (predicted time, mean over seeds)\n")
-	sb.WriteString("  hosts  exhaustive(s)  greedy(%)  beam(%)  lpga(%)\n")
+	sb.WriteString("  hosts  exhaustive(s)  greedy(%)  beam(%)\n")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "  %5d  %13.2f  %+9.2f  %+7.2f  %+7.2f\n",
-			r.Hosts, r.Exhaustive, r.GreedyGap, r.BeamGap, r.LPGAGap)
+		fmt.Fprintf(&sb, "  %5d  %13.2f  %+9.2f  %+7.2f\n",
+			r.Hosts, r.Exhaustive, r.GreedyGap, r.BeamGap)
 	}
 	return sb.String()
 }
 
 // SelectorGapCSV flattens the gap table for CSV export.
 func SelectorGapCSV(rows []SelectorGapRow) ([]string, [][]string) {
-	header := []string{"hosts", "exhaustive_s", "greedy_gap_pct", "beam_gap_pct", "lpga_gap_pct"}
+	header := []string{"hosts", "exhaustive_s", "greedy_gap_pct", "beam_gap_pct"}
 	var cells [][]string
 	for _, r := range rows {
 		cells = append(cells, []string{
@@ -99,7 +97,6 @@ func SelectorGapCSV(rows []SelectorGapRow) ([]string, [][]string) {
 			fmt.Sprintf("%.4f", r.Exhaustive),
 			fmt.Sprintf("%.4f", r.GreedyGap),
 			fmt.Sprintf("%.4f", r.BeamGap),
-			fmt.Sprintf("%.4f", r.LPGAGap),
 		})
 	}
 	return header, cells

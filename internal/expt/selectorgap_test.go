@@ -40,7 +40,6 @@ func TestSelectorOptimalityGap(t *testing.T) {
 	}{
 		{"greedy", core.SelectorSpec{Kind: core.SelectorGreedy}, 15},
 		{"beam", core.SelectorSpec{Kind: core.SelectorBeam, BeamWidth: 8}, 5},
-		{"lpga", core.SelectorSpec{Kind: core.SelectorLPGA, Seed: 1}, 5},
 	}
 	seeds := []int64{1, 2, 3, 4, 5}
 	for size := 2; size <= 12; size++ {
@@ -67,15 +66,13 @@ func TestSelectorOptimalityGap(t *testing.T) {
 }
 
 // TestSelectorDeterminism verifies every selector family reproduces the
-// exact same schedule when the scenario and spec (including the GA
-// seed) are identical — the property the paper's reproducibility story
+// exact same schedule when the scenario and spec are identical — the property the paper's reproducibility story
 // rests on.
 func TestSelectorDeterminism(t *testing.T) {
 	specs := []core.SelectorSpec{
 		{Kind: core.SelectorExhaustive},
 		{Kind: core.SelectorGreedy},
 		{Kind: core.SelectorBeam, BeamWidth: 4},
-		{Kind: core.SelectorLPGA, Seed: 7},
 	}
 	for _, spec := range specs {
 		var schedules []interface{}
