@@ -25,11 +25,13 @@ cover:
 	$(GO) test -coverprofile=cover.out ./internal/core ./internal/nws ./internal/obs ./internal/obs/audit ./internal/mstore
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Short fuzz probe of the serialization decoders; the committed corpora
-# under testdata/fuzz replay as regular tests on every `make test`.
+# Short fuzz probe of the serialization decoders and of session rounds
+# under hostile availability deltas; the committed corpora under
+# testdata/fuzz replay as regular tests on every `make test`.
 fuzz:
 	$(GO) test -fuzz=FuzzReadPlacement -fuzztime=10s ./internal/partition
 	$(GO) test -fuzz=FuzzSegmentDecode -fuzztime=10s ./internal/mstore
+	$(GO) test -fuzz=FuzzSessionDelta -fuzztime=10s ./internal/core
 
 # Full reproduction benchmarks (paper figures + ablations).
 bench:
@@ -53,9 +55,11 @@ bench-pipeline:
 bench-selector:
 	$(GO) test -bench=BenchmarkSelect -benchmem -benchtime=3x -run '^$$' .
 
-# Delta-aware rescheduling loop: full per-tick round vs session cold
-# start vs one-host delta vs quiescent steady state (which must report
-# 0 allocs/op — the gate TestSessionSteadyStateAllocFree enforces).
+# Rescheduling loop: full per-tick round vs session cold start vs
+# one-host delta (a bounded round: the previous winner seeds the
+# incumbent, sets the compute bound rules out are skipped) vs quiescent
+# steady state (which must report 0 allocs/op — the gate
+# TestSessionSteadyStateAllocFree enforces).
 bench-resched:
 	$(GO) test -bench=BenchmarkResched -benchmem -benchtime=3x -run '^$$' .
 

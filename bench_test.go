@@ -118,18 +118,20 @@ func BenchmarkSelect(b *testing.B) {
 	}
 }
 
-// BenchmarkResched measures the delta-aware rescheduling session
-// against the full per-tick blueprint round it replaces — the kHz-rate
-// loop of a long-running application re-asking "is my placement still
-// right?" every simulated second. "full" rebuilds snapshot + selection
-// + plan/estimate per tick (the old Rescheduler path); "cold" pays
-// session construction plus a first full round each iteration;
-// "delta1" perturbs one host's availability through a live overlay
-// between ticks, so the session re-plans only the candidate sets that
-// host touches; "nodelta" is the quiescent steady state, which must
-// run allocation-free (gated by TestSessionSteadyStateAllocFree). The
-// 512-host variant drives the chunked-bitmask/lazy-link path under the
-// greedy selector.
+// BenchmarkResched measures the rescheduling session against the full
+// per-tick blueprint round it replaces — the kHz-rate loop of a
+// long-running application re-asking "is my placement still right?"
+// every simulated second. The agent's metric is min-time, so every
+// session round is bounded: it re-prices the previous winner and skips
+// the sets whose compute bound cannot beat it. "full" rebuilds snapshot
+// + selection + plan/estimate per tick (the old Rescheduler path);
+// "cold" pays session construction plus a first bounded round each
+// iteration; "delta1" perturbs one host's availability through a live
+// overlay between ticks, so each tick is one bounded round (its
+// allocations are gated by TestSessionDeltaRoundAllocs); "nodelta" is
+// the quiescent steady state, which must run allocation-free (gated by
+// TestSessionSteadyStateAllocFree). The 512-host variant drives the
+// chunked-bitmask/lazy-link path under the greedy selector.
 func BenchmarkResched(b *testing.B) {
 	const n = 2000
 	b.Run("12host/full", func(b *testing.B) {

@@ -246,9 +246,7 @@ func (a *Agent) round(rp *roundPricer, winnerOnly bool) Round {
 			return sel, rp, nil
 		},
 	}
-	// The bound is only sound for objectives that equal predicted total
-	// time, and for spill penalties that never speed a strip up.
-	if winnerOnly && a.spec.Metric == userspec.MinExecutionTime && a.spillFactor >= 1 {
+	if winnerOnly && a.hasComputeBound() {
 		r.Bound = func(info Information) LowerBounder {
 			secPP := secondsPerPoint(pool, info, a.tpl.Tasks[0])
 			return LowerBoundFunc(func(set []*grid.Host) float64 {
@@ -273,6 +271,13 @@ func (a *Agent) evaluate(n int, view infoView, winnerOnly bool) ([]Candidate, in
 	rp := a.newPricer(n)
 	cands, considered, err := a.coord.evaluateRound(a.round(rp, winnerOnly), view)
 	return cands, considered, rp, err
+}
+
+// hasComputeBound reports whether the compute bound is sound for the
+// agent's rounds: only for objectives that equal predicted total time,
+// and for spill penalties that never speed a strip up.
+func (a *Agent) hasComputeBound() bool {
+	return a.spec.Metric == userspec.MinExecutionTime && a.spillFactor >= 1
 }
 
 // secondsPerPoint resolves the planner's compute-cost coefficient for
@@ -317,6 +322,13 @@ func computeLowerBound(set []*grid.Host, secPP map[string]float64, n, iterations
 		}
 		rate += 1 / p
 	}
+	return rateBound(rate, n, iterations)
+}
+
+// rateBound is the compute bound of a set whose hosts together process
+// rate points per second: n² points per iteration at that rate, shaved
+// by boundMargin. A set with no deliverable speed is bounded at +Inf.
+func rateBound(rate float64, n, iterations int) float64 {
 	if rate <= 0 {
 		return math.Inf(1)
 	}

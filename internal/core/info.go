@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"apples/internal/grid"
 	"apples/internal/nws"
 )
@@ -18,6 +20,18 @@ const minAvailability = 0.01
 func floorAvailability(avail float64) float64 {
 	if avail <= 0 {
 		return minAvailability
+	}
+	return avail
+}
+
+// finiteAvailability maps a non-finite availability forecast (NaN, ±Inf)
+// to 0, a host the source cannot vouch for. Every frozen view (round
+// snapshots and the ReschedSession's refreshed arrays) stores forecasts
+// through it: desirability ranking and chain seeding read the raw value,
+// where NaN breaks the sort and +Inf ranks a dead host first.
+func finiteAvailability(avail float64) float64 {
+	if math.IsNaN(avail) || math.IsInf(avail, 0) {
+		return 0
 	}
 	return avail
 }

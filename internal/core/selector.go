@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"iter"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"apples/internal/grid"
@@ -218,31 +221,41 @@ func (rs *resourceSelector) candidates(pool []*grid.Host, maxSets int) [][]*grid
 	})
 
 	// Prefer larger aggregate desirability first so a cap keeps the most
-	// promising sets; ties keep mask-enumeration order (stable sort).
+	// promising sets; ties keep mask-enumeration order, and cmp.Compare
+	// puts a NaN aggregate (from a NaN route forecast) last. agg[mask]
+	// adds the highest member to the sum of the others, which were
+	// themselves summed lowest bit first, so every sum takes its terms in
+	// ascending bit order.
 	total := 1<<n - 1
 	agg := make([]float64, total+1)
 	for mask := 1; mask <= total; mask++ {
-		sum := 0.0
-		for b := 0; b < n; b++ {
-			if mask&(1<<b) != 0 {
-				sum += rDes[b]
-			}
-		}
-		agg[mask] = sum
+		hb := bits.Len(uint(mask)) - 1
+		agg[mask] = agg[mask&^(1<<hb)] + rDes[hb]
 	}
 	order := make([]int, total)
 	for i := range order {
 		order[i] = i + 1
 	}
-	sort.SliceStable(order, func(a, b int) bool { return agg[order[a]] > agg[order[b]] })
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(agg[b], agg[a]); c != 0 {
+			return c
+		}
+		return a - b
+	})
 	if maxSets > 0 && len(order) > maxSets {
 		order = order[:maxSets]
+	}
+	members := 0
+	for _, mask := range order {
+		members += bits.OnesCount(uint(mask))
 	}
 
 	// Chain each mask: greedy nearest neighbor by transfer cost, seeded at
 	// the highest-eff member, ties broken by name — orderChain's algorithm
-	// on the precomputed matrices.
+	// on the precomputed matrices. Every chain is a capped window of one
+	// backing array.
 	sets := make([][]*grid.Host, len(order))
+	backing := make([]*grid.Host, 0, members)
 	scratch := make([]int, 0, n)
 	for si, mask := range order {
 		scratch = scratch[:0]
@@ -251,9 +264,9 @@ func (rs *resourceSelector) candidates(pool []*grid.Host, maxSets int) [][]*grid
 				scratch = append(scratch, idx)
 			}
 		}
-		chain := make([]*grid.Host, 1, len(scratch))
+		start := len(backing)
 		cur := scratch[0]
-		chain[0] = ranked[cur]
+		backing = append(backing, ranked[cur])
 		rem := scratch[1:]
 		for len(rem) > 0 {
 			bestI, bestCost := 0, math.Inf(1)
@@ -263,10 +276,10 @@ func (rs *resourceSelector) candidates(pool []*grid.Host, maxSets int) [][]*grid
 				}
 			}
 			cur = rem[bestI]
-			chain = append(chain, ranked[cur])
+			backing = append(backing, ranked[cur])
 			rem = append(rem[:bestI], rem[bestI+1:]...)
 		}
-		sets[si] = chain
+		sets[si] = backing[start:len(backing):len(backing)]
 	}
 	return sets
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"apples/internal/grid"
@@ -29,14 +30,20 @@ import (
 //     same arrays and diffs them against the previous round, building a
 //     touched-host bitmask (a changed link touches both endpoints of
 //     every frozen route that traverses it — a conservative superset);
-//  2. re-plans only candidates whose membership mask intersects the
-//     touched mask, writing scores into per-candidate arrays; untouched
-//     candidates keep their cached scores (under MaxSpeedup a changed
-//     solo baseline rescales them from the cached totals — same values
-//     the estimator would compute, no re-planning);
+//  2. re-plans the universe. Under MinExecutionTime with a spill factor
+//     ≥ 1, where the compute bound is sound (Agent.hasComputeBound), the
+//     round is bounded: it re-prices the previous winner as the
+//     incumbent, then walks the universe in enumeration order, skipping
+//     every set whose compute bound over a per-host point-rate column
+//     exceeds the incumbent and planning the rest. Under MaxSpeedup and
+//     MinCost, which have no sound bound, it re-plans only candidates
+//     whose membership mask intersects the touched mask and keeps the
+//     cached scores of the others (under MaxSpeedup a changed solo
+//     baseline rescales them from the cached totals — same values the
+//     estimator would compute, no re-planning);
 //  3. reduces with the Coordinator's (score, index) rule over the frozen
 //     enumeration order and re-materializes the winning *Schedule only
-//     when the winner changed or was itself re-planned.
+//     when the winner changed or its inputs did.
 //
 // A round where nothing changed performs O(hosts + links) comparisons
 // and returns the cached schedule — zero allocations (gated by
@@ -44,19 +51,19 @@ import (
 // chains, cost rows, balance areas, and row counts live in
 // session-owned scratch reused across rounds.
 //
-// Equivalence: the first Round() is bit-identical to the schedule
-// Agent.ScheduleExplained(n, k) returns at the same instant, and every later Round() is bit-identical
-// to FullRound(), which re-plans the entire frozen universe (the parity
-// suite in session_test.go pins both, DeepEqual on schedules and float
-// bits on scores). The session deliberately pins candidate *membership*
-// at creation: availability drift re-prices and re-orders every chain
-// but does not re-run desirability ranking, so heuristic selectors keep
-// the universe they opened with (exhaustive pools ≤12 hosts enumerate
-// every subset, so for them the universe never depends on information).
-// The session does not prune: it scores every candidate, so its
-// CandidatesPlanned counts every feasible set, like ScheduleExplained's.
-// Agent.Schedule picks the same schedule but, under MinExecutionTime,
-// skips sets its compute bound rules out and reports fewer planned.
+// Equivalence: the first Round() picks the schedule
+// Agent.ScheduleExplained(n, k) returns at the same instant, and every
+// later Round() the one FullRound() picks; FullRound re-plans the entire
+// frozen universe without a bound (the parity suite in session_test.go
+// pins both, DeepEqual on schedules and float bits on scores). Only
+// CandidatesPlanned differs on bounded rounds: a skipped set scores
+// above the final best, so it can change neither the winner nor its
+// tie-break, but it is not counted as planned. The session deliberately
+// pins candidate *membership* at creation: availability drift re-prices
+// and re-orders every chain but does not re-run desirability ranking,
+// so heuristic selectors keep the universe they opened with (exhaustive
+// pools ≤12 hosts enumerate every subset, so for them the universe
+// never depends on information).
 //
 // The returned *Schedule is owned by the session: it stays valid until
 // a later Round re-materializes the winner, and its candidate counters
@@ -118,6 +125,10 @@ type ReschedSession struct {
 
 	solo float64 // MaxSpeedup solo baseline
 
+	// bounded marks sessions whose rounds skip sets by the compute bound
+	// instead of re-planning the touched slice of the universe.
+	bounded bool
+
 	winner   int // universe index of the incumbent, -1 if none
 	sched    *Schedule
 	schedErr error
@@ -145,8 +156,12 @@ type DeltaStats struct {
 	// the frozen universe size.
 	Rescored   int
 	Considered int
-	// Carried reports that the incumbent winner survived without being
-	// re-planned, so the cached schedule was reused.
+	// Pruned is how many candidate sets a bounded round skipped because
+	// their compute bound exceeded the incumbent. On a bounded round
+	// Rescored + Pruned = Considered; delta and full rounds prune none.
+	Pruned int
+	// Carried reports that the incumbent winner survived with its inputs
+	// unchanged, so the cached schedule was reused.
 	Carried bool
 }
 
@@ -166,11 +181,12 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	task := a.tpl.Tasks[0]
 	np := len(pool)
 	s := &ReschedSession{
-		a:      a,
-		m:      a.model(n),
-		pool:   pool,
-		words:  maskWords(np),
-		winner: -1,
+		a:       a,
+		m:       a.model(n),
+		pool:    pool,
+		words:   maskWords(np),
+		winner:  -1,
+		bounded: a.hasComputeBound(),
 	}
 	s.names = make([]string, np)
 	s.poolIdx = make(map[string]int, np)
@@ -292,7 +308,7 @@ func (s *ReschedSession) refresh(cold bool) (availChanged bool, changedLinks int
 	scr := &s.scr
 	maskClear(scr.touched)
 	for i, name := range s.names {
-		v := info.Availability(name)
+		v := finiteAvailability(info.Availability(name))
 		if cold || v != s.avail[i] {
 			s.avail[i] = v
 			maskSet(scr.touched, i)
@@ -385,22 +401,21 @@ func (s *ReschedSession) composePair(i, j int) {
 }
 
 // Round advances the session one rescheduling tick: refresh, diff,
-// re-plan the touched slice of the universe, reduce, and return the
-// winning schedule (cached when the incumbent carries). See the type
-// comment for the full contract.
+// re-plan (bounded, or the touched slice of the universe), reduce, and
+// return the winning schedule (cached when the incumbent carries). See
+// the type comment for the full contract.
 func (s *ReschedSession) Round() (*Schedule, DeltaStats, error) { return s.roundImpl(false) }
 
 // FullRound re-plans the entire frozen universe against the freshly
-// refreshed inputs, ignoring the delta. It exists as the parity oracle
-// for Round — both must agree bit for bit — and as an escape hatch when
-// the caller knows everything moved.
+// refreshed inputs, ignoring the delta and the bound. It exists as the
+// parity oracle for Round — both must pick the same schedule bit for
+// bit — and as an escape hatch when the caller knows everything moved.
 func (s *ReschedSession) FullRound() (*Schedule, DeltaStats, error) { return s.roundImpl(true) }
 
 func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 	cold := s.rounds == 0
 	s.rounds++
 	availChanged, changedLinks := s.refresh(cold)
-	full = full || cold
 	scr := &s.scr
 
 	st := DeltaStats{Round: s.rounds, Cold: cold, ChangedLinks: changedLinks, Considered: s.candCount}
@@ -410,7 +425,7 @@ func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 	}
 	st.ChangedHosts = maskCount(scr.touched)
 
-	if !full && !maskAny(scr.touched) {
+	if !maskAny(scr.touched) {
 		// Nothing moved: the previous outcome stands as-is.
 		st.Carried = true
 		s.emit(st)
@@ -434,9 +449,40 @@ func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 		}
 	}
 
-	rescored := 0
+	var bestIdx int
+	if s.bounded && !full {
+		bestIdx, st.Rescored, st.Pruned = s.boundedScan()
+	} else {
+		bestIdx, st.Rescored = s.deltaScan(soloChanged)
+	}
+
+	prevWinner := s.winner
+	if bestIdx < 0 {
+		s.winner = -1
+		s.sched = nil
+		s.schedErr = fmt.Errorf("core: %w: no feasible schedule among %d candidate sets", ErrNoFeasiblePlan, s.candCount)
+	} else {
+		if s.sched == nil || bestIdx != prevWinner || masksIntersect(s.mask(bestIdx), scr.touched) {
+			s.sched = s.materialize(bestIdx)
+		} else {
+			s.sched.CandidatesPlanned = s.planned
+			st.Carried = true
+		}
+		s.winner = bestIdx
+		s.schedErr = nil
+	}
+	s.emit(st)
+	return s.sched, st, s.schedErr
+}
+
+// deltaScan re-plans every candidate whose mask meets the touched mask
+// (all of them on a cold or full round), moves the cached scores of the
+// others onto a new solo baseline, and reduces over the score caches
+// with the (score, index) rule. It returns the winner's universe index (-1 when
+// nothing is feasible) and how many sets it re-planned.
+func (s *ReschedSession) deltaScan(soloChanged bool) (bestIdx, rescored int) {
 	for c := 0; c < s.candCount; c++ {
-		if full || masksIntersect(s.mask(c), scr.touched) {
+		if masksIntersect(s.mask(c), s.scr.touched) {
 			rescored++
 			s.solve(c)
 		} else if soloChanged && s.feasible[c] {
@@ -449,7 +495,6 @@ func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 			}
 		}
 	}
-	st.Rescored = rescored
 
 	bestIdx, best := -1, math.Inf(1)
 	planned := 0
@@ -463,25 +508,78 @@ func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 		}
 	}
 	s.planned = planned
+	return bestIdx, rescored
+}
 
-	prevWinner := s.winner
-	if bestIdx < 0 {
-		s.winner = -1
-		s.sched = nil
-		s.schedErr = fmt.Errorf("core: %w: no feasible schedule among %d candidate sets", ErrNoFeasiblePlan, s.candCount)
-	} else {
-		winnerRescored := full || masksIntersect(s.mask(bestIdx), scr.touched)
-		if s.sched == nil || bestIdx != prevWinner || winnerRescored {
-			s.sched = s.materialize(bestIdx)
-		} else {
-			s.sched.CandidatesPlanned = planned
-			st.Carried = true
-		}
-		s.winner = bestIdx
-		s.schedErr = nil
+// boundedScan plans a bounded round. The previous winner, re-priced,
+// seeds the incumbent (+Inf on the cold round); the walk then skips
+// every set whose compute bound strictly exceeds the incumbent, plans
+// the rest, and reduces with the (score, index) rule as it goes. A
+// skipped set's score is at least its bound, so it scores above the
+// final best and cannot change the winner or its tie-break. Pruned sets
+// are marked infeasible, so the score caches hold this round's planned
+// sets only. It returns the winner's universe index (-1 when nothing
+// is feasible), and how many sets it re-planned and skipped.
+func (s *ReschedSession) boundedScan() (bestIdx, rescored, pruned int) {
+	s.fillPointRate()
+	inc := math.Inf(1)
+	prev := s.winner
+	if prev >= 0 {
+		s.solve(prev)
+		rescored++
+		inc = s.score[prev]
 	}
-	s.emit(st)
-	return s.sched, st, s.schedErr
+	bestIdx, best := -1, math.Inf(1)
+	planned := 0
+	for c := 0; c < s.candCount; c++ {
+		if c != prev {
+			if s.bound(c) > inc {
+				s.feasible[c] = false
+				pruned++
+				continue
+			}
+			s.solve(c)
+			rescored++
+		}
+		if !s.feasible[c] {
+			continue
+		}
+		planned++
+		sc := s.score[c]
+		if sc < best {
+			bestIdx, best = c, sc
+		}
+		inc = min(inc, sc)
+	}
+	s.planned = planned
+	return bestIdx, rescored, pruned
+}
+
+// fillPointRate writes each pool host's point rate — the reciprocal of
+// secondsPerPoint's coefficient, 0 for a host with no deliverable speed
+// — from the refreshed availabilities into scr.pointRate.
+func (s *ReschedSession) fillPointRate() {
+	for i := range s.pool {
+		speed := s.speed[i] * floorAvailability(s.avail[i]) * s.factor[i]
+		if speed <= 0 {
+			s.scr.pointRate[i] = 0
+			continue
+		}
+		s.scr.pointRate[i] = 1 / (s.m.flopPerUnit / 1e6 / speed)
+	}
+}
+
+// bound is candidate c's compute bound over scr.pointRate, the session
+// twin of computeLowerBound.
+func (s *ReschedSession) bound(c int) float64 {
+	rate := 0.0
+	for w, word := range s.mask(c) {
+		for word != 0 {
+			rate += s.scr.pointRate[w*64+bits.TrailingZeros64(word)]
+			word &= word - 1
+		}
+	}
+	return rateBound(rate, s.m.n, s.m.iterations)
 }
 
 // solve re-plans universe candidate c into the score caches.
@@ -535,16 +633,18 @@ func (s *ReschedSession) materialize(c int) *Schedule {
 }
 
 // emit publishes the round's delta observability: the re-score ratio
-// gauge, the re-score counter, and an EvDeltaRound trace event.
+// gauge, the re-score and prune counters, and an EvDeltaRound trace
+// event.
 func (s *ReschedSession) emit(st DeltaStats) {
 	if met := s.a.coord.met; met != nil {
 		met.deltaRatio.Set(float64(st.Rescored) / float64(s.candCount))
 		met.rescored.Add(uint64(st.Rescored))
+		met.pruned.Add(uint64(st.Pruned))
 	}
 	if tr := s.a.coord.tracer; tr != nil {
 		e := obs.Event{Type: obs.EvDeltaRound, Round: uint64(st.Round),
-			Changed: st.ChangedHosts, Rescored: st.Rescored, Carried: st.Carried,
-			Considered: st.Considered}
+			Changed: st.ChangedHosts, Rescored: st.Rescored, Pruned: st.Pruned,
+			Carried: st.Carried, Considered: st.Considered}
 		if s.sched != nil {
 			e.Hosts = s.sched.Hosts
 			e.Predicted = s.sched.PredictedTotal

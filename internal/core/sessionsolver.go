@@ -539,6 +539,8 @@ type sessionScratch struct {
 	touched     []uint64 // hosts whose inputs changed this round
 	linkTouched []uint64 // hosts reached through changed links
 
+	pointRate []float64 // points per second per pool index (bounded rounds)
+
 	members []int // candidate members in eff-seed order
 	chain   []int // strip-chain order (pool indices)
 	rem     []int // greedy nearest-neighbor worklist
@@ -558,6 +560,7 @@ func (scr *sessionScratch) init(np, words int) {
 	scr.effOrder = make([]int, np)
 	scr.touched = make([]uint64, words)
 	scr.linkTouched = make([]uint64, words)
+	scr.pointRate = make([]float64, np)
 	scr.members = make([]int, np)
 	scr.chain = make([]int, np)
 	scr.rem = make([]int, np)

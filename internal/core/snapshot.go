@@ -53,8 +53,9 @@ func (s *InfoSnapshot) Stats() SnapshotStats { return s.stats }
 
 // SnapshotInformation resolves every lookup the scheduling round can make
 // for the given hosts — one Availability per host, one RouteBandwidth and
-// RouteLatency per ordered pair — and freezes them. The snapshot reflects
-// the source at call time; take a fresh one per scheduling round.
+// RouteLatency per ordered pair — and freezes them, non-finite
+// availabilities as 0. The snapshot reflects the source at call time;
+// take a fresh one per scheduling round.
 func SnapshotInformation(info Information, hosts []string) *InfoSnapshot {
 	s := &InfoSnapshot{
 		avail:  make(map[string]float64, len(hosts)),
@@ -64,7 +65,7 @@ func SnapshotInformation(info Information, hosts []string) *InfoSnapshot {
 		base:   info,
 	}
 	for _, h := range hosts {
-		s.avail[h] = info.Availability(h)
+		s.avail[h] = finiteAvailability(info.Availability(h))
 	}
 	if rb, ok := info.(routeBatcher); ok {
 		// Batched path: resolve each link's bandwidth once, then compose
@@ -231,7 +232,7 @@ func newLinkSnapshot(info Information, rb routeBatcher, hosts []string) *linkSna
 		base:   info,
 	}
 	for _, h := range hosts {
-		s.avail[h] = info.Availability(h)
+		s.avail[h] = finiteAvailability(info.Availability(h))
 	}
 	links := s.tp.Links()
 	s.linkBW = make(map[*grid.Link]float64, len(links))

@@ -57,9 +57,10 @@ const (
 	// EvDeltaRound: a ReschedSession round completed incrementally.
 	// Changed counts pool hosts whose inputs differ from the previous
 	// round (directly or through a changed link on one of their routes),
-	// Rescored how many candidate sets were re-planned, Considered the
-	// frozen universe size, and Carried whether the incumbent winner was
-	// carried forward unchanged. Hosts/Predicted/Score describe the
+	// Rescored how many candidate sets were re-planned, Pruned how many a
+	// bounded round skipped by the compute bound, Considered the frozen
+	// universe size, and Carried whether the incumbent winner was carried
+	// forward unchanged. Hosts/Predicted/Score describe the
 	// winner, as in EvWinner.
 	EvDeltaRound EventType = "delta_round"
 	// EvAudit: the audit engine joined a decision's prediction with its
@@ -110,10 +111,12 @@ type Event struct {
 
 	// Delta-round fields (EvDeltaRound only). Changed is the number of
 	// pool hosts whose inputs changed since the previous session round,
-	// Rescored how many candidate sets were re-planned, and Carried
-	// whether the previous winner survived without re-materialization.
+	// Rescored how many candidate sets were re-planned, Pruned how many
+	// a bounded round skipped by the compute bound, and Carried whether
+	// the previous winner survived without re-materialization.
 	Changed  int  `json:"changed,omitempty"`
 	Rescored int  `json:"rescored,omitempty"`
+	Pruned   int  `json:"pruned,omitempty"`
 	Carried  bool `json:"carried,omitempty"`
 
 	// Span fields. Stage names the timed phase of the round; Seconds is

@@ -13,7 +13,8 @@ import (
 // Canonical metric names. Subsystems resolve handles for these once at
 // construction; the plain-text dump and the CLIs key on the same names.
 const (
-	// Scheduling rounds (core.Coordinator).
+	// Scheduling rounds (core.Coordinator). MetricCandidatesPruned also
+	// counts the sets bounded ReschedSession rounds skip.
 	MetricRounds               = "sched_rounds_total"
 	MetricCandidatesEvaluated  = "sched_candidates_evaluated_total"
 	MetricCandidatesPruned     = "sched_candidates_pruned_total"
@@ -29,8 +30,9 @@ const (
 	// enumeration (the EvTruncated trace event).
 	MetricSelectorTruncated = "sched_selector_truncated_total"
 	// MetricRoundDeltaRatio is the fraction of the frozen candidate
-	// universe re-scored by the most recent delta-aware session round
-	// (0 on a carried round, 1 on a cold or full round).
+	// universe re-scored by the most recent session round (0 on a
+	// quiescent round, 1 on a full round and on an unbounded cold
+	// round).
 	MetricRoundDeltaRatio = "sched_round_delta_ratio"
 	// MetricCandidatesRescored counts candidate sets re-planned by
 	// delta-aware session rounds across the process lifetime.
