@@ -137,6 +137,8 @@ func (rs *resourceSelector) candidates(pool []*grid.Host, maxSets int) [][]*grid
 	for i, h := range pool {
 		eff[i] = h.Speed * rs.info.Availability(h.Name)
 	}
+	idx := make([]int, n)
+	ri := indexHosts(rs.info, pool, idx)
 	cost := make([][]float64, n)
 	for i := range cost {
 		cost[i] = make([]float64, n)
@@ -144,11 +146,11 @@ func (rs *resourceSelector) candidates(pool []*grid.Host, maxSets int) [][]*grid
 			if i == j {
 				continue
 			}
-			bw := rs.info.RouteBandwidth(pool[i].Name, pool[j].Name)
+			lat, bw := routePair(rs.info, ri, pool[i], pool[j], idx[i], idx[j])
 			if bw <= 0 {
 				bw = 1e-6
 			}
-			cost[i][j] = rs.info.RouteLatency(pool[i].Name, pool[j].Name) + 1.0/bw
+			cost[i][j] = lat + 1.0/bw
 		}
 	}
 	des := make([]float64, n)

@@ -51,38 +51,26 @@ func (g *greedySelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
 		if m.n == 0 {
 			return
 		}
-		stopped := false
-		seen := make(map[string]bool)
 		// emit chains and yields one membership unless the cap hit (the
-		// remainder is counted as dropped) or the consumer stopped.
+		// remainder is counted as dropped); it reports false once the
+		// consumer stopped.
 		emitted := 0
-		emit := func(s *selState) bool {
-			if stopped || seen[s.key()] {
-				return !stopped
-			}
-			seen[s.key()] = true
+		emit := func(idxs []int) bool {
 			if g.maxSets > 0 && emitted >= g.maxSets {
 				g.dropped++
 				g.capped = true
 				return true
 			}
 			emitted++
-			if !yield(m.chain(s.idxs)) {
-				stopped = true
-			}
-			return !stopped
+			return yield(m.chain(idxs))
 		}
 
 		// Desirability prefixes, smallest first.
-		prefix := newSelState(m.n)
 		sizes := prefixSizes(m.n)
-		next := 0
+		isPrefix := make([]bool, m.n+1)
 		for _, size := range sizes {
-			for len(prefix.idxs) < size {
-				m.add(prefix, m.rank[next])
-				next++
-			}
-			if !emit(prefix.clone()) {
+			isPrefix[size] = true
+			if !emit(m.rank[:size]) {
 				return
 			}
 		}
@@ -94,6 +82,7 @@ func (g *greedySelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
 		// interleaves sites).
 		grown := newSelState(m.n)
 		m.add(grown, m.rank[0])
+		maxPos := 0 // largest ranking position among the grown members
 		limit := min(m.n, maxGreedyGrowth)
 		bestSeen := m.score(grown)
 		worse := 0
@@ -126,6 +115,7 @@ func (g *greedySelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
 				break
 			}
 			m.add(grown, bestIdx)
+			maxPos = max(maxPos, m.rankPos[bestIdx])
 			stop := false
 			if bestScore < bestSeen {
 				bestSeen, worse = bestScore, 0
@@ -133,8 +123,12 @@ func (g *greedySelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
 				stop = true
 			}
 			size := len(grown.idxs)
-			if size <= greedyEmitDense || size%greedyEmitStride == 0 || size == limit || stop {
-				if !emit(grown.clone()) {
+			// A grown set of a prefix size whose members all rank within
+			// that size is the prefix itself: it was already yielded (or
+			// dropped by the cap), so it is skipped uncounted.
+			dup := isPrefix[size] && maxPos == size-1
+			if !dup && (size <= greedyEmitDense || size%greedyEmitStride == 0 || size == limit || stop) {
+				if !emit(grown.idxs) {
 					return
 				}
 			}

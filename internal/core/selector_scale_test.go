@@ -63,6 +63,27 @@ func TestGreedySelector2048Hosts(t *testing.T) {
 	t.Logf("2048-host greedy round: %v (best of 3), %d candidates", best, considered)
 }
 
+// TestGreedyRound2048Allocs gates the allocation cost of one greedy
+// Agent.Schedule over a 2048-host grid. Host identity is a dense index
+// from the topology's route table down to the kernel's feed, chains are
+// laid out in reused scratch, and prefixes are slices of the ranking, so
+// a round allocates per candidate set, not per host pair.
+func TestGreedyRound2048Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	agent := newGridAgent(t, 128, 16, SelectorSpec{Kind: SelectorGreedy})
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := agent.Schedule(4000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("2048-host greedy Agent.Schedule: %.0f allocs/op", allocs)
+	if allocs > 5000 {
+		t.Fatalf("2048-host greedy Agent.Schedule allocates %.0f objects/op, want <= 5000", allocs)
+	}
+}
+
 // TestHeuristicSelectors512Hosts checks beam completes a round on a
 // 512-host grid with a non-empty placement — a breadth check that the
 // wider heuristic survives pools far past the exhaustive range (greedy

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -266,5 +269,191 @@ func TestCandidatesPreferLoadedPoolShift(t *testing.T) {
 	// within it the chain starts at the faster *deliverable* host.
 	if sets[0][0].Name != "idle" {
 		t.Fatalf("chain starts at %s, want idle", sets[0][0].Name)
+	}
+}
+
+// legacyChain is selModel.chain as it stood before the index-based
+// model, kept as the greedy oracle's layout: membership through a map
+// probe over the eff order, then either the exact-cost nearest-neighbor
+// pass or a sort.SliceStable by each site's first appearance.
+func legacyChain(m *selModel, idxs []int) []*grid.Host {
+	if len(idxs) == 0 {
+		return nil
+	}
+	if len(idxs) == 1 {
+		return []*grid.Host{m.pool[idxs[0]]}
+	}
+	member := make(map[int]bool, len(idxs))
+	for _, i := range idxs {
+		member[i] = true
+	}
+	ordered := make([]int, 0, len(idxs))
+	for _, i := range m.effOrder {
+		if member[i] {
+			ordered = append(ordered, i)
+		}
+	}
+	if m.cost != nil {
+		chain := make([]*grid.Host, 1, len(ordered))
+		cur := ordered[0]
+		chain[0] = m.pool[cur]
+		rem := append([]int(nil), ordered[1:]...)
+		for len(rem) > 0 {
+			bestI, bestCost := 0, math.Inf(1)
+			for i, idx := range rem {
+				if c := m.cost[cur][idx]; c < bestCost || (c == bestCost && m.pool[idx].Name < m.pool[rem[bestI]].Name) {
+					bestI, bestCost = i, c
+				}
+			}
+			cur = rem[bestI]
+			chain = append(chain, m.pool[cur])
+			rem = append(rem[:bestI], rem[bestI+1:]...)
+		}
+		return chain
+	}
+	siteRank := make(map[string]int)
+	for _, i := range ordered {
+		site := m.pool[i].Site
+		if _, ok := siteRank[site]; !ok {
+			siteRank[site] = len(siteRank)
+		}
+	}
+	sort.SliceStable(ordered, func(a, b int) bool {
+		return siteRank[m.pool[ordered[a]].Site] < siteRank[m.pool[ordered[b]].Site]
+	})
+	chain := make([]*grid.Host, len(ordered))
+	for i, idx := range ordered {
+		chain[i] = m.pool[idx]
+	}
+	return chain
+}
+
+// legacyGreedy is the greedy selector's enumeration as it stood before
+// the index-based model: prefixes grown by add and cloned per emit,
+// every membership deduplicated through a map of canonical keys before
+// the maxSets cap, chains laid out by legacyChain.
+func legacyGreedy(m *selModel, maxSets int) (chains [][]*grid.Host, dropped int, capped bool) {
+	seen := make(map[string]bool)
+	emit := func(s *selState) {
+		if seen[s.key()] {
+			return
+		}
+		seen[s.key()] = true
+		if maxSets > 0 && len(chains) >= maxSets {
+			dropped++
+			capped = true
+			return
+		}
+		chains = append(chains, legacyChain(m, s.idxs))
+	}
+	prefix := newSelState(m.n)
+	next := 0
+	for _, size := range prefixSizes(m.n) {
+		for len(prefix.idxs) < size {
+			m.add(prefix, m.rank[next])
+			next++
+		}
+		emit(prefix.clone())
+	}
+	grown := newSelState(m.n)
+	m.add(grown, m.rank[0])
+	limit := min(m.n, maxGreedyGrowth)
+	bestSeen := m.score(grown)
+	worse := 0
+	for len(grown.idxs) < limit {
+		k := len(grown.idxs)
+		bestIdx, bestScore := -1, 0.0
+		for i := 0; i < m.n; i++ {
+			if grown.member[i] {
+				continue
+			}
+			var dp float64
+			if m.cost != nil {
+				dp = m.addPairDelta(grown, i)
+			} else {
+				dp = (m.dist[i]*float64(k) + sumDist(m, grown)) / 2
+			}
+			sc := surrogate(grown.sumEff+m.eff[i], grown.sumPair+dp, k+1)
+			if bestIdx < 0 || sc < bestScore ||
+				(sc == bestScore && m.pool[i].Name < m.pool[bestIdx].Name) {
+				bestIdx, bestScore = i, sc
+			}
+		}
+		if bestIdx < 0 {
+			break
+		}
+		m.add(grown, bestIdx)
+		stop := false
+		if bestScore < bestSeen {
+			bestSeen, worse = bestScore, 0
+		} else if worse++; worse >= greedyPatience {
+			stop = true
+		}
+		size := len(grown.idxs)
+		if size <= greedyEmitDense || size%greedyEmitStride == 0 || size == limit || stop {
+			emit(grown.clone())
+		}
+		if stop {
+			break
+		}
+	}
+	return chains, dropped, capped
+}
+
+// namesOnly hides a view's dense host index, so a selector model built
+// over it prices every pair through the name-keyed Information calls.
+type namesOnly struct{ Information }
+
+// TestGreedyMatchesLegacy pins the greedy selector — mark-slice
+// membership, counting sort by site, O(1) prefix dedup, prefixes as
+// ranking slices, pairs priced by dense view index — to legacyGreedy
+// over a model priced by host name: the same chains host for host, the
+// same truncation, and bit-identical model distances. Pools straddle
+// the exact/sampled boundary (48 and 65 hosts) and reach 2048; one
+// host's availability is forced to NaN, 0 and +Inf; caps land inside
+// the prefix ladder and inside the grown family, where a grown set
+// equal to a prefix must be deduplicated before it counts as dropped.
+func TestGreedyMatchesLegacy(t *testing.T) {
+	for _, p := range []struct{ clusters, per int }{{3, 16}, {5, 13}, {32, 16}, {128, 16}} {
+		tp := grid.ClusterOfClusters(sim.NewEngine(), grid.ClusterOptions{
+			Clusters: p.clusters, PerCluster: p.per, Seed: 3})
+		pool := tp.Hosts()
+		overlay := map[string]float64{}
+		info := NewOverlayInformation(OracleInformation(tp), overlay)
+		odd := pool[len(pool)/3].Name
+		for _, avail := range []float64{-1, math.NaN(), 0, math.Inf(1)} {
+			clear(overlay)
+			if avail >= 0 || math.IsNaN(avail) {
+				overlay[odd] = avail
+			}
+			view := roundSnapshot(info, pool)
+			for _, maxSets := range []int{0, 40, 60} {
+				name := fmt.Sprintf("%dhost/avail=%v/cap=%d", len(pool), avail, maxSets)
+				g := &greedySelector{rs: &resourceSelector{tp: tp, info: view}, maxSets: maxSets}
+				var got [][]*grid.Host
+				for set := range g.SelectSeq(pool) {
+					got = append(got, set)
+				}
+				gotDropped, gotCapped := g.Truncated()
+
+				lm := buildSelModel(&resourceSelector{tp: tp, info: namesOnly{view}}, pool)
+				want, wantDropped, wantCapped := legacyGreedy(lm, maxSets)
+				m := buildSelModel(&resourceSelector{tp: tp, info: view}, pool)
+				for i := range m.dist {
+					if math.Float64bits(m.dist[i]) != math.Float64bits(lm.dist[i]) {
+						t.Fatalf("%s: host %d distance %v by index, %v by name", name, i, m.dist[i], lm.dist[i])
+					}
+				}
+				if len(got) != len(want) || gotDropped != wantDropped || gotCapped != wantCapped {
+					t.Fatalf("%s: %d sets (dropped %d, capped %v), legacy %d (dropped %d, capped %v)",
+						name, len(got), gotDropped, gotCapped, len(want), wantDropped, wantCapped)
+				}
+				for s := range got {
+					if !slices.Equal(got[s], want[s]) {
+						t.Fatalf("%s: set %d differs from legacy", name, s)
+					}
+				}
+			}
+		}
 	}
 }

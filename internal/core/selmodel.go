@@ -28,9 +28,10 @@ const selDistSamples = 8
 // per-host deliverable speed, network distance, desirability, and (for
 // small pools) the exact pairwise transfer costs — resolved once per
 // round in SelectSeq, so the per-candidate work inside the sequence is
-// arithmetic only. It also owns chain layout: the same greedy
-// nearest-neighbor strip order as orderChain when exact costs exist,
-// and a site-aware O(k log k) approximation beyond.
+// arithmetic only. Pairs are priced by the view's dense host index. It
+// also owns chain layout: the same greedy nearest-neighbor strip order
+// as orderChain when exact costs exist, and a site-aware O(pool + k)
+// approximation beyond.
 type selModel struct {
 	rs   *resourceSelector
 	pool []*grid.Host
@@ -44,21 +45,33 @@ type selModel struct {
 	rank     []int // pool indices by desirability desc, name asc
 	effOrder []int // pool indices by eff desc, name asc (chain seed order)
 	rankPos  []int // inverse of rank: pool index -> ranking position
+
+	// Chain scratch, reused by every chain call: a membership mark per
+	// pool index, the members in eff order, and the nearest-neighbor
+	// worklist or site-grouped order. sites is the site layout of
+	// sampled pools.
+	mark    []bool
+	ordered []int
+	rem     []int
+	sites   siteGrouper
 }
 
 func buildSelModel(rs *resourceSelector, pool []*grid.Host) *selModel {
 	n := len(pool)
 	m := &selModel{rs: rs, pool: pool, n: n,
-		eff: make([]float64, n), dist: make([]float64, n), des: make([]float64, n)}
+		eff: make([]float64, n), dist: make([]float64, n), des: make([]float64, n),
+		mark: make([]bool, n), ordered: make([]int, 0, n), rem: make([]int, n)}
 	for i, h := range pool {
 		m.eff[i] = h.Speed * rs.info.Availability(h.Name)
 	}
-	pairCost := func(a, b *grid.Host) float64 {
-		bw := rs.info.RouteBandwidth(a.Name, b.Name)
+	idx := make([]int, n)
+	ri := indexHosts(rs.info, pool, idx)
+	pairCost := func(i, j int) float64 {
+		lat, bw := routePair(rs.info, ri, pool[i], pool[j], idx[i], idx[j])
 		if bw <= 0 {
 			bw = 1e-6
 		}
-		return rs.info.RouteLatency(a.Name, b.Name) + 1.0/bw
+		return lat + 1.0/bw
 	}
 	if n <= selExactPairHosts {
 		m.cost = make([][]float64, n)
@@ -66,7 +79,7 @@ func buildSelModel(rs *resourceSelector, pool []*grid.Host) *selModel {
 			m.cost[i] = make([]float64, n)
 			for j := range m.cost[i] {
 				if i != j {
-					m.cost[i][j] = pairCost(pool[i], pool[j])
+					m.cost[i][j] = pairCost(i, j)
 				}
 			}
 		}
@@ -93,13 +106,14 @@ func buildSelModel(rs *resourceSelector, pool []*grid.Host) *selModel {
 				if s == i {
 					continue
 				}
-				d += pairCost(pool[i], pool[s])
+				d += pairCost(i, s)
 				k++
 			}
 			if k > 0 {
 				m.dist[i] = d / float64(k)
 			}
 		}
+		m.sites = newSiteGrouper(pool)
 	}
 	for i := range pool {
 		m.des[i] = m.eff[i] / (1 + m.dist[i])
@@ -245,8 +259,10 @@ func (s *selState) key() string {
 // candidates over the same membership score identically. On large pools
 // it falls back to a site-aware order: hosts grouped by site in order of
 // each site's first appearance in the eff ranking, members eff-sorted
-// within — O(k log k), keeping same-switch hosts adjacent, which is
-// what the nearest-neighbor pass does on cluster topologies anyway.
+// within — O(pool + k) by siteGrouper's counting sort, keeping
+// same-switch hosts adjacent, which is what the nearest-neighbor
+// pass does on cluster topologies anyway. The chain is the caller's;
+// the model's scratch is not, so calls must not overlap.
 func (m *selModel) chain(idxs []int) []*grid.Host {
 	if len(idxs) == 0 {
 		return nil
@@ -254,23 +270,31 @@ func (m *selModel) chain(idxs []int) []*grid.Host {
 	if len(idxs) == 1 {
 		return []*grid.Host{m.pool[idxs[0]]}
 	}
-	member := make(map[int]bool, len(idxs))
+	// Members in eff-seed order (eff desc, name asc); marks are cleared
+	// as they are consumed.
+	left := 0
 	for _, i := range idxs {
-		member[i] = true
-	}
-	// Members in eff-seed order (eff desc, name asc).
-	ordered := make([]int, 0, len(idxs))
-	for _, i := range m.effOrder {
-		if member[i] {
-			ordered = append(ordered, i)
+		if !m.mark[i] {
+			m.mark[i] = true
+			left++
 		}
 	}
+	ordered := m.ordered[:0]
+	for _, i := range m.effOrder {
+		if m.mark[i] {
+			m.mark[i] = false
+			ordered = append(ordered, i)
+			if left--; left == 0 {
+				break
+			}
+		}
+	}
+	chain := make([]*grid.Host, len(ordered))
 	if m.cost != nil {
-		chain := make([]*grid.Host, 1, len(ordered))
 		cur := ordered[0]
 		chain[0] = m.pool[cur]
-		rem := append([]int(nil), ordered[1:]...)
-		for len(rem) > 0 {
+		rem := append(m.rem[:0], ordered[1:]...)
+		for pos := 1; len(rem) > 0; pos++ {
 			bestI, bestCost := 0, math.Inf(1)
 			for i, idx := range rem {
 				if c := m.cost[cur][idx]; c < bestCost || (c == bestCost && m.pool[idx].Name < m.pool[rem[bestI]].Name) {
@@ -278,23 +302,14 @@ func (m *selModel) chain(idxs []int) []*grid.Host {
 				}
 			}
 			cur = rem[bestI]
-			chain = append(chain, m.pool[cur])
+			chain[pos] = m.pool[cur]
 			rem = append(rem[:bestI], rem[bestI+1:]...)
 		}
 		return chain
 	}
-	siteRank := make(map[string]int)
-	for _, i := range ordered {
-		site := m.pool[i].Site
-		if _, ok := siteRank[site]; !ok {
-			siteRank[site] = len(siteRank)
-		}
-	}
-	sort.SliceStable(ordered, func(a, b int) bool {
-		return siteRank[m.pool[ordered[a]].Site] < siteRank[m.pool[ordered[b]].Site]
-	})
-	chain := make([]*grid.Host, len(ordered))
-	for i, idx := range ordered {
+	grouped := m.rem[:len(ordered)]
+	m.sites.group(grouped, ordered)
+	for i, idx := range grouped {
 		chain[i] = m.pool[idx]
 	}
 	return chain

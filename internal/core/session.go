@@ -87,12 +87,14 @@ type ReschedSession struct {
 	avail  []float64 // last refreshed availability
 
 	// Batched link mode (sources implementing routeBatcher): per-link
-	// bandwidth is refreshed and diffed, and linkMask[l] records which
-	// pool hosts have a frozen route through link l.
+	// bandwidth is refreshed and diffed by grid.Link.Index, and
+	// linkMask[l] records which pool hosts have a frozen route through
+	// link l. tidx holds each pool host's dense index in rtp (-1 when
+	// rtp does not know it: no route).
 	rb       routeBatcher
 	rtp      *grid.Topology // route topology for link composition
+	tidx     []int
 	links    []*grid.Link
-	linkIdx  map[*grid.Link]int
 	linkBW   []float64
 	linkMask []uint64 // len(links)*words, stride words
 
@@ -106,10 +108,10 @@ type ReschedSession struct {
 	cost       []float64
 
 	// siteChain mirrors selModel.chain's large-pool layout: heuristic
-	// selectors past selExactPairHosts order members by site-first-
-	// appearance instead of greedy nearest-neighbor.
+	// selectors past selExactPairHosts group members by site instead of
+	// greedy nearest-neighbor.
 	siteChain bool
-	siteID    []int
+	sites     siteGrouper
 
 	// Frozen candidate universe: candCount membership masks of `words`
 	// words each, in the selector's enumeration order, plus per-candidate
@@ -211,11 +213,11 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	if rb, ok := a.coord.info.(routeBatcher); ok {
 		s.rb = rb
 		s.rtp = rb.routeTopology()
-		s.links = s.rtp.Links()
-		s.linkIdx = make(map[*grid.Link]int, len(s.links))
-		for i, l := range s.links {
-			s.linkIdx[l] = i
+		s.tidx = make([]int, np)
+		for i, name := range s.names {
+			s.tidx[i] = s.rtp.HostIndex(name)
 		}
+		s.links = s.rtp.Links()
 		s.linkBW = make([]float64, len(s.links))
 		s.linkMask = make([]uint64, len(s.links)*s.words)
 		for i := 0; i < np; i++ {
@@ -223,12 +225,11 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 				if i == j {
 					continue
 				}
-				for _, l := range s.rtp.Route(s.names[i], s.names[j]) {
-					if li, ok := s.linkIdx[l]; ok {
-						m := s.linkMask[li*s.words : (li+1)*s.words]
-						maskSet(m, i)
-						maskSet(m, j)
-					}
+				for _, l := range s.route(i, j) {
+					li := l.Index()
+					m := s.linkMask[li*s.words : (li+1)*s.words]
+					maskSet(m, i)
+					maskSet(m, j)
 				}
 			}
 		}
@@ -247,18 +248,7 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	kind := a.coord.selector.normalized().Kind
 	s.siteChain = kind != SelectorExhaustive && np > selExactPairHosts
 	if s.siteChain {
-		siteOf := make(map[string]int)
-		s.siteID = make([]int, np)
-		for i, h := range pool {
-			id, ok := siteOf[h.Site]
-			if !ok {
-				id = len(siteOf)
-				siteOf[h.Site] = id
-			}
-			s.siteID[i] = id
-		}
-		s.scr.siteFirst = make([]int, len(siteOf))
-		s.scr.siteEpoch = make([]int, len(siteOf))
+		s.sites = newSiteGrouper(pool)
 	}
 
 	// Enumerate the universe once, exactly the way a scheduling round
@@ -289,8 +279,6 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	s.kn.reserve(np)
 	s.scr.effSort.eff = s.scr.eff
 	s.scr.effSort.names = s.names
-	s.scr.siteSort.siteID = s.siteID
-	s.scr.siteSort.first = s.scr.siteFirst
 	return s, nil
 }
 
@@ -377,19 +365,9 @@ func (s *ReschedSession) refresh(cold bool) (availChanged bool, changedLinks int
 }
 
 // composePair recomputes pair (i,j)'s bandwidth, latency, and chain
-// transfer cost from the frozen per-link bandwidths, mirroring the
-// batched snapshot composition: bottleneck min seeded at 1e30 in route
-// order, latencies summed in route order.
+// transfer cost from the frozen per-link bandwidths.
 func (s *ReschedSession) composePair(i, j int) {
-	bw, lat := 1e30, 0.0
-	for _, l := range s.rtp.Route(s.names[i], s.names[j]) {
-		if li, ok := s.linkIdx[l]; ok {
-			if v := s.linkBW[li]; v < bw {
-				bw = v
-			}
-		}
-		lat += l.Latency
-	}
+	lat, bw := s.linkRoute(i, j)
 	at := i*len(s.pool) + j
 	s.pairBW[at] = bw
 	s.pairLat[at] = lat

@@ -302,8 +302,8 @@ func TestSessionDeltaRoundAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("bounded one-host delta Round: %.0f allocs/op", allocs)
-	if allocs > 22 {
-		t.Fatalf("bounded one-host delta Round allocates %.0f objects/op, want <= 22", allocs)
+	if allocs > 8 {
+		t.Fatalf("bounded one-host delta Round allocates %.0f objects/op, want <= 8", allocs)
 	}
 }
 

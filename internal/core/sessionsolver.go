@@ -90,6 +90,7 @@ type stripKernel struct {
 	maxPts  []float64 // memory capacity in points (0 = unbounded)
 	memMB   []float64 // physical memory for the spill check
 	rate    []float64 // userspec cost rate (read under MinCost only)
+	hostIdx []int     // dense view index (feedSet's route pricing)
 
 	// Balance, rounding and estimate working columns.
 	relaxedMax []float64
@@ -115,6 +116,7 @@ func (kn *stripKernel) reserve(k int) {
 	kn.maxPts = make([]float64, k)
 	kn.memMB = make([]float64, k)
 	kn.rate = make([]float64, k)
+	kn.hostIdx = make([]int, k)
 	kn.relaxedMax = make([]float64, k)
 	kn.area = make([]float64, k)
 	kn.state = make([]int, k)
@@ -130,11 +132,15 @@ func (kn *stripKernel) reserve(k int) {
 //	C_i = sum over strip neighbors of 2*(latency + borderMB/bandwidth)
 //	cap = host memory / bytes per point
 //
-// It returns the position of the first host with no deliverable speed
-// (the chain cannot be planned), or -1.
+// Each host's dense view index is resolved once into the kernel's index
+// column, and neighbor routes are priced by index (by name for a host
+// the view has no index for). It returns the position of the first host
+// with no deliverable speed (the chain cannot be planned), or -1.
 func (kn *stripKernel) feedSet(m *stripModel, task *hat.Task, spec *userspec.Spec, info Information, set []*grid.Host) int {
 	k := len(set)
 	kn.reserve(k)
+	idx := kn.hostIdx[:k]
+	ri := indexHosts(info, set, idx)
 	edge := float64(m.n) * m.borderBytes / 1e6
 	for i, h := range set {
 		avail := floorAvailability(info.Availability(h.Name))
@@ -145,10 +151,12 @@ func (kn *stripKernel) feedSet(m *stripModel, task *hat.Task, spec *userspec.Spe
 		kn.secPP[i] = m.flopPerUnit / 1e6 / speed
 		comm := 0.0
 		if i > 0 {
-			comm += borderSec(info.RouteLatency(h.Name, set[i-1].Name), info.RouteBandwidth(h.Name, set[i-1].Name), edge)
+			lat, bw := routePair(info, ri, h, set[i-1], idx[i], idx[i-1])
+			comm += borderSec(lat, bw, edge)
 		}
 		if i < k-1 {
-			comm += borderSec(info.RouteLatency(h.Name, set[i+1].Name), info.RouteBandwidth(h.Name, set[i+1].Name), edge)
+			lat, bw := routePair(info, ri, h, set[i+1], idx[i], idx[i+1])
+			comm += borderSec(lat, bw, edge)
 		}
 		kn.commSec[i] = comm
 		kn.maxPts[i] = 0
@@ -399,7 +407,7 @@ func (kn *stripKernel) estimateAssignments(m *stripModel, tp *grid.Topology, p *
 // row bands in chain order, zero-row hosts dropped, each interior
 // boundary exchanging n·borderBytes each way (partition's strip shape,
 // including nil Borders on a single band). hosts[i] names chain
-// position i.
+// position i. Every band's Borders is carved from one backing array.
 func (kn *stripKernel) placement(m *stripModel, hosts []string) *partition.Placement {
 	bands := 0
 	for i := range hosts {
@@ -409,6 +417,10 @@ func (kn *stripKernel) placement(m *stripModel, hosts []string) *partition.Place
 	}
 	edge := float64(m.n) * m.borderBytes
 	p := &partition.Placement{N: m.n, Kind: "strip", Assignments: make([]partition.Assignment, 0, bands)}
+	var borders []partition.Border
+	if bands > 1 {
+		borders = make([]partition.Border, 2*bands)
+	}
 	prev := -1
 	for i, h := range hosts {
 		if kn.rows[i] <= 0 {
@@ -416,7 +428,8 @@ func (kn *stripKernel) placement(m *stripModel, hosts []string) *partition.Place
 		}
 		a := partition.Assignment{Host: h, Rows: kn.rows[i], Points: kn.rows[i] * m.n}
 		if bands > 1 {
-			a.Borders = make([]partition.Border, 0, 2)
+			b := 2 * len(p.Assignments)
+			a.Borders = borders[b : b : b+2]
 		}
 		if prev >= 0 {
 			a.Borders = append(a.Borders, partition.Border{Peer: hosts[prev], Bytes: edge})
@@ -432,21 +445,15 @@ func (kn *stripKernel) placement(m *stripModel, hosts []string) *partition.Place
 // schedule builds the reported *Schedule for a chain solved into kn:
 // its strip placement, and hosts (chain order, owned by the schedule)
 // reordered by placement share, larger first, ties keeping chain order.
-// Shares come from one pass over the assignments, the first match for
-// a host winning as in Placement.Fraction. The caller fills the source
-// and candidate counters.
+// A chain's hosts are distinct, so each host's share is its own band's
+// rows·n/n² (0 for a dropped host). The caller fills the source and
+// candidate counters.
 func (kn *stripKernel) schedule(m *stripModel, hosts []string, iterT float64) *Schedule {
 	p := kn.placement(m, hosts)
-	n2 := float64(p.N) * float64(p.N)
-	first := make(map[string]float64, len(p.Assignments))
-	for _, a := range p.Assignments {
-		if _, ok := first[a.Host]; !ok {
-			first[a.Host] = float64(a.Points) / n2
-		}
-	}
+	n2 := float64(m.n) * float64(m.n)
 	order := byShare{hosts: hosts, share: make([]float64, len(hosts))}
-	for i, h := range hosts {
-		order.share[i] = first[h]
+	for i := range hosts {
+		order.share[i] = float64(kn.rows[i]*m.n) / n2
 	}
 	sort.Stable(order)
 	return &Schedule{
@@ -512,20 +519,60 @@ func (s *fracSorter) Less(i, j int) bool {
 	return s.idx[i] < s.idx[j]
 }
 
-// siteSorter stably orders members by their site's first appearance in
-// the eff ranking — selModel.chain's large-pool layout. Used with
-// sort.Stable only: the comparator is not total, and stability is what
-// pins the permutation to sort.SliceStable's.
-type siteSorter struct {
-	idx    []int
-	siteID []int
-	first  []int
+// siteGrouper lays chain members out grouped by site — sites in order
+// of their first appearance among the members, members keeping their
+// order within a site: the large-pool chain layout of selModel.chain and
+// the session's chainFor. It is a stable counting sort over dense site
+// ids, O(k) per call in reused memory.
+type siteGrouper struct {
+	siteID []int // per pool index
+	rank   []int // per site id: first-appearance rank, -1 between calls
+	off    []int // per rank: bucket offset
 }
 
-func (s *siteSorter) Len() int      { return len(s.idx) }
-func (s *siteSorter) Swap(i, j int) { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-func (s *siteSorter) Less(i, j int) bool {
-	return s.first[s.siteID[s.idx[i]]] < s.first[s.siteID[s.idx[j]]]
+func newSiteGrouper(pool []*grid.Host) siteGrouper {
+	siteOf := make(map[string]int)
+	g := siteGrouper{siteID: make([]int, len(pool))}
+	for i, h := range pool {
+		id, ok := siteOf[h.Site]
+		if !ok {
+			id = len(siteOf)
+			siteOf[h.Site] = id
+		}
+		g.siteID[i] = id
+	}
+	g.rank = make([]int, len(siteOf))
+	for i := range g.rank {
+		g.rank[i] = -1
+	}
+	g.off = make([]int, len(siteOf))
+	return g
+}
+
+// group writes members, grouped by site, into out[:len(members)].
+func (g *siteGrouper) group(out, members []int) {
+	sites := 0
+	for _, i := range members {
+		sid := g.siteID[i]
+		if g.rank[sid] < 0 {
+			g.rank[sid] = sites
+			g.off[sites] = 0
+			sites++
+		}
+		g.off[g.rank[sid]]++
+	}
+	pos := 0
+	for r := 0; r < sites; r++ {
+		pos, g.off[r] = pos+g.off[r], pos
+	}
+	for _, i := range members {
+		r := g.rank[g.siteID[i]]
+		out[g.off[r]] = i
+		g.off[r]++
+	}
+	for _, i := range members {
+		g.rank[g.siteID[i]] = -1
+	}
 }
 
 // sessionScratch is the ReschedSession's reusable chain-layout memory,
@@ -545,14 +592,7 @@ type sessionScratch struct {
 	chain   []int // strip-chain order (pool indices)
 	rem     []int // greedy nearest-neighbor worklist
 
-	// Site-aware chain (large heuristic pools): first-appearance rank per
-	// site id, invalidated by epoch instead of clearing.
-	siteFirst []int
-	siteEpoch []int
-	epoch     int
-
-	effSort  effSorter
-	siteSort siteSorter
+	effSort effSorter
 }
 
 func (scr *sessionScratch) init(np, words int) {
@@ -566,33 +606,38 @@ func (scr *sessionScratch) init(np, words int) {
 	scr.rem = make([]int, np)
 }
 
-// routeBW composes pair (i,j)'s bandwidth: the frozen pair array when
-// present, otherwise the bottleneck min over frozen link bandwidths in
-// route order (linkSnapshot's composition, bit for bit).
-func (s *ReschedSession) routeBW(i, j int) float64 {
-	if s.pairArrays {
-		return s.pairBW[i*len(s.pool)+j]
+// route is the frozen route between pool indices i and j in the route
+// topology (nil when either host is unknown to it).
+func (s *ReschedSession) route(i, j int) []*grid.Link {
+	if s.tidx[i] < 0 || s.tidx[j] < 0 {
+		return nil
 	}
-	bw := 1e30
-	for _, l := range s.rtp.Route(s.names[i], s.names[j]) {
-		if li, ok := s.linkIdx[l]; ok && s.linkBW[li] < bw {
-			bw = s.linkBW[li]
-		}
-	}
-	return bw
+	return s.rtp.RouteAt(s.tidx[i], s.tidx[j])
 }
 
-// routeLat composes pair (i,j)'s latency: frozen pair array or the sum
-// of static link latencies in route order.
-func (s *ReschedSession) routeLat(i, j int) float64 {
-	if s.pairArrays {
-		return s.pairLat[i*len(s.pool)+j]
-	}
-	lat := 0.0
-	for _, l := range s.rtp.Route(s.names[i], s.names[j]) {
+// linkRoute composes pair (i,j)'s latency and bandwidth in one walk of
+// its route: latencies summed and the bottleneck min over the frozen
+// link bandwidths seeded at 1e30, both in route order (linkSnapshot's
+// composition, bit for bit).
+func (s *ReschedSession) linkRoute(i, j int) (lat, bw float64) {
+	bw = 1e30
+	for _, l := range s.route(i, j) {
+		if v := s.linkBW[l.Index()]; v < bw {
+			bw = v
+		}
 		lat += l.Latency
 	}
-	return lat
+	return lat, bw
+}
+
+// routeAt is pair (i,j)'s latency and bandwidth: the frozen pair arrays
+// when present, otherwise composed from the link column.
+func (s *ReschedSession) routeAt(i, j int) (lat, bw float64) {
+	if s.pairArrays {
+		at := i*len(s.pool) + j
+		return s.pairLat[at], s.pairBW[at]
+	}
+	return s.linkRoute(i, j)
 }
 
 // costAt is the chain transfer cost between pool indices: latency plus
@@ -602,11 +647,11 @@ func (s *ReschedSession) costAt(i, j int) float64 {
 	if s.pairArrays {
 		return s.cost[i*len(s.pool)+j]
 	}
-	bw := s.routeBW(i, j)
+	lat, bw := s.linkRoute(i, j)
 	if bw <= 0 {
 		bw = 1e-6
 	}
-	return s.routeLat(i, j) + 1.0/bw
+	return lat + 1.0/bw
 }
 
 // chainFor lays candidate mask out as a strip chain into scr.chain and
@@ -631,19 +676,7 @@ func (s *ReschedSession) chainFor(mask []uint64) int {
 		return 1
 	}
 	if s.siteChain {
-		scr.epoch++
-		rank := 0
-		for i := 0; i < k; i++ {
-			sid := s.siteID[scr.members[i]]
-			if scr.siteEpoch[sid] != scr.epoch {
-				scr.siteEpoch[sid] = scr.epoch
-				scr.siteFirst[sid] = rank
-				rank++
-			}
-		}
-		copy(scr.chain[:k], scr.members[:k])
-		scr.siteSort.idx = scr.chain[:k]
-		sort.Stable(&scr.siteSort)
+		s.sites.group(scr.chain, scr.members[:k])
 		return k
 	}
 	cur := scr.members[0]
@@ -683,10 +716,12 @@ func (s *ReschedSession) feed(k int) int {
 		kn.secPP[i] = s.m.flopPerUnit / 1e6 / speed
 		comm := 0.0
 		if i > 0 {
-			comm += borderSec(s.routeLat(h, chain[i-1]), s.routeBW(h, chain[i-1]), edge)
+			lat, bw := s.routeAt(h, chain[i-1])
+			comm += borderSec(lat, bw, edge)
 		}
 		if i < k-1 {
-			comm += borderSec(s.routeLat(h, chain[i+1]), s.routeBW(h, chain[i+1]), edge)
+			lat, bw := s.routeAt(h, chain[i+1])
+			comm += borderSec(lat, bw, edge)
 		}
 		kn.commSec[i] = comm
 		kn.maxPts[i] = s.capPts[h]

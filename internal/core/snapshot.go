@@ -13,22 +13,22 @@ import "apples/internal/grid"
 //     sources, since each route query walks links and consults a
 //     forecaster bank), and
 //   - makes parallel candidate evaluation safe: workers read only the
-//     snapshot's frozen maps, never the underlying source, so an
+//     snapshot's frozen values, never the underlying source, so an
 //     Information implementation need not be thread-safe.
 //
 // Lookups for hosts outside the snapshot fall through to the underlying
 // source (this only happens on sequential paths such as re-estimating a
 // stale placement whose hosts have since been filtered out).
 type InfoSnapshot struct {
-	avail  map[string]float64
-	bw     map[pairKey]float64
-	lat    map[pairKey]float64
+	pos    map[string]int // host name -> position in the frozen host list
+	n      int
+	avail  []float64 // by position
+	lat    []float64 // n×n by position pair (i·n + j); the diagonal is unused
+	bw     []float64
 	source string
 	base   Information
 	stats  SnapshotStats
 }
-
-type pairKey struct{ a, b string }
 
 // SnapshotStats reports what building a snapshot cost: how much was
 // resolved and how many queries actually reached the underlying source.
@@ -58,15 +58,26 @@ func (s *InfoSnapshot) Stats() SnapshotStats { return s.stats }
 // take a fresh one per scheduling round.
 func SnapshotInformation(info Information, hosts []string) *InfoSnapshot {
 	s := &InfoSnapshot{
-		avail:  make(map[string]float64, len(hosts)),
-		bw:     make(map[pairKey]float64, len(hosts)*len(hosts)),
-		lat:    make(map[pairKey]float64, len(hosts)*len(hosts)),
+		pos:    make(map[string]int, len(hosts)),
 		source: info.Source(),
 		base:   info,
 	}
+	names := make([]string, 0, len(hosts))
 	for _, h := range hosts {
-		s.avail[h] = finiteAvailability(info.Availability(h))
+		if _, dup := s.pos[h]; !dup {
+			s.pos[h] = len(names)
+			names = append(names, h)
+		}
 	}
+	n := len(names)
+	s.n = n
+	s.avail = make([]float64, n)
+	s.lat = make([]float64, n*n)
+	s.bw = make([]float64, n*n)
+	for i, h := range names {
+		s.avail[i] = finiteAvailability(info.Availability(h))
+	}
+	pairs := n * (n - 1)
 	if rb, ok := info.(routeBatcher); ok {
 		// Batched path: resolve each link's bandwidth once, then compose
 		// the per-pair bottleneck mins and latency sums by walking the
@@ -76,76 +87,91 @@ func SnapshotInformation(info Information, hosts []string) *InfoSnapshot {
 		// per-pair path below — just without re-consulting the forecaster
 		// bank for every pair sharing a link.
 		tp := rb.routeTopology()
-		linkBW := make(map[*grid.Link]float64)
-		for _, a := range hosts {
-			for _, b := range hosts {
-				if a == b {
+		tidx := make([]int, n)
+		for i, h := range names {
+			tidx[i] = tp.HostIndex(h)
+		}
+		nl := len(tp.Links())
+		linkBW := make([]float64, nl)
+		resolved := make([]bool, nl)
+		links := 0
+		for i := range names {
+			for j := range names {
+				if i == j {
 					continue
 				}
 				bw, lat := 1e30, 0.0
-				for _, l := range tp.Route(a, b) {
-					v, ok := linkBW[l]
-					if !ok {
-						v = rb.linkBandwidth(l)
-						linkBW[l] = v
+				if tidx[i] >= 0 && tidx[j] >= 0 {
+					for _, l := range tp.RouteAt(tidx[i], tidx[j]) {
+						li := l.Index()
+						if !resolved[li] {
+							resolved[li] = true
+							linkBW[li] = rb.linkBandwidth(l)
+							links++
+						}
+						if v := linkBW[li]; v < bw {
+							bw = v
+						}
+						lat += l.Latency
 					}
-					if v < bw {
-						bw = v
-					}
-					lat += l.Latency
 				}
-				k := pairKey{a, b}
-				s.bw[k] = bw
-				s.lat[k] = lat
+				s.bw[i*n+j] = bw
+				s.lat[i*n+j] = lat
 			}
 		}
-		s.stats = SnapshotStats{
-			Hosts:         len(hosts),
-			Pairs:         len(s.bw),
-			SourceQueries: len(hosts) + len(linkBW),
-		}
+		s.stats = SnapshotStats{Hosts: n, Pairs: pairs, SourceQueries: n + links}
 		return s
 	}
-	for _, a := range hosts {
-		for _, b := range hosts {
-			if a == b {
+	for i, a := range names {
+		for j, b := range names {
+			if i == j {
 				continue
 			}
-			k := pairKey{a, b}
-			s.bw[k] = info.RouteBandwidth(a, b)
-			s.lat[k] = info.RouteLatency(a, b)
+			s.bw[i*n+j] = info.RouteBandwidth(a, b)
+			s.lat[i*n+j] = info.RouteLatency(a, b)
 		}
 	}
-	s.stats = SnapshotStats{
-		Hosts:         len(hosts),
-		Pairs:         len(s.bw),
-		SourceQueries: len(hosts) + 2*len(s.bw),
-	}
+	s.stats = SnapshotStats{Hosts: n, Pairs: pairs, SourceQueries: n + 2*pairs}
 	return s
 }
 
-// Availability implements Information from the frozen map.
+// Availability implements Information from the frozen column.
 func (s *InfoSnapshot) Availability(host string) float64 {
-	if v, ok := s.avail[host]; ok {
-		return v
+	if i, ok := s.pos[host]; ok {
+		return s.avail[i]
 	}
 	return s.base.Availability(host)
 }
 
-// RouteBandwidth implements Information from the frozen map.
+// RouteBandwidth implements Information from the frozen pair array.
 func (s *InfoSnapshot) RouteBandwidth(a, b string) float64 {
-	if v, ok := s.bw[pairKey{a, b}]; ok {
-		return v
+	if i, j := s.hostIndex(a), s.hostIndex(b); i >= 0 && j >= 0 && i != j {
+		return s.bw[i*s.n+j]
 	}
 	return s.base.RouteBandwidth(a, b)
 }
 
-// RouteLatency implements Information from the frozen map.
+// RouteLatency implements Information from the frozen pair array.
 func (s *InfoSnapshot) RouteLatency(a, b string) float64 {
-	if v, ok := s.lat[pairKey{a, b}]; ok {
-		return v
+	if i, j := s.hostIndex(a), s.hostIndex(b); i >= 0 && j >= 0 && i != j {
+		return s.lat[i*s.n+j]
 	}
 	return s.base.RouteLatency(a, b)
+}
+
+// hostIndex implements routeIndex: the host's position in the frozen
+// host list, -1 outside it.
+func (s *InfoSnapshot) hostIndex(name string) int {
+	if i, ok := s.pos[name]; ok {
+		return i
+	}
+	return -1
+}
+
+// routeAt implements routeIndex from the frozen pair arrays.
+func (s *InfoSnapshot) routeAt(i, j int) (lat, bw float64) {
+	k := i*s.n + j
+	return s.lat[k], s.bw[k]
 }
 
 // Source names the underlying source as of snapshot time.
@@ -161,10 +187,44 @@ func (s *InfoSnapshot) Source() string { return s.source }
 const lazySnapshotThreshold = 64
 
 // infoView is what a scheduling round evaluates against: a frozen
-// Information source that can report what building it cost.
+// Information source with dense host addressing that can report what
+// building it cost.
 type infoView interface {
 	Information
+	routeIndex
 	Stats() SnapshotStats
+}
+
+// routeIndex is a frozen view's dense host addressing, which lets a
+// round resolve each host once and price pairs by index. hostIndex is a
+// host's index in the view, -1 when the view has none; routeAt(i, j)
+// returns, for two distinct indexed hosts, exactly the RouteLatency and
+// RouteBandwidth the view reports for them by name.
+type routeIndex interface {
+	hostIndex(name string) int
+	routeAt(i, j int) (lat, bw float64)
+}
+
+// indexHosts writes each host's dense index in info into idx (-1
+// throughout when info has no routeIndex) and returns the index.
+func indexHosts(info Information, hosts []*grid.Host, idx []int) routeIndex {
+	ri, _ := info.(routeIndex)
+	for i, h := range hosts {
+		idx[i] = -1
+		if ri != nil {
+			idx[i] = ri.hostIndex(h.Name)
+		}
+	}
+	return ri
+}
+
+// routePair returns info's route latency and bandwidth from a to b: by
+// dense index when both hosts have one in ri, by name otherwise.
+func routePair(info Information, ri routeIndex, a, b *grid.Host, i, j int) (lat, bw float64) {
+	if i >= 0 && j >= 0 && i != j {
+		return ri.routeAt(i, j)
+	}
+	return info.RouteLatency(a.Name, b.Name), info.RouteBandwidth(a.Name, b.Name)
 }
 
 // roundSnapshot is the one snapshot constructor every scheduling path
@@ -212,13 +272,15 @@ func snapshotInformation(info Information, hosts []string) infoView {
 
 // linkSnapshot is the large-pool information view: per-host availability
 // and per-link bandwidth are frozen eagerly; per-pair route values are
-// composed on demand by walking the topology's precomputed routes over
-// the frozen link map. All maps are read-only after construction, so
-// parallel evaluation workers share it exactly like an InfoSnapshot.
+// composed on demand by walking the topology's route table over the
+// frozen link column. Its dense host index is the topology's, so every
+// topology host prices by index. All state is read-only after
+// construction, so parallel evaluation workers share it exactly like an
+// InfoSnapshot.
 type linkSnapshot struct {
 	tp     *grid.Topology
 	avail  map[string]float64
-	linkBW map[*grid.Link]float64
+	linkBW []float64 // by grid.Link.Index
 	source string
 	base   Information
 	stats  SnapshotStats
@@ -235,9 +297,9 @@ func newLinkSnapshot(info Information, rb routeBatcher, hosts []string) *linkSna
 		s.avail[h] = finiteAvailability(info.Availability(h))
 	}
 	links := s.tp.Links()
-	s.linkBW = make(map[*grid.Link]float64, len(links))
-	for _, l := range links {
-		s.linkBW[l] = rb.linkBandwidth(l)
+	s.linkBW = make([]float64, len(links))
+	for i, l := range links {
+		s.linkBW[i] = rb.linkBandwidth(l)
 	}
 	// Pairs stays 0: nothing pairwise is materialized up front.
 	s.stats = SnapshotStats{Hosts: len(hosts), SourceQueries: len(hosts) + len(links)}
@@ -262,12 +324,7 @@ func (s *linkSnapshot) RouteBandwidth(a, b string) float64 {
 	if a == b {
 		return s.base.RouteBandwidth(a, b)
 	}
-	bw := 1e30
-	for _, l := range s.tp.Route(a, b) {
-		if v, ok := s.linkBW[l]; ok && v < bw {
-			bw = v
-		}
-	}
+	_, bw := s.routeNamed(a, b)
 	return bw
 }
 
@@ -277,11 +334,35 @@ func (s *linkSnapshot) RouteLatency(a, b string) float64 {
 	if a == b {
 		return 0
 	}
-	lat := 0.0
-	for _, l := range s.tp.Route(a, b) {
+	lat, _ := s.routeNamed(a, b)
+	return lat
+}
+
+// routeNamed is routeAt by host name; a host unknown to the topology has
+// no route (latency 0, bandwidth 1e30).
+func (s *linkSnapshot) routeNamed(a, b string) (lat, bw float64) {
+	i, j := s.tp.HostIndex(a), s.tp.HostIndex(b)
+	if i < 0 || j < 0 {
+		return 0, 1e30
+	}
+	return s.routeAt(i, j)
+}
+
+// hostIndex implements routeIndex with the topology's dense host index.
+func (s *linkSnapshot) hostIndex(name string) int { return s.tp.HostIndex(name) }
+
+// routeAt implements routeIndex: one walk of the route sums latencies
+// and takes the bottleneck over the frozen link bandwidths, both in
+// route order.
+func (s *linkSnapshot) routeAt(i, j int) (lat, bw float64) {
+	bw = 1e30
+	for _, l := range s.tp.RouteAt(i, j) {
+		if v := s.linkBW[l.Index()]; v < bw {
+			bw = v
+		}
 		lat += l.Latency
 	}
-	return lat
+	return lat, bw
 }
 
 // Source names the underlying source as of snapshot time.

@@ -20,6 +20,7 @@ type Link struct {
 	Bandwidth float64 // MB/s when fully dedicated
 	Dedicated bool
 
+	index     int // position in Topology.Links(), assigned by Finalize
 	net       *network
 	transfers int // in the byte phase across this link
 
@@ -29,6 +30,10 @@ type Link struct {
 	sampled   bool
 	loadEv    *sim.Timer
 }
+
+// Index returns the link's position in its topology's Links(), a dense
+// index for per-link arrays. It is 0 for every link before Finalize.
+func (l *Link) Index() int { return l.index }
 
 // String returns the link name.
 func (l *Link) String() string { return l.Name }

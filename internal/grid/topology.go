@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,22 +25,27 @@ type Topology struct {
 	attach  map[string][]*Link // node name -> links it touches
 
 	net       *network
-	routes    map[[2]string][]*Link
 	finalized bool
 
-	// Large-topology route tables (built instead of `routes` when the
-	// host count exceeds maxExactRouteHosts): hosts attached to the same
-	// link set form an attachment class and share routes, so one BFS per
-	// class replaces one per ordered pair.
-	classOf     map[string]int       // host name -> attachment class
-	classRoutes []map[string][]*Link // class -> destination host -> path
-	classLinks  [][]*Link            // class -> single-segment intra-class path
+	// Dense indices, assigned by Finalize: hosts by name order (HostIndex),
+	// links by their position in Links().
+	hostList []*Host
+	hostIdx  map[string]int
+	linkList []*Link
+
+	// The route table, addressed by host index. Each host reads the row
+	// of its attachment class: above maxExactRouteHosts, hosts attached
+	// to the same link set share a row (one BFS per class instead of one
+	// per host); at or below it every host has a row of its own.
+	rowOf   []int       // host index -> row
+	rows    [][][]*Link // row -> destination host index -> path
+	rowLink [][]*Link   // row -> path between two distinct hosts of the row
 }
 
-// maxExactRouteHosts bounds the per-pair BFS precompute in Finalize.
-// Beyond it, routes are derived from one BFS per attachment class —
-// still minimum-hop and deterministic, but O(classes·nodes) instead of
-// O(hosts²·nodes), which is what makes 1000+-host topologies buildable.
+// maxExactRouteHosts bounds the per-host route rows built by Finalize.
+// Beyond it, hosts with the same attachment share one row — still
+// minimum-hop and deterministic, but O(classes·nodes) instead of
+// O(hosts·nodes), which is what makes 1000+-host topologies buildable.
 const maxExactRouteHosts = 64
 
 // NewTopology returns an empty topology running on eng.
@@ -148,43 +154,27 @@ func (tp *Topology) Attach(node string, link *Link) {
 	tp.attach[node] = append(tp.attach[node], link)
 }
 
-// Finalize computes all-pairs routes. It must be called once, before the
-// simulation advances, and panics if any host pair is unreachable. Small
-// topologies (≤ maxExactRouteHosts hosts) run one BFS per ordered pair;
-// larger ones derive routes from one BFS per attachment class.
+// Finalize assigns the dense host and link indices and computes
+// all-pairs routes. It must be called once, before the simulation
+// advances, and panics if any host pair is unreachable. Small topologies
+// (≤ maxExactRouteHosts hosts) run one BFS per host; larger ones one BFS
+// per attachment class.
 func (tp *Topology) Finalize() {
 	if tp.finalized {
 		panic("grid: Finalize called twice")
 	}
+	tp.linkList = tp.Links()
+	for i, l := range tp.linkList {
+		l.index = i
+	}
+	tp.hostList = tp.Hosts()
+	tp.hostIdx = make(map[string]int, len(tp.hostList))
+	for i, h := range tp.hostList {
+		tp.hostIdx[h.Name] = i
+	}
 	tp.finalized = true
-	names := tp.HostNames()
-	if len(names) > maxExactRouteHosts {
-		tp.finalizeByClass(names)
-		return
-	}
-	tp.routes = make(map[[2]string][]*Link)
-	for _, a := range names {
-		for _, b := range names {
-			if a == b {
-				continue
-			}
-			r := tp.bfsRoute(a, b)
-			if r == nil {
-				panic(fmt.Sprintf("grid: no route between %q and %q", a, b))
-			}
-			tp.routes[[2]string{a, b}] = r
-		}
-	}
-}
 
-// finalizeByClass builds the large-topology route tables: hosts with an
-// identical attached-link set see the network from the same point, so a
-// single BFS from one class representative yields the routes for every
-// member. Same-class pairs are one shared segment apart; the path is the
-// lexically first attached link, independent of which member represents
-// the class.
-func (tp *Topology) finalizeByClass(hosts []string) {
-	// Link membership, hoisted out of the per-source BFS (deterministic
+	// Link membership, hoisted out of the per-row BFS (deterministic
 	// order: nodes sorted by name, links in attach order).
 	members := make(map[*Link][]string)
 	nodes := make([]string, 0, len(tp.attach))
@@ -197,56 +187,67 @@ func (tp *Topology) finalizeByClass(hosts []string) {
 			members[l] = append(members[l], n)
 		}
 	}
-	tp.classOf = make(map[string]int, len(hosts))
-	classIdx := make(map[string]int)
-	var reps []string
-	for _, h := range hosts {
-		ls := make([]string, len(tp.attach[h]))
-		for i, l := range tp.attach[h] {
-			ls[i] = l.Name
+
+	// Rows: one per host, or one per attachment class on large
+	// topologies. A class's row is computed from its first host; every
+	// member sees the network from the same point, and two members are
+	// one shared segment apart — the lexically first attached link,
+	// independent of which member represents the class.
+	n := len(tp.hostList)
+	tp.rowOf = make([]int, n)
+	var reps []int
+	if n <= maxExactRouteHosts {
+		for i := range tp.hostList {
+			tp.rowOf[i] = i
+			reps = append(reps, i)
 		}
-		sort.Strings(ls)
-		key := strings.Join(ls, "\x00")
-		id, ok := classIdx[key]
-		if !ok {
-			id = len(reps)
-			classIdx[key] = id
-			reps = append(reps, h)
+	} else {
+		classIdx := make(map[string]int)
+		for i, h := range tp.hostList {
+			ls := make([]string, len(tp.attach[h.Name]))
+			for j, l := range tp.attach[h.Name] {
+				ls[j] = l.Name
+			}
+			sort.Strings(ls)
+			key := strings.Join(ls, "\x00")
+			id, ok := classIdx[key]
+			if !ok {
+				id = len(reps)
+				classIdx[key] = id
+				reps = append(reps, i)
+			}
+			tp.rowOf[i] = id
 		}
-		tp.classOf[h] = id
 	}
-	hostSet := make(map[string]bool, len(hosts))
-	for _, h := range hosts {
-		hostSet[h] = true
-	}
-	tp.classRoutes = make([]map[string][]*Link, len(reps))
-	tp.classLinks = make([][]*Link, len(reps))
-	for id, rep := range reps {
-		att := append([]*Link(nil), tp.attach[rep]...)
+	tp.rows = make([][][]*Link, len(reps))
+	tp.rowLink = make([][]*Link, len(reps))
+	for r, rep := range reps {
+		name := tp.hostList[rep].Name
+		att := append([]*Link(nil), tp.attach[name]...)
 		sort.Slice(att, func(i, j int) bool { return att[i].Name < att[j].Name })
 		if len(att) > 0 {
-			tp.classLinks[id] = att[:1]
+			tp.rowLink[r] = att[:1]
 		}
-		tp.classRoutes[id] = tp.bfsTree(rep, members, hostSet)
-		if len(tp.classRoutes[id])+1 < len(hosts) {
-			for _, b := range hosts {
-				if b != rep && tp.classRoutes[id][b] == nil {
-					panic(fmt.Sprintf("grid: no route between %q and %q", rep, b))
-				}
+		row := make([][]*Link, n)
+		tp.bfsTree(name, members, row)
+		for j, h := range tp.hostList {
+			if j != rep && row[j] == nil {
+				panic(fmt.Sprintf("grid: no route between %q and %q", name, h.Name))
 			}
 		}
+		tp.rows[r] = row
 	}
 }
 
-// bfsTree runs one minimum-hop BFS from a source node and records the
-// link path to every reachable host — the same traversal order as
-// bfsRoute, but answering all destinations in one pass.
-func (tp *Topology) bfsTree(from string, members map[*Link][]string, hostSet map[string]bool) map[string][]*Link {
+// bfsTree runs one minimum-hop BFS over the bipartite node/link graph
+// from a source node and writes the link path to every reachable host
+// into row, by host index: nodes are expanded in queue order, links in
+// attach order, and a host's path is fixed when it is first visited.
+func (tp *Topology) bfsTree(from string, members map[*Link][]string, row [][]*Link) {
 	type state struct {
 		node string
 		path []*Link
 	}
-	out := make(map[string][]*Link)
 	visited := map[string]bool{from: true}
 	queue := []state{{node: from}}
 	for len(queue) > 0 {
@@ -259,55 +260,13 @@ func (tp *Topology) bfsTree(from string, members map[*Link][]string, hostSet map
 				}
 				visited[next] = true
 				path := append(append([]*Link(nil), cur.path...), l)
-				if hostSet[next] {
-					out[next] = path
+				if j, ok := tp.hostIdx[next]; ok {
+					row[j] = path
 				}
 				queue = append(queue, state{node: next, path: path})
 			}
 		}
 	}
-	return out
-}
-
-// bfsRoute finds the minimum-hop link path between two nodes via BFS over
-// the bipartite node/link graph.
-func (tp *Topology) bfsRoute(from, to string) []*Link {
-	type state struct {
-		node string
-		path []*Link
-	}
-	visited := map[string]bool{from: true}
-	queue := []state{{node: from}}
-	// membership: link -> attached node names (deterministic order)
-	members := make(map[*Link][]string)
-	var nodes []string
-	for n := range tp.attach {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	for _, n := range nodes {
-		for _, l := range tp.attach[n] {
-			members[l] = append(members[l], n)
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, l := range tp.attach[cur.node] {
-			for _, next := range members[l] {
-				if visited[next] {
-					continue
-				}
-				visited[next] = true
-				path := append(append([]*Link(nil), cur.path...), l)
-				if next == to {
-					return path
-				}
-				queue = append(queue, state{node: next, path: path})
-			}
-		}
-	}
-	return nil
 }
 
 // SetHostTraces replaces the ambient load of the named hosts with
@@ -344,8 +303,12 @@ func (tp *Topology) Host(name string) *Host { return tp.hosts[name] }
 // Link returns the named link, or nil.
 func (tp *Topology) Link(name string) *Link { return tp.links[name] }
 
-// Hosts returns all hosts sorted by name.
+// Hosts returns all hosts sorted by name — after Finalize, in
+// HostIndex order.
 func (tp *Topology) Hosts() []*Host {
+	if tp.finalized {
+		return slices.Clone(tp.hostList)
+	}
 	out := make([]*Host, 0, len(tp.hosts))
 	for _, name := range tp.HostNames() {
 		out = append(out, tp.hosts[name])
@@ -363,8 +326,12 @@ func (tp *Topology) HostNames() []string {
 	return names
 }
 
-// Links returns all links sorted by name.
+// Links returns all links sorted by name — after Finalize, in Link.Index
+// order.
 func (tp *Topology) Links() []*Link {
+	if tp.finalized {
+		return slices.Clone(tp.linkList)
+	}
 	names := make([]string, 0, len(tp.links))
 	for n := range tp.links {
 		names = append(names, n)
@@ -377,29 +344,40 @@ func (tp *Topology) Links() []*Link {
 	return out
 }
 
-// Route returns the link path from host a to host b (nil if a == b).
+// HostIndex returns the named host's dense index — its position in
+// Hosts() — or -1 for an unknown host or before Finalize.
+func (tp *Topology) HostIndex(name string) int {
+	if i, ok := tp.hostIdx[name]; ok {
+		return i
+	}
+	return -1
+}
+
+// RouteAt returns the link path between the hosts with dense indices i
+// and j (nil if i == j). Both must be valid indices from HostIndex. The
+// returned slice is shared; callers must not modify it.
+func (tp *Topology) RouteAt(i, j int) []*Link {
+	if i == j {
+		return nil
+	}
+	r := tp.rowOf[i]
+	if tp.rowOf[j] == r {
+		return tp.rowLink[r]
+	}
+	return tp.rows[r][j]
+}
+
+// Route returns the link path from host a to host b (nil if a == b or
+// either host is unknown).
 func (tp *Topology) Route(a, b string) []*Link {
 	if !tp.finalized {
 		panic("grid: Route before Finalize")
 	}
-	if tp.routes != nil {
-		return tp.routes[[2]string{a, b}]
-	}
-	if a == b {
+	i, j := tp.HostIndex(a), tp.HostIndex(b)
+	if i < 0 || j < 0 {
 		return nil
 	}
-	ca, ok := tp.classOf[a]
-	if !ok {
-		return nil
-	}
-	cb, ok := tp.classOf[b]
-	if !ok {
-		return nil
-	}
-	if ca == cb {
-		return tp.classLinks[ca]
-	}
-	return tp.classRoutes[ca][b]
+	return tp.RouteAt(i, j)
 }
 
 // Send transfers sizeMB from host a to host b; done fires on completion.
