@@ -67,6 +67,10 @@ type Agent struct {
 	spec  *userspec.Spec
 	coord Coordinator
 
+	// pool is spec.Filter(tp.Hosts()), computed once: the host set is
+	// fixed after Finalize. Read-only; every round shares it.
+	pool []*grid.Host
+
 	// spillFactor mirrors the execution substrate's out-of-memory penalty
 	// so spills are priced honestly (default 25, matching jacobi.Config;
 	// see WithSpillFactor).
@@ -79,6 +83,9 @@ type Agent struct {
 // every agent evaluates candidates against a per-round information
 // snapshot — inline on pools up to 64 hosts, over GOMAXPROCS workers on
 // larger ones — and makes exactly the decision the sequential path would.
+// The Spec's host filter (Accessible, Excluded, PreferredSites,
+// MinHostMemoryMB, RequiredFeatures) is applied here, once: changing
+// those fields afterwards does not change the agent's pool.
 func NewAgent(tp *grid.Topology, tpl *hat.Template, spec *userspec.Spec, info Information, opts ...AgentOption) (*Agent, error) {
 	if err := tpl.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w: %w", ErrBadTemplate, err)
@@ -102,7 +109,8 @@ func NewAgent(tp *grid.Topology, tpl *hat.Template, spec *userspec.Spec, info In
 	if err := cfg.selector.validate(); err != nil {
 		return nil, err
 	}
-	a := &Agent{tp: tp, tpl: tpl, spec: spec, coord: cfg.Coordinator, spillFactor: 25}
+	a := &Agent{tp: tp, tpl: tpl, spec: spec, coord: cfg.Coordinator, spillFactor: 25,
+		pool: spec.Filter(tp.Hosts())}
 	if cfg.spillFactor > 0 {
 		a.spillFactor = cfg.spillFactor
 	}
@@ -224,7 +232,7 @@ func (rp *roundPricer) place(cands []Candidate) {
 // The Coordinator owns everything else — snapshotting, fan-out, pruning
 // bookkeeping, and the deterministic reduce.
 func (a *Agent) round(rp *roundPricer, winnerOnly bool) Round {
-	pool := a.spec.Filter(a.tp.Hosts())
+	pool := a.pool
 	r := Round{
 		Pool:     pool,
 		Selector: string(a.coord.selector.normalized().Kind),
@@ -280,21 +288,51 @@ func (a *Agent) hasComputeBound() bool {
 	return a.spec.Metric == userspec.MinExecutionTime && a.spillFactor >= 1
 }
 
-// secondsPerPoint resolves the planner's compute-cost coefficient for
-// every pool host once, for the pruning bound. Hosts with no deliverable
-// speed get +Inf (their sets cannot plan anyway).
-func secondsPerPoint(pool []*grid.Host, info Information, task hat.Task) map[string]float64 {
-	out := make(map[string]float64, len(pool))
+// pointCosts is the planner's compute-cost coefficient P_i (seconds
+// per point) of every pool host, resolved once per round for the
+// pruning bound. A host is looked up by its dense topology index; a
+// host with no index, or whose index another pool host already holds,
+// keeps a name-keyed entry.
+type pointCosts struct {
+	hosts   []*grid.Host // by Host.Index: the host each entry belongs to
+	byIndex []float64
+	byName  map[string]float64
+}
+
+// of is h's coefficient, 0 for a host outside the pool.
+func (c *pointCosts) of(h *grid.Host) float64 {
+	if i := h.Index(); i >= 0 && i < len(c.hosts) && c.hosts[i] == h {
+		return c.byIndex[i]
+	}
+	return c.byName[h.Name]
+}
+
+// secondsPerPoint resolves P_i for every pool host once, for the
+// pruning bound. Hosts with no deliverable speed get +Inf (their sets
+// cannot plan anyway).
+func secondsPerPoint(pool []*grid.Host, info Information, task hat.Task) *pointCosts {
+	size := 0
+	for _, h := range pool {
+		size = max(size, h.Index()+1)
+	}
+	c := &pointCosts{hosts: make([]*grid.Host, size), byIndex: make([]float64, size)}
 	for _, h := range pool {
 		avail := floorAvailability(info.Availability(h.Name))
 		speed := h.Speed * avail * task.SpeedFactorOn(h.Arch)
-		if speed <= 0 {
-			out[h.Name] = math.Inf(1)
+		p := math.Inf(1)
+		if speed > 0 {
+			p = task.FlopPerUnit / 1e6 / speed
+		}
+		if i := h.Index(); i >= 0 && c.hosts[i] == nil {
+			c.hosts[i], c.byIndex[i] = h, p
 			continue
 		}
-		out[h.Name] = task.FlopPerUnit / 1e6 / speed
+		if c.byName == nil {
+			c.byName = make(map[string]float64)
+		}
+		c.byName[h.Name] = p
 	}
-	return out
+	return c
 }
 
 // boundMargin shaves the compute bound below floating-point rounding.
@@ -313,10 +351,10 @@ const boundMargin = 1e-9
 // shaved by boundMargin. The estimator's max_i(points_i·P_i·mult_i +
 // C_i) is ≥ this for every placement (mult_i ≥ 1), so exceeding the
 // incumbent strictly proves the set loses.
-func computeLowerBound(set []*grid.Host, secPP map[string]float64, n, iterations int) float64 {
+func computeLowerBound(set []*grid.Host, secPP *pointCosts, n, iterations int) float64 {
 	rate := 0.0
 	for _, h := range set {
-		p := secPP[h.Name]
+		p := secPP.of(h)
 		if p <= 0 || math.IsInf(p, 1) {
 			continue
 		}

@@ -154,7 +154,7 @@ func (b *beamSelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
 							if m.eff[drops[a]] != m.eff[drops[c]] {
 								return m.eff[drops[a]] < m.eff[drops[c]]
 							}
-							return m.pool[drops[a]].Name < m.pool[drops[c]].Name
+							return m.nameRank[drops[a]] < m.nameRank[drops[c]]
 						})
 						drops = drops[:beamMoveFanout]
 					}
@@ -171,7 +171,7 @@ func (b *beamSelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
 					weakest := st.idxs[0]
 					for _, i := range st.idxs[1:] {
 						if m.eff[i] < m.eff[weakest] ||
-							(m.eff[i] == m.eff[weakest] && m.pool[i].Name < m.pool[weakest].Name) {
+							(m.eff[i] == m.eff[weakest] && m.nameRank[i] < m.nameRank[weakest]) {
 							weakest = i
 						}
 					}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"iter"
+	"math"
+	"slices"
 
 	"apples/internal/grid"
 )
@@ -86,35 +89,26 @@ func (g *greedySelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
 		limit := min(m.n, maxGreedyGrowth)
 		bestSeen := m.score(grown)
 		worse := 0
+		var scan *growthScan
+		if m.cost == nil {
+			scan = newGrowthScan(m, grown)
+		}
 		for len(grown.idxs) < limit {
 			k := len(grown.idxs)
-			sd := 0.0
-			if m.cost == nil {
-				// Hoisted once per step: the sampled-mode pair delta for
-				// any addition is (dist[i]·k + Σ member dists) / 2.
-				sd = sumDist(m, grown)
-			}
-			bestIdx, bestScore := -1, 0.0
-			for i := 0; i < m.n; i++ {
-				if grown.member[i] {
-					continue
-				}
-				var dp float64
-				if m.cost != nil {
-					dp = m.addPairDelta(grown, i)
-				} else {
-					dp = (m.dist[i]*float64(k) + sd) / 2
-				}
-				sc := surrogate(grown.sumEff+m.eff[i], grown.sumPair+dp, k+1)
-				if bestIdx < 0 || sc < bestScore ||
-					(sc == bestScore && m.pool[i].Name < m.pool[bestIdx].Name) {
-					bestIdx, bestScore = i, sc
-				}
+			var bestIdx int
+			var bestScore float64
+			if scan != nil {
+				bestIdx, bestScore = scan.next(m, grown, k, sumDist(m, grown))
+			} else {
+				bestIdx, bestScore = m.growStep(grown, k)
 			}
 			if bestIdx < 0 {
 				break
 			}
 			m.add(grown, bestIdx)
+			if scan != nil {
+				scan.took(m, grown, bestIdx)
+			}
 			maxPos = max(maxPos, m.rankPos[bestIdx])
 			stop := false
 			if bestScore < bestSeen {
@@ -137,4 +131,184 @@ func (g *greedySelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
 			}
 		}
 	}
+}
+
+// growStep is one marginal-gain step by full scan: the non-member of s
+// (k members) minimizing (surrogate after adding it, name, pool index),
+// and that surrogate; -1 when every host is a member. It prices exact
+// pair costs on small pools, and serves sampled pools whose model
+// growthScan cannot bound.
+func (m *selModel) growStep(s *selState, k int) (int, float64) {
+	sd := 0.0
+	if m.cost == nil {
+		// Hoisted once per step: the sampled-mode pair delta for any
+		// addition is (dist[i]·k + Σ member dists) / 2.
+		sd = sumDist(m, s)
+	}
+	bestIdx, bestScore := -1, 0.0
+	for i := 0; i < m.n; i++ {
+		if s.member[i] {
+			continue
+		}
+		var dp float64
+		if m.cost != nil {
+			dp = m.addPairDelta(s, i)
+		} else {
+			dp = (m.dist[i]*float64(k) + sd) / 2
+		}
+		sc := surrogate(s.sumEff+m.eff[i], s.sumPair+dp, k+1)
+		if bestIdx < 0 || sc < bestScore || (sc == bestScore && m.nameRank[i] < m.nameRank[bestIdx]) {
+			bestIdx, bestScore = i, sc
+		}
+	}
+	return bestIdx, bestScore
+}
+
+// growthBlockSize is how many hosts share one bound in growthScan.
+const growthBlockSize = 32
+
+// growthScan finds each sampled-mode growth step's winner without
+// pricing every non-member, and finds the same winner as growStep.
+//
+// A step adds the non-member i minimizing (score_i, name), where
+// score_i = surrogate(sumEff+eff[i], sumPair+(dist[i]·k+sd)/2, k+1).
+// With finite, non-negative eff and dist that expression does not
+// decrease in dist and does not increase in eff, and IEEE rounding is
+// monotone; so the same expression at a group's least dist and largest
+// non-member eff is a float lower bound on every member's score. Hosts
+// are ordered once by (dist asc, eff desc, name asc) and cut into
+// blocks of growthBlockSize. A step bounds every block, scans the block
+// with the least bound, then scans only the blocks whose bound is not
+// strictly above the incumbent: a block bounded exactly at it may hold
+// an equal score with a smaller name. Within a block a non-member whose
+// (dist, eff) bits equal the last one priced is skipped, since it
+// scores the same and its name is larger.
+type growthScan struct {
+	order  []int // pool indices by dist asc, eff desc, name asc
+	pos    []int // pool index -> position in order
+	blocks []growthBlock
+}
+
+type growthBlock struct {
+	minDist float64 // the block's first, least dist
+	maxEff  float64 // largest non-member eff; -1 once every host is a member
+	bound   float64 // this step's bound
+}
+
+// newGrowthScan indexes m for growth from s, or returns nil when the
+// monotonicity argument does not hold: some eff or dist is negative,
+// NaN or ±Inf, or Σeff is so large that sums could overflow into an
+// Inf/Inf score.
+func newGrowthScan(m *selModel, s *selState) *growthScan {
+	sumEff := 0.0
+	for i := range m.n {
+		e, d := m.eff[i], m.dist[i]
+		if !(e >= 0 && d >= 0) || math.IsInf(e, 1) || math.IsInf(d, 1) {
+			return nil
+		}
+		sumEff += e
+	}
+	if !(sumEff <= math.MaxFloat64/4) {
+		return nil
+	}
+	g := &growthScan{order: make([]int, m.n), pos: make([]int, m.n),
+		blocks: make([]growthBlock, (m.n+growthBlockSize-1)/growthBlockSize)}
+	for i := range g.order {
+		g.order[i] = i
+	}
+	slices.SortFunc(g.order, func(a, b int) int {
+		if c := cmp.Compare(m.dist[a], m.dist[b]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(m.eff[b], m.eff[a]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(m.nameRank[a], m.nameRank[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for p, i := range g.order {
+		g.pos[i] = p
+	}
+	for b := range g.blocks {
+		g.blocks[b].minDist = m.dist[g.order[b*growthBlockSize]]
+		g.refresh(m, s, b)
+	}
+	return g
+}
+
+// block is block b's pool indices.
+func (g *growthScan) block(b int) []int {
+	return g.order[b*growthBlockSize : min((b+1)*growthBlockSize, len(g.order))]
+}
+
+// refresh recomputes block b's largest non-member eff.
+func (g *growthScan) refresh(m *selModel, s *selState, b int) {
+	g.blocks[b].maxEff = -1
+	for _, i := range g.block(b) {
+		if !s.member[i] {
+			g.blocks[b].maxEff = max(g.blocks[b].maxEff, m.eff[i])
+		}
+	}
+}
+
+// took updates the index after pool index i joined s.
+func (g *growthScan) took(m *selModel, s *selState, i int) {
+	g.refresh(m, s, g.pos[i]/growthBlockSize)
+}
+
+// bound is block b's lower bound on the score of adding any of its
+// non-members to s (k members whose dists sum to sd).
+func (g *growthScan) bound(s *selState, b, k int, sd float64) float64 {
+	blk := &g.blocks[b]
+	return surrogate(s.sumEff+blk.maxEff, s.sumPair+(blk.minDist*float64(k)+sd)/2, k+1)
+}
+
+// next is growStep's winner and score for s (k members whose dists sum
+// to sd), found by scanning only the blocks that can hold it.
+func (g *growthScan) next(m *selModel, s *selState, k int, sd float64) (int, float64) {
+	first := -1
+	for b := range g.blocks {
+		blk := &g.blocks[b]
+		if blk.maxEff < 0 {
+			continue
+		}
+		blk.bound = g.bound(s, b, k, sd)
+		if first < 0 || blk.bound < g.blocks[first].bound {
+			first = b
+		}
+	}
+	if first < 0 {
+		return -1, 0
+	}
+	best, bestScore := g.scanBlock(m, s, first, k, sd, -1, 0)
+	for b := range g.blocks {
+		if blk := &g.blocks[b]; b != first && blk.maxEff >= 0 && blk.bound <= bestScore {
+			best, bestScore = g.scanBlock(m, s, b, k, sd, best, bestScore)
+		}
+	}
+	return best, bestScore
+}
+
+// scanBlock prices block b's non-members against the incumbent (best,
+// bestScore; best -1 for none) and returns the new incumbent.
+func (g *growthScan) scanBlock(m *selModel, s *selState, b, k int, sd float64, best int, bestScore float64) (int, float64) {
+	lastD, lastE := uint64(math.MaxUint64), uint64(math.MaxUint64) // no finite float's bits
+	for _, i := range g.block(b) {
+		if s.member[i] {
+			continue
+		}
+		d, e := math.Float64bits(m.dist[i]), math.Float64bits(m.eff[i])
+		if d == lastD && e == lastE {
+			continue
+		}
+		lastD, lastE = d, e
+		sc := surrogate(s.sumEff+m.eff[i], s.sumPair+(m.dist[i]*float64(k)+sd)/2, k+1)
+		if best < 0 || sc < bestScore ||
+			(sc == bestScore && (m.nameRank[i] < m.nameRank[best] || m.nameRank[i] == m.nameRank[best] && i < best)) {
+			best, bestScore = i, sc
+		}
+	}
+	return best, bestScore
 }

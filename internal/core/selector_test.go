@@ -362,6 +362,7 @@ func legacyGreedy(m *selModel, maxSets int) (chains [][]*grid.Host, dropped int,
 	worse := 0
 	for len(grown.idxs) < limit {
 		k := len(grown.idxs)
+		sd := sumDist(m, grown)
 		bestIdx, bestScore := -1, 0.0
 		for i := 0; i < m.n; i++ {
 			if grown.member[i] {
@@ -371,7 +372,7 @@ func legacyGreedy(m *selModel, maxSets int) (chains [][]*grid.Host, dropped int,
 			if m.cost != nil {
 				dp = m.addPairDelta(grown, i)
 			} else {
-				dp = (m.dist[i]*float64(k) + sumDist(m, grown)) / 2
+				dp = (m.dist[i]*float64(k) + sd) / 2
 			}
 			sc := surrogate(grown.sumEff+m.eff[i], grown.sumPair+dp, k+1)
 			if bestIdx < 0 || sc < bestScore ||
@@ -413,11 +414,22 @@ type namesOnly struct{ Information }
 // host's availability is forced to NaN, 0 and +Inf; caps land inside
 // the prefix ladder and inside the grown family, where a grown set
 // equal to a prefix must be deduplicated before it counts as dropped.
+// The quiet pools put whole sites on one (dist, eff) pair, so the
+// bounded growth scan's tie-run skip and name tie-break decide most
+// steps there.
 func TestGreedyMatchesLegacy(t *testing.T) {
-	for _, p := range []struct{ clusters, per int }{{3, 16}, {5, 13}, {32, 16}, {128, 16}} {
+	for _, p := range []struct {
+		clusters, per int
+		quiet         bool
+	}{{3, 16, false}, {5, 13, false}, {32, 16, false}, {128, 16, false},
+		{5, 13, true}, {32, 16, true}, {128, 16, true}} {
 		tp := grid.ClusterOfClusters(sim.NewEngine(), grid.ClusterOptions{
-			Clusters: p.clusters, PerCluster: p.per, Seed: 3})
+			Clusters: p.clusters, PerCluster: p.per, Seed: 3, Quiet: p.quiet})
 		pool := tp.Hosts()
+		kind := "loaded"
+		if p.quiet {
+			kind = "quiet"
+		}
 		overlay := map[string]float64{}
 		info := NewOverlayInformation(OracleInformation(tp), overlay)
 		odd := pool[len(pool)/3].Name
@@ -428,7 +440,7 @@ func TestGreedyMatchesLegacy(t *testing.T) {
 			}
 			view := roundSnapshot(info, pool)
 			for _, maxSets := range []int{0, 40, 60} {
-				name := fmt.Sprintf("%dhost/avail=%v/cap=%d", len(pool), avail, maxSets)
+				name := fmt.Sprintf("%dhost-%s/avail=%v/cap=%d", len(pool), kind, avail, maxSets)
 				g := &greedySelector{rs: &resourceSelector{tp: tp, info: view}, maxSets: maxSets}
 				var got [][]*grid.Host
 				for set := range g.SelectSeq(pool) {

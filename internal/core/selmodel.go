@@ -45,6 +45,7 @@ type selModel struct {
 	rank     []int // pool indices by desirability desc, name asc
 	effOrder []int // pool indices by eff desc, name asc (chain seed order)
 	rankPos  []int // inverse of rank: pool index -> ranking position
+	nameRank []int // per pool index, an int that orders like the host name
 
 	// Chain scratch, reused by every chain call: a membership mark per
 	// pool index, the members in eff order, and the nearest-neighbor
@@ -118,6 +119,7 @@ func buildSelModel(rs *resourceSelector, pool []*grid.Host) *selModel {
 	for i := range pool {
 		m.des[i] = m.eff[i] / (1 + m.dist[i])
 	}
+	m.nameRank = nameRanks(rs.tp, pool)
 	m.rank = make([]int, n)
 	m.effOrder = make([]int, n)
 	for i := range m.rank {
@@ -128,19 +130,52 @@ func buildSelModel(rs *resourceSelector, pool []*grid.Host) *selModel {
 		if m.des[m.rank[a]] != m.des[m.rank[b]] {
 			return m.des[m.rank[a]] > m.des[m.rank[b]]
 		}
-		return pool[m.rank[a]].Name < pool[m.rank[b]].Name
+		return m.nameRank[m.rank[a]] < m.nameRank[m.rank[b]]
 	})
 	sort.Slice(m.effOrder, func(a, b int) bool {
 		if m.eff[m.effOrder[a]] != m.eff[m.effOrder[b]] {
 			return m.eff[m.effOrder[a]] > m.eff[m.effOrder[b]]
 		}
-		return pool[m.effOrder[a]].Name < pool[m.effOrder[b]].Name
+		return m.nameRank[m.effOrder[a]] < m.nameRank[m.effOrder[b]]
 	})
 	m.rankPos = make([]int, n)
 	for pos, idx := range m.rank {
 		m.rankPos[idx] = pos
 	}
 	return m
+}
+
+// nameRanks returns, per pool index, an int that compares like the
+// host's name, so tie-breaks by name compare ints. Finalize numbers a
+// topology's hosts in name order, so the rank is the host's dense index
+// in tp whenever tp has one for every pool host; otherwise it is the
+// host's position in a name sort, equal names sharing a rank.
+func nameRanks(tp *grid.Topology, pool []*grid.Host) []int {
+	r := make([]int, len(pool))
+	if tp != nil {
+		indexed := true
+		for i, h := range pool {
+			if r[i] = tp.IndexOf(h); r[i] < 0 {
+				indexed = false
+				break
+			}
+		}
+		if indexed {
+			return r
+		}
+	}
+	byName := make([]int, len(pool))
+	for i := range byName {
+		byName[i] = i
+	}
+	sort.SliceStable(byName, func(a, b int) bool { return pool[byName[a]].Name < pool[byName[b]].Name })
+	for k, i := range byName {
+		r[i] = k
+		if k > 0 && pool[i].Name == pool[byName[k-1]].Name {
+			r[i] = r[byName[k-1]]
+		}
+	}
+	return r
 }
 
 // pairCost is the (possibly approximated) transfer cost between two
@@ -297,7 +332,7 @@ func (m *selModel) chain(idxs []int) []*grid.Host {
 		for pos := 1; len(rem) > 0; pos++ {
 			bestI, bestCost := 0, math.Inf(1)
 			for i, idx := range rem {
-				if c := m.cost[cur][idx]; c < bestCost || (c == bestCost && m.pool[idx].Name < m.pool[rem[bestI]].Name) {
+				if c := m.cost[cur][idx]; c < bestCost || (c == bestCost && m.nameRank[idx] < m.nameRank[rem[bestI]]) {
 					bestI, bestCost = i, c
 				}
 			}

@@ -414,7 +414,7 @@ func (s *SchedService) runRound(t *Tenant, req roundRequest) RoundResult {
 	} else {
 		var entry *snapEntry
 		var view infoView
-		pool := t.agent.spec.Filter(t.agent.tp.Hosts())
+		pool := t.agent.pool
 		if len(pool) > 0 {
 			entry, res.SharedSnapshot = s.cache.acquire(t.agent.coord.info, pool)
 			view = entry.view

@@ -176,7 +176,7 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: non-positive problem size %d", n)
 	}
-	pool := a.spec.Filter(a.tp.Hosts())
+	pool := a.pool
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("core: %w: user specification filters out every host", ErrNoFeasibleHosts)
 	}
@@ -214,8 +214,8 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 		s.rb = rb
 		s.rtp = rb.routeTopology()
 		s.tidx = make([]int, np)
-		for i, name := range s.names {
-			s.tidx[i] = s.rtp.HostIndex(name)
+		for i, h := range pool {
+			s.tidx[i] = s.rtp.IndexOf(h)
 		}
 		s.links = s.rtp.Links()
 		s.linkBW = make([]float64, len(s.links))

@@ -145,7 +145,7 @@ func (s *InfoSnapshot) Availability(host string) float64 {
 
 // RouteBandwidth implements Information from the frozen pair array.
 func (s *InfoSnapshot) RouteBandwidth(a, b string) float64 {
-	if i, j := s.hostIndex(a), s.hostIndex(b); i >= 0 && j >= 0 && i != j {
+	if i, j := s.indexOf(a), s.indexOf(b); i >= 0 && j >= 0 && i != j {
 		return s.bw[i*s.n+j]
 	}
 	return s.base.RouteBandwidth(a, b)
@@ -153,20 +153,24 @@ func (s *InfoSnapshot) RouteBandwidth(a, b string) float64 {
 
 // RouteLatency implements Information from the frozen pair array.
 func (s *InfoSnapshot) RouteLatency(a, b string) float64 {
-	if i, j := s.hostIndex(a), s.hostIndex(b); i >= 0 && j >= 0 && i != j {
+	if i, j := s.indexOf(a), s.indexOf(b); i >= 0 && j >= 0 && i != j {
 		return s.lat[i*s.n+j]
 	}
 	return s.base.RouteLatency(a, b)
 }
 
-// hostIndex implements routeIndex: the host's position in the frozen
-// host list, -1 outside it.
-func (s *InfoSnapshot) hostIndex(name string) int {
+// indexOf is the named host's position in the frozen host list, -1
+// outside it.
+func (s *InfoSnapshot) indexOf(name string) int {
 	if i, ok := s.pos[name]; ok {
 		return i
 	}
 	return -1
 }
+
+// hostIndex implements routeIndex by the host's position in the frozen
+// host list.
+func (s *InfoSnapshot) hostIndex(h *grid.Host) int { return s.indexOf(h.Name) }
 
 // routeAt implements routeIndex from the frozen pair arrays.
 func (s *InfoSnapshot) routeAt(i, j int) (lat, bw float64) {
@@ -201,7 +205,7 @@ type infoView interface {
 // returns, for two distinct indexed hosts, exactly the RouteLatency and
 // RouteBandwidth the view reports for them by name.
 type routeIndex interface {
-	hostIndex(name string) int
+	hostIndex(h *grid.Host) int
 	routeAt(i, j int) (lat, bw float64)
 }
 
@@ -212,7 +216,7 @@ func indexHosts(info Information, hosts []*grid.Host, idx []int) routeIndex {
 	for i, h := range hosts {
 		idx[i] = -1
 		if ri != nil {
-			idx[i] = ri.hostIndex(h.Name)
+			idx[i] = ri.hostIndex(h)
 		}
 	}
 	return ri
@@ -348,8 +352,9 @@ func (s *linkSnapshot) routeNamed(a, b string) (lat, bw float64) {
 	return s.routeAt(i, j)
 }
 
-// hostIndex implements routeIndex with the topology's dense host index.
-func (s *linkSnapshot) hostIndex(name string) int { return s.tp.HostIndex(name) }
+// hostIndex implements routeIndex with the topology's dense host index,
+// read off the host itself when it is the topology's own.
+func (s *linkSnapshot) hostIndex(h *grid.Host) int { return s.tp.IndexOf(h) }
 
 // routeAt implements routeIndex: one walk of the route sums latencies
 // and takes the bottleneck over the frozen link bandwidths, both in

@@ -66,7 +66,7 @@ func (a *Agent) WaitOrRun(n int, offer DedicatedOffer) (*WaitOrRunDecision, erro
 	// moved between the two evaluations. Under the simulation's
 	// stopped-clock scheduling the decisions are value-identical to the
 	// two-snapshot path.
-	snap := roundSnapshot(a.coord.info, a.spec.Filter(a.tp.Hosts()), offer.Hosts...)
+	snap := roundSnapshot(a.coord.info, a.pool, offer.Hosts...)
 
 	sharedAgent := a.clone()
 	sharedAgent.coord.info = snap
@@ -86,6 +86,7 @@ func (a *Agent) WaitOrRun(n int, offer DedicatedOffer) (*WaitOrRunDecision, erro
 	// configuration (spill factor, selector).
 	dedAgent := a.clone()
 	dedAgent.spec = &dedSpec
+	dedAgent.pool = dedSpec.Filter(a.tp.Hosts())
 	dedAgent.coord.info = &dedicatedInfo{Information: snap, hosts: hostSet}
 	dedicated, err := dedAgent.Schedule(n)
 	if err != nil {

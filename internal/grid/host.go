@@ -19,11 +19,17 @@ type Host struct {
 	// require (the paper's example: CLEO/NILE requires a CORBA ORB).
 	Features map[string]bool
 
-	cpu *cpu
+	index int // position in Topology.Hosts(), assigned by Finalize; -1 before
+	cpu   *cpu
 }
 
 // String returns "name(site)".
 func (h *Host) String() string { return fmt.Sprintf("%s(%s)", h.Name, h.Site) }
+
+// Index returns the host's dense index: its position in its topology's
+// Hosts(), the index HostIndex reports for its name. It is -1 before
+// Finalize.
+func (h *Host) Index() int { return h.index }
 
 // HasFeature reports whether the host advertises the named capability.
 func (h *Host) HasFeature(f string) bool { return h.Features[f] }

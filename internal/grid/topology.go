@@ -92,6 +92,7 @@ func (tp *Topology) AddHost(spec HostSpec) *Host {
 		MemoryMB:  spec.MemoryMB,
 		Dedicated: spec.Dedicated,
 		Features:  make(map[string]bool),
+		index:     -1,
 	}
 	for _, f := range spec.Features {
 		h.Features[f] = true
@@ -170,23 +171,12 @@ func (tp *Topology) Finalize() {
 	tp.hostList = tp.Hosts()
 	tp.hostIdx = make(map[string]int, len(tp.hostList))
 	for i, h := range tp.hostList {
+		h.index = i
 		tp.hostIdx[h.Name] = i
 	}
 	tp.finalized = true
 
-	// Link membership, hoisted out of the per-row BFS (deterministic
-	// order: nodes sorted by name, links in attach order).
-	members := make(map[*Link][]string)
-	nodes := make([]string, 0, len(tp.attach))
-	for n := range tp.attach {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	for _, n := range nodes {
-		for _, l := range tp.attach[n] {
-			members[l] = append(members[l], n)
-		}
-	}
+	g := tp.nodeGraph()
 
 	// Rows: one per host, or one per attachment class on large
 	// topologies. A class's row is computed from its first host; every
@@ -229,7 +219,7 @@ func (tp *Topology) Finalize() {
 			tp.rowLink[r] = att[:1]
 		}
 		row := make([][]*Link, n)
-		tp.bfsTree(name, members, row)
+		g.bfsTree(rep, row)
 		for j, h := range tp.hostList {
 			if j != rep && row[j] == nil {
 				panic(fmt.Sprintf("grid: no route between %q and %q", name, h.Name))
@@ -239,33 +229,106 @@ func (tp *Topology) Finalize() {
 	}
 }
 
-// bfsTree runs one minimum-hop BFS over the bipartite node/link graph
-// from a source node and writes the link path to every reachable host
-// into row, by host index: nodes are expanded in queue order, links in
-// attach order, and a host's path is fixed when it is first visited.
-func (tp *Topology) bfsTree(from string, members map[*Link][]string, row [][]*Link) {
-	type state struct {
-		node string
-		path []*Link
+// nodeGraph is the bipartite node/link graph Finalize routes over, with
+// every attached node (host or router) numbered once in name order.
+// links[v] are node v's links in attach order and next[v][k] the
+// members of links[v][k], in node order. The BFS scratch is reused by
+// every row.
+type nodeGraph struct {
+	links    [][]*Link
+	next     [][][]int
+	hostNode []int // host index -> node, -1 when the host is unattached
+	nodeHost []int // node -> host index, -1 for a router
+
+	visited []bool
+	parent  []int   // BFS parent node
+	via     []*Link // link from the parent
+	depth   []int
+	queue   []int
+}
+
+func (tp *Topology) nodeGraph() *nodeGraph {
+	names := make([]string, 0, len(tp.attach))
+	for name := range tp.attach {
+		names = append(names, name)
 	}
-	visited := map[string]bool{from: true}
-	queue := []state{{node: from}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, l := range tp.attach[cur.node] {
-			for _, next := range members[l] {
-				if visited[next] {
+	sort.Strings(names)
+	nn := len(names)
+	g := &nodeGraph{
+		links: make([][]*Link, nn), next: make([][][]int, nn),
+		hostNode: make([]int, len(tp.hostList)), nodeHost: make([]int, nn),
+		visited: make([]bool, nn), parent: make([]int, nn), via: make([]*Link, nn),
+		depth: make([]int, nn), queue: make([]int, 0, nn),
+	}
+	for i := range g.hostNode {
+		g.hostNode[i] = -1
+	}
+	members := make(map[*Link][]int)
+	for v, name := range names {
+		g.nodeHost[v] = -1
+		if i, ok := tp.hostIdx[name]; ok {
+			g.nodeHost[v] = i
+			g.hostNode[i] = v
+		}
+		g.links[v] = tp.attach[name]
+		for _, l := range g.links[v] {
+			members[l] = append(members[l], v)
+		}
+	}
+	for v, ls := range g.links {
+		g.next[v] = make([][]int, len(ls))
+		for k, l := range ls {
+			g.next[v][k] = members[l]
+		}
+	}
+	return g
+}
+
+// bfsTree runs one minimum-hop BFS over the graph from host index from
+// and writes the link path to every reachable host into row, by host
+// index: nodes are expanded in queue order, links in attach order, and
+// a node's path is fixed when it is first visited. The row's paths share
+// one backing array, each capped at its own length.
+func (g *nodeGraph) bfsTree(from int, row [][]*Link) {
+	src := g.hostNode[from]
+	if src < 0 {
+		return
+	}
+	clear(g.visited)
+	g.visited[src] = true
+	g.depth[src] = 0
+	queue := append(g.queue[:0], src)
+	total := 0
+	for q := 0; q < len(queue); q++ {
+		cur := queue[q]
+		for k, l := range g.links[cur] {
+			for _, nx := range g.next[cur][k] {
+				if g.visited[nx] {
 					continue
 				}
-				visited[next] = true
-				path := append(append([]*Link(nil), cur.path...), l)
-				if j, ok := tp.hostIdx[next]; ok {
-					row[j] = path
+				g.visited[nx] = true
+				g.parent[nx], g.via[nx], g.depth[nx] = cur, l, g.depth[cur]+1
+				if g.nodeHost[nx] >= 0 {
+					total += g.depth[nx]
 				}
-				queue = append(queue, state{node: next, path: path})
+				queue = append(queue, nx)
 			}
 		}
+	}
+	g.queue = queue
+	buf := make([]*Link, total)
+	for _, v := range queue[1:] {
+		j := g.nodeHost[v]
+		if j < 0 {
+			continue
+		}
+		d := g.depth[v]
+		path := buf[:d:d]
+		buf = buf[d:]
+		for u := v; u != src; u = g.parent[u] {
+			path[g.depth[u]-1] = g.via[u]
+		}
+		row[j] = path
 	}
 }
 
@@ -351,6 +414,15 @@ func (tp *Topology) HostIndex(name string) int {
 		return i
 	}
 	return -1
+}
+
+// IndexOf returns h's dense index: the index Finalize stored on h when h
+// is one of this topology's hosts, HostIndex(h.Name) otherwise.
+func (tp *Topology) IndexOf(h *Host) int {
+	if i := h.index; i >= 0 && i < len(tp.hostList) && tp.hostList[i] == h {
+		return i
+	}
+	return tp.HostIndex(h.Name)
 }
 
 // RouteAt returns the link path between the hosts with dense indices i
