@@ -294,16 +294,16 @@ type (
 	// ReschedSession is the incremental form of Agent.Schedule for
 	// applications that re-ask the scheduling question at high rates: it
 	// freezes the candidate universe once (bitmasks over the pool
-	// ordering), then each Round() re-plans only the candidates that
-	// can matter — under the min-time metric those the compute bound
-	// cannot rule out against the previous winner, otherwise those
-	// touched by changed hosts or links — carrying the incumbent
-	// forward. A round that observes no change is allocation-free.
+	// ordering), then each Round() re-plans only the candidates whose
+	// bound under the user's metric (time, speedup or cost) does not
+	// rule them out against the previous winner. A round that observes
+	// no change returns the previous schedule and is allocation-free.
 	// Create one with Agent.NewReschedSession(n).
 	ReschedSession = core.ReschedSession
-	// DeltaStats describes what one session round did: hosts/links
-	// changed, candidates rescored and pruned vs considered, incumbent
-	// carried.
+	// DeltaStats describes what one session round did: hosts whose
+	// availability changed, links changed, candidates rescored and
+	// pruned vs considered, and whether the round was quiescent
+	// (Carried).
 	DeltaStats = core.DeltaStats
 )
 

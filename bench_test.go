@@ -12,6 +12,7 @@ import (
 
 	"apples/internal/core"
 	"apples/internal/expt"
+	"apples/internal/userspec"
 )
 
 // BenchmarkEvaluate sweeps the candidate-evaluation engine across pool
@@ -121,40 +122,38 @@ func BenchmarkSelect(b *testing.B) {
 // BenchmarkResched measures the rescheduling session against the full
 // per-tick blueprint round it replaces — the kHz-rate loop of a
 // long-running application re-asking "is my placement still right?"
-// every simulated second. The agent's metric is min-time, so every
-// session round is bounded: it re-prices the previous winner and skips
-// the sets whose compute bound cannot beat it. "full" rebuilds snapshot
-// + selection + plan/estimate per tick (the old Rescheduler path);
-// "cold" pays session construction plus a first bounded round each
-// iteration; "delta1" perturbs one host's availability through a live
-// overlay between ticks, so each tick is one bounded round (its
+// every simulated second. Every session round is bounded under each
+// user metric: it re-prices the previous winner and skips the sets
+// whose metric bound cannot beat it. "full" rebuilds snapshot +
+// selection + plan/estimate per tick (the old Rescheduler path); "cold"
+// pays session construction plus a first bounded round each iteration;
+// "delta1" perturbs one host's availability through a live overlay
+// between ticks, so each tick is one bounded round (its min-time
 // allocations are gated by TestSessionDeltaRoundAllocs); "nodelta" is
 // the quiescent steady state, which must run allocation-free (gated by
-// TestSessionSteadyStateAllocFree). The 512-host variant drives the
-// chunked-bitmask/lazy-link path under the greedy selector.
+// TestSessionSteadyStateAllocFree). The min-time variants are
+// "12host/<shape>"; "12host/max-speedup/<shape>" and
+// "12host/min-cost/<shape>" run the same pool, whose hosts carry uneven
+// cost rates, under the other two metrics. The 512-host variant drives
+// the chunked-bitmask/lazy-link path under the greedy selector.
 func BenchmarkResched(b *testing.B) {
 	const n = 2000
-	b.Run("12host/full", func(b *testing.B) {
-		agent, _, err := expt.NewReschedScenario(3, 4, n, 11)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := agent.Schedule(n); err != nil {
+	for _, mt := range []struct {
+		prefix string
+		metric userspec.Metric
+	}{
+		{"12host/", userspec.MinExecutionTime},
+		{"12host/max-speedup/", userspec.MaxSpeedup},
+		{"12host/min-cost/", userspec.MinCost},
+	} {
+		scenario := func(b *testing.B) (*core.Agent, map[string]float64) {
+			agent, overlay, err := expt.NewMetricReschedScenario(3, 4, n, 11, mt.metric)
+			if err != nil {
 				b.Fatal(err)
 			}
+			return agent, overlay
 		}
-	})
-	b.Run("12host/cold", func(b *testing.B) {
-		agent, _, err := expt.NewReschedScenario(3, 4, n, 11)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		session := func(b *testing.B, agent *core.Agent) *core.ReschedSession {
 			sess, err := agent.NewReschedSession(n)
 			if err != nil {
 				b.Fatal(err)
@@ -162,50 +161,54 @@ func BenchmarkResched(b *testing.B) {
 			if _, _, err := sess.Round(); err != nil {
 				b.Fatal(err)
 			}
+			return sess
 		}
-	})
-	b.Run("12host/delta1", func(b *testing.B) {
-		agent, overlay, err := expt.NewReschedScenario(3, 4, n, 11)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sess, err := agent.NewReschedSession(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := sess.Round(); err != nil {
-			b.Fatal(err)
-		}
-		host := sess.Pool()[0]
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			overlay[host] = 0.3 + 0.1*float64(i%2)
-			if _, _, err := sess.Round(); err != nil {
-				b.Fatal(err)
+		b.Run(mt.prefix+"full", func(b *testing.B) {
+			agent, _ := scenario(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := agent.Schedule(n); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("12host/nodelta", func(b *testing.B) {
-		agent, _, err := expt.NewReschedScenario(3, 4, n, 11)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sess, err := agent.NewReschedSession(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := sess.Round(); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := sess.Round(); err != nil {
-				b.Fatal(err)
+		})
+		b.Run(mt.prefix+"cold", func(b *testing.B) {
+			agent, _ := scenario(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				session(b, agent)
 			}
+		})
+		b.Run(mt.prefix+"delta1", func(b *testing.B) {
+			agent, overlay := scenario(b)
+			sess := session(b, agent)
+			host := sess.Pool()[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				overlay[host] = 0.3 + 0.1*float64(i%2)
+				if _, _, err := sess.Round(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if mt.metric != userspec.MinExecutionTime {
+			continue
 		}
-	})
+		b.Run(mt.prefix+"nodelta", func(b *testing.B) {
+			agent, _ := scenario(b)
+			sess := session(b, agent)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sess.Round(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	b.Run("512host/greedy-delta1", func(b *testing.B) {
 		agent, overlay, err := expt.NewGridReschedScenario(32, 16, 4000, 7,
 			core.WithSelector(core.SelectorSpec{Kind: core.SelectorGreedy}))

@@ -24,9 +24,9 @@ type Schedule struct {
 	// Hosts lists the selected resources in strip-chain order.
 	Hosts []string
 	// CandidatesConsidered counts resource sets evaluated, and
-	// CandidatesPlanned those that produced a feasible plan. Under
-	// MinExecutionTime, Schedule and Run skip sets whose compute bound
-	// cannot beat the best score seen, so their CandidatesPlanned is
+	// CandidatesPlanned those that produced a feasible plan. Schedule
+	// and Run skip sets whose bound under the user's metric cannot beat
+	// the best score seen, so their CandidatesPlanned is
 	// lower than ScheduleExplained's (and timing-dependent on pools
 	// above 64 hosts, which fan out to workers); the selected schedule
 	// itself never changes.
@@ -228,9 +228,10 @@ func (rp *roundPricer) place(cands []Candidate) {
 // round assembles the Jacobi blueprint's Round for rp's problem: the
 // US-filtered pool, a Resource Selector enumerating strip-chain sets,
 // rp as the fused Planner+Estimator bound to the round's information
-// view, and, when winnerOnly is set, the compute-time pruning bound.
-// The Coordinator owns everything else — snapshotting, fan-out, pruning
-// bookkeeping, and the deterministic reduce.
+// view, and, when winnerOnly is set, the metric's pruning bound
+// (stripModel.bound). The Coordinator owns everything else —
+// snapshotting, fan-out, pruning bookkeeping, and the deterministic
+// reduce.
 func (a *Agent) round(rp *roundPricer, winnerOnly bool) Round {
 	pool := a.pool
 	r := Round{
@@ -256,9 +257,16 @@ func (a *Agent) round(rp *roundPricer, winnerOnly bool) Round {
 	}
 	if winnerOnly && a.hasComputeBound() {
 		r.Bound = func(info Information) LowerBounder {
-			secPP := secondsPerPoint(pool, info, a.tpl.Tasks[0])
+			m := &rp.m
+			if m.metric == userspec.MinCost {
+				pc := secondsPerPoint(pool, info, a.tpl.Tasks[0], a.spec)
+				return LowerBoundFunc(func(set []*grid.Host) float64 {
+					return m.bound(0, pc.leastCost(set), rp.solo)
+				})
+			}
+			pc := secondsPerPoint(pool, info, a.tpl.Tasks[0], nil)
 			return LowerBoundFunc(func(set []*grid.Host) float64 {
-				return computeLowerBound(set, secPP, rp.m.n, rp.m.iterations)
+				return m.bound(pc.rate(set), 0, rp.solo)
 			})
 		}
 	}
@@ -281,58 +289,104 @@ func (a *Agent) evaluate(n int, view infoView, winnerOnly bool) ([]Candidate, in
 	return cands, considered, rp, err
 }
 
-// hasComputeBound reports whether the compute bound is sound for the
-// agent's rounds: only for objectives that equal predicted total time,
-// and for spill penalties that never speed a strip up.
+// hasComputeBound reports whether the metric bounds of stripModel.bound
+// are sound for the agent's rounds: they rest on every band taking at
+// least its points times P_i, which holds for spill penalties that never
+// speed a strip up.
 func (a *Agent) hasComputeBound() bool {
-	return a.spec.Metric == userspec.MinExecutionTime && a.spillFactor >= 1
+	return a.spillFactor >= 1
 }
 
 // pointCosts is the planner's compute-cost coefficient P_i (seconds
-// per point) of every pool host, resolved once per round for the
-// pruning bound. A host is looked up by its dense topology index; a
-// host with no index, or whose index another pool host already holds,
-// keeps a name-keyed entry.
+// per point) of every pool host, and under MinCost its cost per point
+// r_i·P_i, resolved once per round for the pruning bound. A host is
+// looked up by its dense topology index; a host with no index, or whose
+// index another pool host already holds, keeps a name-keyed entry.
 type pointCosts struct {
 	hosts   []*grid.Host // by Host.Index: the host each entry belongs to
-	byIndex []float64
-	byName  map[string]float64
+	byIndex []pointCost
+	byName  map[string]pointCost
 }
 
-// of is h's coefficient, 0 for a host outside the pool.
-func (c *pointCosts) of(h *grid.Host) float64 {
+// pointCost is one host's entry: P_i, and r_i·P_i (see costPerPoint).
+type pointCost struct{ sec, cost float64 }
+
+// of is h's entry, zero for a host outside the pool.
+func (c *pointCosts) of(h *grid.Host) pointCost {
 	if i := h.Index(); i >= 0 && i < len(c.hosts) && c.hosts[i] == h {
 		return c.byIndex[i]
 	}
 	return c.byName[h.Name]
 }
 
+// rate is set's aggregate point rate: Σ 1/P_i over its hosts with
+// deliverable speed.
+func (c *pointCosts) rate(set []*grid.Host) float64 {
+	rate := 0.0
+	for _, h := range set {
+		p := c.of(h).sec
+		if p <= 0 || math.IsInf(p, 1) {
+			continue
+		}
+		rate += 1 / p
+	}
+	return rate
+}
+
+// leastCost is the least cost per point r_i·P_i over set's hosts, +Inf
+// when no host has deliverable speed.
+func (c *pointCosts) leastCost(set []*grid.Host) float64 {
+	least := math.Inf(1)
+	for _, h := range set {
+		least = min(least, c.of(h).cost)
+	}
+	return least
+}
+
 // secondsPerPoint resolves P_i for every pool host once, for the
-// pruning bound. Hosts with no deliverable speed get +Inf (their sets
-// cannot plan anyway).
-func secondsPerPoint(pool []*grid.Host, info Information, task hat.Task) *pointCosts {
+// pruning bound; priced, when non-nil, also prices each host's cost per
+// point from its rates. Hosts with no deliverable speed get P_i = +Inf
+// (their sets cannot plan anyway).
+func secondsPerPoint(pool []*grid.Host, info Information, task hat.Task, priced *userspec.Spec) *pointCosts {
 	size := 0
 	for _, h := range pool {
 		size = max(size, h.Index()+1)
 	}
-	c := &pointCosts{hosts: make([]*grid.Host, size), byIndex: make([]float64, size)}
+	c := &pointCosts{hosts: make([]*grid.Host, size), byIndex: make([]pointCost, size)}
 	for _, h := range pool {
 		avail := floorAvailability(info.Availability(h.Name))
 		speed := h.Speed * avail * task.SpeedFactorOn(h.Arch)
-		p := math.Inf(1)
+		pc := pointCost{sec: math.Inf(1)}
 		if speed > 0 {
-			p = task.FlopPerUnit / 1e6 / speed
+			pc.sec = task.FlopPerUnit / 1e6 / speed
+		}
+		if priced != nil {
+			pc.cost = costPerPoint(priced.CostRate(h.Name), pc.sec)
 		}
 		if i := h.Index(); i >= 0 && c.hosts[i] == nil {
-			c.hosts[i], c.byIndex[i] = h, p
+			c.hosts[i], c.byIndex[i] = h, pc
 			continue
 		}
 		if c.byName == nil {
-			c.byName = make(map[string]float64)
+			c.byName = make(map[string]pointCost)
 		}
-		c.byName[h.Name] = p
+		c.byName[h.Name] = pc
 	}
 	return c
+}
+
+// costPerPoint is a host's MinCost bound term r_i/ρ_i = r_i·P_i, with
+// its cost rate r priced as the kernel prices it (0 as 1). A rate the
+// kernel would not price as positive gives -Inf, so no set holding that
+// host is ever pruned.
+func costPerPoint(rate, secPP float64) float64 {
+	if rate == 0 {
+		rate = 1
+	}
+	if !(rate > 0) {
+		return math.Inf(-1)
+	}
+	return rate * secPP
 }
 
 // boundMargin shaves the compute bound below floating-point rounding.
@@ -342,35 +396,52 @@ func secondsPerPoint(pool []*grid.Host, info Information, task hat.Task) *pointC
 // off by at most one part in 2^53. 1e-9 is about 2^23 such parts, which
 // covers the accumulated error of any set up to four million hosts.
 // Without it, single-host sets, whose bound equals their score in exact
-// arithmetic, came out up to 2 ulp above the score.
+// arithmetic, came out up to 2 ulp above the score. The speedup and
+// cost bounds add a few steps each (a divide; a k-term cost sum), far
+// inside the same margin.
 const boundMargin = 1e-9
-
-// computeLowerBound is the least total time any plan on `set` can cost
-// under the MinExecutionTime objective: n² points spread perfectly over
-// the set's aggregate point rate, with zero communication and no spill,
-// shaved by boundMargin. The estimator's max_i(points_i·P_i·mult_i +
-// C_i) is ≥ this for every placement (mult_i ≥ 1), so exceeding the
-// incumbent strictly proves the set loses.
-func computeLowerBound(set []*grid.Host, secPP *pointCosts, n, iterations int) float64 {
-	rate := 0.0
-	for _, h := range set {
-		p := secPP.of(h)
-		if p <= 0 || math.IsInf(p, 1) {
-			continue
-		}
-		rate += 1 / p
-	}
-	return rateBound(rate, n, iterations)
-}
 
 // rateBound is the compute bound of a set whose hosts together process
 // rate points per second: n² points per iteration at that rate, shaved
 // by boundMargin. A set with no deliverable speed is bounded at +Inf.
+// The estimator's max_i(points_i·P_i·mult_i + C_i) is ≥ this for every
+// placement (mult_i ≥ 1), so a bound above the incumbent proves the set
+// loses.
 func rateBound(rate float64, n, iterations int) float64 {
 	if rate <= 0 {
 		return math.Inf(1)
 	}
 	return float64(n) * float64(n) / rate * float64(iterations) * (1 - boundMargin)
+}
+
+// bound is the least score any plan on a set can reach under m's
+// metric, from one of two aggregates over the set's hosts: rate, their
+// summed point rate Σρ_i (read under MinExecutionTime and MaxSpeedup),
+// or leastCost, their least r_i/ρ_i (read under MinCost). solo is the
+// round's MaxSpeedup baseline. Every worked host's band takes at least
+// its points over ρ_i, so:
+//
+//   - MinExecutionTime: the total is at least rateBound.
+//   - MaxSpeedup scores -solo/total with solo fixed in the round, so it
+//     is at least -solo/rateBound; a solo that is not positive and
+//     finite gives -Inf, which never prunes.
+//   - MinCost scores total/3600·Σr_i over the worked hosts. A worked
+//     host holds at most iterT·ρ_i points of the n², so Σr_i·iterT ≥
+//     n²·min r_i/ρ_i, and the cost is at least n²·iterations/3600 times
+//     that least ratio. Weak where one host has the best speed and the
+//     best price: every set holding it shares its bound.
+func (m *stripModel) bound(rate, leastCost, solo float64) float64 {
+	switch m.metric {
+	case userspec.MaxSpeedup:
+		if !(solo > 0) || math.IsInf(solo, 1) {
+			return math.Inf(-1)
+		}
+		return -solo / rateBound(rate, m.n, m.iterations)
+	case userspec.MinCost:
+		return float64(m.n) * float64(m.n) * float64(m.iterations) / 3600 * leastCost * (1 - boundMargin)
+	default:
+		return rateBound(rate, m.n, m.iterations)
+	}
 }
 
 // Schedule runs the Coordinator blueprint for an n x n problem:

@@ -1,7 +1,5 @@
 package core
 
-import "math/bits"
-
 // Chunked bitmask helpers over a frozen pool ordering. A mask is a
 // []uint64 of maskWords(n) words; bit i corresponds to the pool host at
 // frozen index i. Masks with ≤64 hosts are a single word, so the common
@@ -16,57 +14,3 @@ func maskSet(m []uint64, i int) { m[i>>6] |= 1 << (uint(i) & 63) }
 
 // maskTest reports whether bit i is set.
 func maskTest(m []uint64, i int) bool { return m[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-// maskClear zeroes every word.
-func maskClear(m []uint64) {
-	for i := range m {
-		m[i] = 0
-	}
-}
-
-// maskFill sets the low n bits and clears the rest.
-func maskFill(m []uint64, n int) {
-	maskClear(m)
-	for i := 0; i < n>>6; i++ {
-		m[i] = ^uint64(0)
-	}
-	if r := uint(n) & 63; r != 0 {
-		m[n>>6] = (1 << r) - 1
-	}
-}
-
-// maskOr folds src into dst (dst |= src).
-func maskOr(dst, src []uint64) {
-	for i := range dst {
-		dst[i] |= src[i]
-	}
-}
-
-// masksIntersect reports whether a and b share any set bit.
-func masksIntersect(a, b []uint64) bool {
-	for i := range a {
-		if a[i]&b[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// maskAny reports whether any bit is set.
-func maskAny(m []uint64) bool {
-	for _, w := range m {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// maskCount returns the population count.
-func maskCount(m []uint64) int {
-	n := 0
-	for _, w := range m {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}

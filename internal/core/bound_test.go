@@ -11,38 +11,53 @@ import (
 
 // TestLowerBoundNeverExceedsScore is the soundness property pruning
 // rests on: for every feasible set of loaded SDSC/PCL and
-// cluster-of-clusters pools, single hosts included, the round's compute
+// cluster-of-clusters pools, single hosts included, the round's metric
 // bound is ≤ the score the strip kernel computes for that set, rounding
-// included. A single host's bound equals its score in exact arithmetic,
-// so an unshaved bound can land an ulp above it; an incumbent inside
-// that gap would prune the set that should win.
+// included, under every metric. The pools carry uneven cost rates, with
+// some hosts unpriced (priced as 1) and one priced at an explicit 0. A
+// single host's time bound equals its score in exact arithmetic, so an
+// unshaved bound can land an ulp above it; an incumbent inside that gap
+// would prune the set that should win.
 func TestLowerBoundNeverExceedsScore(t *testing.T) {
 	pools := []struct{ clusters, per int }{{0, 0}, {3, 4}, {2, 4}, {3, 3}}
+	metrics := []userspec.Metric{userspec.MinExecutionTime, userspec.MaxSpeedup, userspec.MinCost}
 	sets := 0
 	for _, p := range pools {
 		for _, seed := range []int64{1, 2, 3, 4} {
 			tp, info := buildPool(t, p.clusters, p.per, seed)
-			for _, n := range []int{400, 800, 1600, 4000} {
-				a, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{}, info)
-				if err != nil {
-					t.Fatal(err)
+			rates := map[string]float64{}
+			for i, h := range tp.Hosts() {
+				switch {
+				case i == 1:
+					rates[h.Name] = 0
+				case i%4 != 3:
+					rates[h.Name] = 0.5 + 0.5*float64((i*7+int(seed))%9)
 				}
-				r := a.round(a.newPricer(n), true)
-				view := roundSnapshot(info, r.Pool)
-				sel, ev, err := r.Bind(view)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bound := r.Bound(view)
-				for set := range sel.SelectSeq(r.Pool) {
-					c, ok := ev.Evaluate(set)
-					if !ok {
-						continue
+			}
+			for _, m := range metrics {
+				for _, n := range []int{400, 800, 1600, 4000} {
+					spec := &userspec.Spec{Metric: m, CostPerCPUHour: rates}
+					a, err := NewAgent(tp, hat.Jacobi2D(n, 10), spec, info)
+					if err != nil {
+						t.Fatal(err)
 					}
-					sets++
-					if lb := bound.LowerBound(set); lb > c.Score {
-						t.Errorf("%d×%d seed %d n=%d %v: bound %.17g > score %.17g",
-							p.clusters, p.per, seed, n, c.Hosts, lb, c.Score)
+					r := a.round(a.newPricer(n), true)
+					view := roundSnapshot(info, r.Pool)
+					sel, ev, err := r.Bind(view)
+					if err != nil {
+						t.Fatal(err)
+					}
+					bound := r.Bound(view)
+					for set := range sel.SelectSeq(r.Pool) {
+						c, ok := ev.Evaluate(set)
+						if !ok {
+							continue
+						}
+						sets++
+						if lb := bound.LowerBound(set); lb > c.Score {
+							t.Errorf("%d×%d seed %d %s n=%d %v: bound %.17g > score %.17g",
+								p.clusters, p.per, seed, m, n, c.Hosts, lb, c.Score)
+						}
 					}
 				}
 			}
@@ -50,6 +65,19 @@ func TestLowerBoundNeverExceedsScore(t *testing.T) {
 	}
 	if sets == 0 {
 		t.Fatal("no feasible set checked")
+	}
+
+	// Below a spill factor of 1 a spilled strip can run faster than its
+	// points times P_i, so no metric gets a bound.
+	tp, info := buildPool(t, 0, 0, 1)
+	for _, m := range metrics {
+		a, err := NewAgent(tp, hat.Jacobi2D(400, 10), &userspec.Spec{Metric: m}, info, WithSpillFactor(0.5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := a.round(a.newPricer(400), true); r.Bound != nil {
+			t.Errorf("%s: spill factor 0.5 round has a bound", m)
+		}
 	}
 }
 
@@ -59,14 +87,14 @@ func TestLowerBoundNeverExceedsScore(t *testing.T) {
 // sets before it. A pruned set cannot lower that best score, so the
 // replay needs only the feasible candidates.
 func prunedPlanned(tp *grid.Topology, tpl *hat.Template, info Information, n int, cands []Candidate) int {
-	secPP := secondsPerPoint(tp.Hosts(), info, tpl.Tasks[0])
+	secPP := secondsPerPoint(tp.Hosts(), info, tpl.Tasks[0], nil)
 	planned, best := 0, math.Inf(1)
 	for _, c := range cands {
 		set := make([]*grid.Host, len(c.Hosts))
 		for i, name := range c.Hosts {
 			set[i] = tp.Host(name)
 		}
-		if computeLowerBound(set, secPP, n, max(tpl.Iterations, 1)) <= best {
+		if rateBound(secPP.rate(set), n, max(tpl.Iterations, 1)) <= best {
 			planned++
 		}
 		best = min(best, c.Score)

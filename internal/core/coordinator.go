@@ -120,8 +120,9 @@ type Round struct {
 	Bind func(info Information) (ResourceSelector, CandidateEvaluator, error)
 	// Bound, when non-nil, builds the pruning bound for the round: sets
 	// whose bound exceeds the best score seen are skipped, so they are
-	// neither planned nor returned. It may return nil to decline (e.g.
-	// when the user's metric is not the one the bound is sound for).
+	// neither planned nor returned. It is called after Bind, so the bound
+	// may read what Bind resolved (the Jacobi agent's MaxSpeedup bound
+	// reads the round's solo baseline), and may return nil to decline.
 	// Rounds that must list every feasible candidate, such as rankings,
 	// leave it nil.
 	Bound func(info Information) LowerBounder

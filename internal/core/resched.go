@@ -61,9 +61,10 @@ func (a *Agent) Rescheduler(n int, hysteresis float64) jacobi.ReplanFunc {
 	}
 
 	// The session freezes the candidate universe at the first checkpoint
-	// and from then on re-scores only candidates that can still win
-	// (bounded rounds) or whose forecasts changed (delta rounds), instead
-	// of rebuilding a full snapshot and re-enumerating per checkpoint. Construction is deferred so the pool
+	// and from then on re-scores only candidates whose metric bound can
+	// still beat the previous winner, instead of rebuilding a full
+	// snapshot and re-enumerating per checkpoint. Construction is
+	// deferred so the pool
 	// reflects run-time state; a construction failure is sticky and the
 	// policy falls back to full blueprint rounds for the whole run.
 	var (

@@ -172,7 +172,7 @@ type Tenant struct {
 	svc   *SchedService
 	id    string
 	agent *Agent          // Agent-backed tenant (shared-snapshot path)
-	sess  *ReschedSession // session-backed tenant (delta path)
+	sess  *ReschedSession // session-backed tenant
 
 	qmu    sync.Mutex
 	fifo   []roundRequest

@@ -27,23 +27,17 @@ import (
 //
 //  1. re-reads the dynamic inputs (per-host availability; per-link
 //     bandwidth for batched sources, per-pair values otherwise) into the
-//     same arrays and diffs them against the previous round, building a
-//     touched-host bitmask (a changed link touches both endpoints of
-//     every frozen route that traverses it — a conservative superset);
-//  2. re-plans the universe. Under MinExecutionTime with a spill factor
-//     ≥ 1, where the compute bound is sound (Agent.hasComputeBound), the
-//     round is bounded: it re-prices the previous winner as the
-//     incumbent, then walks the universe in enumeration order, skipping
-//     every set whose compute bound over a per-host point-rate column
-//     exceeds the incumbent and planning the rest. Under MaxSpeedup and
-//     MinCost, which have no sound bound, it re-plans only candidates
-//     whose membership mask intersects the touched mask and keeps the
-//     cached scores of the others (under MaxSpeedup a changed solo
-//     baseline rescales them from the cached totals — same values the
-//     estimator would compute, no re-planning);
+//     same arrays and counts what changed. A round where nothing changed
+//     ends here and carries the previous outcome;
+//  2. re-plans the universe in one scan. With a spill factor ≥ 1, where
+//     the metric bounds are sound (Agent.hasComputeBound), the scan is
+//     bounded: it re-prices the previous winner as the incumbent, then
+//     walks the universe in enumeration order, skipping every set whose
+//     bound under the user's metric (stripModel.bound, over per-host
+//     columns refreshed once per round) exceeds the incumbent and
+//     planning the rest;
 //  3. reduces with the Coordinator's (score, index) rule over the frozen
-//     enumeration order and re-materializes the winning *Schedule only
-//     when the winner changed or its inputs did.
+//     enumeration order and re-materializes the winning *Schedule.
 //
 // A round where nothing changed performs O(hosts + links) comparisons
 // and returns the cached schedule — zero allocations (gated by
@@ -65,10 +59,9 @@ import (
 // pools ≤12 hosts enumerate every subset, so for them the universe
 // never depends on information).
 //
-// The returned *Schedule is owned by the session: it stays valid until
-// a later Round re-materializes the winner, and its candidate counters
-// are refreshed in place on carried rounds. Copy it if you need a
-// round-frozen snapshot. A session is not safe for concurrent use.
+// The session never modifies a *Schedule after returning it: a
+// quiescent round returns the same one again, and any other round
+// builds a new one. A session is not safe for concurrent use.
 type ReschedSession struct {
 	a *Agent
 	m stripModel
@@ -87,16 +80,14 @@ type ReschedSession struct {
 	avail  []float64 // last refreshed availability
 
 	// Batched link mode (sources implementing routeBatcher): per-link
-	// bandwidth is refreshed and diffed by grid.Link.Index, and
-	// linkMask[l] records which pool hosts have a frozen route through
-	// link l. tidx holds each pool host's dense index in rtp (-1 when
-	// rtp does not know it: no route).
-	rb       routeBatcher
-	rtp      *grid.Topology // route topology for link composition
-	tidx     []int
-	links    []*grid.Link
-	linkBW   []float64
-	linkMask []uint64 // len(links)*words, stride words
+	// bandwidth is refreshed and diffed by grid.Link.Index. tidx holds
+	// each pool host's dense index in rtp (-1 when rtp does not know it:
+	// no route).
+	rb     routeBatcher
+	rtp    *grid.Topology // route topology for link composition
+	tidx   []int
+	links  []*grid.Link
+	linkBW []float64
 
 	// Pair arrays (pools ≤ selExactPairHosts, and every non-batched
 	// source): bandwidth/latency per ordered pair plus the derived chain
@@ -114,21 +105,20 @@ type ReschedSession struct {
 	sites     siteGrouper
 
 	// Frozen candidate universe: candCount membership masks of `words`
-	// words each, in the selector's enumeration order, plus per-candidate
-	// score caches.
+	// words each, in the selector's enumeration order, plus the latest
+	// round's per-candidate scores (a pruned set reads infeasible).
 	words     int
 	candMask  []uint64
 	candCount int
 
 	score    []float64
-	total    []float64 // predicted total seconds (for solo rescaling)
 	feasible []bool
 	planned  int
 
 	solo float64 // MaxSpeedup solo baseline
 
-	// bounded marks sessions whose rounds skip sets by the compute bound
-	// instead of re-planning the touched slice of the universe.
+	// bounded marks sessions whose rounds skip sets by their metric
+	// bound (Agent.hasComputeBound).
 	bounded bool
 
 	winner   int // universe index of the incumbent, -1 if none
@@ -146,10 +136,8 @@ type DeltaStats struct {
 	Round int
 	// Cold marks the first round, which scores the whole universe.
 	Cold bool
-	// ChangedHosts counts pool hosts whose inputs changed since the
-	// previous round — directly (availability) or through a changed link
-	// on one of their frozen routes. On a cold or FullRound it is the
-	// pool size.
+	// ChangedHosts counts pool hosts whose availability changed since
+	// the previous round. On a cold or FullRound it is the pool size.
 	ChangedHosts int
 	// ChangedLinks counts changed links (batched sources) or changed
 	// ordered host pairs (generic sources).
@@ -159,11 +147,12 @@ type DeltaStats struct {
 	Rescored   int
 	Considered int
 	// Pruned is how many candidate sets a bounded round skipped because
-	// their compute bound exceeded the incumbent. On a bounded round
-	// Rescored + Pruned = Considered; delta and full rounds prune none.
+	// their metric bound exceeded the incumbent. On a bounded round
+	// Rescored + Pruned = Considered; FullRound and unbounded rounds
+	// prune none.
 	Pruned int
-	// Carried reports that the incumbent winner survived with its inputs
-	// unchanged, so the cached schedule was reused.
+	// Carried marks a quiescent round: no input changed, so the previous
+	// outcome was returned as-is.
 	Carried bool
 }
 
@@ -219,24 +208,10 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 		}
 		s.links = s.rtp.Links()
 		s.linkBW = make([]float64, len(s.links))
-		s.linkMask = make([]uint64, len(s.links)*s.words)
-		for i := 0; i < np; i++ {
-			for j := 0; j < np; j++ {
-				if i == j {
-					continue
-				}
-				for _, l := range s.route(i, j) {
-					li := l.Index()
-					m := s.linkMask[li*s.words : (li+1)*s.words]
-					maskSet(m, i)
-					maskSet(m, j)
-				}
-			}
-		}
 		s.pairArrays = np <= selExactPairHosts
 	} else {
-		// Generic sources have no link substructure to diff; refresh and
-		// diff at pair granularity instead.
+		// Generic sources have no link substructure; refresh and diff at
+		// pair granularity instead.
 		s.pairArrays = true
 	}
 	if s.pairArrays {
@@ -272,10 +247,9 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 		return nil, fmt.Errorf("core: %w: selector produced no candidate sets", ErrNoFeasiblePlan)
 	}
 	s.score = make([]float64, s.candCount)
-	s.total = make([]float64, s.candCount)
 	s.feasible = make([]bool, s.candCount)
 
-	s.scr.init(np, s.words)
+	s.scr.init(np)
 	s.kn.reserve(np)
 	s.scr.effSort.eff = s.scr.eff
 	s.scr.effSort.names = s.names
@@ -288,80 +262,59 @@ func (s *ReschedSession) mask(c int) []uint64 {
 }
 
 // refresh re-reads every dynamic input into the session arrays and
-// diffs against the previous round. It returns whether any availability
-// changed and how many links (or pairs) changed; scr.touched holds the
-// union touched-host mask afterwards (all hosts when cold).
-func (s *ReschedSession) refresh(cold bool) (availChanged bool, changedLinks int) {
+// diffs against the previous round. It returns how many hosts'
+// availability changed and how many links (or pairs) changed; on the
+// cold round every input counts as changed.
+func (s *ReschedSession) refresh(cold bool) (changedHosts, changedLinks int) {
 	info := s.a.coord.info
-	scr := &s.scr
-	maskClear(scr.touched)
 	for i, name := range s.names {
 		v := finiteAvailability(info.Availability(name))
 		if cold || v != s.avail[i] {
 			s.avail[i] = v
-			maskSet(scr.touched, i)
-			availChanged = true
+			changedHosts++
 		}
 	}
 	if s.rb != nil {
-		maskClear(scr.linkTouched)
 		for li, l := range s.links {
 			v := s.rb.linkBandwidth(l)
 			if cold || v != s.linkBW[li] {
 				s.linkBW[li] = v
 				changedLinks++
-				if !cold {
-					maskOr(scr.linkTouched, s.linkMask[li*s.words:(li+1)*s.words])
-				}
 			}
 		}
 		if s.pairArrays && changedLinks > 0 {
-			// Recompute the pair values whose routes may traverse a changed
-			// link: both endpoints lie in the changed links' host mask (a
-			// conservative superset — extra pairs recompute to identical
-			// values).
 			for i := range s.pool {
-				if !cold && !maskTest(scr.linkTouched, i) {
-					continue
-				}
 				for j := range s.pool {
-					if i == j || (!cold && !maskTest(scr.linkTouched, j)) {
-						continue
+					if i != j {
+						s.composePair(i, j)
 					}
-					s.composePair(i, j)
 				}
 			}
 		}
-		maskOr(scr.touched, scr.linkTouched)
-	} else {
-		np := len(s.pool)
-		for i := 0; i < np; i++ {
-			for j := 0; j < np; j++ {
-				if i == j {
-					continue
+		return changedHosts, changedLinks
+	}
+	np := len(s.pool)
+	for i := 0; i < np; i++ {
+		for j := 0; j < np; j++ {
+			if i == j {
+				continue
+			}
+			bw := info.RouteBandwidth(s.names[i], s.names[j])
+			lat := info.RouteLatency(s.names[i], s.names[j])
+			at := i*np + j
+			if cold || bw != s.pairBW[at] || lat != s.pairLat[at] {
+				s.pairBW[at] = bw
+				s.pairLat[at] = lat
+				cb := bw
+				if cb <= 0 {
+					cb = 1e-6
 				}
-				bw := info.RouteBandwidth(s.names[i], s.names[j])
-				lat := info.RouteLatency(s.names[i], s.names[j])
-				at := i*np + j
-				if cold || bw != s.pairBW[at] || lat != s.pairLat[at] {
-					s.pairBW[at] = bw
-					s.pairLat[at] = lat
-					cb := bw
-					if cb <= 0 {
-						cb = 1e-6
-					}
-					s.cost[at] = lat + 1.0/cb
-					changedLinks++
-					maskSet(scr.touched, i)
-					maskSet(scr.touched, j)
-				}
+				s.cost[at] = lat + 1.0/cb
+				changedLinks++
 			}
 		}
 	}
-	if cold {
-		maskFill(scr.touched, len(s.pool))
-	}
-	return availChanged, changedLinks
+	return changedHosts, changedLinks
 }
 
 // composePair recomputes pair (i,j)'s bandwidth, latency, and chain
@@ -378,40 +331,35 @@ func (s *ReschedSession) composePair(i, j int) {
 	s.cost[at] = lat + 1.0/cb
 }
 
-// Round advances the session one rescheduling tick: refresh, diff,
-// re-plan (bounded, or the touched slice of the universe), reduce, and
-// return the winning schedule (cached when the incumbent carries). See
-// the type comment for the full contract.
+// Round advances the session one rescheduling tick: refresh, re-plan
+// (bounded by the metric's bound unless the agent's spill factor is
+// below 1), reduce, and return the winning schedule (the cached one on
+// a quiescent round). See the type comment for the full contract.
 func (s *ReschedSession) Round() (*Schedule, DeltaStats, error) { return s.roundImpl(false) }
 
 // FullRound re-plans the entire frozen universe against the freshly
-// refreshed inputs, ignoring the delta and the bound. It exists as the
-// parity oracle for Round — both must pick the same schedule bit for
-// bit — and as an escape hatch when the caller knows everything moved.
+// refreshed inputs, without a bound, even when nothing changed. It is
+// the parity oracle for Round — both must pick the same schedule bit
+// for bit.
 func (s *ReschedSession) FullRound() (*Schedule, DeltaStats, error) { return s.roundImpl(true) }
 
 func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 	cold := s.rounds == 0
 	s.rounds++
-	availChanged, changedLinks := s.refresh(cold)
+	changedHosts, changedLinks := s.refresh(cold)
 	scr := &s.scr
 
-	st := DeltaStats{Round: s.rounds, Cold: cold, ChangedLinks: changedLinks, Considered: s.candCount}
+	st := DeltaStats{Round: s.rounds, Cold: cold, ChangedHosts: changedHosts, ChangedLinks: changedLinks, Considered: s.candCount}
 	if full {
-		maskFill(scr.touched, len(s.pool))
-		availChanged = true
-	}
-	st.ChangedHosts = maskCount(scr.touched)
-
-	if !maskAny(scr.touched) {
+		st.ChangedHosts = len(s.pool)
+	} else if changedHosts == 0 && changedLinks == 0 {
 		// Nothing moved: the previous outcome stands as-is.
 		st.Carried = true
 		s.emit(st)
 		return s.sched, st, s.schedErr
 	}
 
-	soloChanged := false
-	if availChanged {
+	if full || changedHosts > 0 {
 		for i := range s.pool {
 			scr.eff[i] = s.speed[i] * s.avail[i]
 		}
@@ -421,97 +369,50 @@ func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 		scr.effSort.idx = scr.effOrder
 		sort.Sort(&scr.effSort)
 		if s.m.metric == userspec.MaxSpeedup {
-			old := s.solo
 			s.solo = s.computeSolo()
-			soloChanged = cold || s.solo != old
 		}
 	}
 
 	var bestIdx int
-	if s.bounded && !full {
-		bestIdx, st.Rescored, st.Pruned = s.boundedScan()
-	} else {
-		bestIdx, st.Rescored = s.deltaScan(soloChanged)
-	}
-
-	prevWinner := s.winner
+	bestIdx, st.Rescored, st.Pruned = s.scan(s.bounded && !full)
 	if bestIdx < 0 {
 		s.winner = -1
 		s.sched = nil
 		s.schedErr = fmt.Errorf("core: %w: no feasible schedule among %d candidate sets", ErrNoFeasiblePlan, s.candCount)
 	} else {
-		if s.sched == nil || bestIdx != prevWinner || masksIntersect(s.mask(bestIdx), scr.touched) {
-			s.sched = s.materialize(bestIdx)
-		} else {
-			s.sched.CandidatesPlanned = s.planned
-			st.Carried = true
-		}
 		s.winner = bestIdx
+		s.sched = s.materialize(bestIdx)
 		s.schedErr = nil
 	}
 	s.emit(st)
 	return s.sched, st, s.schedErr
 }
 
-// deltaScan re-plans every candidate whose mask meets the touched mask
-// (all of them on a cold or full round), moves the cached scores of the
-// others onto a new solo baseline, and reduces over the score caches
-// with the (score, index) rule. It returns the winner's universe index (-1 when
-// nothing is feasible) and how many sets it re-planned.
-func (s *ReschedSession) deltaScan(soloChanged bool) (bestIdx, rescored int) {
-	for c := 0; c < s.candCount; c++ {
-		if masksIntersect(s.mask(c), s.scr.touched) {
-			rescored++
-			s.solve(c)
-		} else if soloChanged && s.feasible[c] {
-			// Untouched plan, new solo baseline: the schedule and total are
-			// cached; only the speedup ratio moves.
-			if s.total[c] <= 0 {
-				s.score[c] = math.Inf(1)
-			} else {
-				s.score[c] = -s.solo / s.total[c]
-			}
-		}
-	}
-
-	bestIdx, best := -1, math.Inf(1)
-	planned := 0
-	for c := 0; c < s.candCount; c++ {
-		if !s.feasible[c] {
-			continue
-		}
-		planned++
-		if s.score[c] < best {
-			bestIdx, best = c, s.score[c]
-		}
-	}
-	s.planned = planned
-	return bestIdx, rescored
-}
-
-// boundedScan plans a bounded round. The previous winner, re-priced,
-// seeds the incumbent (+Inf on the cold round); the walk then skips
-// every set whose compute bound strictly exceeds the incumbent, plans
-// the rest, and reduces with the (score, index) rule as it goes. A
-// skipped set's score is at least its bound, so it scores above the
-// final best and cannot change the winner or its tie-break. Pruned sets
-// are marked infeasible, so the score caches hold this round's planned
-// sets only. It returns the winner's universe index (-1 when nothing
+// scan re-plans the universe and reduces with the (score, index) rule
+// as it goes. It returns the winner's universe index (-1 when nothing
 // is feasible), and how many sets it re-planned and skipped.
-func (s *ReschedSession) boundedScan() (bestIdx, rescored, pruned int) {
-	s.fillPointRate()
-	inc := math.Inf(1)
-	prev := s.winner
-	if prev >= 0 {
-		s.solve(prev)
-		rescored++
-		inc = s.score[prev]
+//
+// Under prune, the previous winner, re-priced, seeds the incumbent
+// (+Inf on the cold round), and the walk skips every set whose metric
+// bound strictly exceeds the incumbent. A skipped set's score is at
+// least its bound, so it scores above the final best and cannot change
+// the winner or its tie-break. Pruned sets are marked infeasible, so
+// the score caches hold this round's planned sets only.
+func (s *ReschedSession) scan(prune bool) (bestIdx, rescored, pruned int) {
+	inc, prev := math.Inf(1), -1
+	if prune {
+		s.fillBoundColumns()
+		if prev = s.winner; prev >= 0 {
+			s.solve(prev)
+			rescored++
+			inc = s.score[prev]
+		}
 	}
 	bestIdx, best := -1, math.Inf(1)
 	planned := 0
 	for c := 0; c < s.candCount; c++ {
 		if c != prev {
-			if s.bound(c) > inc {
+			if prune && s.bound(c) > inc {
 				s.feasible[c] = false
 				pruned++
 				continue
@@ -533,23 +434,43 @@ func (s *ReschedSession) boundedScan() (bestIdx, rescored, pruned int) {
 	return bestIdx, rescored, pruned
 }
 
-// fillPointRate writes each pool host's point rate — the reciprocal of
-// secondsPerPoint's coefficient, 0 for a host with no deliverable speed
-// — from the refreshed availabilities into scr.pointRate.
-func (s *ReschedSession) fillPointRate() {
+// fillBoundColumns writes each pool host's bound terms from the
+// refreshed availabilities: its point rate (the reciprocal of
+// secondsPerPoint's coefficient, 0 for a host with no deliverable
+// speed) into scr.pointRate, and under MinCost its cost per point
+// r_i·P_i into scr.costPerPoint.
+func (s *ReschedSession) fillBoundColumns() {
+	minCost := s.m.metric == userspec.MinCost
 	for i := range s.pool {
 		speed := s.speed[i] * floorAvailability(s.avail[i]) * s.factor[i]
-		if speed <= 0 {
-			s.scr.pointRate[i] = 0
-			continue
+		secPP := math.Inf(1)
+		s.scr.pointRate[i] = 0
+		if speed > 0 {
+			secPP = s.m.flopPerUnit / 1e6 / speed
+			s.scr.pointRate[i] = 1 / secPP
 		}
-		s.scr.pointRate[i] = 1 / (s.m.flopPerUnit / 1e6 / speed)
+		if minCost {
+			s.scr.costPerPoint[i] = costPerPoint(s.rate[i], secPP)
+		}
 	}
 }
 
-// bound is candidate c's compute bound over scr.pointRate, the session
-// twin of computeLowerBound.
+// bound is candidate c's metric bound over the scr columns, the session
+// twin of Agent.round's Round.Bound: stripModel.bound, fed the aggregate
+// its metric reads. Min-time sets, the common case, take its rateBound
+// case directly, which inlines.
 func (s *ReschedSession) bound(c int) float64 {
+	switch s.m.metric {
+	case userspec.MinExecutionTime:
+		return rateBound(s.candRate(c), s.m.n, s.m.iterations)
+	case userspec.MinCost:
+		return s.m.bound(0, s.candLeastCost(c), s.solo)
+	}
+	return s.m.bound(s.candRate(c), 0, s.solo)
+}
+
+// candRate is candidate c's aggregate point rate over scr.pointRate.
+func (s *ReschedSession) candRate(c int) float64 {
 	rate := 0.0
 	for w, word := range s.mask(c) {
 		for word != 0 {
@@ -557,7 +478,20 @@ func (s *ReschedSession) bound(c int) float64 {
 			word &= word - 1
 		}
 	}
-	return rateBound(rate, s.m.n, s.m.iterations)
+	return rate
+}
+
+// candLeastCost is the least cost per point over candidate c's members in
+// scr.costPerPoint.
+func (s *ReschedSession) candLeastCost(c int) float64 {
+	least := math.Inf(1)
+	for w, word := range s.mask(c) {
+		for word != 0 {
+			least = min(least, s.scr.costPerPoint[w*64+bits.TrailingZeros64(word)])
+			word &= word - 1
+		}
+	}
+	return least
 }
 
 // solve re-plans universe candidate c into the score caches.
@@ -567,11 +501,9 @@ func (s *ReschedSession) solve(c int) {
 	if !ok {
 		s.feasible[c] = false
 		s.score[c] = math.Inf(1)
-		s.total[c] = 0
 		return
 	}
 	s.feasible[c] = true
-	s.total[c] = iterT * float64(s.m.iterations)
 	s.score[c] = s.kn.score(&s.m, k, iterT, s.solo)
 }
 

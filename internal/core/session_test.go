@@ -43,9 +43,10 @@ func samePick(a, b *Schedule) bool {
 // which pins float bits, placement shape, and host order — to the
 // schedule Agent.ScheduleExplained produces at the same instant, across
 // pools, selector families, and user metrics. ScheduleExplained plans
-// every set; a bounded (min-time) cold round skips the sets its compute
-// bound rules out, so only its planned count may be smaller. Unbounded
-// metrics plan every set, so their planned counts agree too.
+// every set; a bounded cold round (every metric, at the default spill
+// factor) skips the sets its metric bound rules out, so only its
+// planned count may be smaller. An unbounded round plans every set, so
+// its planned count agrees too.
 func TestSessionColdParity(t *testing.T) {
 	pools := []struct {
 		name          string
@@ -92,7 +93,7 @@ func TestSessionColdParity(t *testing.T) {
 				if !samePick(want, got) {
 					t.Fatalf("%s: cold round diverged from Schedule\nagent:   %+v\nsession: %+v", name, want, got)
 				}
-				if bounded := m == userspec.MinExecutionTime; !bounded && (st.Pruned != 0 || got.CandidatesPlanned != want.CandidatesPlanned) {
+				if bounded := agent.spillFactor >= 1; !bounded && (st.Pruned != 0 || got.CandidatesPlanned != want.CandidatesPlanned) {
 					t.Fatalf("%s: unbounded cold round pruned %d, planned %d of the agent's %d",
 						name, st.Pruned, got.CandidatesPlanned, want.CandidatesPlanned)
 				} else if got.CandidatesPlanned > want.CandidatesPlanned {
@@ -108,11 +109,12 @@ func TestSessionColdParity(t *testing.T) {
 // sweeps — no change, one host, three hosts, the whole pool — applied
 // through a live availability overlay, under every selector family and
 // user metric, and demands Round() pick exactly the schedule FullRound()
-// picks on its twin while doing less work on small perturbations: a
-// bounded (min-time) round skips the sets its compute bound rules out,
-// and an unbounded round rescores only the sets the delta touches, so
-// its planned count agrees too. EstimatePlacement must agree with the
-// agent's allocating estimator under the same refreshed inputs.
+// picks on its twin. A bounded round skips the sets its metric bound
+// rules out, so on small perturbations it does less work; an unbounded
+// round (spill factor below 1) plans every set, so it must equal
+// FullRound outright, planned count included. EstimatePlacement must
+// agree with the agent's allocating estimator under the same refreshed
+// inputs.
 func TestSessionDeltaParity(t *testing.T) {
 	tp, base := buildPool(t, 3, 4, 7)
 	overlay := map[string]float64{}
@@ -131,67 +133,88 @@ func TestSessionDeltaParity(t *testing.T) {
 		{"all", len(hosts)},
 		{"none-b", 0},
 	}
-	metrics := []userspec.Metric{userspec.MinExecutionTime, userspec.MaxSpeedup, userspec.MinCost}
-
+	type row struct {
+		name   string
+		sel    SelectorSpec
+		metric userspec.Metric
+		spill  float64 // 0 keeps the agent's default
+	}
+	var rows []row
 	for _, sel := range sessionSelectors {
-		for _, m := range metrics {
-			for k := range overlay {
-				delete(overlay, k)
+		for _, m := range []userspec.Metric{userspec.MinExecutionTime, userspec.MaxSpeedup, userspec.MinCost} {
+			rows = append(rows, row{sel.name + "/" + m.String(), sel.spec, m, 0})
+		}
+	}
+	// Below a spill factor of 1 the bounds are unsound, so Round plans
+	// every set.
+	rows = append(rows, row{"exhaustive/min-time/spill0.5", SelectorSpec{Kind: SelectorExhaustive}, userspec.MinExecutionTime, 0.5})
+
+	for _, r := range rows {
+		for k := range overlay {
+			delete(overlay, k)
+		}
+		agent, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{Metric: r.metric}, info,
+			WithSelector(r.sel), WithSpillFactor(r.spill))
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		bounded := agent.spillFactor >= 1
+		sess, err := agent.NewReschedSession(n)
+		if err != nil {
+			t.Fatalf("%s session: %v", r.name, err)
+		}
+		twin, err := agent.NewReschedSession(n)
+		if err != nil {
+			t.Fatalf("%s twin: %v", r.name, err)
+		}
+
+		for round, d := range deltas {
+			for i := 0; i < d.hosts; i++ {
+				// Deterministic, round-varying perturbation.
+				overlay[hosts[i].Name] = 0.15 + 0.1*float64((round+i)%7)
 			}
-			bounded := m == userspec.MinExecutionTime
-			agent, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{Metric: m}, info, WithSelector(sel.spec))
-			if err != nil {
-				t.Fatalf("%s: %v", sel.name, err)
+			got, st, gerr := sess.Round()
+			want, wst, werr := twin.FullRound()
+			name := r.name + "/" + d.name
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("%s: error divergence: %v vs %v", name, gerr, werr)
 			}
-			sess, err := agent.NewReschedSession(n)
-			if err != nil {
-				t.Fatalf("%s session: %v", sel.name, err)
+			if !samePick(want, got) || (!bounded && !reflect.DeepEqual(want, got)) {
+				t.Fatalf("%s: round diverged from full recomputation\nfull:  %+v\nround: %+v", name, want, got)
 			}
-			twin, err := agent.NewReschedSession(n)
-			if err != nil {
-				t.Fatalf("%s twin: %v", sel.name, err)
+			if wst.Rescored != wst.Considered || wst.Pruned != 0 {
+				t.Fatalf("%s: FullRound rescored %d and pruned %d of %d", name, wst.Rescored, wst.Pruned, wst.Considered)
+			}
+			if st.Rescored+st.Pruned != st.Considered && !st.Carried {
+				t.Fatalf("%s: round rescored %d and pruned %d of %d", name, st.Rescored, st.Pruned, st.Considered)
+			}
+			if !bounded && st.Pruned != 0 {
+				t.Fatalf("%s: unbounded round pruned %d sets", name, st.Pruned)
+			}
+			if round == 0 {
+				continue
+			}
+			// A bounded round must do less work than FullRound. Under
+			// greedy/min-cost it cannot: this pool's rates are uniform,
+			// so every greedy prefix holds the fastest host, whose cost
+			// per point minimises every set's cost bound; nothing is
+			// prunable there.
+			if d.hosts == 0 {
+				if st.Rescored != 0 || st.Pruned != 0 || !st.Carried || st.ChangedHosts != 0 {
+					t.Fatalf("%s: quiescent round did work: %+v", name, st)
+				}
+			} else if d.hosts == 1 && bounded && r.name != "greedy/min-cost" &&
+				st.Rescored >= st.Considered && st.Considered > 1 {
+				t.Fatalf("%s: one-host delta rescored the whole universe: %+v", name, st)
 			}
 
-			for round, d := range deltas {
-				for i := 0; i < d.hosts; i++ {
-					// Deterministic, round-varying perturbation.
-					overlay[hosts[i].Name] = 0.15 + 0.1*float64((round+i)%7)
-				}
-				got, st, gerr := sess.Round()
-				want, wst, werr := twin.FullRound()
-				name := sel.name + "/" + m.String() + "/" + d.name
-				if (gerr == nil) != (werr == nil) {
-					t.Fatalf("%s: error divergence: %v vs %v", name, gerr, werr)
-				}
-				if !samePick(want, got) || (!bounded && !reflect.DeepEqual(want, got)) {
-					t.Fatalf("%s: round diverged from full recomputation\nfull:  %+v\nround: %+v", name, want, got)
-				}
-				if wst.Rescored != wst.Considered || wst.Pruned != 0 {
-					t.Fatalf("%s: FullRound rescored %d and pruned %d of %d", name, wst.Rescored, wst.Pruned, wst.Considered)
-				}
-				if bounded && st.Rescored+st.Pruned != st.Considered && !st.Carried {
-					t.Fatalf("%s: bounded round rescored %d and pruned %d of %d", name, st.Rescored, st.Pruned, st.Considered)
-				}
-				if round == 0 {
-					continue
-				}
-				// The round must actually be incremental.
-				if d.hosts == 0 {
-					if st.Rescored != 0 || st.Pruned != 0 || !st.Carried || st.ChangedHosts != 0 {
-						t.Fatalf("%s: quiescent round did work: %+v", name, st)
-					}
-				} else if d.hosts == 1 && st.Rescored >= st.Considered && st.Considered > 1 {
-					t.Fatalf("%s: one-host delta rescored the whole universe: %+v", name, st)
-				}
-
-				// Placement pricing parity under the same refreshed inputs.
-				if got != nil {
-					se, serr := sess.EstimatePlacement(got.Placement)
-					ae, aerr := agent.EstimatePlacement(n, got.Placement)
-					if (serr == nil) != (aerr == nil) || se != ae {
-						t.Fatalf("%s: EstimatePlacement diverged: session (%v, %v) vs agent (%v, %v)",
-							name, se, serr, ae, aerr)
-					}
+			// Placement pricing parity under the same refreshed inputs.
+			if got != nil {
+				se, serr := sess.EstimatePlacement(got.Placement)
+				ae, aerr := agent.EstimatePlacement(n, got.Placement)
+				if (serr == nil) != (aerr == nil) || se != ae {
+					t.Fatalf("%s: EstimatePlacement diverged: session (%v, %v) vs agent (%v, %v)",
+						name, se, serr, ae, aerr)
 				}
 			}
 		}

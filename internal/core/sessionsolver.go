@@ -16,7 +16,7 @@ import (
 // Performance Estimator every scheduling path prices a chain with —
 // the Coordinator round behind Agent.Schedule, SchedService, Run,
 // Rescheduler, WaitOrRun, ScheduleExplained and Candidates, and the
-// ReschedSession's delta rounds. A feeder writes the strip cost model's
+// ReschedSession's rounds. A feeder writes the strip cost model's
 // per-host columns for one chain into a stripKernel (from a round's
 // Information view, or from the session's refreshed arrays); the
 // kernel then balances, rounds and prices that chain in place, with no
@@ -583,10 +583,8 @@ type sessionScratch struct {
 	eff      []float64 // deliverable speed per pool index (raw availability)
 	effOrder []int     // pool indices by eff desc, name asc
 
-	touched     []uint64 // hosts whose inputs changed this round
-	linkTouched []uint64 // hosts reached through changed links
-
-	pointRate []float64 // points per second per pool index (bounded rounds)
+	pointRate    []float64 // points per second per pool index (bounded rounds)
+	costPerPoint []float64 // r_i·P_i per pool index (bounded MinCost rounds)
 
 	members []int // candidate members in eff-seed order
 	chain   []int // strip-chain order (pool indices)
@@ -595,12 +593,11 @@ type sessionScratch struct {
 	effSort effSorter
 }
 
-func (scr *sessionScratch) init(np, words int) {
+func (scr *sessionScratch) init(np int) {
 	scr.eff = make([]float64, np)
 	scr.effOrder = make([]int, np)
-	scr.touched = make([]uint64, words)
-	scr.linkTouched = make([]uint64, words)
 	scr.pointRate = make([]float64, np)
+	scr.costPerPoint = make([]float64, np)
 	scr.members = make([]int, np)
 	scr.chain = make([]int, np)
 	scr.rem = make([]int, np)

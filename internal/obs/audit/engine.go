@@ -305,7 +305,7 @@ func (e *Engine) RecordActual(key uint64, actual float64) (Join, bool) {
 	}
 	if e.tracer != nil {
 		e.tracer.Emit(obs.Event{Type: obs.EvAudit, Verdict: "join", Tenant: p.labels.Tenant,
-			Reason: p.labels.Selector + "/" + p.labels.HostClass,
+			Reason:    p.labels.Selector + "/" + p.labels.HostClass,
 			Predicted: p.predicted, Actual: actual})
 		if driftEntity != "" {
 			e.tracer.Emit(obs.Event{Type: obs.EvAudit, Verdict: "drift", Tenant: p.labels.Tenant,

@@ -97,8 +97,8 @@ func (e *Engine) Snapshot() Snapshot {
 
 // ForecasterReport scores one forecaster on one series.
 type ForecasterReport struct {
-	Name    string `json:"name"`
-	Samples int    `json:"samples"`
+	Name    string  `json:"name"`
+	Samples int     `json:"samples"`
 	MAE     float64 `json:"mae"`
 	RMSE    float64 `json:"rmse"`
 	// Skill is 1 - MAE/MAE_naive against the series' last-value
@@ -111,11 +111,11 @@ type ForecasterReport struct {
 
 // SeriesReport is the forecast audit of one measurement series.
 type SeriesReport struct {
-	Kind     string `json:"kind"`
-	Series   string `json:"series"`
-	Samples  int    `json:"samples"`
+	Kind     string  `json:"kind"`
+	Series   string  `json:"series"`
+	Samples  int     `json:"samples"`
 	NaiveMAE float64 `json:"naive_mae"`
-	Degraded bool   `json:"degraded,omitempty"`
+	Degraded bool    `json:"degraded,omitempty"`
 
 	Forecasters []ForecasterReport `json:"forecasters"`
 }

@@ -22,6 +22,8 @@ const (
 	EvCandidate EventType = "candidate"
 	// EvPruned: a resource set was skipped because its lower bound
 	// (Bound) already exceeded the best score seen so far (Incumbent).
+	// Both are in score units: seconds under min-time, cost under
+	// min-cost, and negated speedups under max-speedup.
 	EvPruned EventType = "pruned"
 	// EvInfeasible: the planner rejected the set (e.g. aggregate memory
 	// cannot hold the problem).
@@ -54,14 +56,13 @@ const (
 	// the round reused a cache-shared snapshot, and Seconds the queue +
 	// evaluation wall-time.
 	EvTenantRound EventType = "tenant_round"
-	// EvDeltaRound: a ReschedSession round completed incrementally.
-	// Changed counts pool hosts whose inputs differ from the previous
-	// round (directly or through a changed link on one of their routes),
+	// EvDeltaRound: a ReschedSession round completed. Changed counts
+	// pool hosts whose availability differs from the previous round,
 	// Rescored how many candidate sets were re-planned, Pruned how many a
-	// bounded round skipped by the compute bound, Considered the frozen
-	// universe size, and Carried whether the incumbent winner was carried
-	// forward unchanged. Hosts/Predicted/Score describe the
-	// winner, as in EvWinner.
+	// bounded round skipped by its metric bound, Considered the frozen
+	// universe size, and Carried whether the round was quiescent (no
+	// input changed, so the previous outcome was returned as-is).
+	// Hosts/Predicted/Score describe the winner, as in EvWinner.
 	EvDeltaRound EventType = "delta_round"
 	// EvAudit: the audit engine joined a decision's prediction with its
 	// observed actual (Verdict "join": Tenant, Predicted, Actual, and
@@ -110,10 +111,10 @@ type Event struct {
 	Dropped int `json:"dropped,omitempty"`
 
 	// Delta-round fields (EvDeltaRound only). Changed is the number of
-	// pool hosts whose inputs changed since the previous session round,
-	// Rescored how many candidate sets were re-planned, Pruned how many
-	// a bounded round skipped by the compute bound, and Carried whether
-	// the previous winner survived without re-materialization.
+	// pool hosts whose availability changed since the previous session
+	// round, Rescored how many candidate sets were re-planned, Pruned how
+	// many a bounded round skipped by its metric bound, and Carried
+	// whether the round was quiescent and returned the previous outcome.
 	Changed  int  `json:"changed,omitempty"`
 	Rescored int  `json:"rescored,omitempty"`
 	Pruned   int  `json:"pruned,omitempty"`
