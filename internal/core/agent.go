@@ -139,6 +139,21 @@ type Candidate struct {
 	// Unit is the pipeline transfer unit for pipeline candidates; 0 for
 	// data-parallel candidates and single-site mappings.
 	Unit int
+
+	// chain is a Jacobi round's evaluated set, in chain order, kept in
+	// place of Hosts while the round runs: only the winner, placed
+	// candidates and trace events get names, built from it. A candidate
+	// returned to a caller never carries it.
+	chain []*grid.Host
+}
+
+// names returns c's host names: Hosts, or names built from the chain a
+// Jacobi round keeps instead.
+func (c *Candidate) names() []string {
+	if c.chain != nil {
+		return hostNames(c.chain)
+	}
+	return c.Hosts
 }
 
 // rankCandidates returns a copy of cands sorted ascending by score (ties
@@ -160,7 +175,6 @@ func rankCandidates(cands []Candidate, k int) []Candidate {
 // into placements against the same view.
 type roundPricer struct {
 	m    stripModel
-	tp   *grid.Topology
 	task *hat.Task
 	spec *userspec.Spec
 	info Information
@@ -168,7 +182,7 @@ type roundPricer struct {
 }
 
 func (a *Agent) newPricer(n int) *roundPricer {
-	return &roundPricer{m: a.model(n), tp: a.tp, task: &a.tpl.Tasks[0], spec: a.spec}
+	return &roundPricer{m: a.model(n), task: &a.tpl.Tasks[0], spec: a.spec}
 }
 
 // solve feeds and solves chain set into kn.
@@ -179,7 +193,8 @@ func (rp *roundPricer) solve(kn *stripKernel, set []*grid.Host) (float64, bool) 
 	return kn.solve(&rp.m, len(set))
 }
 
-// Evaluate implements CandidateEvaluator. The candidate carries no
+// Evaluate implements CandidateEvaluator. The candidate keeps set, the
+// selector's fresh chain, in place of host names, and carries no
 // placement: only the winner and a requested top-k are ever built.
 func (rp *roundPricer) Evaluate(set []*grid.Host) (Candidate, bool) {
 	kn := kernelPool.Get().(*stripKernel)
@@ -192,35 +207,30 @@ func (rp *roundPricer) Evaluate(set []*grid.Host) (Candidate, bool) {
 	if !ok {
 		return Candidate{}, false
 	}
-	hosts := make([]string, len(set))
-	for j, h := range set {
-		hosts[j] = h.Name
-	}
 	return Candidate{
-		Hosts:             hosts,
 		PredictedIterTime: iterT,
 		PredictedTotal:    iterT * float64(rp.m.iterations),
 		Score:             score,
+		chain:             set,
 	}, true
 }
 
 // resolve re-solves an evaluated candidate's chain into kn, returning
 // its iteration time.
 func (rp *roundPricer) resolve(kn *stripKernel, c *Candidate) float64 {
-	set := make([]*grid.Host, len(c.Hosts))
-	for i, name := range c.Hosts {
-		set[i] = rp.tp.Host(name)
-	}
-	iterT, _ := rp.solve(kn, set)
+	iterT, _ := rp.solve(kn, c.chain)
 	return iterT
 }
 
-// place builds the placement of every candidate in cands.
+// place names every candidate in cands and builds its placement, leaving
+// it without its chain.
 func (rp *roundPricer) place(cands []Candidate) {
 	kn := kernelPool.Get().(*stripKernel)
 	for i := range cands {
-		rp.resolve(kn, &cands[i])
-		cands[i].Placement = kn.placement(&rp.m, cands[i].Hosts)
+		c := &cands[i]
+		rp.resolve(kn, c)
+		c.Hosts, c.chain = hostNames(c.chain), nil
+		c.Placement = kn.placement(&rp.m, c.Hosts)
 	}
 	kernelPool.Put(kn)
 }
@@ -353,8 +363,13 @@ func secondsPerPoint(pool []*grid.Host, info Information, task hat.Task, priced 
 		size = max(size, h.Index()+1)
 	}
 	c := &pointCosts{hosts: make([]*grid.Host, size), byIndex: make([]pointCost, size)}
+	ri, _ := info.(routeIndex)
 	for _, h := range pool {
-		avail := floorAvailability(info.Availability(h.Name))
+		vi := -1
+		if ri != nil {
+			vi = ri.hostIndex(h)
+		}
+		avail := floorAvailability(hostAvailability(info, ri, h, vi))
 		speed := h.Speed * avail * task.SpeedFactorOn(h.Arch)
 		pc := pointCost{sec: math.Inf(1)}
 		if speed > 0 {
@@ -480,7 +495,7 @@ func (a *Agent) pickBest(rp *roundPricer, cands []Candidate, considered int) (*S
 	}
 	c := &cands[bestIdx]
 	kn := kernelPool.Get().(*stripKernel)
-	best := kn.schedule(&rp.m, append([]string(nil), c.Hosts...), rp.resolve(kn, c))
+	best := kn.schedule(&rp.m, hostNames(c.chain), rp.resolve(kn, c))
 	kernelPool.Put(kn)
 	best.InfoSource = a.coord.Information().Source()
 	best.CandidatesConsidered = considered

@@ -220,7 +220,7 @@ func (c *Coordinator) Information() Information { return c.info }
 // pricing an existing placement before a rescheduling decision) share it
 // so they see exactly what a scheduling round would.
 func (c *Coordinator) View(hosts []string) Information {
-	return snapshotInformation(c.info, hosts)
+	return roundSnapshot(c.info, nil, hosts...)
 }
 
 // EvaluateRound runs the blueprint round: resolve the information view,
@@ -348,7 +348,7 @@ func (c *Coordinator) evaluateRound(r Round, view infoView) ([]Candidate, int, e
 		}
 		if tr != nil {
 			tr.Emit(obs.Event{Round: round, Type: obs.EvCandidate, Index: i + 1,
-				Hosts: cand.Hosts, Predicted: cand.PredictedTotal, Score: cand.Score})
+				Hosts: cand.names(), Predicted: cand.PredictedTotal, Score: cand.Score})
 		}
 		if incumbent != nil {
 			incumbent.update(cand.Score)
@@ -403,7 +403,7 @@ func (c *Coordinator) evaluateRound(r Round, view infoView) ([]Candidate, int, e
 			// the decision it produced.
 			if bi := bestCandidate(cands); bi >= 0 {
 				w := cands[bi]
-				tr.Emit(obs.Event{Round: round, Type: obs.EvWinner, Hosts: w.Hosts,
+				tr.Emit(obs.Event{Round: round, Type: obs.EvWinner, Hosts: w.names(),
 					Predicted: w.PredictedTotal, Score: w.Score,
 					Considered: considered, Planned: len(cands)})
 			} else {

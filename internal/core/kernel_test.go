@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"apples/internal/grid"
@@ -197,4 +199,233 @@ func TestKernelMatchesPlannerEstimator(t *testing.T) {
 		t.Fatalf("weak sample: %d feasible, %d large chains of %d trials", feasible, large, trials)
 	}
 	t.Logf("%d trials (%d feasible, %d with 1000+ hosts), 0 mismatches", trials, feasible, large)
+}
+
+// largestRemainderOracle is partition's largestRemainder, copied as the
+// oracle for stripKernel.roundRows: floor every positive weight's exact
+// share, hand one more row to the largest remainders (ties to the lower
+// index) found by a full sort, and dump any shortfall on the largest
+// weight.
+func largestRemainderOracle(weights []float64, total int) []int {
+	n := len(weights)
+	out := make([]int, n)
+	sum := 0.0
+	for _, w := range weights {
+		if w > 0 {
+			sum += w
+		}
+	}
+	if sum == 0 || total <= 0 {
+		return out
+	}
+	type frac struct {
+		idx int
+		rem float64
+	}
+	assigned := 0
+	fracs := make([]frac, 0, n)
+	for i, w := range weights {
+		if w <= 0 {
+			continue
+		}
+		exact := float64(total) * w / sum
+		fl := math.Floor(exact)
+		out[i] = int(fl)
+		assigned += int(fl)
+		fracs = append(fracs, frac{i, exact - fl})
+	}
+	sort.Slice(fracs, func(a, b int) bool {
+		if fracs[a].rem != fracs[b].rem {
+			return fracs[a].rem > fracs[b].rem
+		}
+		return fracs[a].idx < fracs[b].idx
+	})
+	for k := 0; assigned < total && k < len(fracs); k++ {
+		out[fracs[k].idx]++
+		assigned++
+	}
+	for assigned < total {
+		best := 0
+		for i := range weights {
+			if weights[i] > weights[best] {
+				best = i
+			}
+		}
+		out[best]++
+		assigned++
+	}
+	return out
+}
+
+// remainderShape classifies a rounding by r, the rows left after the
+// floors, against nf, the number of positive weights: "none" (nothing to
+// round), "r=0", "select" (0 < r < nf, the selection path) or "r>=nf".
+func remainderShape(area []float64, total int) string {
+	sum := 0.0
+	for _, w := range area {
+		if w > 0 {
+			sum += w
+		}
+	}
+	if sum == 0 || total <= 0 {
+		return "none"
+	}
+	assigned, nf := 0, 0
+	for _, w := range area {
+		if w > 0 {
+			assigned += int(math.Floor(float64(total) * w / sum))
+			nf++
+		}
+	}
+	switch r := total - assigned; {
+	case r <= 0:
+		return "r=0"
+	case r >= nf:
+		return "r>=nf"
+	}
+	return "select"
+}
+
+// TestRoundRowsMatchesLargestRemainder is the differential test of the
+// kernel's selection-based rounding against the sort-based oracle, on
+// chains of 1 to 2048 hosts and totals of 1 to 4000 rows: distinct
+// areas, heavy ties (a quiet grid gives a whole cluster one area, so
+// the tie-break by index decides), zero and negative areas, and the
+// r = 0 and r ≥ nf edges. It also pins schedule's host order to a
+// stable sort on placement share.
+func TestRoundRowsMatchesLargestRemainder(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	gens := []struct {
+		name string
+		area func(k int) []float64
+	}{
+		{"distinct", func(k int) []float64 {
+			a := make([]float64, k)
+			for i := range a {
+				a[i] = logUniform(rng, 1e-3, 1e3)
+			}
+			return a
+		}},
+		{"equal", func(k int) []float64 {
+			a := make([]float64, k)
+			v := logUniform(rng, 1e-3, 1e3)
+			for i := range a {
+				a[i] = v
+			}
+			return a
+		}},
+		{"clusters", func(k int) []float64 {
+			a := make([]float64, k)
+			per := 1 + rng.Intn(32)
+			v := 0.0
+			for i := range a {
+				if i%per == 0 {
+					v = float64(1 + rng.Intn(4)) // few distinct values across clusters too
+				}
+				a[i] = v
+			}
+			return a
+		}},
+		{"zero-negative", func(k int) []float64 {
+			a := make([]float64, k)
+			for i := range a {
+				switch rng.Intn(4) {
+				case 0:
+					a[i] = 0
+				case 1:
+					a[i] = -logUniform(rng, 1e-3, 1e3)
+				default:
+					a[i] = logUniform(rng, 1e-3, 1e3)
+				}
+			}
+			return a
+		}},
+	}
+	shapes := map[string]int{}
+	kn := new(stripKernel)
+	check := func(name string, area []float64, total int) {
+		t.Helper()
+		k := len(area)
+		kn.reserve(k)
+		copy(kn.area, area)
+		kn.roundRows(k, total)
+		want := largestRemainderOracle(area, total)
+		if !slices.Equal(kn.rows[:k], want) {
+			for i := range want {
+				if kn.rows[i] != want[i] {
+					t.Fatalf("%s (k=%d, total=%d): rows[%d] = %d, oracle %d", name, k, total, i, kn.rows[i], want[i])
+				}
+			}
+		}
+		shapes[remainderShape(area, total)]++
+
+		// schedule orders the hosts by share, larger first, ties in
+		// chain order.
+		names := make([]string, k)
+		for i := range names {
+			names[i] = fmt.Sprintf("h%d", i)
+		}
+		order := make([]int, k)
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool { return want[order[a]] > want[order[b]] })
+		byShare := make([]string, k)
+		for j, i := range order {
+			byShare[j] = names[i]
+		}
+		m := &stripModel{n: total, iterations: 1}
+		if got := kn.schedule(m, names, 1).Hosts; !slices.Equal(got, byShare) {
+			t.Fatalf("%s (k=%d, total=%d): schedule order %v, want %v", name, k, total, got, byShare)
+		}
+	}
+	for _, k := range []int{1, 2, 3, 5, 8, 16, 31, 64, 65, 100, 257, 1000, 2048} {
+		totals := []int{1, 2, max(1, k/2), k, k + 1, 997, 4000, 1 + rng.Intn(4000)}
+		for _, g := range gens {
+			for _, total := range totals {
+				check(g.name, g.area(k), total)
+			}
+		}
+		// Equal areas over a multiple of k rows divide exactly: r = 0.
+		area := make([]float64, k)
+		for i := range area {
+			area[i] = 1
+		}
+		check("exact", area, k*(1+rng.Intn(max(1, 4000/k))))
+	}
+	// One positive area whose share rounds below the total leaves r ≥ nf
+	// = 1: the single remainder is taken without selecting.
+	for found := 0; found < 8; {
+		w, total := rng.Float64()+1e-9, 1+rng.Intn(4000)
+		if math.Floor(float64(total)*w/w) >= float64(total) {
+			continue
+		}
+		check("single", []float64{0, w, -1}, total)
+		found++
+	}
+	for _, s := range []string{"r=0", "select", "r>=nf"} {
+		if shapes[s] == 0 {
+			t.Errorf("no rounding with %s", s)
+		}
+	}
+	t.Logf("rounding shapes: %v", shapes)
+
+	// Remainders ordered so that every median-of-three pivot splits off
+	// little (found by hill-climbing on the partition count): selecting
+	// the first 12 of 24 exhausts the partition budget and finishes on
+	// the sort fallback.
+	adversary := []float64{16, 8, 19, 15, 18, 17, 1, 0, 2, 11, 13, 12, 23, 20, 4, 3, 7, 14, 21, 10, 9, 6, 5, 22}
+	fs := fracSorter{idx: make([]int, len(adversary)), rem: slices.Clone(adversary)}
+	for i := range fs.idx {
+		fs.idx[i] = i
+	}
+	fs.selectFirst(12)
+	for f, v := range fs.rem {
+		if v >= 12 != (f < 12) {
+			t.Fatalf("adversarial selection put %v at %d: %v", v, f, fs.rem)
+		}
+		if adversary[fs.idx[f]] != v {
+			t.Fatalf("adversarial selection separated index %d from its value %v", fs.idx[f], v)
+		}
+	}
 }

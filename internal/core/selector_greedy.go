@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"iter"
 	"math"
 	"slices"
@@ -216,17 +215,22 @@ func newGrowthScan(m *selModel, s *selState) *growthScan {
 	for i := range g.order {
 		g.order[i] = i
 	}
+	// Every eff and dist is finite and non-negative here, so plain float
+	// compares order them as cmp.Compare would, without its NaN checks.
 	slices.SortFunc(g.order, func(a, b int) int {
-		if c := cmp.Compare(m.dist[a], m.dist[b]); c != 0 {
-			return c
+		switch {
+		case m.dist[a] < m.dist[b]:
+			return -1
+		case m.dist[a] > m.dist[b]:
+			return 1
+		case m.eff[a] > m.eff[b]:
+			return -1
+		case m.eff[a] < m.eff[b]:
+			return 1
+		case m.nameRank[a] != m.nameRank[b]:
+			return m.nameRank[a] - m.nameRank[b]
 		}
-		if c := cmp.Compare(m.eff[b], m.eff[a]); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(m.nameRank[a], m.nameRank[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
+		return a - b
 	})
 	for p, i := range g.order {
 		g.pos[i] = p

@@ -62,11 +62,11 @@ func buildSelModel(rs *resourceSelector, pool []*grid.Host) *selModel {
 	m := &selModel{rs: rs, pool: pool, n: n,
 		eff: make([]float64, n), dist: make([]float64, n), des: make([]float64, n),
 		mark: make([]bool, n), ordered: make([]int, 0, n), rem: make([]int, n)}
-	for i, h := range pool {
-		m.eff[i] = h.Speed * rs.info.Availability(h.Name)
-	}
 	idx := make([]int, n)
 	ri := indexHosts(rs.info, pool, idx)
+	for i, h := range pool {
+		m.eff[i] = h.Speed * hostAvailability(rs.info, ri, h, idx[i])
+	}
 	pairCost := func(i, j int) float64 {
 		lat, bw := routePair(rs.info, ri, pool[i], pool[j], idx[i], idx[j])
 		if bw <= 0 {

@@ -30,7 +30,8 @@ import (
 //     (ErrQueueFull) and deterministic per-tenant round ordering —
 //     one tenant's rounds complete in submission order, always;
 //   - observability layer: per-tenant labeled metrics, queue depth,
-//     the shared-snapshot ratio, and a max/min fairness gauge.
+//     the shared-snapshot ratio, and a max/min fairness gauge computed
+//     when the registry is rendered.
 //
 // Registered tenants are thin clients: an Agent-backed tenant's round
 // is exactly Agent.Schedule evaluated against the shared view (the
@@ -157,6 +158,9 @@ func NewSchedService(opts ...ServiceOption) *SchedService {
 			reused:     m.Counter(obs.MetricSnapshotReused),
 			fairness:   m.Gauge(obs.MetricTenantFairness),
 		}
+		// Fairness walks every tenant under the service lock, so it is
+		// computed when the registry is exposed, not on every round.
+		m.OnCollect(func() { s.met.fairness.Set(s.Fairness()) })
 	}
 	s.wg.Add(cfg.runners)
 	for i := 0; i < cfg.runners; i++ {
@@ -438,7 +442,6 @@ func (s *SchedService) runRound(t *Tenant, req roundRequest) RoundResult {
 		t.met.rounds.Inc()
 		t.met.latency.Observe(res.Elapsed.Seconds())
 		s.met.shared.Set(s.cache.ratio())
-		s.met.fairness.Set(s.Fairness())
 	}
 	if s.tracer != nil {
 		e := obs.Event{Type: obs.EvTenantRound, Tenant: t.id, Round: t.done.Load(),

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -237,6 +238,42 @@ func TestServiceSharedRatio(t *testing.T) {
 	}
 	if f := svc.Fairness(); f != 1 {
 		t.Errorf("fairness %g, want 1", f)
+	}
+}
+
+// TestServiceFairnessGaugeAtExposition checks that rounds leave the
+// fairness gauge alone and that rendering the registry computes it from
+// the live tenant counts.
+func TestServiceFairnessGaugeAtExposition(t *testing.T) {
+	tp, info := buildPool(t, 0, 0, 3)
+	tpl := hat.Jacobi2D(600, 10)
+	reg := obs.NewMetrics()
+	svc := NewSchedService(WithServiceRunners(1), WithServiceMetrics(reg))
+	defer svc.Close()
+	for i, rounds := range []int{2, 1} {
+		a, err := NewAgent(tp, tpl, &userspec.Spec{}, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tn, err := svc.Register(fmt.Sprintf("t%d", i), a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rounds; r++ {
+			if _, err := tn.Schedule(600); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	gauge := reg.Gauge(obs.MetricTenantFairness)
+	if v := gauge.Value(); v != 0 {
+		t.Fatalf("fairness gauge %g before any exposition, want 0", v)
+	}
+	if _, err := reg.WritePrometheus(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if v := gauge.Value(); v != 2 {
+		t.Fatalf("fairness gauge %g after exposition, want 2 (2 rounds vs 1)", v)
 	}
 }
 

@@ -414,10 +414,11 @@ func TestGoldenTraceDeltaRounds(t *testing.T) {
 // Coordinator round: a 12-host exhaustive Agent.Schedule (4095
 // candidate sets, sequential) chains every set into one backing array,
 // skips the sets its compute bound rules out, prices the rest on the
-// strip kernel and builds a placement for the winner only. What remains
-// is one allocation per planned set (the candidate's host names, 569
-// here) plus about a hundred for the snapshot, the enumeration's
-// tables, candidate slice growth, and the winner.
+// strip kernel and builds a placement for the winner only. A candidate
+// keeps its chain instead of copying host names, so nothing is
+// allocated per planned set (569 here): the 92 allocations are the
+// snapshot, the enumeration's tables, candidate slice growth, and the
+// winner.
 func TestAgentScheduleAllocs(t *testing.T) {
 	tp, info := buildPool(t, 3, 4, 11)
 	const n = 600
@@ -441,7 +442,39 @@ func TestAgentScheduleAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("Agent.Schedule: %.0f allocs/op over %d sets, %d planned", allocs, s.CandidatesConsidered, s.CandidatesPlanned)
-	if allocs > 1000 {
-		t.Fatalf("Agent.Schedule allocates %.0f objects/op, want <= 1000", allocs)
+	if allocs > 150 {
+		t.Fatalf("Agent.Schedule allocates %.0f objects/op, want <= 150", allocs)
+	}
+}
+
+// TestScheduleExplainedAllocs gates the unpruned round behind
+// ScheduleExplained(n, 1) on the same 12-host pool: it plans every
+// feasible set, ranks them and names and places only the top one, so
+// its allocations do not grow with the 4,095 sets it plans.
+func TestScheduleExplainedAllocs(t *testing.T) {
+	tp, info := buildPool(t, 3, 4, 11)
+	const n = 600
+	agent, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, top, err := agent.ScheduleExplained(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(top) != 1 || top[0].Placement == nil || len(top[0].Hosts) != len(s.Hosts) {
+		t.Fatalf("top candidates %+v for schedule %v", top, s)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, _, err := agent.ScheduleExplained(n, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ScheduleExplained(n, 1): %.0f allocs/op over %d sets, %d planned", allocs, s.CandidatesConsidered, s.CandidatesPlanned)
+	if allocs > 150 {
+		t.Fatalf("ScheduleExplained(n, 1) allocates %.0f objects/op, want <= 150", allocs)
 	}
 }

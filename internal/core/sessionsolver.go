@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -133,9 +134,10 @@ func (kn *stripKernel) reserve(k int) {
 //	cap = host memory / bytes per point
 //
 // Each host's dense view index is resolved once into the kernel's index
-// column, and neighbor routes are priced by index (by name for a host
-// the view has no index for). It returns the position of the first host
-// with no deliverable speed (the chain cannot be planned), or -1.
+// column; its availability and neighbor routes are read by that index
+// (by name for a host the view has no index for). It returns the
+// position of the first host with no deliverable speed (the chain
+// cannot be planned), or -1.
 func (kn *stripKernel) feedSet(m *stripModel, task *hat.Task, spec *userspec.Spec, info Information, set []*grid.Host) int {
 	k := len(set)
 	kn.reserve(k)
@@ -143,7 +145,7 @@ func (kn *stripKernel) feedSet(m *stripModel, task *hat.Task, spec *userspec.Spe
 	ri := indexHosts(info, set, idx)
 	edge := float64(m.n) * m.borderBytes / 1e6
 	for i, h := range set {
-		avail := floorAvailability(info.Availability(h.Name))
+		avail := floorAvailability(hostAvailability(info, ri, h, idx[i]))
 		speed := h.Speed * avail * task.SpeedFactorOn(h.Arch) // Mflop/s deliverable
 		if speed <= 0 {
 			return i
@@ -303,7 +305,12 @@ func (kn *stripKernel) bandSec(m *stripModel, i, pts int) float64 {
 // roundRows applies partition's largest-remainder rounding to
 // kn.area[:k] with total rows, writing kn.rows[:k] — same
 // floor/remainder/tie-break and degenerate-dump sequence, without
-// allocating.
+// allocating. Only the r = total − assigned largest remainders gain a
+// row, so it selects them in linear expected time instead of sorting
+// all of them: (remainder desc, index asc) is a strict total order, so
+// the selected set is the one a full sort puts first. A NaN remainder
+// breaks that order, and then the remainders are sorted as partition
+// sorts them.
 func (kn *stripKernel) roundRows(k, total int) {
 	for i := 0; i < k; i++ {
 		kn.rows[i] = 0
@@ -319,6 +326,7 @@ func (kn *stripKernel) roundRows(k, total int) {
 	}
 	assigned := 0
 	nf := 0
+	nan := false
 	for i := 0; i < k; i++ {
 		w := kn.area[i]
 		if w <= 0 {
@@ -330,14 +338,22 @@ func (kn *stripKernel) roundRows(k, total int) {
 		assigned += int(fl)
 		kn.lrIdx[nf] = i
 		kn.lrRem[nf] = exact - fl
+		nan = nan || math.IsNaN(kn.lrRem[nf])
 		nf++
 	}
-	kn.fracSort.idx = kn.lrIdx[:nf]
-	kn.fracSort.rem = kn.lrRem[:nf]
-	sort.Sort(&kn.fracSort)
-	for f := 0; assigned < total && f < nf; f++ {
-		kn.rows[kn.lrIdx[f]]++
-		assigned++
+	if r := min(total-assigned, nf); r > 0 {
+		kn.fracSort = fracSorter{idx: kn.lrIdx[:nf], rem: kn.lrRem[:nf]}
+		switch {
+		case r == nf: // every remainder gains a row
+		case nan:
+			sort.Sort(&kn.fracSort)
+		default:
+			kn.fracSort.selectFirst(r)
+		}
+		for _, i := range kn.lrIdx[:r] {
+			kn.rows[i]++
+		}
+		assigned += r
 	}
 	// Degenerate rounding shortfall (all remainders zero): dump on the
 	// largest weight.
@@ -446,37 +462,27 @@ func (kn *stripKernel) placement(m *stripModel, hosts []string) *partition.Place
 // its strip placement, and hosts (chain order, owned by the schedule)
 // reordered by placement share, larger first, ties keeping chain order.
 // A chain's hosts are distinct, so each host's share is its own band's
-// rows·n/n² (0 for a dropped host). The caller fills the source and
-// candidate counters.
+// rows·n/n² (0 for a dropped host). The order sorts on (share desc,
+// chain position asc) in the kernel's rounding scratch, a total order,
+// so it is the permutation a stable sort on share gives. The caller
+// fills the source and candidate counters.
 func (kn *stripKernel) schedule(m *stripModel, hosts []string, iterT float64) *Schedule {
 	p := kn.placement(m, hosts)
 	n2 := float64(m.n) * float64(m.n)
-	order := byShare{hosts: hosts, share: make([]float64, len(hosts))}
+	k := len(hosts)
 	for i := range hosts {
-		order.share[i] = float64(kn.rows[i]*m.n) / n2
+		kn.lrIdx[i] = i
+		kn.lrRem[i] = float64(kn.rows[i]*m.n) / n2
 	}
-	sort.Stable(order)
+	kn.fracSort = fracSorter{idx: kn.lrIdx[:k], rem: kn.lrRem[:k], names: hosts}
+	sort.Sort(&kn.fracSort)
+	kn.fracSort.names = nil
 	return &Schedule{
 		Placement:         p,
 		PredictedIterTime: iterT,
 		PredictedTotal:    iterT * float64(m.iterations),
 		Hosts:             hosts,
 	}
-}
-
-// byShare orders hosts by their aligned placement share, larger first.
-// Shares are resolved before sorting so a comparison is two array
-// reads; with sort.Stable, ties keep chain order.
-type byShare struct {
-	hosts []string
-	share []float64
-}
-
-func (b byShare) Len() int           { return len(b.hosts) }
-func (b byShare) Less(i, j int) bool { return b.share[i] > b.share[j] }
-func (b byShare) Swap(i, j int) {
-	b.hosts[i], b.hosts[j] = b.hosts[j], b.hosts[i]
-	b.share[i], b.share[j] = b.share[j], b.share[i]
 }
 
 // effSorter orders pool indices by deliverable speed descending, name
@@ -500,23 +506,79 @@ func (s *effSorter) Less(i, j int) bool {
 	return s.names[a] < s.names[b]
 }
 
-// fracSorter orders largest-remainder fractions descending, index
-// ascending — partition.largestRemainder's total order.
+// fracSorter orders values descending, index ascending: largest-
+// remainder fractions in partition.largestRemainder's total order, and
+// a schedule's placement shares by chain position. names, when set, is
+// permuted alongside.
 type fracSorter struct {
-	idx []int
-	rem []float64
+	idx   []int
+	rem   []float64
+	names []string
 }
 
 func (s *fracSorter) Len() int { return len(s.idx) }
 func (s *fracSorter) Swap(i, j int) {
 	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
 	s.rem[i], s.rem[j] = s.rem[j], s.rem[i]
+	if s.names != nil {
+		s.names[i], s.names[j] = s.names[j], s.names[i]
+	}
 }
 func (s *fracSorter) Less(i, j int) bool {
 	if s.rem[i] != s.rem[j] {
 		return s.rem[i] > s.rem[j]
 	}
 	return s.idx[i] < s.idx[j]
+}
+
+// selectFirst moves the r entries that come first in s's order into
+// [0, r), in no particular order: quickselect with a median-of-three
+// pivot. With no NaN value the order is total, so that is the set a
+// full sort puts first. A range still unresolved after 2·log₂(len)
+// partitions is sorted instead, which bounds the worst case at
+// O(n log n). r must be in (0, len), and names unset.
+func (s *fracSorter) selectFirst(r int) {
+	lo, hi := 0, len(s.idx)
+	for budget := 2 * bits.Len(uint(hi)); lo < r && r < hi; budget-- {
+		if budget == 0 {
+			idx, rem := s.idx, s.rem
+			s.idx, s.rem = idx[lo:hi], rem[lo:hi]
+			sort.Sort(s)
+			s.idx, s.rem = idx, rem
+			return
+		}
+		if p := s.partition(lo, hi); p < r {
+			lo = p + 1
+		} else {
+			hi = p
+		}
+	}
+}
+
+// partition places the median of [lo, hi)'s first, middle and last
+// entries at its final position p within the range, the entries before
+// it in s's order below p and the rest above, and returns p. hi-lo must
+// be at least 2.
+func (s *fracSorter) partition(lo, hi int) int {
+	mid, last := lo+(hi-lo)/2, hi-1
+	if s.Less(mid, lo) {
+		s.Swap(mid, lo)
+	}
+	if s.Less(last, lo) {
+		s.Swap(last, lo)
+	}
+	if s.Less(mid, last) {
+		s.Swap(mid, last)
+	}
+	p := lo
+	for i := lo; i < last; i++ {
+		if s.Less(i, last) {
+			s.Swap(i, p)
+			p++
+		}
+	}
+	s.Swap(p, last)
+	return p
 }
 
 // siteGrouper lays chain members out grouped by site — sites in order

@@ -1,6 +1,10 @@
 package core
 
-import "apples/internal/grid"
+import (
+	"math"
+
+	"apples/internal/grid"
+)
 
 // InfoSnapshot is an immutable, point-in-time resolution of an
 // Information source over a fixed host set. The agent takes one snapshot
@@ -172,6 +176,10 @@ func (s *InfoSnapshot) indexOf(name string) int {
 // host list.
 func (s *InfoSnapshot) hostIndex(h *grid.Host) int { return s.indexOf(h.Name) }
 
+// availAt implements routeIndex by position: every indexed host is
+// frozen.
+func (s *InfoSnapshot) availAt(i int) (float64, bool) { return s.avail[i], true }
+
 // routeAt implements routeIndex from the frozen pair arrays.
 func (s *InfoSnapshot) routeAt(i, j int) (lat, bw float64) {
 	k := i*s.n + j
@@ -200,13 +208,17 @@ type infoView interface {
 }
 
 // routeIndex is a frozen view's dense host addressing, which lets a
-// round resolve each host once and price pairs by index. hostIndex is a
-// host's index in the view, -1 when the view has none; routeAt(i, j)
-// returns, for two distinct indexed hosts, exactly the RouteLatency and
-// RouteBandwidth the view reports for them by name.
+// round resolve each host once and price it and its pairs by index.
+// hostIndex is a host's index in the view, -1 when the view has none;
+// routeAt(i, j) returns, for two distinct indexed hosts, exactly the
+// RouteLatency and RouteBandwidth the view reports for them by name;
+// availAt(i) returns the Availability the view froze for the host at
+// index i, and false when it froze none (the view then answers from its
+// base source by name).
 type routeIndex interface {
 	hostIndex(h *grid.Host) int
 	routeAt(i, j int) (lat, bw float64)
+	availAt(i int) (float64, bool)
 }
 
 // indexHosts writes each host's dense index in info into idx (-1
@@ -222,6 +234,17 @@ func indexHosts(info Information, hosts []*grid.Host, idx []int) routeIndex {
 	return ri
 }
 
+// hostAvailability returns info's availability of h: by its dense index
+// i when ri froze one there, by name otherwise.
+func hostAvailability(info Information, ri routeIndex, h *grid.Host, i int) float64 {
+	if i >= 0 {
+		if v, ok := ri.availAt(i); ok {
+			return v
+		}
+	}
+	return info.Availability(h.Name)
+}
+
 // routePair returns info's route latency and bandwidth from a to b: by
 // dense index when both hosts have one in ri, by name otherwise.
 func routePair(info Information, ri routeIndex, a, b *grid.Host, i, j int) (lat, bw float64) {
@@ -232,14 +255,28 @@ func routePair(info Information, ri routeIndex, a, b *grid.Host, i, j int) (lat,
 }
 
 // roundSnapshot is the one snapshot constructor every scheduling path
-// resolves through: Coordinator.EvaluateRound, WaitOrRun's union view,
-// the ReschedSession cold path, and the SchedService's shared-snapshot
-// cache. It extracts the pool's host names (deduplicated, in pool
-// order), appends any extra names not already present (WaitOrRun's
-// offered hosts), and freezes the view via snapshotInformation — so
-// "what does a round see" has exactly one answer regardless of which
-// layer asked.
+// resolves through: Coordinator.EvaluateRound and View, WaitOrRun's
+// union view, the ReschedSession cold path, and the SchedService's
+// shared-snapshot cache. It freezes the pool's hosts, then any extra
+// names not already present (WaitOrRun's offered hosts), each once in
+// that order — so "what does a round see" has exactly one answer
+// regardless of which layer asked.
+//
+// Past lazySnapshotThreshold distinct hosts, over a route-batching
+// source, the view is a linkSnapshot, which freezes one availability
+// per host and one bandwidth per link and composes route values on
+// demand — the same values bit for bit (both paths reduce per-link
+// bandwidth in route order with the same seed and comparison), at
+// O(hosts + links) source queries instead of O(hosts²). Smaller pools
+// get the fully materialized InfoSnapshot.
 func roundSnapshot(info Information, pool []*grid.Host, extra ...string) infoView {
+	if len(pool)+len(extra) > lazySnapshotThreshold {
+		if rb, ok := info.(routeBatcher); ok {
+			if s := newLinkSnapshot(info, rb, pool, extra); s != nil {
+				return s
+			}
+		}
+	}
 	names := make([]string, 0, len(pool)+len(extra))
 	seen := make(map[string]bool, len(pool)+len(extra))
 	for _, h := range pool {
@@ -254,59 +291,94 @@ func roundSnapshot(info Information, pool []*grid.Host, extra ...string) infoVie
 			names = append(names, name)
 		}
 	}
-	return snapshotInformation(info, names)
-}
-
-// snapshotInformation resolves the information view for one scheduling
-// round. Pools up to lazySnapshotThreshold hosts get the fully
-// materialized InfoSnapshot; larger pools over a route-batching source
-// get a linkSnapshot, which freezes one availability per host and one
-// bandwidth per link and composes route values on demand — the same
-// values bit for bit (both paths reduce per-link bandwidth in route
-// order with the same seed and comparison), at O(hosts + links) source
-// queries instead of O(hosts²).
-func snapshotInformation(info Information, hosts []string) infoView {
-	if len(hosts) > lazySnapshotThreshold {
-		if rb, ok := info.(routeBatcher); ok {
-			return newLinkSnapshot(info, rb, hosts)
-		}
-	}
-	return SnapshotInformation(info, hosts)
+	return SnapshotInformation(info, names)
 }
 
 // linkSnapshot is the large-pool information view: per-host availability
 // and per-link bandwidth are frozen eagerly; per-pair route values are
 // composed on demand by walking the topology's route table over the
 // frozen link column. Its dense host index is the topology's, so every
-// topology host prices by index. All state is read-only after
-// construction, so parallel evaluation workers share it exactly like an
-// InfoSnapshot.
+// topology host prices by index, and availability is a column by that
+// index. All state is read-only after construction, so parallel
+// evaluation workers share it exactly like an InfoSnapshot.
 type linkSnapshot struct {
 	tp     *grid.Topology
-	avail  map[string]float64
+	avail  []float64 // by topology host index
+	frozen []bool    // by topology host index: avail holds a frozen value
+	// named freezes hosts the topology has no index for, by name (nil
+	// when there are none).
+	named  map[string]float64
 	linkBW []float64 // by grid.Link.Index
 	source string
 	base   Information
 	stats  SnapshotStats
 }
 
-func newLinkSnapshot(info Information, rb routeBatcher, hosts []string) *linkSnapshot {
+// newLinkSnapshot freezes the availability of pool's hosts, then of the
+// extra names, each distinct host once in that order, plus every link's
+// bandwidth. Pool hosts are deduplicated by topology index, names by
+// name. It returns nil, having queried nothing, when they come to
+// lazySnapshotThreshold distinct hosts or fewer.
+func newLinkSnapshot(info Information, rb routeBatcher, pool []*grid.Host, extra []string) *linkSnapshot {
+	tp := rb.routeTopology()
 	s := &linkSnapshot{
-		tp:     rb.routeTopology(),
-		avail:  make(map[string]float64, len(hosts)),
+		tp:     tp,
+		avail:  make([]float64, tp.NumHosts()),
+		frozen: make([]bool, tp.NumHosts()),
 		source: info.Source(),
 		base:   info,
 	}
-	for _, h := range hosts {
-		s.avail[h] = finiteAvailability(info.Availability(h))
+	// Mark every distinct host with a NaN placeholder first, so the pool
+	// can be measured before any query; a frozen availability is never
+	// NaN, so the placeholder also marks what is still to query.
+	hosts := 0
+	mark := func(i int, name string) {
+		if i >= 0 {
+			if !s.frozen[i] {
+				s.frozen[i], s.avail[i] = true, math.NaN()
+				hosts++
+			}
+			return
+		}
+		if _, ok := s.named[name]; !ok {
+			if s.named == nil {
+				s.named = make(map[string]float64)
+			}
+			s.named[name] = math.NaN()
+			hosts++
+		}
 	}
-	links := s.tp.Links()
+	for _, h := range pool {
+		mark(tp.IndexOf(h), h.Name)
+	}
+	for _, name := range extra {
+		mark(tp.HostIndex(name), name)
+	}
+	if hosts <= lazySnapshotThreshold {
+		return nil
+	}
+	freeze := func(i int, name string) {
+		if i >= 0 {
+			if math.IsNaN(s.avail[i]) {
+				s.avail[i] = finiteAvailability(info.Availability(name))
+			}
+		} else if math.IsNaN(s.named[name]) {
+			s.named[name] = finiteAvailability(info.Availability(name))
+		}
+	}
+	for _, h := range pool {
+		freeze(tp.IndexOf(h), h.Name)
+	}
+	for _, name := range extra {
+		freeze(tp.HostIndex(name), name)
+	}
+	links := tp.Links()
 	s.linkBW = make([]float64, len(links))
 	for i, l := range links {
 		s.linkBW[i] = rb.linkBandwidth(l)
 	}
 	// Pairs stays 0: nothing pairwise is materialized up front.
-	s.stats = SnapshotStats{Hosts: len(hosts), SourceQueries: len(hosts) + len(links)}
+	s.stats = SnapshotStats{Hosts: hosts, SourceQueries: hosts + len(links)}
 	return s
 }
 
@@ -314,9 +386,13 @@ func newLinkSnapshot(info Information, rb routeBatcher, hosts []string) *linkSna
 // composed lazily).
 func (s *linkSnapshot) Stats() SnapshotStats { return s.stats }
 
-// Availability implements Information from the frozen map.
+// Availability implements Information from the frozen column, resolving
+// the name to its topology index.
 func (s *linkSnapshot) Availability(host string) float64 {
-	if v, ok := s.avail[host]; ok {
+	if v, ok := s.availAt(s.tp.HostIndex(host)); ok {
+		return v
+	}
+	if v, ok := s.named[host]; ok {
 		return v
 	}
 	return s.base.Availability(host)
@@ -355,6 +431,15 @@ func (s *linkSnapshot) routeNamed(a, b string) (lat, bw float64) {
 // hostIndex implements routeIndex with the topology's dense host index,
 // read off the host itself when it is the topology's own.
 func (s *linkSnapshot) hostIndex(h *grid.Host) int { return s.tp.IndexOf(h) }
+
+// availAt implements routeIndex from the frozen column; an index outside
+// it (-1 included) froze nothing.
+func (s *linkSnapshot) availAt(i int) (float64, bool) {
+	if i < 0 || i >= len(s.frozen) || !s.frozen[i] {
+		return 0, false
+	}
+	return s.avail[i], true
+}
 
 // routeAt implements routeIndex: one walk of the route sums latencies
 // and takes the bottleneck over the frozen link bandwidths, both in

@@ -379,6 +379,10 @@ func (tp *Topology) Hosts() []*Host {
 	return out
 }
 
+// NumHosts returns the number of dense host indices: len(Hosts()) after
+// Finalize, 0 before. Every index HostIndex or IndexOf reports is below it.
+func (tp *Topology) NumHosts() int { return len(tp.hostList) }
+
 // HostNames returns all host names, sorted.
 func (tp *Topology) HostNames() []string {
 	names := make([]string, 0, len(tp.hosts))

@@ -235,9 +235,36 @@ type Metrics struct {
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 
-	// rt, when non-nil, refreshes the serving-process gauges before
-	// each exposition (see EnableRuntime).
+	// collectors refresh gauges before each exposition (see OnCollect);
+	// collectMu guards the list, apart from mu so that a collector may
+	// resolve handles.
+	collectMu  sync.Mutex
+	collectors []func()
+
+	// rt is the serving-process collector once EnableRuntime ran.
 	rt atomic.Pointer[runtimeCollector]
+}
+
+// OnCollect registers fn to run before every WriteTo and
+// WritePrometheus, before the registry is locked: the hook for gauges
+// that are cheap to compute at exposition but would cost every update
+// to keep current (the runtime gauges, a scheduling service's fairness
+// ratio). fn may resolve and set handles but must not render the
+// registry. Collectors run in registration order.
+func (m *Metrics) OnCollect(fn func()) {
+	m.collectMu.Lock()
+	m.collectors = append(m.collectors, fn)
+	m.collectMu.Unlock()
+}
+
+// collect runs the registered collectors.
+func (m *Metrics) collect() {
+	m.collectMu.Lock()
+	fns := m.collectors
+	m.collectMu.Unlock()
+	for _, fn := range fns {
+		fn()
+	}
 }
 
 // NewMetrics returns an empty registry.
@@ -301,7 +328,7 @@ func (m *Metrics) Histogram(name string, bounds []float64) *Histogram {
 // Quantile); WritePrometheus exposes the same registry in Prometheus
 // text format instead.
 func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
-	m.collectRuntime()
+	m.collect()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var sb strings.Builder

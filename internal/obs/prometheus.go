@@ -117,7 +117,7 @@ type family struct {
 // disjoint, and such series are emitted under separate TYPE headers
 // anyway.
 func (m *Metrics) WritePrometheus(w io.Writer) (int64, error) {
-	m.collectRuntime()
+	m.collect()
 	m.mu.Lock()
 	fams := map[string]*family{}
 	add := func(key, typ string, s series) {

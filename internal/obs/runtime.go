@@ -6,9 +6,9 @@ import (
 )
 
 // runtimeCollector owns the serving-process gauges. Collection is
-// pull-driven: both exposition paths refresh the gauges immediately
-// before rendering, so there is no sampling goroutine to manage and an
-// idle registry costs nothing.
+// pull-driven: it runs as an OnCollect hook, so both exposition paths
+// refresh the gauges immediately before rendering, there is no sampling
+// goroutine to manage, and an idle registry costs nothing.
 type runtimeCollector struct {
 	start time.Time
 
@@ -36,18 +36,13 @@ func (m *Metrics) EnableRuntime() {
 		gcCycles:   m.Gauge(MetricGCCycles),
 		uptime:     m.Gauge(MetricProcessUptime),
 	}
-	m.rt.CompareAndSwap(nil, rc)
+	if m.rt.CompareAndSwap(nil, rc) {
+		m.OnCollect(rc.collect)
+	}
 }
 
-// collectRuntime refreshes the runtime gauges if EnableRuntime has
-// been called. Must run before the caller takes m.mu: the gauge
-// handles write atomically, but resolving them re-entrantly would
-// deadlock.
-func (m *Metrics) collectRuntime() {
-	rc := m.rt.Load()
-	if rc == nil {
-		return
-	}
+// collect refreshes the runtime gauges.
+func (rc *runtimeCollector) collect() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	rc.goroutines.Set(float64(runtime.NumGoroutine()))
