@@ -72,9 +72,10 @@ func BenchmarkEvaluate(b *testing.B) {
 // — the "past the 2^n wall" benchmark. Each iteration is one full
 // scheduling round (snapshot, selection, plan/estimate, reduce) on a
 // dedicated oracle-informed cluster-of-clusters. The exhaustive
-// selector's large-pool fallback enumerates one prefix per pool size
-// (O(pool²) evaluation cost), so it is skipped at 2048 hosts where a
-// single round takes seconds.
+// selector's large-pool fallback yields one desirability prefix per
+// pool size and lays each out by nearest neighbour, O(pool³) pair-cost
+// reads per round, so it is skipped at 2048 hosts, where one round
+// takes about 6 s (2-vCPU Xeon, go1.24).
 func BenchmarkSelect(b *testing.B) {
 	pools := []struct {
 		name          string
@@ -97,7 +98,7 @@ func BenchmarkSelect(b *testing.B) {
 		for _, s := range selectors {
 			b.Run(p.name+"/"+s.name, func(b *testing.B) {
 				if p.name == "2048host" && s.name == "exhaustive" {
-					b.Skip("prefix fallback is O(pool²) per round at this size")
+					b.Skip("prefix fallback lays out O(pool³) pair costs per round: about 6 s at this size")
 				}
 				agent, err := expt.NewGridAgent(p.clusters, p.per, n, 7, core.WithSelector(s.spec))
 				if err != nil {

@@ -369,12 +369,8 @@ func secondsPerPoint(pool []*grid.Host, info Information, task hat.Task, priced 
 		if ri != nil {
 			vi = ri.hostIndex(h)
 		}
-		avail := floorAvailability(hostAvailability(info, ri, h, vi))
-		speed := h.Speed * avail * task.SpeedFactorOn(h.Arch)
-		pc := pointCost{sec: math.Inf(1)}
-		if speed > 0 {
-			pc.sec = task.FlopPerUnit / 1e6 / speed
-		}
+		sec, _ := pointSeconds(task.FlopPerUnit, h.Speed, hostAvailability(info, ri, h, vi), task.SpeedFactorOn(h.Arch))
+		pc := pointCost{sec: sec}
 		if priced != nil {
 			pc.cost = costPerPoint(priced.CostRate(h.Name), pc.sec)
 		}

@@ -87,6 +87,32 @@ func TestGreedyRound2048Allocs(t *testing.T) {
 	}
 }
 
+// TestExhaustiveFallbackAllocs gates the allocation cost of one
+// exhaustive Agent.Schedule over a 128-host grid, past
+// maxExhaustiveHosts, where the selector yields the 128 desirability
+// prefixes. The pool model prices every pair into one matrix, and each
+// prefix is laid out by the model's chain layout into a fresh chain,
+// which its candidate keeps. A round takes 177 allocations: the 128
+// chains, and about 49 for the snapshot, the model's columns and
+// matrix, candidate-slice growth and the winner. One more allocation
+// per chain (about 305) fails the gate; the name-keyed layout it
+// replaced took about 1,700.
+func TestExhaustiveFallbackAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	agent := newGridAgent(t, 8, 16, SelectorSpec{Kind: SelectorExhaustive})
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := agent.Schedule(4000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("128-host exhaustive Agent.Schedule: %.0f allocs/op", allocs)
+	if allocs > 200 {
+		t.Fatalf("128-host exhaustive Agent.Schedule allocates %.0f objects/op, want <= 200", allocs)
+	}
+}
+
 // TestHeuristicSelectors512Hosts checks beam completes a round on a
 // 512-host grid with a non-empty placement — a breadth check that the
 // wider heuristic survives pools far past the exhaustive range (greedy

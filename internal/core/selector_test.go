@@ -53,16 +53,20 @@ func TestDesirabilityPenalizesDistance(t *testing.T) {
 	}
 }
 
+// TestOrderChainKeepsCloseHostsAdjacent checks the layout property
+// both on the oracle (orderChain) and on the pool model's layout.
 func TestOrderChainKeepsCloseHostsAdjacent(t *testing.T) {
 	rs, tp := selectorFixture(t)
-	chain := rs.orderChain(tp.Hosts())
-	if len(chain) != 3 {
-		t.Fatalf("chain %v", chain)
-	}
-	// The far host must sit at an end of the chain, never between the two
-	// near hosts.
-	if chain[1].Name == "far1" {
-		t.Fatalf("far host placed mid-chain: %v %v %v", chain[0].Name, chain[1].Name, chain[2].Name)
+	pool := tp.Hosts()
+	for _, chain := range [][]*grid.Host{rs.orderChain(pool), buildSelModel(rs, pool, true).chain([]int{0, 1, 2})} {
+		if len(chain) != 3 {
+			t.Fatalf("chain %v", chain)
+		}
+		// The far host must sit at an end of the chain, never between the
+		// two near hosts.
+		if chain[1].Name == "far1" {
+			t.Fatalf("far host placed mid-chain: %v %v %v", chain[0].Name, chain[1].Name, chain[2].Name)
+		}
 	}
 }
 
@@ -121,19 +125,23 @@ func TestCandidatesPrefixLargePool(t *testing.T) {
 	}
 }
 
-// TestCandidatesMatchLegacyConstruction pins the optimized exhaustive
-// enumeration (precomputed eff/cost matrices, bitmask subsets, index-based
-// chaining) to candidatesDirect — the legacy per-set-query construction —
-// on both a hand-built two-site topology and a loaded cluster-of-clusters
-// pool. This equivalence is what lets liveAgentSchedule serve as a
-// bit-identical sequential reference for the parallel engine.
+// TestCandidatesMatchLegacyConstruction pins the exhaustive enumeration
+// (the pool model's tables, bitmask subsets over ranking positions, the
+// model's one chain layout) to candidatesDirect — the legacy per-set-query
+// construction with orderChain's name-keyed layout — chain for chain: on a
+// hand-built two-site topology, quiet and loaded cluster-of-clusters
+// pools of 9 and 12 hosts (all 4,095 sets of the loaded one, and a
+// capped run), a 32-host prefix-fallback pool, and a 128-host pool
+// whose selector reads the lazy link snapshot roundSnapshot builds past
+// lazySnapshotThreshold. This equivalence is what lets liveAgentSchedule
+// serve as a bit-identical sequential reference for the parallel engine.
 func TestCandidatesMatchLegacyConstruction(t *testing.T) {
-	check := func(name string, rs *resourceSelector, pool []*grid.Host, maxSets int) {
+	check := func(name string, rs *resourceSelector, pool []*grid.Host, maxSets, wantSets int) {
 		t.Helper()
 		got := rs.candidates(pool, maxSets)
 		want := rs.candidatesDirect(pool, maxSets)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d sets, want %d", name, len(got), len(want))
+		if len(got) != len(want) || len(got) != wantSets {
+			t.Fatalf("%s: %d sets, oracle %d, want %d", name, len(got), len(want), wantSets)
 		}
 		for i := range got {
 			if len(got[i]) != len(want[i]) {
@@ -147,13 +155,35 @@ func TestCandidatesMatchLegacyConstruction(t *testing.T) {
 		}
 	}
 	rs, tp := selectorFixture(t)
-	check("two-site", rs, tp.Hosts(), 0)
-	check("two-site-capped", rs, tp.Hosts(), 3)
+	check("two-site", rs, tp.Hosts(), 0, 7)
+	check("two-site-capped", rs, tp.Hosts(), 3, 3)
 
 	eng := sim.NewEngine()
 	ctp := grid.ClusterOfClusters(eng, grid.ClusterOptions{Clusters: 3, PerCluster: 3, Seed: 7, Quiet: true})
 	crs := &resourceSelector{tp: ctp, info: OracleInformation(ctp)}
-	check("cluster-9host", crs, ctp.Hosts(), 0)
+	check("cluster-9host", crs, ctp.Hosts(), 0, 511)
+
+	ltp, linfo := buildPool(t, 3, 4, 11)
+	lpool := ltp.Hosts()
+	lrs := &resourceSelector{tp: ltp, info: roundSnapshot(linfo, lpool)}
+	check("loaded-12host", lrs, lpool, 0, 4095)
+	check("loaded-12host-capped", lrs, lpool, 100, 100)
+
+	for _, p := range []struct {
+		clusters, per, maxSets, want int
+	}{{4, 8, 0, 32}, {8, 16, 0, 128}, {8, 16, 40, 40}} {
+		eng := sim.NewEngine()
+		gtp := grid.ClusterOfClusters(eng, grid.ClusterOptions{Clusters: p.clusters, PerCluster: p.per, Seed: 5})
+		if err := eng.RunUntil(100); err != nil {
+			t.Fatal(err)
+		}
+		pool := gtp.Hosts()
+		view := roundSnapshot(OracleInformation(gtp), pool)
+		if _, lazy := view.(*linkSnapshot); lazy != (len(pool) > lazySnapshotThreshold) {
+			t.Fatalf("%d-host pool: lazy link snapshot %v", len(pool), lazy)
+		}
+		check(fmt.Sprintf("prefix-%dhost-cap%d", len(pool), p.maxSets), &resourceSelector{tp: gtp, info: view}, pool, p.maxSets, p.want)
+	}
 }
 
 // desirability scores one host the way candidates ranks the pool —
@@ -251,6 +281,44 @@ func (rs *resourceSelector) candidatesDirect(pool []*grid.Host, maxSets int) [][
 		sets[i] = rs.orderChain(set)
 	}
 	return sets
+}
+
+// orderChain is the name-keyed strip-chain construction: greedy nearest
+// neighbor by route transfer cost, seeded at the fastest host, every
+// value queried from the information source per set. It is
+// candidatesDirect's layout, the oracle for selModel.layout.
+func (rs *resourceSelector) orderChain(set []*grid.Host) []*grid.Host {
+	eff := func(h *grid.Host) float64 { return h.Speed * rs.info.Availability(h.Name) }
+	remaining := append([]*grid.Host(nil), set...)
+	sort.Slice(remaining, func(i, j int) bool {
+		ei, ej := eff(remaining[i]), eff(remaining[j])
+		if ei != ej {
+			return ei > ej
+		}
+		return remaining[i].Name < remaining[j].Name
+	})
+	if len(remaining) <= 2 {
+		return remaining
+	}
+	chain := []*grid.Host{remaining[0]}
+	remaining = remaining[1:]
+	for len(remaining) > 0 {
+		cur := chain[len(chain)-1]
+		bestIdx, bestCost := 0, math.Inf(1)
+		for i, h := range remaining {
+			bw := rs.info.RouteBandwidth(cur.Name, h.Name)
+			if bw <= 0 {
+				bw = 1e-6
+			}
+			cost := rs.info.RouteLatency(cur.Name, h.Name) + 1.0/bw
+			if cost < bestCost || (cost == bestCost && h.Name < remaining[bestIdx].Name) {
+				bestIdx, bestCost = i, cost
+			}
+		}
+		chain = append(chain, remaining[bestIdx])
+		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
+	}
+	return chain
 }
 
 func TestCandidatesPreferLoadedPoolShift(t *testing.T) {
@@ -448,9 +516,9 @@ func TestGreedyMatchesLegacy(t *testing.T) {
 				}
 				gotDropped, gotCapped := g.Truncated()
 
-				lm := buildSelModel(&resourceSelector{tp: tp, info: namesOnly{view}}, pool)
+				lm := buildSelModel(&resourceSelector{tp: tp, info: namesOnly{view}}, pool, len(pool) <= selExactPairHosts)
 				want, wantDropped, wantCapped := legacyGreedy(lm, maxSets)
-				m := buildSelModel(&resourceSelector{tp: tp, info: view}, pool)
+				m := buildSelModel(&resourceSelector{tp: tp, info: view}, pool, len(pool) <= selExactPairHosts)
 				for i := range m.dist {
 					if math.Float64bits(m.dist[i]) != math.Float64bits(lm.dist[i]) {
 						t.Fatalf("%s: host %d distance %v by index, %v by name", name, i, m.dist[i], lm.dist[i])

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,7 +17,9 @@ import (
 // optimality-gap tests compare like for like) chains and surrogate
 // scores use exact pair costs; larger pools estimate each host's
 // network distance against a fixed sample of the pool instead, keeping
-// model construction O(pool · samples) rather than O(pool²).
+// model construction O(pool · samples) rather than O(pool²). The
+// exhaustive selector prices every pool exactly: its large-pool prefix
+// family ranks by exact mean distance.
 const selExactPairHosts = 64
 
 // selDistSamples is how many sample hosts a large pool's distance
@@ -24,23 +28,22 @@ const selExactPairHosts = 64
 // measurably slows 2048-host rounds without moving the ranking.
 const selDistSamples = 8
 
-// selModel is the shared precompute behind the heuristic selectors:
-// per-host deliverable speed, network distance, desirability, and (for
-// small pools) the exact pairwise transfer costs — resolved once per
-// round in SelectSeq, so the per-candidate work inside the sequence is
-// arithmetic only. Pairs are priced by the view's dense host index. It
-// also owns chain layout: the same greedy nearest-neighbor strip order
-// as orderChain when exact costs exist, and a site-aware O(pool + k)
-// approximation beyond.
+// selModel is the one pool model behind every Resource Selector and the
+// ReschedSession's chains: per-host deliverable speed, network
+// distance, desirability, and (when exact) the pairwise transfer costs
+// — resolved once per round, so the per-candidate work is arithmetic
+// only. Pairs are priced by the view's dense host index. It also owns
+// the one chain layout (layout): greedy nearest neighbor over the exact
+// costs, and a site-aware O(pool + k) approximation when distances are
+// sampled.
 type selModel struct {
-	rs   *resourceSelector
 	pool []*grid.Host
 	n    int
 
 	eff  []float64   // deliverable speed per pool index
 	dist []float64   // mean network distance per pool index
 	des  []float64   // desirability: eff / (1 + dist)
-	cost [][]float64 // exact pair costs; nil past selExactPairHosts
+	cost [][]float64 // exact pair costs; nil when distances are sampled
 
 	rank     []int // pool indices by desirability desc, name asc
 	effOrder []int // pool indices by eff desc, name asc (chain seed order)
@@ -48,48 +51,59 @@ type selModel struct {
 	nameRank []int // per pool index, an int that orders like the host name
 
 	// Chain scratch, reused by every chain call: a membership mark per
-	// pool index, the members in eff order, and the nearest-neighbor
-	// worklist or site-grouped order. sites is the site layout of
-	// sampled pools.
+	// pool index, the members in eff order, and layout's copy of them
+	// (the nearest-neighbor worklist, or the site grouping's input).
+	// sites is the site layout of sampled pools.
 	mark    []bool
 	ordered []int
 	rem     []int
 	sites   siteGrouper
 }
 
-func buildSelModel(rs *resourceSelector, pool []*grid.Host) *selModel {
+// newSelModel allocates a model's per-host columns and chain scratch
+// for pool, with a pair-cost matrix when exact and the site layout
+// otherwise. The caller fills eff, cost and effOrder.
+func newSelModel(tp *grid.Topology, pool []*grid.Host, exact bool) *selModel {
 	n := len(pool)
-	m := &selModel{rs: rs, pool: pool, n: n,
-		eff: make([]float64, n), dist: make([]float64, n), des: make([]float64, n),
-		mark: make([]bool, n), ordered: make([]int, 0, n), rem: make([]int, n)}
+	m := &selModel{pool: pool, n: n, eff: make([]float64, n), effOrder: make([]int, n),
+		nameRank: nameRanks(tp, pool), mark: make([]bool, n), ordered: make([]int, 0, n), rem: make([]int, n)}
+	if exact {
+		m.cost = make([][]float64, n)
+		flat := make([]float64, n*n)
+		for i := range m.cost {
+			m.cost[i] = flat[i*n : (i+1)*n : (i+1)*n]
+		}
+	} else {
+		m.sites = newSiteGrouper(pool)
+	}
+	return m
+}
+
+// buildSelModel resolves the model for pool from rs's view. exact asks
+// for the pair-cost matrix and exact mean distances; otherwise each
+// host's distance averages a fixed sample of the pool.
+func buildSelModel(rs *resourceSelector, pool []*grid.Host, exact bool) *selModel {
+	m := newSelModel(rs.tp, pool, exact)
+	n := m.n
+	m.dist, m.des = make([]float64, n), make([]float64, n)
 	idx := make([]int, n)
 	ri := indexHosts(rs.info, pool, idx)
 	for i, h := range pool {
 		m.eff[i] = h.Speed * hostAvailability(rs.info, ri, h, idx[i])
 	}
 	pairCost := func(i, j int) float64 {
-		lat, bw := routePair(rs.info, ri, pool[i], pool[j], idx[i], idx[j])
-		if bw <= 0 {
-			bw = 1e-6
-		}
-		return lat + 1.0/bw
+		return transferCost(routePair(rs.info, ri, pool[i], pool[j], idx[i], idx[j]))
 	}
-	if n <= selExactPairHosts {
-		m.cost = make([][]float64, n)
-		for i := range m.cost {
-			m.cost[i] = make([]float64, n)
-			for j := range m.cost[i] {
+	if exact {
+		for i, row := range m.cost {
+			d := 0.0
+			for j := range row {
 				if i != j {
-					m.cost[i][j] = pairCost(i, j)
+					row[j] = pairCost(i, j)
 				}
+				d += row[j]
 			}
-		}
-		for i := range pool {
 			if n > 1 {
-				d := 0.0
-				for j := range pool {
-					d += m.cost[i][j]
-				}
 				m.dist[i] = d / float64(n-1)
 			}
 		}
@@ -114,35 +128,46 @@ func buildSelModel(rs *resourceSelector, pool []*grid.Host) *selModel {
 				m.dist[i] = d / float64(k)
 			}
 		}
-		m.sites = newSiteGrouper(pool)
 	}
 	for i := range pool {
 		m.des[i] = m.eff[i] / (1 + m.dist[i])
 	}
-	m.nameRank = nameRanks(rs.tp, pool)
 	m.rank = make([]int, n)
-	m.effOrder = make([]int, n)
-	for i := range m.rank {
-		m.rank[i] = i
-		m.effOrder[i] = i
-	}
-	sort.Slice(m.rank, func(a, b int) bool {
-		if m.des[m.rank[a]] != m.des[m.rank[b]] {
-			return m.des[m.rank[a]] > m.des[m.rank[b]]
-		}
-		return m.nameRank[m.rank[a]] < m.nameRank[m.rank[b]]
-	})
-	sort.Slice(m.effOrder, func(a, b int) bool {
-		if m.eff[m.effOrder[a]] != m.eff[m.effOrder[b]] {
-			return m.eff[m.effOrder[a]] > m.eff[m.effOrder[b]]
-		}
-		return m.nameRank[m.effOrder[a]] < m.nameRank[m.effOrder[b]]
-	})
+	rankDesc(m.rank, m.des, m.nameRank)
+	rankDesc(m.effOrder, m.eff, m.nameRank)
 	m.rankPos = make([]int, n)
 	for pos, idx := range m.rank {
 		m.rankPos[idx] = pos
 	}
 	return m
+}
+
+// transferCost is the chain transfer cost of a route: its latency plus
+// the seconds a nominal 1 MB border takes at its bandwidth, floored at
+// 1e-6 MB/s so a dead route prices as very slow.
+func transferCost(lat, bw float64) float64 {
+	if bw <= 0 {
+		bw = 1e-6
+	}
+	return lat + 1.0/bw
+}
+
+// rankDesc fills idx with the indices of key, largest key first, ties
+// by ascending tie (a name rank). With a total order, as finite keys and
+// distinct names give, the permutation does not depend on the sort.
+func rankDesc(idx []int, key []float64, tie []int) {
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		if key[a] != key[b] {
+			if key[a] > key[b] {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(tie[a], tie[b])
+	})
 }
 
 // nameRanks returns, per pool index, an int that compares like the
@@ -287,26 +312,10 @@ func (s *selState) key() string {
 	return sb.String()
 }
 
-// chain lays a membership out as a strip chain. With exact pair costs
-// it is orderChain's algorithm on the precomputed matrix (greedy
-// nearest neighbor by transfer cost, seeded at the highest-eff member,
-// name tie-breaks) — identical layout, so heuristic and exhaustive
-// candidates over the same membership score identically. On large pools
-// it falls back to a site-aware order: hosts grouped by site in order of
-// each site's first appearance in the eff ranking, members eff-sorted
-// within — O(pool + k) by siteGrouper's counting sort, keeping
-// same-switch hosts adjacent, which is what the nearest-neighbor
-// pass does on cluster topologies anyway. The chain is the caller's;
-// the model's scratch is not, so calls must not overlap.
+// chain lays a membership out as a fresh strip chain: its members in
+// eff-seed order (eff desc, name asc), laid out by layout. The chain is
+// the caller's; the model's scratch is not, so calls must not overlap.
 func (m *selModel) chain(idxs []int) []*grid.Host {
-	if len(idxs) == 0 {
-		return nil
-	}
-	if len(idxs) == 1 {
-		return []*grid.Host{m.pool[idxs[0]]}
-	}
-	// Members in eff-seed order (eff desc, name asc); marks are cleared
-	// as they are consumed.
 	left := 0
 	for _, i := range idxs {
 		if !m.mark[i] {
@@ -316,38 +325,55 @@ func (m *selModel) chain(idxs []int) []*grid.Host {
 	}
 	ordered := m.ordered[:0]
 	for _, i := range m.effOrder {
+		if left == 0 {
+			break
+		}
 		if m.mark[i] {
 			m.mark[i] = false
 			ordered = append(ordered, i)
-			if left--; left == 0 {
-				break
-			}
+			left--
 		}
 	}
+	m.layout(ordered)
 	chain := make([]*grid.Host, len(ordered))
-	if m.cost != nil {
-		cur := ordered[0]
-		chain[0] = m.pool[cur]
-		rem := append(m.rem[:0], ordered[1:]...)
-		for pos := 1; len(rem) > 0; pos++ {
-			bestI, bestCost := 0, math.Inf(1)
-			for i, idx := range rem {
-				if c := m.cost[cur][idx]; c < bestCost || (c == bestCost && m.nameRank[idx] < m.nameRank[rem[bestI]]) {
-					bestI, bestCost = i, c
-				}
-			}
-			cur = rem[bestI]
-			chain[pos] = m.pool[cur]
-			rem = append(rem[:bestI], rem[bestI+1:]...)
-		}
-		return chain
-	}
-	grouped := m.rem[:len(ordered)]
-	m.sites.group(grouped, ordered)
-	for i, idx := range grouped {
+	for i, idx := range ordered {
 		chain[i] = m.pool[idx]
 	}
 	return chain
+}
+
+// layout is the one strip-chain layout, shared by the selectors' chain,
+// the exhaustive enumeration and ReschedSession.chainFor. It reorders
+// members (pool indices in eff-seed order) in place into strip-chain
+// order. With exact pair costs it is greedy nearest neighbor by
+// transfer cost, seeded at the first member, ties broken by name, so
+// logically close hosts are strip neighbors (§3.3). With sampled
+// distances it groups the members by site, sites in order of first
+// appearance and members keeping their order within a site — O(pool +
+// k) by siteGrouper's counting sort, keeping same-switch hosts
+// adjacent, which is what the nearest-neighbor pass does on cluster
+// topologies anyway.
+func (m *selModel) layout(members []int) {
+	if len(members) == 0 {
+		return
+	}
+	if m.cost == nil {
+		m.sites.group(members, append(m.rem[:0], members...))
+		return
+	}
+	cur := members[0]
+	rem := append(m.rem[:0], members[1:]...)
+	for pos := 1; len(rem) > 0; pos++ {
+		bestI, bestCost := 0, math.Inf(1)
+		for i, idx := range rem {
+			if c := m.cost[cur][idx]; c < bestCost || (c == bestCost && m.nameRank[idx] < m.nameRank[rem[bestI]]) {
+				bestI, bestCost = i, c
+			}
+		}
+		cur = rem[bestI]
+		members[pos] = cur
+		rem = append(rem[:bestI], rem[bestI+1:]...)
+	}
 }
 
 // prefixSizes are the candidate-set sizes every heuristic selector

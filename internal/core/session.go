@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"apples/internal/grid"
 	"apples/internal/obs"
@@ -90,19 +89,20 @@ type ReschedSession struct {
 	linkBW []float64
 
 	// Pair arrays (pools ≤ selExactPairHosts, and every non-batched
-	// source): bandwidth/latency per ordered pair plus the derived chain
-	// transfer cost, flattened n×n. Larger batched pools skip these and
+	// source): bandwidth and latency per ordered pair, flattened n×n,
+	// for pricing chain borders. Larger batched pools skip them and
 	// compose route values lazily from linkBW, mirroring linkSnapshot.
 	pairArrays bool
 	pairBW     []float64
 	pairLat    []float64
-	cost       []float64
 
-	// siteChain mirrors selModel.chain's large-pool layout: heuristic
-	// selectors past selExactPairHosts group members by site instead of
-	// greedy nearest-neighbor.
-	siteChain bool
-	sites     siteGrouper
+	// sel is the session's pool model: eff and the eff-seed order,
+	// refreshed with availability, and the chain layout. Its pair-cost
+	// matrix is the transfer-cost store of every nearest-neighbor
+	// session, refreshed with the routes; sessions whose selector
+	// samples distances (heuristic pools past selExactPairHosts) group
+	// by site instead and keep no costs.
+	sel *selModel
 
 	// Frozen candidate universe: candCount membership masks of `words`
 	// words each, in the selector's enumeration order, plus the latest
@@ -217,14 +217,9 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	if s.pairArrays {
 		s.pairBW = make([]float64, np*np)
 		s.pairLat = make([]float64, np*np)
-		s.cost = make([]float64, np*np)
 	}
-
 	kind := a.coord.selector.normalized().Kind
-	s.siteChain = kind != SelectorExhaustive && np > selExactPairHosts
-	if s.siteChain {
-		s.sites = newSiteGrouper(pool)
-	}
+	s.sel = newSelModel(a.tp, pool, kind == SelectorExhaustive || np <= selExactPairHosts)
 
 	// Enumerate the universe once, exactly the way a scheduling round
 	// does: the real selector over a real snapshot of the current
@@ -251,8 +246,6 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 
 	s.scr.init(np)
 	s.kn.reserve(np)
-	s.scr.effSort.eff = s.scr.eff
-	s.scr.effSort.names = s.names
 	return s, nil
 }
 
@@ -282,7 +275,7 @@ func (s *ReschedSession) refresh(cold bool) (changedHosts, changedLinks int) {
 				changedLinks++
 			}
 		}
-		if s.pairArrays && changedLinks > 0 {
+		if changedLinks > 0 && (s.pairArrays || s.sel.cost != nil) {
 			for i := range s.pool {
 				for j := range s.pool {
 					if i != j {
@@ -305,11 +298,9 @@ func (s *ReschedSession) refresh(cold bool) (changedHosts, changedLinks int) {
 			if cold || bw != s.pairBW[at] || lat != s.pairLat[at] {
 				s.pairBW[at] = bw
 				s.pairLat[at] = lat
-				cb := bw
-				if cb <= 0 {
-					cb = 1e-6
+				if s.sel.cost != nil {
+					s.sel.cost[i][j] = transferCost(lat, bw)
 				}
-				s.cost[at] = lat + 1.0/cb
 				changedLinks++
 			}
 		}
@@ -317,18 +308,19 @@ func (s *ReschedSession) refresh(cold bool) (changedHosts, changedLinks int) {
 	return changedHosts, changedLinks
 }
 
-// composePair recomputes pair (i,j)'s bandwidth, latency, and chain
-// transfer cost from the frozen per-link bandwidths.
+// composePair recomputes pair (i,j)'s pair-array values and chain
+// transfer cost, whichever the session keeps, from the frozen per-link
+// bandwidths.
 func (s *ReschedSession) composePair(i, j int) {
 	lat, bw := s.linkRoute(i, j)
-	at := i*len(s.pool) + j
-	s.pairBW[at] = bw
-	s.pairLat[at] = lat
-	cb := bw
-	if cb <= 0 {
-		cb = 1e-6
+	if s.pairArrays {
+		at := i*len(s.pool) + j
+		s.pairBW[at] = bw
+		s.pairLat[at] = lat
 	}
-	s.cost[at] = lat + 1.0/cb
+	if s.sel.cost != nil {
+		s.sel.cost[i][j] = transferCost(lat, bw)
+	}
 }
 
 // Round advances the session one rescheduling tick: refresh, re-plan
@@ -347,7 +339,6 @@ func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 	cold := s.rounds == 0
 	s.rounds++
 	changedHosts, changedLinks := s.refresh(cold)
-	scr := &s.scr
 
 	st := DeltaStats{Round: s.rounds, Cold: cold, ChangedHosts: changedHosts, ChangedLinks: changedLinks, Considered: s.candCount}
 	if full {
@@ -361,13 +352,9 @@ func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 
 	if full || changedHosts > 0 {
 		for i := range s.pool {
-			scr.eff[i] = s.speed[i] * s.avail[i]
+			s.sel.eff[i] = s.speed[i] * s.avail[i]
 		}
-		for i := range scr.effOrder {
-			scr.effOrder[i] = i
-		}
-		scr.effSort.idx = scr.effOrder
-		sort.Sort(&scr.effSort)
+		rankDesc(s.sel.effOrder, s.sel.eff, s.sel.nameRank)
 		if s.m.metric == userspec.MaxSpeedup {
 			s.solo = s.computeSolo()
 		}
@@ -442,11 +429,9 @@ func (s *ReschedSession) scan(prune bool) (bestIdx, rescored, pruned int) {
 func (s *ReschedSession) fillBoundColumns() {
 	minCost := s.m.metric == userspec.MinCost
 	for i := range s.pool {
-		speed := s.speed[i] * floorAvailability(s.avail[i]) * s.factor[i]
-		secPP := math.Inf(1)
+		secPP, ok := pointSeconds(s.m.flopPerUnit, s.speed[i], s.avail[i], s.factor[i])
 		s.scr.pointRate[i] = 0
-		if speed > 0 {
-			secPP = s.m.flopPerUnit / 1e6 / speed
+		if ok {
 			s.scr.pointRate[i] = 1 / secPP
 		}
 		if minCost {

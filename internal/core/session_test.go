@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -221,43 +222,78 @@ func TestSessionDeltaParity(t *testing.T) {
 	}
 }
 
-// TestSessionGridDeltaParity exercises the chunked-bitmask, lazy-link,
-// and site-chain paths on a pool past the pair-array threshold: a
-// 128-host dedicated grid under the greedy selector, perturbed through
-// the overlay. Round() must match FullRound() bit for bit there too.
+// TestSessionGridDeltaParity exercises the chunked-bitmask and
+// lazy-link paths on a pool past the pair-array threshold: a 128-host
+// grid, perturbed through the overlay. Under the greedy selector chains
+// take the site layout; under the exhaustive selector (the
+// desirability-prefix fallback) they take the nearest-neighbor layout
+// over the session's transfer-cost store, composed from the link
+// column. On the loaded grid the clock advances between rounds, so
+// link bandwidths change and the store is recomposed. The cold round
+// must equal ScheduleExplained's schedule, and Round() must match
+// FullRound() bit for bit.
 func TestSessionGridDeltaParity(t *testing.T) {
-	eng := sim.NewEngine()
-	tp := grid.ClusterOfClusters(eng, grid.ClusterOptions{Clusters: 8, PerCluster: 16, Seed: 7, Quiet: true})
-	overlay := map[string]float64{}
-	info := NewOverlayInformation(OracleInformation(tp), overlay)
-	hosts := tp.Hosts()
 	const n = 2000
-
-	agent, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{}, info,
-		WithSelector(SelectorSpec{Kind: SelectorGreedy}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := agent.NewReschedSession(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin, err := agent.NewReschedSession(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 4; round++ {
-		for i := 0; i < round*3; i++ {
-			overlay[hosts[(i*17)%len(hosts)].Name] = 0.2 + 0.1*float64((round+i)%5)
+	for _, c := range []struct {
+		kind  SelectorKind
+		quiet bool
+	}{{SelectorGreedy, true}, {SelectorExhaustive, true}, {SelectorExhaustive, false}} {
+		eng := sim.NewEngine()
+		tp := grid.ClusterOfClusters(eng, grid.ClusterOptions{Clusters: 8, PerCluster: 16, Seed: 7, Quiet: c.quiet})
+		hosts := tp.Hosts()
+		overlay := map[string]float64{}
+		info := NewOverlayInformation(OracleInformation(tp), overlay)
+		agent, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{}, info,
+			WithSelector(SelectorSpec{Kind: c.kind}))
+		if err != nil {
+			t.Fatal(err)
 		}
-		got, st, gerr := sess.Round()
-		want, _, werr := twin.FullRound()
-		if (gerr == nil) != (werr == nil) {
-			t.Fatalf("round %d: error divergence: %v vs %v", round, gerr, werr)
+		cold, _, err := agent.ScheduleExplained(n, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !samePick(want, got) {
-			t.Fatalf("round %d (changed %d): diverged from full recomputation\nfull:  %+v\nround: %+v",
-				round, st.ChangedHosts, want, got)
+		sess, err := agent.NewReschedSession(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := agent.NewReschedSession(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%s/quiet=%v", c.kind, c.quiet)
+		for round := 0; round < 4; round++ {
+			if !c.quiet && round > 0 {
+				if err := eng.RunUntil(eng.Now() + 30); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < round*3; i++ {
+				overlay[hosts[(i*17)%len(hosts)].Name] = 0.2 + 0.1*float64((round+i)%5)
+			}
+			got, st, gerr := sess.Round()
+			want, _, werr := twin.FullRound()
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("%s round %d: error divergence: %v vs %v", name, round, gerr, werr)
+			}
+			if round == 0 && !samePick(cold, got) {
+				t.Fatalf("%s: cold round diverged from Schedule\nagent:   %+v\nsession: %+v", name, cold, got)
+			}
+			if !c.quiet && round > 0 && st.ChangedLinks == 0 {
+				t.Fatalf("%s round %d: no link changed on the loaded grid", name, round)
+			}
+			if !samePick(want, got) {
+				t.Fatalf("%s round %d (changed %d): diverged from full recomputation\nfull:  %+v\nround: %+v",
+					name, round, st.ChangedHosts, want, got)
+			}
+			if c.kind == SelectorExhaustive {
+				// The store must hold the costs the selector's model
+				// prices from a fresh view at this instant.
+				pool := sess.sel.pool
+				fresh := buildSelModel(&resourceSelector{tp: tp, info: roundSnapshot(info, pool)}, pool, true)
+				if !reflect.DeepEqual(sess.sel.cost, fresh.cost) {
+					t.Fatalf("%s round %d: session transfer costs differ from a fresh pool model", name, round)
+				}
+			}
 		}
 	}
 }

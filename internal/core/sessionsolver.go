@@ -78,6 +78,17 @@ func borderSec(lat, bw, edgeMB float64) float64 {
 	return 2 * (lat + edgeMB/bw)
 }
 
+// pointSeconds is the strip model's P_i, the seconds one point takes on
+// a host: flopPerUnit / 1e6 over its deliverable Mflop/s, speed ·
+// floorAvailability(avail) · factor. ok is false, and P_i +Inf, when the
+// host delivers no positive speed.
+func pointSeconds(flopPerUnit, speed, avail, factor float64) (float64, bool) {
+	if deliverable := speed * floorAvailability(avail) * factor; deliverable > 0 {
+		return flopPerUnit / 1e6 / deliverable, true
+	}
+	return math.Inf(1), false
+}
+
 // stripKernel is the solver's working memory for one chain. A feeder
 // fills the input columns for chain positions [0, k); solve then
 // overwrites the working columns. Columns only ever grow, so a kernel
@@ -145,12 +156,11 @@ func (kn *stripKernel) feedSet(m *stripModel, task *hat.Task, spec *userspec.Spe
 	ri := indexHosts(info, set, idx)
 	edge := float64(m.n) * m.borderBytes / 1e6
 	for i, h := range set {
-		avail := floorAvailability(hostAvailability(info, ri, h, idx[i]))
-		speed := h.Speed * avail * task.SpeedFactorOn(h.Arch) // Mflop/s deliverable
-		if speed <= 0 {
+		secPP, ok := pointSeconds(m.flopPerUnit, h.Speed, hostAvailability(info, ri, h, idx[i]), task.SpeedFactorOn(h.Arch))
+		if !ok {
 			return i
 		}
-		kn.secPP[i] = m.flopPerUnit / 1e6 / speed
+		kn.secPP[i] = secPP
 		comm := 0.0
 		if i > 0 {
 			lat, bw := routePair(info, ri, h, set[i-1], idx[i], idx[i-1])
@@ -485,27 +495,6 @@ func (kn *stripKernel) schedule(m *stripModel, hosts []string, iterT float64) *S
 	}
 }
 
-// effSorter orders pool indices by deliverable speed descending, name
-// ascending — the chain seed order of orderChain and selModel. It is a
-// pre-stored sort.Interface value so the hot path avoids the closure
-// allocation of sort.Slice; the comparator is a total order, so any
-// correct sort yields the same permutation the closures would.
-type effSorter struct {
-	idx   []int
-	eff   []float64
-	names []string
-}
-
-func (s *effSorter) Len() int      { return len(s.idx) }
-func (s *effSorter) Swap(i, j int) { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-func (s *effSorter) Less(i, j int) bool {
-	a, b := s.idx[i], s.idx[j]
-	if s.eff[a] != s.eff[b] {
-		return s.eff[a] > s.eff[b]
-	}
-	return s.names[a] < s.names[b]
-}
-
 // fracSorter orders values descending, index ascending: largest-
 // remainder fractions in partition.largestRemainder's total order, and
 // a schedule's placement shares by chain position. names, when set, is
@@ -583,9 +572,9 @@ func (s *fracSorter) partition(lo, hi int) int {
 
 // siteGrouper lays chain members out grouped by site — sites in order
 // of their first appearance among the members, members keeping their
-// order within a site: the large-pool chain layout of selModel.chain and
-// the session's chainFor. It is a stable counting sort over dense site
-// ids, O(k) per call in reused memory.
+// order within a site: selModel.layout's chain when distances are
+// sampled. It is a stable counting sort over dense site ids, O(k) per
+// call in reused memory.
 type siteGrouper struct {
 	siteID []int // per pool index
 	rank   []int // per site id: first-appearance rank, -1 between calls
@@ -637,32 +626,21 @@ func (g *siteGrouper) group(out, members []int) {
 	}
 }
 
-// sessionScratch is the ReschedSession's reusable chain-layout memory,
-// sized once at construction so the steady-state path never allocates.
-// It belongs to the session and is overwritten by every chainFor call;
-// nothing the session returns to callers aliases it.
+// sessionScratch is the ReschedSession's reusable bound and chain
+// memory, sized once at construction so the steady-state path never
+// allocates. It belongs to the session and is overwritten by every
+// chainFor call; nothing the session returns to callers aliases it.
 type sessionScratch struct {
-	eff      []float64 // deliverable speed per pool index (raw availability)
-	effOrder []int     // pool indices by eff desc, name asc
-
 	pointRate    []float64 // points per second per pool index (bounded rounds)
 	costPerPoint []float64 // r_i·P_i per pool index (bounded MinCost rounds)
 
-	members []int // candidate members in eff-seed order
-	chain   []int // strip-chain order (pool indices)
-	rem     []int // greedy nearest-neighbor worklist
-
-	effSort effSorter
+	chain []int // strip-chain order (pool indices)
 }
 
 func (scr *sessionScratch) init(np int) {
-	scr.eff = make([]float64, np)
-	scr.effOrder = make([]int, np)
 	scr.pointRate = make([]float64, np)
 	scr.costPerPoint = make([]float64, np)
-	scr.members = make([]int, np)
 	scr.chain = make([]int, np)
-	scr.rem = make([]int, np)
 }
 
 // route is the frozen route between pool indices i and j in the route
@@ -699,62 +677,19 @@ func (s *ReschedSession) routeAt(i, j int) (lat, bw float64) {
 	return s.linkRoute(i, j)
 }
 
-// costAt is the chain transfer cost between pool indices: latency plus
-// seconds per nominal MB on the (floored) route bandwidth — the value
-// orderChain and selModel.cost compute.
-func (s *ReschedSession) costAt(i, j int) float64 {
-	if s.pairArrays {
-		return s.cost[i*len(s.pool)+j]
-	}
-	lat, bw := s.linkRoute(i, j)
-	if bw <= 0 {
-		bw = 1e-6
-	}
-	return lat + 1.0/bw
-}
-
 // chainFor lays candidate mask out as a strip chain into scr.chain and
-// returns its length: members filtered from the eff order, then greedy
-// nearest-neighbor by transfer cost (orderChain / exhaustive-selector
-// layout) or, for large heuristic pools, the site-aware stable order
-// (selModel.chain layout).
+// returns its length: members filtered from the eff order, then laid
+// out by the session's pool model (selModel.layout).
 func (s *ReschedSession) chainFor(mask []uint64) int {
-	scr := &s.scr
+	chain := s.scr.chain
 	k := 0
-	for _, idx := range scr.effOrder {
+	for _, idx := range s.sel.effOrder {
 		if maskTest(mask, idx) {
-			scr.members[k] = idx
+			chain[k] = idx
 			k++
 		}
 	}
-	if k == 0 {
-		return 0
-	}
-	if k == 1 {
-		scr.chain[0] = scr.members[0]
-		return 1
-	}
-	if s.siteChain {
-		s.sites.group(scr.chain, scr.members[:k])
-		return k
-	}
-	cur := scr.members[0]
-	scr.chain[0] = cur
-	rem := scr.rem[:k-1]
-	copy(rem, scr.members[1:k])
-	pos := 1
-	for len(rem) > 0 {
-		bestI, bestCost := 0, math.Inf(1)
-		for i, idx := range rem {
-			if c := s.costAt(cur, idx); c < bestCost || (c == bestCost && s.names[idx] < s.names[rem[bestI]]) {
-				bestI, bestCost = i, c
-			}
-		}
-		cur = rem[bestI]
-		scr.chain[pos] = cur
-		pos++
-		rem = append(rem[:bestI], rem[bestI+1:]...)
-	}
+	s.sel.layout(chain[:k])
 	return k
 }
 
@@ -767,12 +702,11 @@ func (s *ReschedSession) feed(k int) int {
 	edge := float64(s.m.n) * s.m.borderBytes / 1e6
 	for i := 0; i < k; i++ {
 		h := chain[i]
-		avail := floorAvailability(s.avail[h])
-		speed := s.speed[h] * avail * s.factor[h]
-		if speed <= 0 {
+		secPP, ok := pointSeconds(s.m.flopPerUnit, s.speed[h], s.avail[h], s.factor[h])
+		if !ok {
 			return i
 		}
-		kn.secPP[i] = s.m.flopPerUnit / 1e6 / speed
+		kn.secPP[i] = secPP
 		comm := 0.0
 		if i > 0 {
 			lat, bw := s.routeAt(h, chain[i-1])
