@@ -67,9 +67,10 @@ type Agent struct {
 	spec  *userspec.Spec
 	coord Coordinator
 
-	// pool is spec.Filter(tp.Hosts()), computed once: the host set is
-	// fixed after Finalize. Read-only; every round shares it.
-	pool []*grid.Host
+	// hp is spec.Filter(tp.Hosts()) with its static coefficients,
+	// set up once: the host set is fixed after Finalize. Read-only;
+	// every round and session shares it.
+	hp *hostPool
 
 	// spillFactor mirrors the execution substrate's out-of-memory penalty
 	// so spills are priced honestly (default 25, matching jacobi.Config;
@@ -84,8 +85,9 @@ type Agent struct {
 // snapshot — inline on pools up to 64 hosts, over GOMAXPROCS workers on
 // larger ones — and makes exactly the decision the sequential path would.
 // The Spec's host filter (Accessible, Excluded, PreferredSites,
-// MinHostMemoryMB, RequiredFeatures) is applied here, once: changing
-// those fields afterwards does not change the agent's pool.
+// MinHostMemoryMB, RequiredFeatures) and its cost rates
+// (CostPerCPUHour) are read here, once: changing those fields
+// afterwards changes neither the agent's pool nor its prices.
 func NewAgent(tp *grid.Topology, tpl *hat.Template, spec *userspec.Spec, info Information, opts ...AgentOption) (*Agent, error) {
 	if err := tpl.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w: %w", ErrBadTemplate, err)
@@ -110,7 +112,7 @@ func NewAgent(tp *grid.Topology, tpl *hat.Template, spec *userspec.Spec, info In
 		return nil, err
 	}
 	a := &Agent{tp: tp, tpl: tpl, spec: spec, coord: cfg.Coordinator, spillFactor: 25,
-		pool: spec.Filter(tp.Hosts())}
+		hp: newHostPool(tp, &tpl.Tasks[0], spec, spec.Filter(tp.Hosts()))}
 	if cfg.spillFactor > 0 {
 		a.spillFactor = cfg.spillFactor
 	}
@@ -168,26 +170,41 @@ func rankCandidates(cands []Candidate, k int) []Candidate {
 }
 
 // roundPricer is the Jacobi blueprint's CandidateEvaluator for one
-// scheduling round: it feeds each candidate chain from the round's
-// information view into a private strip kernel and prices it. Its
-// fields are fixed once the round binds, so concurrent workers share
-// it; after the round it re-solves the winner (and any requested top-k)
-// into placements against the same view.
+// scheduling round: it feeds each candidate chain from the round's pool
+// columns into a private strip kernel and prices it. Its fields are
+// fixed once the round binds, so concurrent workers share it; after the
+// round it re-solves the winner (and any requested top-k) into
+// placements against the same columns.
 type roundPricer struct {
 	m    stripModel
-	task *hat.Task
-	spec *userspec.Spec
-	info Information
-	solo float64 // MaxSpeedup baseline: best single-host total
+	hp   *hostPool
+	cols *poolCols // the round's columns, resolved by bind
+	solo float64   // MaxSpeedup baseline: best single-host total
 }
 
 func (a *Agent) newPricer(n int) *roundPricer {
-	return &roundPricer{m: a.model(n), task: &a.tpl.Tasks[0], spec: a.spec}
+	return &roundPricer{m: a.model(n), hp: a.hp}
 }
 
-// solve feeds and solves chain set into kn.
+// bind resolves the round's pool columns from its information view,
+// and under MaxSpeedup the solo baseline.
+func (rp *roundPricer) bind(info Information) {
+	rp.cols = viewCols(rp.hp, info, rp.m.flopPerUnit)
+	rp.solo = math.Inf(1)
+	if rp.m.metric == userspec.MaxSpeedup {
+		kn := kernelPool.Get().(*stripKernel)
+		rp.solo = rp.cols.solo(&rp.m, kn)
+		kernelPool.Put(kn)
+	}
+}
+
+// solve feeds and solves chain set, hosts of the pool, into kn.
 func (rp *roundPricer) solve(kn *stripKernel, set []*grid.Host) (float64, bool) {
-	if kn.feedSet(&rp.m, rp.task, rp.spec, rp.info, set) >= 0 {
+	kn.reserve(len(set))
+	for i, h := range set {
+		kn.chain[i] = rp.hp.indexOf(h)
+	}
+	if kn.feed(&rp.m, rp.cols, len(set)) >= 0 {
 		return 0, false
 	}
 	return kn.solve(&rp.m, len(set))
@@ -237,46 +254,25 @@ func (rp *roundPricer) place(cands []Candidate) {
 
 // round assembles the Jacobi blueprint's Round for rp's problem: the
 // US-filtered pool, a Resource Selector enumerating strip-chain sets,
-// rp as the fused Planner+Estimator bound to the round's information
-// view, and, when winnerOnly is set, the metric's pruning bound
-// (stripModel.bound). The Coordinator owns everything else —
-// snapshotting, fan-out, pruning bookkeeping, and the deterministic
-// reduce.
+// rp as the fused Planner+Estimator bound to the round's pool columns,
+// and, when winnerOnly is set, the metric's pruning bound
+// (stripModel.bound) over the same columns. The Coordinator owns
+// everything else — snapshotting, fan-out, pruning bookkeeping, and the
+// deterministic reduce.
 func (a *Agent) round(rp *roundPricer, winnerOnly bool) Round {
-	pool := a.pool
 	r := Round{
-		Pool:     pool,
+		Pool:     a.hp.hosts,
 		Selector: string(a.coord.selector.normalized().Kind),
 		Bind: func(info Information) (ResourceSelector, CandidateEvaluator, error) {
-			rs := &resourceSelector{tp: a.tp, info: info}
-			sel := newSelector(a.coord.selector, rs, a.spec.MaxResourceSets)
-			rp.info = info
-			rp.solo = math.Inf(1)
-			if rp.m.metric == userspec.MaxSpeedup {
-				kn := kernelPool.Get().(*stripKernel)
-				for _, h := range pool {
-					iterT, ok := rp.solve(kn, []*grid.Host{h})
-					if t := iterT * float64(rp.m.iterations); ok && t < rp.solo {
-						rp.solo = t
-					}
-				}
-				kernelPool.Put(kn)
-			}
-			return sel, rp, nil
+			rp.bind(info)
+			return newSelector(a.coord.selector, &resourceSelector{cols: rp.cols}, a.spec.MaxResourceSets), rp, nil
 		},
 	}
 	if winnerOnly && a.hasComputeBound() {
-		r.Bound = func(info Information) LowerBounder {
-			m := &rp.m
-			if m.metric == userspec.MinCost {
-				pc := secondsPerPoint(pool, info, a.tpl.Tasks[0], a.spec)
-				return LowerBoundFunc(func(set []*grid.Host) float64 {
-					return m.bound(0, pc.leastCost(set), rp.solo)
-				})
-			}
-			pc := secondsPerPoint(pool, info, a.tpl.Tasks[0], nil)
+		r.Bound = func(Information) LowerBounder {
 			return LowerBoundFunc(func(set []*grid.Host) float64 {
-				return m.bound(pc.rate(set), 0, rp.solo)
+				rate, leastCost := rp.cols.boundTerms(set)
+				return rp.m.bound(rate, leastCost, rp.solo)
 			})
 		}
 	}
@@ -305,99 +301,6 @@ func (a *Agent) evaluate(n int, view infoView, winnerOnly bool) ([]Candidate, in
 // speed a strip up.
 func (a *Agent) hasComputeBound() bool {
 	return a.spillFactor >= 1
-}
-
-// pointCosts is the planner's compute-cost coefficient P_i (seconds
-// per point) of every pool host, and under MinCost its cost per point
-// r_i·P_i, resolved once per round for the pruning bound. A host is
-// looked up by its dense topology index; a host with no index, or whose
-// index another pool host already holds, keeps a name-keyed entry.
-type pointCosts struct {
-	hosts   []*grid.Host // by Host.Index: the host each entry belongs to
-	byIndex []pointCost
-	byName  map[string]pointCost
-}
-
-// pointCost is one host's entry: P_i, and r_i·P_i (see costPerPoint).
-type pointCost struct{ sec, cost float64 }
-
-// of is h's entry, zero for a host outside the pool.
-func (c *pointCosts) of(h *grid.Host) pointCost {
-	if i := h.Index(); i >= 0 && i < len(c.hosts) && c.hosts[i] == h {
-		return c.byIndex[i]
-	}
-	return c.byName[h.Name]
-}
-
-// rate is set's aggregate point rate: Σ 1/P_i over its hosts with
-// deliverable speed.
-func (c *pointCosts) rate(set []*grid.Host) float64 {
-	rate := 0.0
-	for _, h := range set {
-		p := c.of(h).sec
-		if p <= 0 || math.IsInf(p, 1) {
-			continue
-		}
-		rate += 1 / p
-	}
-	return rate
-}
-
-// leastCost is the least cost per point r_i·P_i over set's hosts, +Inf
-// when no host has deliverable speed.
-func (c *pointCosts) leastCost(set []*grid.Host) float64 {
-	least := math.Inf(1)
-	for _, h := range set {
-		least = min(least, c.of(h).cost)
-	}
-	return least
-}
-
-// secondsPerPoint resolves P_i for every pool host once, for the
-// pruning bound; priced, when non-nil, also prices each host's cost per
-// point from its rates. Hosts with no deliverable speed get P_i = +Inf
-// (their sets cannot plan anyway).
-func secondsPerPoint(pool []*grid.Host, info Information, task hat.Task, priced *userspec.Spec) *pointCosts {
-	size := 0
-	for _, h := range pool {
-		size = max(size, h.Index()+1)
-	}
-	c := &pointCosts{hosts: make([]*grid.Host, size), byIndex: make([]pointCost, size)}
-	ri, _ := info.(routeIndex)
-	for _, h := range pool {
-		vi := -1
-		if ri != nil {
-			vi = ri.hostIndex(h)
-		}
-		sec, _ := pointSeconds(task.FlopPerUnit, h.Speed, hostAvailability(info, ri, h, vi), task.SpeedFactorOn(h.Arch))
-		pc := pointCost{sec: sec}
-		if priced != nil {
-			pc.cost = costPerPoint(priced.CostRate(h.Name), pc.sec)
-		}
-		if i := h.Index(); i >= 0 && c.hosts[i] == nil {
-			c.hosts[i], c.byIndex[i] = h, pc
-			continue
-		}
-		if c.byName == nil {
-			c.byName = make(map[string]pointCost)
-		}
-		c.byName[h.Name] = pc
-	}
-	return c
-}
-
-// costPerPoint is a host's MinCost bound term r_i/ρ_i = r_i·P_i, with
-// its cost rate r priced as the kernel prices it (0 as 1). A rate the
-// kernel would not price as positive gives -Inf, so no set holding that
-// host is ever pruned.
-func costPerPoint(rate, secPP float64) float64 {
-	if rate == 0 {
-		rate = 1
-	}
-	if !(rate > 0) {
-		return math.Inf(-1)
-	}
-	return rate * secPP
 }
 
 // boundMargin shaves the compute bound below floating-point rounding.

@@ -56,7 +56,7 @@ func TestLowerBoundNeverExceedsScore(t *testing.T) {
 						sets++
 						if lb := bound.LowerBound(set); lb > c.Score {
 							t.Errorf("%d×%d seed %d %s n=%d %v: bound %.17g > score %.17g",
-								p.clusters, p.per, seed, m, n, c.Hosts, lb, c.Score)
+								p.clusters, p.per, seed, m, n, c.names(), lb, c.Score)
 						}
 					}
 				}
@@ -87,14 +87,15 @@ func TestLowerBoundNeverExceedsScore(t *testing.T) {
 // sets before it. A pruned set cannot lower that best score, so the
 // replay needs only the feasible candidates.
 func prunedPlanned(tp *grid.Topology, tpl *hat.Template, info Information, n int, cands []Candidate) int {
-	secPP := secondsPerPoint(tp.Hosts(), info, tpl.Tasks[0], nil)
+	task := &tpl.Tasks[0]
+	cols := viewCols(newHostPool(tp, task, &userspec.Spec{}, tp.Hosts()), info, task.FlopPerUnit)
 	planned, best := 0, math.Inf(1)
 	for _, c := range cands {
 		set := make([]*grid.Host, len(c.Hosts))
 		for i, name := range c.Hosts {
 			set[i] = tp.Host(name)
 		}
-		if rateBound(secPP.rate(set), n, max(tpl.Iterations, 1)) <= best {
+		if rate, _ := cols.boundTerms(set); rateBound(rate, n, max(tpl.Iterations, 1)) <= best {
 			planned++
 		}
 		best = min(best, c.Score)

@@ -185,13 +185,17 @@ func TestPruningPreservesSelection(t *testing.T) {
 
 // TestConcurrentScheduleCalls drives one agent from multiple goroutines
 // at once (run with -race): an agent must support concurrent scheduling
-// rounds, and each must reach the same decision. The 72-host agent runs
+// rounds, and each must reach the same decision. The 72-host agents run
 // every round on the parallel worker pool, with pruning sharing the
-// incumbent across workers.
+// incumbent across workers; the greedy one samples distances, so its
+// rounds also share the pool's site layout.
 func TestConcurrentScheduleCalls(t *testing.T) {
-	for _, cfg := range []struct{ clusters, per int }{{3, 4}, {9, 8}} {
+	for _, cfg := range []struct {
+		clusters, per int
+		sel           SelectorKind
+	}{{3, 4, SelectorExhaustive}, {9, 8, SelectorExhaustive}, {9, 8, SelectorGreedy}} {
 		tp, info := buildPool(t, cfg.clusters, cfg.per, 3)
-		a, err := NewAgent(tp, hat.Jacobi2D(500, 10), &userspec.Spec{}, info)
+		a, err := NewAgent(tp, hat.Jacobi2D(500, 10), &userspec.Spec{}, info, WithSelector(SelectorSpec{Kind: cfg.sel}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,8 +219,8 @@ func TestConcurrentScheduleCalls(t *testing.T) {
 				t.Fatal(errs[i])
 			}
 			if !reflect.DeepEqual(s.Hosts, ref.Hosts) || s.PredictedTotal != ref.PredictedTotal {
-				t.Fatalf("%d hosts: concurrent round %d diverged: %v vs %v",
-					cfg.clusters*cfg.per, i, s, ref)
+				t.Fatalf("%d hosts, %s: concurrent round %d diverged: %v vs %v",
+					cfg.clusters*cfg.per, cfg.sel, i, s, ref)
 			}
 		}
 	}

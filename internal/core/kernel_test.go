@@ -148,7 +148,7 @@ func TestKernelMatchesPlannerEstimator(t *testing.T) {
 		wantP, costs, _, werr := pl.plan(n, chain)
 
 		rp := agent.newPricer(n)
-		rp.info = info
+		rp.bind(info)
 		iterT, ok := rp.solve(kn, chain)
 
 		name := fmt.Sprintf("trial %d (n=%d, k=%d, %v)", trial, n, k, spec.Metric)
@@ -427,5 +427,25 @@ func TestRoundRowsMatchesLargestRemainder(t *testing.T) {
 		if adversary[fs.idx[f]] != v {
 			t.Fatalf("adversarial selection separated index %d from its value %v", fs.idx[f], v)
 		}
+	}
+}
+
+// TestKernelReserveAllocs pins the kernel's column growth: a fresh
+// kernel fed every chain length from 1 to 2048, as the exhaustive
+// prefix fallback feeds a 2048-host pool, grows its 12 columns at most
+// 12 times (doubling), not once per new length.
+func TestKernelReserveAllocs(t *testing.T) {
+	kn := new(stripKernel)
+	allocs := testing.AllocsPerRun(5, func() {
+		*kn = stripKernel{}
+		for k := 1; k <= 2048; k++ {
+			kn.reserve(k)
+		}
+	})
+	if allocs > 12*12 {
+		t.Fatalf("reserve over lengths 1..2048 made %.0f allocations, want ≤ %d", allocs, 12*12)
+	}
+	if len(kn.secPP) < 2048 || len(kn.chain) != len(kn.secPP) || len(kn.lrRem) != len(kn.secPP) {
+		t.Fatalf("columns hold %d/%d/%d positions after reserve(2048)", len(kn.secPP), len(kn.chain), len(kn.lrRem))
 	}
 }

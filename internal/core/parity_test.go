@@ -50,14 +50,13 @@ func sequentialAgentSchedule(tp *grid.Topology, tpl *hat.Template, spec *userspe
 		info = SnapshotInformation(baseInfo, names)
 	}
 
-	rs := &resourceSelector{tp: tp, info: info}
 	pl := &planner{tp: tp, tpl: tpl, info: info}
 	es := newEstimator(tp, spec, tpl.Tasks[0].BytesPerUnit, spillFactor, max(tpl.Iterations, 1))
 	var sets [][]*grid.Host
 	if live {
-		sets = rs.candidatesDirect(pool, spec.MaxResourceSets)
+		sets = directSelector{info}.candidatesDirect(pool, spec.MaxResourceSets)
 	} else {
-		sets = rs.candidates(pool, spec.MaxResourceSets)
+		sets = poolSelector(tp, info, pool).candidates(spec.MaxResourceSets)
 	}
 
 	solo := math.Inf(1)

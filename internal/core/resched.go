@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"apples/internal/grid"
 	"apples/internal/jacobi"
 	"apples/internal/obs"
@@ -12,6 +10,9 @@ import (
 // EstimatePlacement predicts the per-iteration time of an existing
 // placement under the agent's *current* information — the quantity a
 // rescheduling decision compares against a fresh schedule's prediction.
+// The placement's worked hosts, in placement order, are set up as a
+// pool of their own (they need not lie in the agent's) and priced
+// through the same columns and feeder as a round.
 func (a *Agent) EstimatePlacement(n int, p *partition.Placement) (float64, error) {
 	var chain []*grid.Host
 	for _, asg := range p.Assignments {
@@ -22,17 +23,16 @@ func (a *Agent) EstimatePlacement(n int, p *partition.Placement) (float64, error
 			chain = append(chain, h)
 		}
 	}
-	names := make([]string, len(chain))
-	for i, h := range chain {
-		names[i] = h.Name
-	}
 	m := a.model(n)
+	hp := newHostPool(a.tp, &a.tpl.Tasks[0], a.spec, chain)
+	cols := viewCols(hp, a.coord.View(hostNames(chain)), m.flopPerUnit)
 	kn := kernelPool.Get().(*stripKernel)
 	defer kernelPool.Put(kn)
-	if bad := kn.feedSet(&m, &a.tpl.Tasks[0], a.spec, a.coord.View(names), chain); bad >= 0 {
-		return 0, fmt.Errorf("core: host %s has no deliverable speed", chain[bad].Name)
+	kn.reserve(len(chain))
+	for i := range chain {
+		kn.chain[i] = i
 	}
-	return kn.estimateAssignments(&m, a.tp, p), nil
+	return kn.estimate(&m, cols, len(chain), a.tp, p)
 }
 
 // Rescheduler returns the redistribution policy of Section 3.2 as a
@@ -64,9 +64,10 @@ func (a *Agent) Rescheduler(n int, hysteresis float64) jacobi.ReplanFunc {
 	// and from then on re-scores only candidates whose metric bound can
 	// still beat the previous winner, instead of rebuilding a full
 	// snapshot and re-enumerating per checkpoint. Construction is
-	// deferred so the pool
-	// reflects run-time state; a construction failure is sticky and the
-	// policy falls back to full blueprint rounds for the whole run.
+	// deferred so the universe reflects the information at run time. It
+	// fails only for n ≤ 0 or an empty pool, which would fail every
+	// blueprint round of the run too, so the failure is sticky and every
+	// checkpoint keeps the current placement.
 	var (
 		sess     *ReschedSession
 		sessErr  error
@@ -82,24 +83,14 @@ func (a *Agent) Rescheduler(n int, hysteresis float64) jacobi.ReplanFunc {
 			sessInit = true
 			sess, sessErr = a.NewReschedSession(n)
 		}
-		var (
-			fresh *Schedule
-			err   error
-		)
-		if sessErr == nil {
-			fresh, _, err = sess.Round()
-		} else {
-			fresh, err = a.Schedule(n)
+		if sessErr != nil {
+			return keep("no-fresh-schedule", 0, 0, 0, 0)
 		}
+		fresh, _, err := sess.Round()
 		if err != nil {
 			return keep("no-fresh-schedule", 0, 0, 0, 0)
 		}
-		var curIter float64
-		if sessErr == nil {
-			curIter, err = sess.EstimatePlacement(current)
-		} else {
-			curIter, err = a.EstimatePlacement(n, current)
-		}
+		curIter, err := sess.EstimatePlacement(current)
 		if err != nil {
 			return keep("estimate-failed", 0, fresh.PredictedIterTime, 0, 0)
 		}

@@ -30,7 +30,7 @@ type exhaustiveSelector struct {
 // SelectSeq implements ResourceSelector.
 func (s *exhaustiveSelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
 	s.dropped, s.capped = 0, false
-	sets := s.rs.candidates(pool, s.maxSets)
+	sets := s.rs.candidates(s.maxSets)
 	if s.maxSets > 0 && len(pool) > 0 {
 		total := len(pool)
 		if len(pool) <= maxExhaustiveHosts {
@@ -55,10 +55,10 @@ func (s *exhaustiveSelector) Truncated() (int, bool) { return s.dropped, s.cappe
 // resourceSelector implements the Resource Selector subsystem: it ranks
 // feasible hosts by deliverable performance, orders each candidate set so
 // that logically close hosts are strip neighbors, and enumerates candidate
-// sets for the Planner.
+// sets for the Planner. It is bound to one round's pool columns, and
+// every selector over it enumerates the pool they cover: the round's.
 type resourceSelector struct {
-	tp   *grid.Topology
-	info Information
+	cols *poolCols
 }
 
 // candidates enumerates resource sets for the Planner, each already
@@ -78,12 +78,12 @@ type resourceSelector struct {
 // bitmasks over ranking positions and laid out by the model's one chain
 // layout. The resulting sets are identical, element for element, to the
 // naive per-set construction the package tests keep as an oracle.
-func (rs *resourceSelector) candidates(pool []*grid.Host, maxSets int) [][]*grid.Host {
-	n := len(pool)
+func (rs *resourceSelector) candidates(maxSets int) [][]*grid.Host {
+	n := len(rs.cols.pool.hosts)
 	if n == 0 {
 		return nil
 	}
-	m := buildSelModel(rs, pool, true)
+	m := buildSelModel(rs, true)
 	if n > maxExhaustiveHosts {
 		k := n
 		if maxSets > 0 {

@@ -34,7 +34,7 @@ type beamSelector struct {
 // SelectSeq implements ResourceSelector.
 func (b *beamSelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
 	b.truncation = truncation{}
-	m := buildSelModel(b.rs, pool, len(pool) <= selExactPairHosts)
+	m := buildSelModel(b.rs, len(pool) <= selExactPairHosts)
 	width := b.width
 	if width <= 0 {
 		width = 8

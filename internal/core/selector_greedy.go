@@ -48,7 +48,7 @@ type greedySelector struct {
 // lazily.
 func (g *greedySelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
 	g.truncation = truncation{}
-	m := buildSelModel(g.rs, pool, len(pool) <= selExactPairHosts)
+	m := buildSelModel(g.rs, len(pool) <= selExactPairHosts)
 	return func(yield func([]*grid.Host) bool) {
 		if m.n == 0 {
 			return

@@ -8,13 +8,26 @@ import (
 	"testing"
 
 	"apples/internal/grid"
+	"apples/internal/hat"
 	"apples/internal/load"
 	"apples/internal/sim"
+	"apples/internal/userspec"
 )
+
+// poolSelector binds a resourceSelector to pool's columns over info, as
+// an Agent round binds one to its pool.
+func poolSelector(tp *grid.Topology, info Information, pool []*grid.Host) *resourceSelector {
+	task := hat.Jacobi2D(100, 1).Tasks[0]
+	return &resourceSelector{cols: viewCols(newHostPool(tp, &task, &userspec.Spec{}, pool), info, task.FlopPerUnit)}
+}
+
+// directSelector is the name-keyed Resource Selector oracle: every
+// value it reads is queried from info by host name, per set.
+type directSelector struct{ info Information }
 
 // selectorFixture builds a two-site topology: two fast hosts on a fast
 // local link, one fast host behind a slow WAN.
-func selectorFixture(t *testing.T) (*resourceSelector, *grid.Topology) {
+func selectorFixture(t *testing.T) (directSelector, *grid.Topology) {
 	t.Helper()
 	eng := sim.NewEngine()
 	tp := grid.NewTopology(eng)
@@ -30,7 +43,7 @@ func selectorFixture(t *testing.T) (*resourceSelector, *grid.Topology) {
 	tp.Attach("gw", wan)
 	tp.Attach("far1", wan)
 	tp.Finalize()
-	return &resourceSelector{tp: tp, info: OracleInformation(tp)}, tp
+	return directSelector{OracleInformation(tp)}, tp
 }
 
 func TestDesirabilityPenalizesDistance(t *testing.T) {
@@ -58,7 +71,7 @@ func TestDesirabilityPenalizesDistance(t *testing.T) {
 func TestOrderChainKeepsCloseHostsAdjacent(t *testing.T) {
 	rs, tp := selectorFixture(t)
 	pool := tp.Hosts()
-	for _, chain := range [][]*grid.Host{rs.orderChain(pool), buildSelModel(rs, pool, true).chain([]int{0, 1, 2})} {
+	for _, chain := range [][]*grid.Host{rs.orderChain(pool), buildSelModel(poolSelector(tp, rs.info, pool), true).chain([]int{0, 1, 2})} {
 		if len(chain) != 3 {
 			t.Fatalf("chain %v", chain)
 		}
@@ -83,7 +96,7 @@ func TestOrderChainDeterministic(t *testing.T) {
 
 func TestCandidatesExhaustiveSmallPool(t *testing.T) {
 	rs, tp := selectorFixture(t)
-	sets := rs.candidates(tp.Hosts(), 0)
+	sets := poolSelector(tp, rs.info, tp.Hosts()).candidates(0)
 	if len(sets) != 7 { // 2^3 - 1
 		t.Fatalf("candidate sets %d, want 7", len(sets))
 	}
@@ -104,7 +117,7 @@ func TestCandidatesExhaustiveSmallPool(t *testing.T) {
 
 func TestCandidatesCap(t *testing.T) {
 	rs, tp := selectorFixture(t)
-	sets := rs.candidates(tp.Hosts(), 2)
+	sets := poolSelector(tp, rs.info, tp.Hosts()).candidates(2)
 	if len(sets) != 2 {
 		t.Fatalf("capped candidates %d, want 2", len(sets))
 	}
@@ -113,8 +126,7 @@ func TestCandidatesCap(t *testing.T) {
 func TestCandidatesPrefixLargePool(t *testing.T) {
 	eng := sim.NewEngine()
 	tp := grid.ClusterOfClusters(eng, grid.ClusterOptions{Clusters: 4, PerCluster: 4, Seed: 1, Quiet: true})
-	rs := &resourceSelector{tp: tp, info: OracleInformation(tp)}
-	sets := rs.candidates(tp.Hosts(), 0)
+	sets := poolSelector(tp, OracleInformation(tp), tp.Hosts()).candidates(0)
 	if len(sets) != 16 {
 		t.Fatalf("16-host pool candidates %d, want 16 prefixes", len(sets))
 	}
@@ -136,10 +148,10 @@ func TestCandidatesPrefixLargePool(t *testing.T) {
 // lazySnapshotThreshold. This equivalence is what lets liveAgentSchedule
 // serve as a bit-identical sequential reference for the parallel engine.
 func TestCandidatesMatchLegacyConstruction(t *testing.T) {
-	check := func(name string, rs *resourceSelector, pool []*grid.Host, maxSets, wantSets int) {
+	check := func(name string, tp *grid.Topology, info Information, pool []*grid.Host, maxSets, wantSets int) {
 		t.Helper()
-		got := rs.candidates(pool, maxSets)
-		want := rs.candidatesDirect(pool, maxSets)
+		got := poolSelector(tp, info, pool).candidates(maxSets)
+		want := directSelector{info}.candidatesDirect(pool, maxSets)
 		if len(got) != len(want) || len(got) != wantSets {
 			t.Fatalf("%s: %d sets, oracle %d, want %d", name, len(got), len(want), wantSets)
 		}
@@ -155,19 +167,18 @@ func TestCandidatesMatchLegacyConstruction(t *testing.T) {
 		}
 	}
 	rs, tp := selectorFixture(t)
-	check("two-site", rs, tp.Hosts(), 0, 7)
-	check("two-site-capped", rs, tp.Hosts(), 3, 3)
+	check("two-site", tp, rs.info, tp.Hosts(), 0, 7)
+	check("two-site-capped", tp, rs.info, tp.Hosts(), 3, 3)
 
 	eng := sim.NewEngine()
 	ctp := grid.ClusterOfClusters(eng, grid.ClusterOptions{Clusters: 3, PerCluster: 3, Seed: 7, Quiet: true})
-	crs := &resourceSelector{tp: ctp, info: OracleInformation(ctp)}
-	check("cluster-9host", crs, ctp.Hosts(), 0, 511)
+	check("cluster-9host", ctp, OracleInformation(ctp), ctp.Hosts(), 0, 511)
 
 	ltp, linfo := buildPool(t, 3, 4, 11)
 	lpool := ltp.Hosts()
-	lrs := &resourceSelector{tp: ltp, info: roundSnapshot(linfo, lpool)}
-	check("loaded-12host", lrs, lpool, 0, 4095)
-	check("loaded-12host-capped", lrs, lpool, 100, 100)
+	lview := roundSnapshot(linfo, lpool)
+	check("loaded-12host", ltp, lview, lpool, 0, 4095)
+	check("loaded-12host-capped", ltp, lview, lpool, 100, 100)
 
 	for _, p := range []struct {
 		clusters, per, maxSets, want int
@@ -182,7 +193,7 @@ func TestCandidatesMatchLegacyConstruction(t *testing.T) {
 		if _, lazy := view.(*linkSnapshot); lazy != (len(pool) > lazySnapshotThreshold) {
 			t.Fatalf("%d-host pool: lazy link snapshot %v", len(pool), lazy)
 		}
-		check(fmt.Sprintf("prefix-%dhost-cap%d", len(pool), p.maxSets), &resourceSelector{tp: gtp, info: view}, pool, p.maxSets, p.want)
+		check(fmt.Sprintf("prefix-%dhost-cap%d", len(pool), p.maxSets), gtp, view, pool, p.maxSets, p.want)
 	}
 }
 
@@ -190,7 +201,7 @@ func TestCandidatesMatchLegacyConstruction(t *testing.T) {
 // forecast deliverable speed discounted by its mean network distance to
 // the rest of the pool — querying the information source directly. It is
 // candidatesDirect's ranking key.
-func (rs *resourceSelector) desirability(h *grid.Host, pool []*grid.Host) float64 {
+func (rs directSelector) desirability(h *grid.Host, pool []*grid.Host) float64 {
 	eff := h.Speed * rs.info.Availability(h.Name)
 	// Mean logical distance to the other pool members: seconds to move a
 	// nominal 1 MB border to each.
@@ -220,7 +231,7 @@ func (rs *resourceSelector) desirability(h *grid.Host, pool []*grid.Host) float6
 // candidates (TestCandidatesMatchLegacyConstruction), and because it
 // reads the live source it is also the selector of the live-source
 // sequential reference, liveAgentSchedule.
-func (rs *resourceSelector) candidatesDirect(pool []*grid.Host, maxSets int) [][]*grid.Host {
+func (rs directSelector) candidatesDirect(pool []*grid.Host, maxSets int) [][]*grid.Host {
 	if len(pool) == 0 {
 		return nil
 	}
@@ -287,7 +298,7 @@ func (rs *resourceSelector) candidatesDirect(pool []*grid.Host, maxSets int) [][
 // neighbor by route transfer cost, seeded at the fastest host, every
 // value queried from the information source per set. It is
 // candidatesDirect's layout, the oracle for selModel.layout.
-func (rs *resourceSelector) orderChain(set []*grid.Host) []*grid.Host {
+func (rs directSelector) orderChain(set []*grid.Host) []*grid.Host {
 	eff := func(h *grid.Host) float64 { return h.Speed * rs.info.Availability(h.Name) }
 	remaining := append([]*grid.Host(nil), set...)
 	sort.Slice(remaining, func(i, j int) bool {
@@ -331,8 +342,7 @@ func TestCandidatesPreferLoadedPoolShift(t *testing.T) {
 	tp.Attach("busy", l)
 	tp.Attach("idle", l)
 	tp.Finalize()
-	rs := &resourceSelector{tp: tp, info: OracleInformation(tp)}
-	sets := rs.candidates(tp.Hosts(), 1)
+	sets := poolSelector(tp, OracleInformation(tp), tp.Hosts()).candidates(1)
 	// The single best set is the full pool (most aggregate desirability);
 	// within it the chain starts at the faster *deliverable* host.
 	if sets[0][0].Name != "idle" {
@@ -509,16 +519,16 @@ func TestGreedyMatchesLegacy(t *testing.T) {
 			view := roundSnapshot(info, pool)
 			for _, maxSets := range []int{0, 40, 60} {
 				name := fmt.Sprintf("%dhost-%s/avail=%v/cap=%d", len(pool), kind, avail, maxSets)
-				g := &greedySelector{rs: &resourceSelector{tp: tp, info: view}, maxSets: maxSets}
+				g := &greedySelector{rs: poolSelector(tp, view, pool), maxSets: maxSets}
 				var got [][]*grid.Host
 				for set := range g.SelectSeq(pool) {
 					got = append(got, set)
 				}
 				gotDropped, gotCapped := g.Truncated()
 
-				lm := buildSelModel(&resourceSelector{tp: tp, info: namesOnly{view}}, pool, len(pool) <= selExactPairHosts)
+				lm := buildSelModel(poolSelector(tp, namesOnly{view}, pool), len(pool) <= selExactPairHosts)
 				want, wantDropped, wantCapped := legacyGreedy(lm, maxSets)
-				m := buildSelModel(&resourceSelector{tp: tp, info: view}, pool, len(pool) <= selExactPairHosts)
+				m := buildSelModel(poolSelector(tp, view, pool), len(pool) <= selExactPairHosts)
 				for i := range m.dist {
 					if math.Float64bits(m.dist[i]) != math.Float64bits(lm.dist[i]) {
 						t.Fatalf("%s: host %d distance %v by index, %v by name", name, i, m.dist[i], lm.dist[i])

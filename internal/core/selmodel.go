@@ -31,8 +31,8 @@ const selDistSamples = 8
 // selModel is the one pool model behind every Resource Selector and the
 // ReschedSession's chains: per-host deliverable speed, network
 // distance, desirability, and (when exact) the pairwise transfer costs
-// — resolved once per round, so the per-candidate work is arithmetic
-// only. Pairs are priced by the view's dense host index. It also owns
+// — resolved once per round from the round's pool columns, so the
+// per-candidate work is arithmetic only. It also owns
 // the one chain layout (layout): greedy nearest neighbor over the exact
 // costs, and a site-aware O(pool + k) approximation when distances are
 // sampled.
@@ -61,12 +61,13 @@ type selModel struct {
 }
 
 // newSelModel allocates a model's per-host columns and chain scratch
-// for pool, with a pair-cost matrix when exact and the site layout
-// otherwise. The caller fills eff, cost and effOrder.
-func newSelModel(tp *grid.Topology, pool []*grid.Host, exact bool) *selModel {
-	n := len(pool)
-	m := &selModel{pool: pool, n: n, eff: make([]float64, n), effOrder: make([]int, n),
-		nameRank: nameRanks(tp, pool), mark: make([]bool, n), ordered: make([]int, 0, n), rem: make([]int, n)}
+// for hp's pool, with a pair-cost matrix when exact and a clone of the
+// pool's site layout otherwise. Name ranks and site ids come from hp.
+// The caller fills eff, cost and effOrder.
+func newSelModel(hp *hostPool, exact bool) *selModel {
+	n := len(hp.hosts)
+	m := &selModel{pool: hp.hosts, n: n, eff: make([]float64, n), effOrder: make([]int, n),
+		nameRank: hp.nameRank, mark: make([]bool, n), ordered: make([]int, 0, n), rem: make([]int, n)}
 	if exact {
 		m.cost = make([][]float64, n)
 		flat := make([]float64, n*n)
@@ -74,25 +75,32 @@ func newSelModel(tp *grid.Topology, pool []*grid.Host, exact bool) *selModel {
 			m.cost[i] = flat[i*n : (i+1)*n : (i+1)*n]
 		}
 	} else {
-		m.sites = newSiteGrouper(pool)
+		m.sites = hp.sites.clone()
 	}
 	return m
 }
 
-// buildSelModel resolves the model for pool from rs's view. exact asks
-// for the pair-cost matrix and exact mean distances; otherwise each
-// host's distance averages a fixed sample of the pool.
-func buildSelModel(rs *resourceSelector, pool []*grid.Host, exact bool) *selModel {
-	m := newSelModel(rs.tp, pool, exact)
+// setEff writes every host's deliverable speed, speed · availability,
+// and the eff-seed order it gives.
+func (m *selModel) setEff(avail []float64) {
+	for i, h := range m.pool {
+		m.eff[i] = h.Speed * avail[i]
+	}
+	rankDesc(m.effOrder, m.eff, m.nameRank)
+}
+
+// buildSelModel resolves the model for the round rs is bound to from
+// its columns. exact asks for the pair-cost matrix and exact mean
+// distances; otherwise each host's distance averages a fixed sample of
+// the pool.
+func buildSelModel(rs *resourceSelector, exact bool) *selModel {
+	c := rs.cols
+	m := newSelModel(c.pool, exact)
 	n := m.n
 	m.dist, m.des = make([]float64, n), make([]float64, n)
-	idx := make([]int, n)
-	ri := indexHosts(rs.info, pool, idx)
-	for i, h := range pool {
-		m.eff[i] = h.Speed * hostAvailability(rs.info, ri, h, idx[i])
-	}
+	m.setEff(c.avail)
 	pairCost := func(i, j int) float64 {
-		return transferCost(routePair(rs.info, ri, pool[i], pool[j], idx[i], idx[j]))
+		return transferCost(c.route(i, j))
 	}
 	if exact {
 		for i, row := range m.cost {
@@ -115,7 +123,7 @@ func buildSelModel(rs *resourceSelector, pool []*grid.Host, exact bool) *selMode
 		for s := 0; s < n; s += stride {
 			samples = append(samples, s)
 		}
-		for i := range pool {
+		for i := range m.pool {
 			d, k := 0.0, 0
 			for _, s := range samples {
 				if s == i {
@@ -129,12 +137,11 @@ func buildSelModel(rs *resourceSelector, pool []*grid.Host, exact bool) *selMode
 			}
 		}
 	}
-	for i := range pool {
+	for i := range m.pool {
 		m.des[i] = m.eff[i] / (1 + m.dist[i])
 	}
 	m.rank = make([]int, n)
 	rankDesc(m.rank, m.des, m.nameRank)
-	rankDesc(m.effOrder, m.eff, m.nameRank)
 	m.rankPos = make([]int, n)
 	for pos, idx := range m.rank {
 		m.rankPos[idx] = pos

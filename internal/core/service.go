@@ -33,12 +33,9 @@ import (
 //     the shared-snapshot ratio, and a max/min fairness gauge computed
 //     when the registry is rendered.
 //
-// Registered tenants are thin clients: an Agent-backed tenant's round
-// is exactly Agent.Schedule evaluated against the shared view (the
-// single-tenant parity suite pins bit-identity), and a session-backed
-// tenant's round is exactly ReschedSession.Round (the service's
-// per-tenant serialization satisfies the session's no-concurrent-use
-// contract).
+// Registered tenants are thin clients: a tenant's round is exactly
+// Agent.Schedule evaluated against the shared view (the single-tenant
+// parity suite pins bit-identity).
 //
 // All methods are safe for concurrent use.
 type SchedService struct {
@@ -175,8 +172,7 @@ func NewSchedService(opts ...ServiceOption) *SchedService {
 type Tenant struct {
 	svc   *SchedService
 	id    string
-	agent *Agent          // Agent-backed tenant (shared-snapshot path)
-	sess  *ReschedSession // session-backed tenant
+	agent *Agent
 
 	qmu    sync.Mutex
 	fifo   []roundRequest
@@ -211,16 +207,12 @@ type RoundResult struct {
 	Tenant string
 	Seq    uint64
 	// Schedule is the decision; Err the failure (exactly what the
-	// standalone Agent.Schedule / ReschedSession.Round would return).
+	// standalone Agent.Schedule would return).
 	Schedule *Schedule
 	Err      error
 	// SharedSnapshot reports whether the round reused a cache-shared
-	// frozen view rather than freezing its own (always false for
-	// session-backed tenants, which refresh incrementally instead).
+	// frozen view rather than freezing its own.
 	SharedSnapshot bool
-	// Delta carries the session round's bookkeeping for session-backed
-	// tenants; nil otherwise.
-	Delta *DeltaStats
 	// Elapsed is the round's wall time once a service worker takes it
 	// off the ready list: snapshot acquire and evaluation.
 	// It excludes the wait in the admission queue.
@@ -234,23 +226,6 @@ func (s *SchedService) Register(id string, agent *Agent) (*Tenant, error) {
 	if agent == nil {
 		return nil, fmt.Errorf("core: nil agent for tenant %q", id)
 	}
-	return s.register(id, &Tenant{id: id, agent: agent})
-}
-
-// RegisterSession adds a session-backed tenant: each round advances the
-// ReschedSession one delta-aware tick. The service's per-tenant
-// serialization satisfies the session's no-concurrent-use contract,
-// but the session reads its Information source live — give it a
-// dedicated source (e.g. its own overlay) rather than one other
-// tenants' snapshot builds read concurrently.
-func (s *SchedService) RegisterSession(id string, sess *ReschedSession) (*Tenant, error) {
-	if sess == nil {
-		return nil, fmt.Errorf("core: nil session for tenant %q", id)
-	}
-	return s.register(id, &Tenant{id: id, sess: sess})
-}
-
-func (s *SchedService) register(id string, t *Tenant) (*Tenant, error) {
 	if id == "" {
 		return nil, fmt.Errorf("core: empty tenant id")
 	}
@@ -262,7 +237,7 @@ func (s *SchedService) register(id string, t *Tenant) (*Tenant, error) {
 	if _, dup := s.tenants[id]; dup {
 		return nil, fmt.Errorf("core: tenant %q already registered", id)
 	}
-	t.svc = s
+	t := &Tenant{svc: s, id: id, agent: agent}
 	if s.met != nil {
 		// Per-tenant labeled series, resolved once here so the round hot
 		// path only performs atomic updates.
@@ -294,14 +269,13 @@ func (t *Tenant) Pending() int {
 	return n
 }
 
-// Submit enqueues one scheduling round (an n×n problem for Agent-backed
-// tenants; session-backed tenants advance their frozen-n session and
-// ignore n). It returns a buffered channel that receives exactly one
-// RoundResult, or fails fast with ErrQueueFull / ErrServiceClosed.
-// Results for one tenant are delivered in submission order.
+// Submit enqueues one scheduling round for an n×n problem. It returns a
+// buffered channel that receives exactly one RoundResult, or fails fast
+// with ErrQueueFull / ErrServiceClosed. Results for one tenant are
+// delivered in submission order.
 func (t *Tenant) Submit(n int) (<-chan RoundResult, error) {
 	s := t.svc
-	if t.agent != nil && n <= 0 {
+	if n <= 0 {
 		return nil, fmt.Errorf("core: non-positive problem size %d", n)
 	}
 	s.mu.RLock()
@@ -412,26 +386,20 @@ func (s *SchedService) runRound(t *Tenant, req roundRequest) RoundResult {
 	start := time.Now()
 	res := RoundResult{Tenant: t.id, Seq: req.seq}
 
-	if t.sess != nil {
-		sched, st, err := t.sess.Round()
-		res.Schedule, res.Err, res.Delta = sched, err, &st
-	} else {
-		var entry *snapEntry
-		var view infoView
-		pool := t.agent.pool
-		if len(pool) > 0 {
-			entry, res.SharedSnapshot = s.cache.acquire(t.agent.coord.info, pool)
-			view = entry.view
-		}
-		res.Schedule, res.Err = t.agent.scheduleWith(req.n, view)
-		if entry != nil {
-			s.cache.release(entry)
-			if s.met != nil {
-				if res.SharedSnapshot {
-					s.met.reused.Inc()
-				} else {
-					s.met.builds.Inc()
-				}
+	var entry *snapEntry
+	var view infoView
+	if pool := t.agent.hp.hosts; len(pool) > 0 {
+		entry, res.SharedSnapshot = s.cache.acquire(t.agent.coord.info, pool)
+		view = entry.view
+	}
+	res.Schedule, res.Err = t.agent.scheduleWith(req.n, view)
+	if entry != nil {
+		s.cache.release(entry)
+		if s.met != nil {
+			if res.SharedSnapshot {
+				s.met.reused.Inc()
+			} else {
+				s.met.builds.Inc()
 			}
 		}
 	}
@@ -461,7 +429,7 @@ func (s *SchedService) runRound(t *Tenant, req roundRequest) RoundResult {
 // endpoint's JSON schema).
 type TenantStatus struct {
 	ID      string `json:"id"`
-	Kind    string `json:"kind"` // "agent" or "session"
+	Kind    string `json:"kind"` // always "agent"
 	Rounds  uint64 `json:"rounds"`
 	Pending int    `json:"pending"`
 }
@@ -473,11 +441,7 @@ func (s *SchedService) Tenants() []TenantStatus {
 	out := make([]TenantStatus, 0, len(s.order))
 	for _, id := range s.order {
 		t := s.tenants[id]
-		kind := "agent"
-		if t.sess != nil {
-			kind = "session"
-		}
-		out = append(out, TenantStatus{ID: id, Kind: kind, Rounds: t.done.Load(), Pending: t.Pending()})
+		out = append(out, TenantStatus{ID: id, Kind: "agent", Rounds: t.done.Load(), Pending: t.Pending()})
 	}
 	return out
 }

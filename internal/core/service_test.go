@@ -346,52 +346,6 @@ func TestServiceQueueFull(t *testing.T) {
 	}
 }
 
-// TestServiceSessionTenant pins the session-backed thin client: rounds
-// through the service are exactly standalone ReschedSession rounds, in
-// order, with delta stats attached.
-func TestServiceSessionTenant(t *testing.T) {
-	tp, info := buildPool(t, 0, 0, 13)
-	tpl := hat.Jacobi2D(500, 10)
-	mk := func() *ReschedSession {
-		a, err := NewAgent(tp, tpl, &userspec.Spec{}, info)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := a.NewReschedSession(500)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	standalone := mk()
-	svc := NewSchedService(WithServiceRunners(1))
-	defer svc.Close()
-	tn, err := svc.RegisterSession("sess", mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 1; round <= 3; round++ {
-		want, wantSt, err := standalone.Round()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ch, err := tn.Submit(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := <-ch
-		if res.Err != nil {
-			t.Fatalf("round %d: %v", round, res.Err)
-		}
-		if !reflect.DeepEqual(res.Schedule, want) {
-			t.Fatalf("round %d diverged\nwant %v\ngot  %v", round, want, res.Schedule)
-		}
-		if res.Delta == nil || *res.Delta != wantSt {
-			t.Fatalf("round %d delta stats diverged: %+v vs %+v", round, res.Delta, wantSt)
-		}
-	}
-}
-
 // TestSnapshotCacheInvalidate pins the epoch contract: acquires after
 // Invalidate rebuild, and the counters keep the shared ratio honest.
 func TestSnapshotCacheInvalidate(t *testing.T) {

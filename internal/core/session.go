@@ -19,21 +19,23 @@ import (
 // agent's Resource Selector enumerates against the information current
 // then — and represents each set as a bitmask over the frozen pool
 // ordering ([]uint64, one word up to 64 hosts, chunked beyond). Every
-// static per-host coefficient (speed, implementation factor, memory
-// capacity, cost rate) is resolved into flat arrays once.
+// static per-host coefficient comes from the agent's hostPool, resolved
+// once when the agent was built; the session owns only the dynamic
+// inputs and the pool columns (poolCols) derived from them.
 //
 // Each Round() then:
 //
 //  1. re-reads the dynamic inputs (per-host availability; per-link
 //     bandwidth for batched sources, per-pair values otherwise) into the
 //     same arrays and counts what changed. A round where nothing changed
-//     ends here and carries the previous outcome;
+//     ends here and carries the previous outcome; one where availability
+//     changed refills the pool columns (P_i, ρ_i, r_i·P_i);
 //  2. re-plans the universe in one scan. With a spill factor ≥ 1, where
 //     the metric bounds are sound (Agent.hasComputeBound), the scan is
 //     bounded: it re-prices the previous winner as the incumbent, then
 //     walks the universe in enumeration order, skipping every set whose
-//     bound under the user's metric (stripModel.bound, over per-host
-//     columns refreshed once per round) exceeds the incumbent and
+//     bound under the user's metric (stripModel.bound, over the pool
+//     columns) exceeds the incumbent and
 //     planning the rest;
 //  3. reduces with the Coordinator's (score, index) rule over the frozen
 //     enumeration order and re-materializes the winning *Schedule.
@@ -65,18 +67,11 @@ type ReschedSession struct {
 	a *Agent
 	m stripModel
 
-	// Frozen pool, in userspec filter order. poolIdx inverts names to
-	// frozen indices; every per-host array below is indexed by it.
-	pool    []*grid.Host
-	names   []string
-	poolIdx map[string]int
-
-	speed  []float64 // dedicated Mflop/s
-	factor []float64 // implementation SpeedFactorOn(arch)
-	capPts []float64 // memory capacity in points (0 = unbounded)
-	memMB  []float64 // physical memory for the spill check
-	rate   []float64 // userspec cost rate (0 -> priced as 1)
-	avail  []float64 // last refreshed availability
+	// Frozen pool names, in userspec filter order; every per-host array
+	// below is indexed by pool index. cols holds the last refreshed
+	// availability and the columns filled from it, routed by pairRoute.
+	names []string
+	cols  *poolCols
 
 	// Batched link mode (sources implementing routeBatcher): per-link
 	// bandwidth is refreshed and diffed by grid.Link.Index. tidx holds
@@ -126,8 +121,7 @@ type ReschedSession struct {
 	schedErr error
 	rounds   int
 
-	scr sessionScratch
-	kn  stripKernel
+	kn stripKernel
 }
 
 // DeltaStats describes what one session round did.
@@ -165,39 +159,20 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: non-positive problem size %d", n)
 	}
-	pool := a.pool
+	pool := a.hp.hosts
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("core: %w: user specification filters out every host", ErrNoFeasibleHosts)
 	}
-	task := a.tpl.Tasks[0]
 	np := len(pool)
 	s := &ReschedSession{
 		a:       a,
 		m:       a.model(n),
-		pool:    pool,
+		names:   hostNames(pool),
 		words:   maskWords(np),
 		winner:  -1,
 		bounded: a.hasComputeBound(),
 	}
-	s.names = make([]string, np)
-	s.poolIdx = make(map[string]int, np)
-	s.speed = make([]float64, np)
-	s.factor = make([]float64, np)
-	s.capPts = make([]float64, np)
-	s.memMB = make([]float64, np)
-	s.rate = make([]float64, np)
-	s.avail = make([]float64, np)
-	for i, h := range pool {
-		s.names[i] = h.Name
-		s.poolIdx[h.Name] = i
-		s.speed[i] = h.Speed
-		s.factor[i] = task.SpeedFactorOn(h.Arch)
-		if task.BytesPerUnit > 0 {
-			s.capPts[i] = h.MemoryMB * 1e6 / task.BytesPerUnit
-		}
-		s.memMB[i] = h.MemoryMB
-		s.rate[i] = a.spec.CostRate(h.Name)
-	}
+	s.cols = newPoolCols(a.hp, s.pairRoute)
 
 	if rb, ok := a.coord.info.(routeBatcher); ok {
 		s.rb = rb
@@ -219,13 +194,12 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 		s.pairLat = make([]float64, np*np)
 	}
 	kind := a.coord.selector.normalized().Kind
-	s.sel = newSelModel(a.tp, pool, kind == SelectorExhaustive || np <= selExactPairHosts)
+	s.sel = newSelModel(a.hp, kind == SelectorExhaustive || np <= selExactPairHosts)
 
 	// Enumerate the universe once, exactly the way a scheduling round
 	// does: the real selector over a real snapshot of the current
 	// information, honoring MaxResourceSets.
-	snap := roundSnapshot(a.coord.info, pool)
-	rs := &resourceSelector{tp: a.tp, info: snap}
+	rs := &resourceSelector{cols: viewCols(a.hp, roundSnapshot(a.coord.info, pool), s.m.flopPerUnit)}
 	sel := newSelector(a.coord.selector, rs, a.spec.MaxResourceSets)
 	for set := range sel.SelectSeq(pool) {
 		base := len(s.candMask)
@@ -234,7 +208,7 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 		}
 		m := s.candMask[base : base+s.words]
 		for _, h := range set {
-			maskSet(m, s.poolIdx[h.Name])
+			maskSet(m, a.hp.indexOf(h))
 		}
 		s.candCount++
 	}
@@ -244,7 +218,6 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	s.score = make([]float64, s.candCount)
 	s.feasible = make([]bool, s.candCount)
 
-	s.scr.init(np)
 	s.kn.reserve(np)
 	return s, nil
 }
@@ -260,10 +233,11 @@ func (s *ReschedSession) mask(c int) []uint64 {
 // cold round every input counts as changed.
 func (s *ReschedSession) refresh(cold bool) (changedHosts, changedLinks int) {
 	info := s.a.coord.info
+	avail := s.cols.avail
 	for i, name := range s.names {
 		v := finiteAvailability(info.Availability(name))
-		if cold || v != s.avail[i] {
-			s.avail[i] = v
+		if cold || v != avail[i] {
+			avail[i] = v
 			changedHosts++
 		}
 	}
@@ -276,8 +250,8 @@ func (s *ReschedSession) refresh(cold bool) (changedHosts, changedLinks int) {
 			}
 		}
 		if changedLinks > 0 && (s.pairArrays || s.sel.cost != nil) {
-			for i := range s.pool {
-				for j := range s.pool {
+			for i := range s.names {
+				for j := range s.names {
 					if i != j {
 						s.composePair(i, j)
 					}
@@ -286,7 +260,7 @@ func (s *ReschedSession) refresh(cold bool) (changedHosts, changedLinks int) {
 		}
 		return changedHosts, changedLinks
 	}
-	np := len(s.pool)
+	np := len(s.names)
 	for i := 0; i < np; i++ {
 		for j := 0; j < np; j++ {
 			if i == j {
@@ -314,7 +288,7 @@ func (s *ReschedSession) refresh(cold bool) (changedHosts, changedLinks int) {
 func (s *ReschedSession) composePair(i, j int) {
 	lat, bw := s.linkRoute(i, j)
 	if s.pairArrays {
-		at := i*len(s.pool) + j
+		at := i*len(s.names) + j
 		s.pairBW[at] = bw
 		s.pairLat[at] = lat
 	}
@@ -342,7 +316,7 @@ func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 
 	st := DeltaStats{Round: s.rounds, Cold: cold, ChangedHosts: changedHosts, ChangedLinks: changedLinks, Considered: s.candCount}
 	if full {
-		st.ChangedHosts = len(s.pool)
+		st.ChangedHosts = len(s.names)
 	} else if changedHosts == 0 && changedLinks == 0 {
 		// Nothing moved: the previous outcome stands as-is.
 		st.Carried = true
@@ -351,12 +325,10 @@ func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 	}
 
 	if full || changedHosts > 0 {
-		for i := range s.pool {
-			s.sel.eff[i] = s.speed[i] * s.avail[i]
-		}
-		rankDesc(s.sel.effOrder, s.sel.eff, s.sel.nameRank)
+		s.sel.setEff(s.cols.avail)
+		s.cols.fill(s.m.flopPerUnit)
 		if s.m.metric == userspec.MaxSpeedup {
-			s.solo = s.computeSolo()
+			s.solo = s.cols.solo(&s.m, &s.kn)
 		}
 	}
 
@@ -388,7 +360,6 @@ func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 func (s *ReschedSession) scan(prune bool) (bestIdx, rescored, pruned int) {
 	inc, prev := math.Inf(1), -1
 	if prune {
-		s.fillBoundColumns()
 		if prev = s.winner; prev >= 0 {
 			s.solve(prev)
 			rescored++
@@ -421,26 +392,7 @@ func (s *ReschedSession) scan(prune bool) (bestIdx, rescored, pruned int) {
 	return bestIdx, rescored, pruned
 }
 
-// fillBoundColumns writes each pool host's bound terms from the
-// refreshed availabilities: its point rate (the reciprocal of
-// secondsPerPoint's coefficient, 0 for a host with no deliverable
-// speed) into scr.pointRate, and under MinCost its cost per point
-// r_i·P_i into scr.costPerPoint.
-func (s *ReschedSession) fillBoundColumns() {
-	minCost := s.m.metric == userspec.MinCost
-	for i := range s.pool {
-		secPP, ok := pointSeconds(s.m.flopPerUnit, s.speed[i], s.avail[i], s.factor[i])
-		s.scr.pointRate[i] = 0
-		if ok {
-			s.scr.pointRate[i] = 1 / secPP
-		}
-		if minCost {
-			s.scr.costPerPoint[i] = costPerPoint(s.rate[i], secPP)
-		}
-	}
-}
-
-// bound is candidate c's metric bound over the scr columns, the session
+// bound is candidate c's metric bound over the pool columns, the session
 // twin of Agent.round's Round.Bound: stripModel.bound, fed the aggregate
 // its metric reads. Min-time sets, the common case, take its rateBound
 // case directly, which inlines.
@@ -454,25 +406,25 @@ func (s *ReschedSession) bound(c int) float64 {
 	return s.m.bound(s.candRate(c), 0, s.solo)
 }
 
-// candRate is candidate c's aggregate point rate over scr.pointRate.
+// candRate is candidate c's aggregate point rate Σρ_i, summed in pool
+// index order.
 func (s *ReschedSession) candRate(c int) float64 {
 	rate := 0.0
 	for w, word := range s.mask(c) {
 		for word != 0 {
-			rate += s.scr.pointRate[w*64+bits.TrailingZeros64(word)]
+			rate += s.cols.rho[w*64+bits.TrailingZeros64(word)]
 			word &= word - 1
 		}
 	}
 	return rate
 }
 
-// candLeastCost is the least cost per point over candidate c's members in
-// scr.costPerPoint.
+// candLeastCost is the least r_i·P_i over candidate c's members.
 func (s *ReschedSession) candLeastCost(c int) float64 {
 	least := math.Inf(1)
 	for w, word := range s.mask(c) {
 		for word != 0 {
-			least = min(least, s.scr.costPerPoint[w*64+bits.TrailingZeros64(word)])
+			least = min(least, s.cols.costPP[w*64+bits.TrailingZeros64(word)])
 			word &= word - 1
 		}
 	}
@@ -492,23 +444,6 @@ func (s *ReschedSession) solve(c int) {
 	s.score[c] = s.kn.score(&s.m, k, iterT, s.solo)
 }
 
-// computeSolo mirrors the agent's MaxSpeedup baseline: the best
-// predicted single-host total over the frozen pool, in pool order.
-func (s *ReschedSession) computeSolo() float64 {
-	solo := math.Inf(1)
-	for i := range s.pool {
-		s.scr.chain[0] = i
-		iterT, ok := s.solveChain(1)
-		if !ok {
-			continue
-		}
-		if t := iterT * float64(s.m.iterations); t < solo {
-			solo = t
-		}
-	}
-	return solo
-}
-
 // materialize rebuilds the winner's *Schedule exactly as the agent's
 // pickBest does: re-solve the candidate into the kernel and build the
 // schedule from it. This is the only allocating step of a non-carried
@@ -518,7 +453,7 @@ func (s *ReschedSession) materialize(c int) *Schedule {
 	iterT, _ := s.solveChain(k)
 	hosts := make([]string, k)
 	for i := 0; i < k; i++ {
-		hosts[i] = s.names[s.scr.chain[i]]
+		hosts[i] = s.names[s.kn.chain[i]]
 	}
 	sched := s.kn.schedule(&s.m, hosts, iterT)
 	sched.InfoSource = s.a.coord.Information().Source()

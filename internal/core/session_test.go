@@ -12,6 +12,7 @@ import (
 	"apples/internal/grid"
 	"apples/internal/hat"
 	"apples/internal/obs"
+	"apples/internal/partition"
 	"apples/internal/sim"
 	"apples/internal/userspec"
 )
@@ -289,7 +290,7 @@ func TestSessionGridDeltaParity(t *testing.T) {
 				// The store must hold the costs the selector's model
 				// prices from a fresh view at this instant.
 				pool := sess.sel.pool
-				fresh := buildSelModel(&resourceSelector{tp: tp, info: roundSnapshot(info, pool)}, pool, true)
+				fresh := buildSelModel(poolSelector(tp, roundSnapshot(info, pool), pool), true)
 				if !reflect.DeepEqual(sess.sel.cost, fresh.cost) {
 					t.Fatalf("%s round %d: session transfer costs differ from a fresh pool model", name, round)
 				}
@@ -512,5 +513,33 @@ func TestScheduleExplainedAllocs(t *testing.T) {
 	t.Logf("ScheduleExplained(n, 1): %.0f allocs/op over %d sets, %d planned", allocs, s.CandidatesConsidered, s.CandidatesPlanned)
 	if allocs > 150 {
 		t.Fatalf("ScheduleExplained(n, 1) allocates %.0f objects/op, want <= 150", allocs)
+	}
+}
+
+// TestReschedulerEmptyPoolKeeps pins the Rescheduler on an agent whose
+// Spec filters out every host: it cannot build its session, so every
+// checkpoint keeps the current placement and traces why.
+func TestReschedulerEmptyPoolKeeps(t *testing.T) {
+	tp, info := buildPool(t, 0, 0, 3)
+	col := obs.NewCollector()
+	a, err := NewAgent(tp, hat.Jacobi2D(600, 40), &userspec.Spec{Excluded: tp.HostNames()}, info, WithTracer(col))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replan := a.Rescheduler(600, 0.1)
+	current := &partition.Placement{N: 600, Kind: "strip"}
+	for _, done := range []int{10, 20, 30} {
+		if p := replan(done, current); p != nil {
+			t.Fatalf("checkpoint %d: replanned to %v", done, p)
+		}
+	}
+	events := col.Events()
+	if len(events) != 3 {
+		t.Fatalf("%d events, want one per checkpoint: %+v", len(events), events)
+	}
+	for i, e := range events {
+		if e.Type != obs.EvReschedule || e.Verdict != "keep" || e.Reason != "no-fresh-schedule" {
+			t.Fatalf("checkpoint %d: event %+v, want keep/no-fresh-schedule", i, e)
+		}
 	}
 }

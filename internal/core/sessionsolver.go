@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -17,12 +18,11 @@ import (
 // Performance Estimator every scheduling path prices a chain with —
 // the Coordinator round behind Agent.Schedule, SchedService, Run,
 // Rescheduler, WaitOrRun, ScheduleExplained and Candidates, and the
-// ReschedSession's rounds. A feeder writes the strip cost model's
-// per-host columns for one chain into a stripKernel (from a round's
-// Information view, or from the session's refreshed arrays); the
-// kernel then balances, rounds and prices that chain in place, with no
-// allocation. Only the winner, or a requested top-k, is ever built into
-// a partition.Placement.
+// ReschedSession's rounds. The one feeder (feed) writes the strip cost
+// model's per-host columns for one chain into a stripKernel from a
+// round's pool columns (hostpool.go); the kernel then balances, rounds
+// and prices that chain in place, with no allocation. Only the winner,
+// or a requested top-k, is ever built into a partition.Placement.
 //
 // The kernel reproduces partition.TimeBalanced, partition's
 // largest-remainder rounding, and the estimator's spill-priced
@@ -78,31 +78,20 @@ func borderSec(lat, bw, edgeMB float64) float64 {
 	return 2 * (lat + edgeMB/bw)
 }
 
-// pointSeconds is the strip model's P_i, the seconds one point takes on
-// a host: flopPerUnit / 1e6 over its deliverable Mflop/s, speed ·
-// floorAvailability(avail) · factor. ok is false, and P_i +Inf, when the
-// host delivers no positive speed.
-func pointSeconds(flopPerUnit, speed, avail, factor float64) (float64, bool) {
-	if deliverable := speed * floorAvailability(avail) * factor; deliverable > 0 {
-		return flopPerUnit / 1e6 / deliverable, true
-	}
-	return math.Inf(1), false
-}
-
 // stripKernel is the solver's working memory for one chain. A feeder
 // fills the input columns for chain positions [0, k); solve then
-// overwrites the working columns. Columns only ever grow, so a kernel
-// reused across chains (the session's own, or one drawn from
-// kernelPool per Coordinator evaluation) stops allocating once it has
-// seen the longest chain.
+// overwrites the working columns. Columns only ever grow, at least
+// doubling, so a kernel reused across chains (the session's own, or one
+// drawn from kernelPool per Coordinator evaluation) stops allocating
+// once it has seen the longest chain, after O(log k) growths.
 type stripKernel struct {
 	// Inputs per chain position.
+	chain   []int     // pool index of the host at each position
 	secPP   []float64 // P_i: seconds per point
 	commSec []float64 // C_i: border exchange seconds per iteration
 	maxPts  []float64 // memory capacity in points (0 = unbounded)
 	memMB   []float64 // physical memory for the spill check
-	rate    []float64 // userspec cost rate (read under MinCost only)
-	hostIdx []int     // dense view index (feedSet's route pricing)
+	rate    []float64 // cost rate, 0 priced as 1 (read under MinCost only)
 
 	// Balance, rounding and estimate working columns.
 	relaxedMax []float64
@@ -118,17 +107,19 @@ type stripKernel struct {
 // kernel, so parallel workers never share working memory.
 var kernelPool = sync.Pool{New: func() any { return new(stripKernel) }}
 
-// reserve grows every column to hold a chain of k hosts.
+// reserve grows every column to hold a chain of k hosts: to k, or to
+// twice the current length when that is larger.
 func (kn *stripKernel) reserve(k int) {
 	if len(kn.secPP) >= k {
 		return
 	}
+	k = max(k, 2*len(kn.secPP))
+	kn.chain = make([]int, k)
 	kn.secPP = make([]float64, k)
 	kn.commSec = make([]float64, k)
 	kn.maxPts = make([]float64, k)
 	kn.memMB = make([]float64, k)
 	kn.rate = make([]float64, k)
-	kn.hostIdx = make([]int, k)
 	kn.relaxedMax = make([]float64, k)
 	kn.area = make([]float64, k)
 	kn.state = make([]int, k)
@@ -137,48 +128,39 @@ func (kn *stripKernel) reserve(k int) {
 	kn.lrRem = make([]float64, k)
 }
 
-// feedSet fills the input columns for chain set from a round's
-// information view — the strip cost model per host:
+// feed fills the input columns for the chain of pool indices
+// kn.chain[:k] from a round's columns c — the strip cost model per
+// host:
 //
 //	P_i = flop/point / (speed * availability * implementation factor)
 //	C_i = sum over strip neighbors of 2*(latency + borderMB/bandwidth)
 //	cap = host memory / bytes per point
 //
-// Each host's dense view index is resolved once into the kernel's index
-// column; its availability and neighbor routes are read by that index
-// (by name for a host the view has no index for). It returns the
-// position of the first host with no deliverable speed (the chain
-// cannot be planned), or -1.
-func (kn *stripKernel) feedSet(m *stripModel, task *hat.Task, spec *userspec.Spec, info Information, set []*grid.Host) int {
-	k := len(set)
-	kn.reserve(k)
-	idx := kn.hostIdx[:k]
-	ri := indexHosts(info, set, idx)
+// P_i comes from c, neighbor routes from its route accessor, the rest
+// from its pool's static columns. It returns the position of the first
+// host with no deliverable speed (the chain cannot be planned), or -1.
+func (kn *stripKernel) feed(m *stripModel, c *poolCols, k int) int {
+	hp, chain := c.pool, kn.chain[:k]
 	edge := float64(m.n) * m.borderBytes / 1e6
-	for i, h := range set {
-		secPP, ok := pointSeconds(m.flopPerUnit, h.Speed, hostAvailability(info, ri, h, idx[i]), task.SpeedFactorOn(h.Arch))
-		if !ok {
+	for i, p := range chain {
+		secPP := c.secPP[p]
+		if math.IsInf(secPP, 1) {
 			return i
 		}
 		kn.secPP[i] = secPP
 		comm := 0.0
 		if i > 0 {
-			lat, bw := routePair(info, ri, h, set[i-1], idx[i], idx[i-1])
+			lat, bw := c.route(p, chain[i-1])
 			comm += borderSec(lat, bw, edge)
 		}
 		if i < k-1 {
-			lat, bw := routePair(info, ri, h, set[i+1], idx[i], idx[i+1])
+			lat, bw := c.route(p, chain[i+1])
 			comm += borderSec(lat, bw, edge)
 		}
 		kn.commSec[i] = comm
-		kn.maxPts[i] = 0
-		if m.bytesPerUnit > 0 {
-			kn.maxPts[i] = h.MemoryMB * 1e6 / m.bytesPerUnit
-		}
-		kn.memMB[i] = h.MemoryMB
-		if m.metric == userspec.MinCost {
-			kn.rate[i] = spec.CostRate(h.Name)
-		}
+		kn.maxPts[i] = hp.capPts[p]
+		kn.memMB[i] = hp.memMB[p]
+		kn.rate[i] = hp.rate[p]
 	}
 	return -1
 }
@@ -396,11 +378,7 @@ func (kn *stripKernel) score(m *stripModel, k int, iterT, solo float64) float64 
 			if kn.rows[i] <= 0 {
 				continue
 			}
-			rate := kn.rate[i]
-			if rate == 0 {
-				rate = 1
-			}
-			cost += total / 3600 * rate
+			cost += total / 3600 * kn.rate[i]
 		}
 		return cost
 	default:
@@ -408,25 +386,29 @@ func (kn *stripKernel) score(m *stripModel, k int, iterT, solo float64) float64 
 	}
 }
 
-// estimateAssignments prices an existing placement over columns fed
-// for its worked assignments (Points > 0, hosts known to tp) in
-// placement order: the worst band time, +Inf when a worked host is
-// unknown to the topology.
-func (kn *stripKernel) estimateAssignments(m *stripModel, tp *grid.Topology, p *partition.Placement) float64 {
+// estimate prices an existing placement over the chain kn.chain[:k] of
+// its worked assignments (Points > 0, hosts known to tp) in placement
+// order, fed from c: the worst band time, +Inf when a worked host is
+// unknown to the topology, and an error when one has no deliverable
+// speed.
+func (kn *stripKernel) estimate(m *stripModel, c *poolCols, k int, tp *grid.Topology, p *partition.Placement) (float64, error) {
+	if bad := kn.feed(m, c, k); bad >= 0 {
+		return 0, fmt.Errorf("core: host %s has no deliverable speed", c.pool.hosts[kn.chain[bad]].Name)
+	}
 	worst, pos := 0.0, 0
 	for _, asg := range p.Assignments {
 		if asg.Points == 0 {
 			continue
 		}
 		if tp.Host(asg.Host) == nil {
-			return math.Inf(1)
+			return math.Inf(1), nil
 		}
 		if t := kn.bandSec(m, pos, asg.Points); t > worst {
 			worst = t
 		}
 		pos++
 	}
-	return worst
+	return worst, nil
 }
 
 // placement assembles the solved chain's strip placement: contiguous
@@ -576,11 +558,12 @@ func (s *fracSorter) partition(lo, hi int) int {
 // sampled. It is a stable counting sort over dense site ids, O(k) per
 // call in reused memory.
 type siteGrouper struct {
-	siteID []int // per pool index
+	siteID []int // per pool index; shared by every clone
 	rank   []int // per site id: first-appearance rank, -1 between calls
 	off    []int // per rank: bucket offset
 }
 
+// newSiteGrouper numbers pool's sites, once per pool set-up.
 func newSiteGrouper(pool []*grid.Host) siteGrouper {
 	siteOf := make(map[string]int)
 	g := siteGrouper{siteID: make([]int, len(pool))}
@@ -598,6 +581,13 @@ func newSiteGrouper(pool []*grid.Host) siteGrouper {
 	}
 	g.off = make([]int, len(siteOf))
 	return g
+}
+
+// clone returns a grouper over g's site ids with its own scratch: each
+// model groups on its own clone, so concurrent rounds over one pool
+// never share scratch.
+func (g siteGrouper) clone() siteGrouper {
+	return siteGrouper{siteID: g.siteID, rank: slices.Clone(g.rank), off: make([]int, len(g.off))}
 }
 
 // group writes members, grouped by site, into out[:len(members)].
@@ -626,62 +616,32 @@ func (g *siteGrouper) group(out, members []int) {
 	}
 }
 
-// sessionScratch is the ReschedSession's reusable bound and chain
-// memory, sized once at construction so the steady-state path never
-// allocates. It belongs to the session and is overwritten by every
-// chainFor call; nothing the session returns to callers aliases it.
-type sessionScratch struct {
-	pointRate    []float64 // points per second per pool index (bounded rounds)
-	costPerPoint []float64 // r_i·P_i per pool index (bounded MinCost rounds)
-
-	chain []int // strip-chain order (pool indices)
-}
-
-func (scr *sessionScratch) init(np int) {
-	scr.pointRate = make([]float64, np)
-	scr.costPerPoint = make([]float64, np)
-	scr.chain = make([]int, np)
-}
-
-// route is the frozen route between pool indices i and j in the route
-// topology (nil when either host is unknown to it).
-func (s *ReschedSession) route(i, j int) []*grid.Link {
-	if s.tidx[i] < 0 || s.tidx[j] < 0 {
-		return nil
-	}
-	return s.rtp.RouteAt(s.tidx[i], s.tidx[j])
-}
-
-// linkRoute composes pair (i,j)'s latency and bandwidth in one walk of
-// its route: latencies summed and the bottleneck min over the frozen
-// link bandwidths seeded at 1e30, both in route order (linkSnapshot's
-// composition, bit for bit).
+// linkRoute composes pair (i,j)'s latency and bandwidth from the frozen
+// link column, as linkSnapshot does (no route, latency 0 and bandwidth
+// 1e30, when the route topology does not know either host).
 func (s *ReschedSession) linkRoute(i, j int) (lat, bw float64) {
-	bw = 1e30
-	for _, l := range s.route(i, j) {
-		if v := s.linkBW[l.Index()]; v < bw {
-			bw = v
-		}
-		lat += l.Latency
+	if s.tidx[i] < 0 || s.tidx[j] < 0 {
+		return 0, 1e30
 	}
-	return lat, bw
+	return composeRoute(s.rtp, s.linkBW, s.tidx[i], s.tidx[j])
 }
 
-// routeAt is pair (i,j)'s latency and bandwidth: the frozen pair arrays
-// when present, otherwise composed from the link column.
-func (s *ReschedSession) routeAt(i, j int) (lat, bw float64) {
+// pairRoute is the session columns' route accessor, over its refreshed
+// inputs: the frozen pair arrays when present, otherwise composed from
+// the link column.
+func (s *ReschedSession) pairRoute(i, j int) (lat, bw float64) {
 	if s.pairArrays {
-		at := i*len(s.pool) + j
+		at := i*len(s.names) + j
 		return s.pairLat[at], s.pairBW[at]
 	}
 	return s.linkRoute(i, j)
 }
 
-// chainFor lays candidate mask out as a strip chain into scr.chain and
+// chainFor lays candidate mask out as a strip chain into kn.chain and
 // returns its length: members filtered from the eff order, then laid
 // out by the session's pool model (selModel.layout).
 func (s *ReschedSession) chainFor(mask []uint64) int {
-	chain := s.scr.chain
+	chain := s.kn.chain
 	k := 0
 	for _, idx := range s.sel.effOrder {
 		if maskTest(mask, idx) {
@@ -693,41 +653,10 @@ func (s *ReschedSession) chainFor(mask []uint64) int {
 	return k
 }
 
-// feed fills the kernel's input columns for scr.chain[:k] from the
-// session's refreshed arrays — feedSet's formulas over frozen pool
-// indices. It returns the chain position of the first host with no
-// deliverable speed, or -1.
-func (s *ReschedSession) feed(k int) int {
-	kn, chain := &s.kn, s.scr.chain
-	edge := float64(s.m.n) * s.m.borderBytes / 1e6
-	for i := 0; i < k; i++ {
-		h := chain[i]
-		secPP, ok := pointSeconds(s.m.flopPerUnit, s.speed[h], s.avail[h], s.factor[h])
-		if !ok {
-			return i
-		}
-		kn.secPP[i] = secPP
-		comm := 0.0
-		if i > 0 {
-			lat, bw := s.routeAt(h, chain[i-1])
-			comm += borderSec(lat, bw, edge)
-		}
-		if i < k-1 {
-			lat, bw := s.routeAt(h, chain[i+1])
-			comm += borderSec(lat, bw, edge)
-		}
-		kn.commSec[i] = comm
-		kn.maxPts[i] = s.capPts[h]
-		kn.memMB[i] = s.memMB[h]
-		kn.rate[i] = s.rate[h]
-	}
-	return -1
-}
-
-// solveChain feeds and solves scr.chain[:k]; kn.rows holds the row
+// solveChain feeds and solves kn.chain[:k]; kn.rows holds the row
 // counts afterwards.
 func (s *ReschedSession) solveChain(k int) (iterT float64, ok bool) {
-	if s.feed(k) >= 0 {
+	if s.kn.feed(&s.m, s.cols, k) >= 0 {
 		return 0, false
 	}
 	return s.kn.solve(&s.m, k)
@@ -744,18 +673,19 @@ func (s *ReschedSession) EstimatePlacement(p *partition.Placement) (float64, err
 	}
 	k := 0
 	for _, asg := range p.Assignments {
-		if asg.Points == 0 || s.a.tp.Host(asg.Host) == nil {
+		if asg.Points == 0 {
 			continue
 		}
-		idx, ok := s.poolIdx[asg.Host]
-		if !ok || k >= len(s.scr.chain) {
+		h := s.a.tp.Host(asg.Host)
+		if h == nil {
+			continue
+		}
+		idx := s.cols.pool.indexOf(h)
+		if idx < 0 || k >= len(s.names) {
 			return s.a.EstimatePlacement(s.m.n, p)
 		}
-		s.scr.chain[k] = idx
+		s.kn.chain[k] = idx
 		k++
 	}
-	if bad := s.feed(k); bad >= 0 {
-		return 0, fmt.Errorf("core: host %s has no deliverable speed", s.names[s.scr.chain[bad]])
-	}
-	return s.kn.estimateAssignments(&s.m, s.a.tp, p), nil
+	return s.kn.estimate(&s.m, s.cols, k, s.a.tp, p)
 }

@@ -221,39 +221,6 @@ type routeIndex interface {
 	availAt(i int) (float64, bool)
 }
 
-// indexHosts writes each host's dense index in info into idx (-1
-// throughout when info has no routeIndex) and returns the index.
-func indexHosts(info Information, hosts []*grid.Host, idx []int) routeIndex {
-	ri, _ := info.(routeIndex)
-	for i, h := range hosts {
-		idx[i] = -1
-		if ri != nil {
-			idx[i] = ri.hostIndex(h)
-		}
-	}
-	return ri
-}
-
-// hostAvailability returns info's availability of h: by its dense index
-// i when ri froze one there, by name otherwise.
-func hostAvailability(info Information, ri routeIndex, h *grid.Host, i int) float64 {
-	if i >= 0 {
-		if v, ok := ri.availAt(i); ok {
-			return v
-		}
-	}
-	return info.Availability(h.Name)
-}
-
-// routePair returns info's route latency and bandwidth from a to b: by
-// dense index when both hosts have one in ri, by name otherwise.
-func routePair(info Information, ri routeIndex, a, b *grid.Host, i, j int) (lat, bw float64) {
-	if i >= 0 && j >= 0 && i != j {
-		return ri.routeAt(i, j)
-	}
-	return info.RouteLatency(a.Name, b.Name), info.RouteBandwidth(a.Name, b.Name)
-}
-
 // roundSnapshot is the one snapshot constructor every scheduling path
 // resolves through: Coordinator.EvaluateRound and View, WaitOrRun's
 // union view, the ReschedSession cold path, and the SchedService's
@@ -441,13 +408,19 @@ func (s *linkSnapshot) availAt(i int) (float64, bool) {
 	return s.avail[i], true
 }
 
-// routeAt implements routeIndex: one walk of the route sums latencies
-// and takes the bottleneck over the frozen link bandwidths, both in
-// route order.
+// routeAt implements routeIndex by composeRoute over the frozen link
+// column.
 func (s *linkSnapshot) routeAt(i, j int) (lat, bw float64) {
+	return composeRoute(s.tp, s.linkBW, i, j)
+}
+
+// composeRoute composes the route between topology hosts i and j in
+// one walk: latencies summed and the bottleneck min over linkBW (by
+// grid.Link.Index) seeded at 1e30, both in route order.
+func composeRoute(tp *grid.Topology, linkBW []float64, i, j int) (lat, bw float64) {
 	bw = 1e30
-	for _, l := range s.tp.RouteAt(i, j) {
-		if v := s.linkBW[l.Index()]; v < bw {
+	for _, l := range tp.RouteAt(i, j) {
+		if v := linkBW[l.Index()]; v < bw {
 			bw = v
 		}
 		lat += l.Latency

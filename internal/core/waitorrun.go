@@ -66,7 +66,7 @@ func (a *Agent) WaitOrRun(n int, offer DedicatedOffer) (*WaitOrRunDecision, erro
 	// moved between the two evaluations. Under the simulation's
 	// stopped-clock scheduling the decisions are value-identical to the
 	// two-snapshot path.
-	snap := roundSnapshot(a.coord.info, a.pool, offer.Hosts...)
+	snap := roundSnapshot(a.coord.info, a.hp.hosts, offer.Hosts...)
 
 	sharedAgent := a.clone()
 	sharedAgent.coord.info = snap
@@ -83,10 +83,11 @@ func (a *Agent) WaitOrRun(n int, offer DedicatedOffer) (*WaitOrRunDecision, erro
 		hostSet[h] = true
 	}
 	// Clone so the dedicated evaluation inherits the agent's full
-	// configuration (spill factor, selector).
+	// configuration (spill factor, selector). Its pool is re-filtered,
+	// so its pool columns are set up afresh: pool indices differ.
 	dedAgent := a.clone()
 	dedAgent.spec = &dedSpec
-	dedAgent.pool = dedSpec.Filter(a.tp.Hosts())
+	dedAgent.hp = newHostPool(a.tp, &a.tpl.Tasks[0], &dedSpec, dedSpec.Filter(a.tp.Hosts()))
 	dedAgent.coord.info = &dedicatedInfo{Information: snap, hosts: hostSet}
 	dedicated, err := dedAgent.Schedule(n)
 	if err != nil {
