@@ -55,11 +55,12 @@ bench-pipeline:
 bench-selector:
 	$(GO) test -bench=BenchmarkSelect -benchmem -benchtime=3x -run '^$$' .
 
-# Rescheduling loop: full per-tick round vs session cold start vs
-# one-host delta (a bounded round: the previous winner seeds the
-# incumbent, sets the compute bound rules out are skipped) vs quiescent
-# steady state (which must report 0 allocs/op — the gate
-# TestSessionSteadyStateAllocFree enforces).
+# Rescheduling loop on the 12-host exhaustive pool, under each user
+# metric: full per-tick round vs session cold start vs one-host delta
+# (a bounded round: the previous winner seeds the incumbent, sets the
+# metric bound rules out are skipped) vs quiescent steady state (which
+# must report 0 allocs/op — the gate TestSessionSteadyStateAllocFree
+# enforces).
 bench-resched:
 	$(GO) test -bench=BenchmarkResched -benchmem -benchtime=3x -run '^$$' .
 

@@ -293,12 +293,17 @@ var SnapshotInformation = core.SnapshotInformation
 type (
 	// ReschedSession is the incremental form of Agent.Schedule for
 	// applications that re-ask the scheduling question at high rates: it
-	// freezes the candidate universe once (bitmasks over the pool
-	// ordering), then each Round() re-plans only the candidates whose
-	// bound under the user's metric (time, speedup or cost) does not
-	// rule them out against the previous winner. A round that observes
-	// no change returns the previous schedule and is allocation-free.
-	// Create one with Agent.NewReschedSession(n).
+	// freezes the candidate universe once (one bitmask per set over the
+	// pool ordering), then each Round() re-plans only the candidates
+	// whose bound under the user's metric (time, speedup or cost) does
+	// not rule them out against the previous winner. A round that
+	// observes no change returns the previous schedule and is
+	// allocation-free. Create one with Agent.NewReschedSession(n). Only
+	// an agent whose universe cannot change with information gets one:
+	// the exhaustive selector over at most 12 hosts, with no
+	// MaxResourceSets cap below every subset. Any other agent gets
+	// ErrSessionUniverse and should schedule with fresh rounds, as its
+	// Rescheduler does.
 	ReschedSession = core.ReschedSession
 	// DeltaStats describes what one session round did: hosts whose
 	// availability changed, links changed, candidates rescored and
@@ -313,19 +318,18 @@ type (
 var NewOverlayInformation = core.NewOverlayInformation
 
 // Multi-tenant scheduling service (the shared daemon behind
-// `apples -serve`). Agents and rescheduling sessions register as
-// tenants; the service shares one frozen information snapshot across
-// concurrent tenant rounds (copy-on-write), meters the evaluation
-// worker pool under one service-wide budget, and admission-controls
-// submissions behind a bounded queue.
+// `apples -serve`). Agents register as tenants; the service shares one
+// frozen information snapshot across concurrent tenant rounds
+// (copy-on-write), bounds how many rounds run at once by its runner
+// count, and admission-controls submissions behind a bounded queue.
 type (
 	// SchedService is the shared scheduling daemon: registered tenants
 	// submit rounds, runners serve them with per-tenant FIFO ordering,
 	// and concurrent rounds over the same (information, pool) share one
 	// snapshot.
 	SchedService = core.SchedService
-	// SchedTenant is one registered client of a SchedService (an Agent
-	// or a ReschedSession).
+	// SchedTenant is one registered client of a SchedService: an
+	// Agent.
 	SchedTenant = core.Tenant
 	// SchedServiceOption configures NewSchedService.
 	SchedServiceOption = core.ServiceOption
@@ -546,6 +550,9 @@ var (
 	ErrNoFeasiblePlan = core.ErrNoFeasiblePlan
 	// ErrBadTemplate: the template does not fit the agent blueprint.
 	ErrBadTemplate = core.ErrBadTemplate
+	// ErrSessionUniverse: the agent's candidate universe depends on
+	// information, so it gets no ReschedSession.
+	ErrSessionUniverse = core.ErrSessionUniverse
 )
 
 // Pipeline blueprint (the Section 4.2 agent for 3D-REACT-shaped codes).

@@ -126,7 +126,7 @@ func BenchmarkSelect(b *testing.B) {
 // every simulated second. Every session round is bounded under each
 // user metric: it re-prices the previous winner and skips the sets
 // whose metric bound cannot beat it. "full" rebuilds snapshot +
-// selection + plan/estimate per tick (the old Rescheduler path); "cold"
+// selection + plan/estimate per tick (the Rescheduler's path); "cold"
 // pays session construction plus a first bounded round each iteration;
 // "delta1" perturbs one host's availability through a live overlay
 // between ticks, so each tick is one bounded round (its min-time
@@ -135,8 +135,7 @@ func BenchmarkSelect(b *testing.B) {
 // TestSessionSteadyStateAllocFree). The min-time variants are
 // "12host/<shape>"; "12host/max-speedup/<shape>" and
 // "12host/min-cost/<shape>" run the same pool, whose hosts carry uneven
-// cost rates, under the other two metrics. The 512-host variant drives
-// the chunked-bitmask/lazy-link path under the greedy selector.
+// cost rates, under the other two metrics.
 func BenchmarkResched(b *testing.B) {
 	const n = 2000
 	for _, mt := range []struct {
@@ -210,29 +209,6 @@ func BenchmarkResched(b *testing.B) {
 			}
 		})
 	}
-	b.Run("512host/greedy-delta1", func(b *testing.B) {
-		agent, overlay, err := expt.NewGridReschedScenario(32, 16, 4000, 7,
-			core.WithSelector(core.SelectorSpec{Kind: core.SelectorGreedy}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		sess, err := agent.NewReschedSession(4000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := sess.Round(); err != nil {
-			b.Fatal(err)
-		}
-		host := sess.Pool()[0]
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			overlay[host] = 0.3 + 0.1*float64(i%2)
-			if _, _, err := sess.Round(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkService measures the multi-tenant scheduling daemon: 64

@@ -10,7 +10,7 @@ import "errors"
 //	if errors.Is(err, core.ErrNoFeasiblePlan)  { shrink the problem }
 //	if errors.Is(err, core.ErrBadTemplate)     { fix the HAT }
 //
-// The facade re-exports all three.
+// The facade re-exports every one of them.
 var (
 	// ErrNoFeasibleHosts: the user specification filters out every host
 	// in the topology, so there is nothing to schedule onto.
@@ -25,6 +25,13 @@ var (
 	// blueprint it was handed to (wrong paradigm, missing tasks or comm
 	// edges, or failed validation).
 	ErrBadTemplate = errors.New("bad application template")
+
+	// ErrSessionUniverse: the agent's candidate universe depends on
+	// information (a greedy or beam selector, a pool of more than 12
+	// hosts, or a MaxResourceSets cap below every subset), so a
+	// ReschedSession would freeze sets that go stale as forecasts drift.
+	// Schedule with fresh rounds instead, as Rescheduler does.
+	ErrSessionUniverse = errors.New("candidate universe depends on information")
 
 	// ErrQueueFull: the multi-tenant service's admission queue is at its
 	// configured depth; the submission was rejected without queueing.

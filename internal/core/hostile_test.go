@@ -10,6 +10,17 @@ import (
 	"apples/internal/userspec"
 )
 
+// selectorFamilies is one spec of each selector family. Only the
+// exhaustive one can back a session on a pool of at most 12 hosts.
+var selectorFamilies = []struct {
+	name string
+	spec SelectorSpec
+}{
+	{"exhaustive", SelectorSpec{Kind: SelectorExhaustive}},
+	{"greedy", SelectorSpec{Kind: SelectorGreedy}},
+	{"beam", SelectorSpec{Kind: SelectorBeam, BeamWidth: 8}},
+}
+
 // TestNonFiniteAvailabilityActsAsZero pins how rounds read a
 // non-finite availability forecast: exactly like 0. One pool host's
 // forecast is overridden with each value under every selector family,
@@ -18,7 +29,9 @@ import (
 // return for 0, DeepEqual. Unclamped, NaN broke the desirability sort
 // and +Inf ranked the dead host first, so every greedy and beam set
 // contained it and no set could be planned. A negative forecast is
-// finite and keeps its own ranking; it must still plan.
+// finite and keeps its own ranking; it must still plan. Greedy and
+// beam universes get no session: opening one must fail with
+// ErrSessionUniverse under every value.
 func TestNonFiniteAvailabilityActsAsZero(t *testing.T) {
 	tp, base := buildPool(t, 3, 4, 11)
 	overlay := map[string]float64{}
@@ -28,19 +41,20 @@ func TestNonFiniteAvailabilityActsAsZero(t *testing.T) {
 
 	type roundFunc func(a *Agent, set func()) (*Schedule, error)
 	rounds := []struct {
-		name string
-		run  roundFunc
+		name    string
+		session bool
+		run     roundFunc
 	}{
-		{"Schedule", func(a *Agent, set func()) (*Schedule, error) {
+		{"Schedule", false, func(a *Agent, set func()) (*Schedule, error) {
 			set()
 			return a.Schedule(n)
 		}},
-		{"ScheduleExplained", func(a *Agent, set func()) (*Schedule, error) {
+		{"ScheduleExplained", false, func(a *Agent, set func()) (*Schedule, error) {
 			set()
 			s, _, err := a.ScheduleExplained(n, 1)
 			return s, err
 		}},
-		{"session-open", func(a *Agent, set func()) (*Schedule, error) {
+		{"session-open", true, func(a *Agent, set func()) (*Schedule, error) {
 			set()
 			sess, err := a.NewReschedSession(n)
 			if err != nil {
@@ -49,7 +63,7 @@ func TestNonFiniteAvailabilityActsAsZero(t *testing.T) {
 			s, _, err := sess.Round()
 			return s, err
 		}},
-		{"session-delta", func(a *Agent, set func()) (*Schedule, error) {
+		{"session-delta", true, func(a *Agent, set func()) (*Schedule, error) {
 			sess, err := a.NewReschedSession(n)
 			if err != nil {
 				return nil, err
@@ -73,22 +87,33 @@ func TestNonFiniteAvailabilityActsAsZero(t *testing.T) {
 		{"-1", -1, true},
 	}
 
-	for _, sel := range sessionSelectors {
+	for _, sel := range selectorFamilies {
 		agent, err := NewAgent(tp, hat.Jacobi2D(n, 40), &userspec.Spec{Decomposition: "strip"}, info,
 			WithSelector(sel.spec))
 		if err != nil {
 			t.Fatal(err)
 		}
+		stale := sel.spec.Kind != SelectorExhaustive
 		for _, r := range rounds {
 			delete(overlay, dead)
 			want, err := r.run(agent, func() { overlay[dead] = 0 })
-			if err != nil {
+			if r.session && stale {
+				if !errors.Is(err, ErrSessionUniverse) {
+					t.Fatalf("%s/%s/0: %v, want ErrSessionUniverse", sel.name, r.name, err)
+				}
+			} else if err != nil {
 				t.Fatalf("%s/%s/0: %v", sel.name, r.name, err)
 			}
 			for _, v := range values {
 				name := sel.name + "/" + r.name + "/" + v.name
 				delete(overlay, dead)
 				got, err := r.run(agent, func() { overlay[dead] = v.v })
+				if r.session && stale {
+					if !errors.Is(err, ErrSessionUniverse) {
+						t.Fatalf("%s: %v, want ErrSessionUniverse", name, err)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -143,7 +168,10 @@ func fuzzAvailability(b byte) (v float64, del bool) {
 // FuzzSessionDelta drives twin sessions through arbitrary availability
 // delta sequences and demands that every Round() pick exactly the
 // schedule its twin's unbounded FullRound() picks (DeepEqual apart from
-// CandidatesPlanned, which only a bounded round lowers).
+// CandidatesPlanned, which only a bounded round lowers). A greedy or
+// beam agent must be refused a session with ErrSessionUniverse; its
+// steps then check the fresh pruned Schedule a Rescheduler runs against
+// the unpruned ScheduleExplained the same way.
 //
 // Input: a header byte each for the pool (SDSC/PCL, 3×4, 2×6), its
 // seed, the metric, the selector family, and whether pool host 0 has no
@@ -165,7 +193,7 @@ func FuzzSessionDelta(f *testing.F) {
 		p := pools[int(in.next())%len(pools)]
 		tp, base := buildPool(t, p[0], p[1], int64(in.next()%8)+1)
 		metric := []userspec.Metric{userspec.MinExecutionTime, userspec.MaxSpeedup, userspec.MinCost}[in.next()%3]
-		sel := sessionSelectors[int(in.next())%len(sessionSelectors)]
+		sel := selectorFamilies[int(in.next())%len(selectorFamilies)]
 		hosts := tp.Hosts()
 		if in.next()%2 == 1 {
 			hosts[0].Speed = 0
@@ -191,11 +219,12 @@ func FuzzSessionDelta(f *testing.F) {
 		apply()
 		sess, serr := agent.NewReschedSession(n)
 		twin, terr := agent.NewReschedSession(n)
-		if (serr == nil) != (terr == nil) {
-			t.Fatalf("session open diverged: %v vs %v", serr, terr)
-		}
-		if serr != nil {
-			return
+		if sel.spec.Kind != SelectorExhaustive {
+			if !errors.Is(serr, ErrSessionUniverse) || !errors.Is(terr, ErrSessionUniverse) {
+				t.Fatalf("%s session open: %v, %v; want ErrSessionUniverse", sel.name, serr, terr)
+			}
+		} else if serr != nil || terr != nil {
+			t.Fatalf("session open: %v, %v", serr, terr)
 		}
 		for step := 0; step < 8; step++ {
 			if step > 0 {
@@ -204,9 +233,20 @@ func FuzzSessionDelta(f *testing.F) {
 				}
 				apply()
 			}
-			prev := sess.winner
-			got, st, gerr := sess.Round()
-			want, _, werr := twin.FullRound()
+			var (
+				got, want  *Schedule
+				st         DeltaStats
+				gerr, werr error
+				prev       = -1
+			)
+			if sess != nil {
+				prev = sess.winner
+				got, st, gerr = sess.Round()
+				want, _, werr = twin.FullRound()
+			} else {
+				got, gerr = agent.Schedule(n)
+				want, _, werr = agent.ScheduleExplained(n, 1)
+			}
 			if (gerr == nil) != (werr == nil) {
 				t.Fatalf("step %d: error divergence: %v vs %v", step, gerr, werr)
 			}
@@ -218,11 +258,11 @@ func FuzzSessionDelta(f *testing.F) {
 					t.Fatalf("step %d: predicted total %v is not a positive finite time", step, pt)
 				}
 			}
-			if !samePick(want, got) || (!sess.bounded && !reflect.DeepEqual(want, got)) {
+			if !samePick(want, got) || (sess != nil && !sess.bounded && !reflect.DeepEqual(want, got)) {
 				t.Fatalf("step %d: round diverged from full recomputation\nfull:  %+v\nround: %+v", step, want, got)
 			}
-			if !sess.bounded || st.Rescored+st.Pruned == 0 {
-				continue // unbounded, or a quiescent carry
+			if sess == nil || !sess.bounded || st.Rescored+st.Pruned == 0 {
+				continue // a fresh round, an unbounded one, or a quiescent carry
 			}
 			if st.Rescored+st.Pruned != st.Considered {
 				t.Fatalf("step %d: rescored %d and pruned %d of %d", step, st.Rescored, st.Pruned, st.Considered)
@@ -232,7 +272,7 @@ func FuzzSessionDelta(f *testing.F) {
 				inc = twin.score[prev]
 			}
 			pruned := 0
-			for c := 0; c < twin.candCount; c++ {
+			for c := range twin.candMask {
 				if c == prev {
 					continue
 				}

@@ -44,6 +44,9 @@ func (a *Agent) EstimatePlacement(n int, p *partition.Placement) (float64, error
 //     thrashing on forecast noise), and
 //   - the predicted savings over the remaining iterations exceed the
 //     estimated cost of migrating the strip state.
+//
+// Each checkpoint runs a fresh Schedule and EstimatePlacement, so the
+// candidate sets are re-selected against the forecasts of the moment.
 func (a *Agent) Rescheduler(n int, hysteresis float64) jacobi.ReplanFunc {
 	if hysteresis <= 0 {
 		hysteresis = 0.10
@@ -60,37 +63,16 @@ func (a *Agent) Rescheduler(n int, hysteresis float64) jacobi.ReplanFunc {
 		return nil
 	}
 
-	// The session freezes the candidate universe at the first checkpoint
-	// and from then on re-scores only candidates whose metric bound can
-	// still beat the previous winner, instead of rebuilding a full
-	// snapshot and re-enumerating per checkpoint. Construction is
-	// deferred so the universe reflects the information at run time. It
-	// fails only for n ≤ 0 or an empty pool, which would fail every
-	// blueprint round of the run too, so the failure is sticky and every
-	// checkpoint keeps the current placement.
-	var (
-		sess     *ReschedSession
-		sessErr  error
-		sessInit bool
-	)
-
 	return func(done int, current *partition.Placement) *partition.Placement {
 		remaining := totalIters - done
 		if remaining <= 0 {
 			return nil
 		}
-		if !sessInit {
-			sessInit = true
-			sess, sessErr = a.NewReschedSession(n)
-		}
-		if sessErr != nil {
-			return keep("no-fresh-schedule", 0, 0, 0, 0)
-		}
-		fresh, _, err := sess.Round()
+		fresh, err := a.Schedule(n)
 		if err != nil {
 			return keep("no-fresh-schedule", 0, 0, 0, 0)
 		}
-		curIter, err := sess.EstimatePlacement(current)
+		curIter, err := a.EstimatePlacement(n, current)
 		if err != nil {
 			return keep("estimate-failed", 0, fresh.PredictedIterTime, 0, 0)
 		}

@@ -14,14 +14,17 @@ import (
 // the same decision Agent.Schedule makes, restructured for being asked
 // again and again at kHz rates as forecasts drift.
 //
-// At construction the session freezes the candidate universe — the
-// US-filtered pool in filter order and the exact candidate sets the
-// agent's Resource Selector enumerates against the information current
-// then — and represents each set as a bitmask over the frozen pool
-// ordering ([]uint64, one word up to 64 hosts, chunked beyond). Every
-// static per-host coefficient comes from the agent's hostPool, resolved
-// once when the agent was built; the session owns only the dynamic
-// inputs and the pool columns (poolCols) derived from them.
+// A session exists only over a candidate universe that cannot change
+// with information (Agent.frozenUniverse): the exhaustive selector over
+// a pool of at most maxExhaustiveHosts hosts, uncapped, so the universe
+// is every non-empty subset. At construction the session freezes it —
+// the US-filtered pool in filter order and the sets in the order the
+// agent's Resource Selector enumerates them against the information
+// current then — and represents each set as one uint64 bitmask over the
+// frozen pool ordering. Every static per-host coefficient comes from the
+// agent's hostPool, resolved once when the agent was built; the session
+// owns only the dynamic inputs and the pool columns (poolCols) derived
+// from them.
 //
 // Each Round() then:
 //
@@ -53,12 +56,10 @@ import (
 // pins both, DeepEqual on schedules and float bits on scores). Only
 // CandidatesPlanned differs on bounded rounds: a skipped set scores
 // above the final best, so it can change neither the winner nor its
-// tie-break, but it is not counted as planned. The session deliberately
-// pins candidate *membership* at creation: availability drift re-prices
-// and re-orders every chain but does not re-run desirability ranking,
-// so heuristic selectors keep the universe they opened with (exhaustive
-// pools ≤12 hosts enumerate every subset, so for them the universe
-// never depends on information).
+// tie-break, but it is not counted as planned. Every chain is re-laid
+// out from the current availability, so a later Round() plans the sets
+// a fresh round would; only exact score ties are broken in the frozen
+// enumeration order.
 //
 // The session never modifies a *Schedule after returning it: a
 // quiescent round returns the same one again, and any other round
@@ -83,28 +84,21 @@ type ReschedSession struct {
 	links  []*grid.Link
 	linkBW []float64
 
-	// Pair arrays (pools ≤ selExactPairHosts, and every non-batched
-	// source): bandwidth and latency per ordered pair, flattened n×n,
-	// for pricing chain borders. Larger batched pools skip them and
-	// compose route values lazily from linkBW, mirroring linkSnapshot.
-	pairArrays bool
-	pairBW     []float64
-	pairLat    []float64
+	// Pair arrays: bandwidth and latency per ordered pair, flattened
+	// n×n, for pricing chain borders.
+	pairBW  []float64
+	pairLat []float64
 
-	// sel is the session's pool model: eff and the eff-seed order,
+	// sel is the session's exact pool model: eff and the eff-seed order,
 	// refreshed with availability, and the chain layout. Its pair-cost
-	// matrix is the transfer-cost store of every nearest-neighbor
-	// session, refreshed with the routes; sessions whose selector
-	// samples distances (heuristic pools past selExactPairHosts) group
-	// by site instead and keep no costs.
+	// matrix is the session's transfer-cost store, refreshed with the
+	// routes.
 	sel *selModel
 
-	// Frozen candidate universe: candCount membership masks of `words`
-	// words each, in the selector's enumeration order, plus the latest
-	// round's per-candidate scores (a pruned set reads infeasible).
-	words     int
-	candMask  []uint64
-	candCount int
+	// Frozen candidate universe: one membership mask per set, in the
+	// selector's enumeration order, plus the latest round's
+	// per-candidate scores (a pruned set reads infeasible).
+	candMask []uint64
 
 	score    []float64
 	feasible []bool
@@ -153,8 +147,11 @@ type DeltaStats struct {
 // NewReschedSession freezes the agent's scheduling round for an n×n
 // problem into an incrementally re-evaluable session. The candidate
 // universe is enumerated once, by the agent's own selector against a
-// snapshot of the information current now; see the ReschedSession type
-// comment for the semantics of that pin.
+// snapshot of the information current now. An agent whose universe
+// depends on information (a heuristic selector, a pool of more than
+// maxExhaustiveHosts hosts, or a MaxResourceSets cap below 2^pool − 1)
+// gets ErrSessionUniverse: a frozen copy of its sets would go stale as
+// forecasts drift, so it re-schedules with fresh rounds instead.
 func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: non-positive problem size %d", n)
@@ -163,12 +160,18 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("core: %w: user specification filters out every host", ErrNoFeasibleHosts)
 	}
+	if !a.frozenUniverse() {
+		return nil, fmt.Errorf("core: %w: %s selector, %d hosts, MaxResourceSets %d",
+			ErrSessionUniverse, a.coord.selector.normalized().Kind, len(pool), a.spec.MaxResourceSets)
+	}
 	np := len(pool)
 	s := &ReschedSession{
 		a:       a,
 		m:       a.model(n),
 		names:   hostNames(pool),
-		words:   maskWords(np),
+		pairBW:  make([]float64, np*np),
+		pairLat: make([]float64, np*np),
+		sel:     newSelModel(a.hp, true),
 		winner:  -1,
 		bounded: a.hasComputeBound(),
 	}
@@ -183,48 +186,35 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 		}
 		s.links = s.rtp.Links()
 		s.linkBW = make([]float64, len(s.links))
-		s.pairArrays = np <= selExactPairHosts
-	} else {
-		// Generic sources have no link substructure; refresh and diff at
-		// pair granularity instead.
-		s.pairArrays = true
 	}
-	if s.pairArrays {
-		s.pairBW = make([]float64, np*np)
-		s.pairLat = make([]float64, np*np)
-	}
-	kind := a.coord.selector.normalized().Kind
-	s.sel = newSelModel(a.hp, kind == SelectorExhaustive || np <= selExactPairHosts)
 
 	// Enumerate the universe once, exactly the way a scheduling round
-	// does: the real selector over a real snapshot of the current
-	// information, honoring MaxResourceSets.
+	// does: every subset, in the exhaustive selector's order over a real
+	// snapshot of the current information.
 	rs := &resourceSelector{cols: viewCols(a.hp, roundSnapshot(a.coord.info, pool), s.m.flopPerUnit)}
-	sel := newSelector(a.coord.selector, rs, a.spec.MaxResourceSets)
-	for set := range sel.SelectSeq(pool) {
-		base := len(s.candMask)
-		for w := 0; w < s.words; w++ {
-			s.candMask = append(s.candMask, 0)
-		}
-		m := s.candMask[base : base+s.words]
+	sets := rs.candidates(0)
+	s.candMask = make([]uint64, len(sets))
+	for c, set := range sets {
 		for _, h := range set {
-			maskSet(m, a.hp.indexOf(h))
+			s.candMask[c] |= 1 << a.hp.indexOf(h)
 		}
-		s.candCount++
 	}
-	if s.candCount == 0 {
-		return nil, fmt.Errorf("core: %w: selector produced no candidate sets", ErrNoFeasiblePlan)
-	}
-	s.score = make([]float64, s.candCount)
-	s.feasible = make([]bool, s.candCount)
+	s.score = make([]float64, len(sets))
+	s.feasible = make([]bool, len(sets))
 
 	s.kn.reserve(np)
 	return s, nil
 }
 
-// mask returns candidate c's membership bitmask.
-func (s *ReschedSession) mask(c int) []uint64 {
-	return s.candMask[c*s.words : (c+1)*s.words]
+// frozenUniverse reports whether the agent's candidate universe cannot
+// change with information: the exhaustive selector over at most
+// maxExhaustiveHosts pool hosts, with no MaxResourceSets cap below the
+// 2^pool − 1 non-empty subsets. Only such a universe backs a
+// ReschedSession.
+func (a *Agent) frozenUniverse() bool {
+	np, maxSets := len(a.hp.hosts), a.spec.MaxResourceSets
+	return a.coord.selector.normalized().Kind == SelectorExhaustive && np <= maxExhaustiveHosts &&
+		(maxSets <= 0 || maxSets >= 1<<np-1)
 }
 
 // refresh re-reads every dynamic input into the session arrays and
@@ -249,7 +239,7 @@ func (s *ReschedSession) refresh(cold bool) (changedHosts, changedLinks int) {
 				changedLinks++
 			}
 		}
-		if changedLinks > 0 && (s.pairArrays || s.sel.cost != nil) {
+		if changedLinks > 0 {
 			for i := range s.names {
 				for j := range s.names {
 					if i != j {
@@ -272,9 +262,7 @@ func (s *ReschedSession) refresh(cold bool) (changedHosts, changedLinks int) {
 			if cold || bw != s.pairBW[at] || lat != s.pairLat[at] {
 				s.pairBW[at] = bw
 				s.pairLat[at] = lat
-				if s.sel.cost != nil {
-					s.sel.cost[i][j] = transferCost(lat, bw)
-				}
+				s.sel.cost[i][j] = transferCost(lat, bw)
 				changedLinks++
 			}
 		}
@@ -283,18 +271,18 @@ func (s *ReschedSession) refresh(cold bool) (changedHosts, changedLinks int) {
 }
 
 // composePair recomputes pair (i,j)'s pair-array values and chain
-// transfer cost, whichever the session keeps, from the frozen per-link
-// bandwidths.
+// transfer cost from the frozen per-link bandwidths, as linkSnapshot
+// does (no route, latency 0 and bandwidth 1e30, when the route
+// topology does not know either host).
 func (s *ReschedSession) composePair(i, j int) {
-	lat, bw := s.linkRoute(i, j)
-	if s.pairArrays {
-		at := i*len(s.names) + j
-		s.pairBW[at] = bw
-		s.pairLat[at] = lat
+	lat, bw := 0.0, 1e30
+	if s.tidx[i] >= 0 && s.tidx[j] >= 0 {
+		lat, bw = composeRoute(s.rtp, s.linkBW, s.tidx[i], s.tidx[j])
 	}
-	if s.sel.cost != nil {
-		s.sel.cost[i][j] = transferCost(lat, bw)
-	}
+	at := i*len(s.names) + j
+	s.pairBW[at] = bw
+	s.pairLat[at] = lat
+	s.sel.cost[i][j] = transferCost(lat, bw)
 }
 
 // Round advances the session one rescheduling tick: refresh, re-plan
@@ -314,7 +302,7 @@ func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 	s.rounds++
 	changedHosts, changedLinks := s.refresh(cold)
 
-	st := DeltaStats{Round: s.rounds, Cold: cold, ChangedHosts: changedHosts, ChangedLinks: changedLinks, Considered: s.candCount}
+	st := DeltaStats{Round: s.rounds, Cold: cold, ChangedHosts: changedHosts, ChangedLinks: changedLinks, Considered: len(s.candMask)}
 	if full {
 		st.ChangedHosts = len(s.names)
 	} else if changedHosts == 0 && changedLinks == 0 {
@@ -337,7 +325,7 @@ func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 	if bestIdx < 0 {
 		s.winner = -1
 		s.sched = nil
-		s.schedErr = fmt.Errorf("core: %w: no feasible schedule among %d candidate sets", ErrNoFeasiblePlan, s.candCount)
+		s.schedErr = fmt.Errorf("core: %w: no feasible schedule among %d candidate sets", ErrNoFeasiblePlan, len(s.candMask))
 	} else {
 		s.winner = bestIdx
 		s.sched = s.materialize(bestIdx)
@@ -368,7 +356,7 @@ func (s *ReschedSession) scan(prune bool) (bestIdx, rescored, pruned int) {
 	}
 	bestIdx, best := -1, math.Inf(1)
 	planned := 0
-	for c := 0; c < s.candCount; c++ {
+	for c := range s.candMask {
 		if c != prev {
 			if prune && s.bound(c) > inc {
 				s.feasible[c] = false
@@ -410,11 +398,8 @@ func (s *ReschedSession) bound(c int) float64 {
 // index order.
 func (s *ReschedSession) candRate(c int) float64 {
 	rate := 0.0
-	for w, word := range s.mask(c) {
-		for word != 0 {
-			rate += s.cols.rho[w*64+bits.TrailingZeros64(word)]
-			word &= word - 1
-		}
+	for m := s.candMask[c]; m != 0; m &= m - 1 {
+		rate += s.cols.rho[bits.TrailingZeros64(m)]
 	}
 	return rate
 }
@@ -422,18 +407,15 @@ func (s *ReschedSession) candRate(c int) float64 {
 // candLeastCost is the least r_i·P_i over candidate c's members.
 func (s *ReschedSession) candLeastCost(c int) float64 {
 	least := math.Inf(1)
-	for w, word := range s.mask(c) {
-		for word != 0 {
-			least = min(least, s.cols.costPP[w*64+bits.TrailingZeros64(word)])
-			word &= word - 1
-		}
+	for m := s.candMask[c]; m != 0; m &= m - 1 {
+		least = min(least, s.cols.costPP[bits.TrailingZeros64(m)])
 	}
 	return least
 }
 
 // solve re-plans universe candidate c into the score caches.
 func (s *ReschedSession) solve(c int) {
-	k := s.chainFor(s.mask(c))
+	k := s.chainFor(s.candMask[c])
 	iterT, ok := s.solveChain(k)
 	if !ok {
 		s.feasible[c] = false
@@ -449,7 +431,7 @@ func (s *ReschedSession) solve(c int) {
 // schedule from it. This is the only allocating step of a non-carried
 // round.
 func (s *ReschedSession) materialize(c int) *Schedule {
-	k := s.chainFor(s.mask(c))
+	k := s.chainFor(s.candMask[c])
 	iterT, _ := s.solveChain(k)
 	hosts := make([]string, k)
 	for i := 0; i < k; i++ {
@@ -457,7 +439,7 @@ func (s *ReschedSession) materialize(c int) *Schedule {
 	}
 	sched := s.kn.schedule(&s.m, hosts, iterT)
 	sched.InfoSource = s.a.coord.Information().Source()
-	sched.CandidatesConsidered = s.candCount
+	sched.CandidatesConsidered = len(s.candMask)
 	sched.CandidatesPlanned = s.planned
 	return sched
 }
@@ -467,7 +449,7 @@ func (s *ReschedSession) materialize(c int) *Schedule {
 // event.
 func (s *ReschedSession) emit(st DeltaStats) {
 	if met := s.a.coord.met; met != nil {
-		met.deltaRatio.Set(float64(st.Rescored) / float64(s.candCount))
+		met.deltaRatio.Set(float64(st.Rescored) / float64(len(s.candMask)))
 		met.rescored.Add(uint64(st.Rescored))
 		met.pruned.Add(uint64(st.Pruned))
 	}
@@ -489,7 +471,7 @@ func (s *ReschedSession) emit(st DeltaStats) {
 
 // Stats returns the bookkeeping of the most recent round without
 // advancing the session.
-func (s *ReschedSession) Stats() (rounds, considered int) { return s.rounds, s.candCount }
+func (s *ReschedSession) Stats() (rounds, considered int) { return s.rounds, len(s.candMask) }
 
 // Pool returns the frozen pool's host names in userspec filter order —
 // the universe every candidate bitmask indexes into. The slice is owned

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,17 +18,6 @@ import (
 	"apples/internal/sim"
 	"apples/internal/userspec"
 )
-
-// sessionSelectors is the sweep every session parity test runs: one of
-// each selector family, all deterministic for a fixed spec.
-var sessionSelectors = []struct {
-	name string
-	spec SelectorSpec
-}{
-	{"exhaustive", SelectorSpec{Kind: SelectorExhaustive}},
-	{"greedy", SelectorSpec{Kind: SelectorGreedy}},
-	{"beam", SelectorSpec{Kind: SelectorBeam, BeamWidth: 8}},
-}
 
 // samePick reports whether two schedules are DeepEqual apart from
 // CandidatesPlanned, which a bounded round counts without the sets it
@@ -44,11 +35,11 @@ func samePick(a, b *Schedule) bool {
 // Round() must be bit-identical — DeepEqual on the whole Schedule,
 // which pins float bits, placement shape, and host order — to the
 // schedule Agent.ScheduleExplained produces at the same instant, across
-// pools, selector families, and user metrics. ScheduleExplained plans
-// every set; a bounded cold round (every metric, at the default spill
-// factor) skips the sets its metric bound rules out, so only its
-// planned count may be smaller. An unbounded round plans every set, so
-// its planned count agrees too.
+// pools and user metrics, under the default (exhaustive) selector.
+// ScheduleExplained plans every set; a bounded cold round (every
+// metric, at the default spill factor) skips the sets its metric bound
+// rules out, so only its planned count may be smaller. An unbounded
+// round plans every set, so its planned count agrees too.
 func TestSessionColdParity(t *testing.T) {
 	pools := []struct {
 		name          string
@@ -63,45 +54,42 @@ func TestSessionColdParity(t *testing.T) {
 	const n = 600
 	for _, p := range pools {
 		tp, info := buildPool(t, p.clusters, p.per, p.seed)
-		for _, sel := range sessionSelectors {
-			for _, m := range metrics {
-				name := p.name + "/" + sel.name + "/" + m.String()
-				agent, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{Metric: m}, info,
-					WithSelector(sel.spec))
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				want, _, err := agent.ScheduleExplained(n, 1)
-				if err != nil {
-					t.Fatalf("%s schedule: %v", name, err)
-				}
-				sess, err := agent.NewReschedSession(n)
-				if err != nil {
-					t.Fatalf("%s session: %v", name, err)
-				}
-				got, st, err := sess.Round()
-				if err != nil {
-					t.Fatalf("%s round: %v", name, err)
-				}
-				if !st.Cold || st.Round != 1 {
-					t.Fatalf("%s: first round stats not cold: %+v", name, st)
-				}
-				if st.Considered != want.CandidatesConsidered {
-					t.Fatalf("%s: universe %d sets, agent considered %d", name, st.Considered, want.CandidatesConsidered)
-				}
-				if st.Rescored+st.Pruned != st.Considered {
-					t.Fatalf("%s: cold round rescored %d and pruned %d of %d", name, st.Rescored, st.Pruned, st.Considered)
-				}
-				if !samePick(want, got) {
-					t.Fatalf("%s: cold round diverged from Schedule\nagent:   %+v\nsession: %+v", name, want, got)
-				}
-				if bounded := agent.spillFactor >= 1; !bounded && (st.Pruned != 0 || got.CandidatesPlanned != want.CandidatesPlanned) {
-					t.Fatalf("%s: unbounded cold round pruned %d, planned %d of the agent's %d",
-						name, st.Pruned, got.CandidatesPlanned, want.CandidatesPlanned)
-				} else if got.CandidatesPlanned > want.CandidatesPlanned {
-					t.Fatalf("%s: bounded cold round planned %d, more than the agent's %d",
-						name, got.CandidatesPlanned, want.CandidatesPlanned)
-				}
+		for _, m := range metrics {
+			name := p.name + "/" + m.String()
+			agent, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{Metric: m}, info)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, _, err := agent.ScheduleExplained(n, 1)
+			if err != nil {
+				t.Fatalf("%s schedule: %v", name, err)
+			}
+			sess, err := agent.NewReschedSession(n)
+			if err != nil {
+				t.Fatalf("%s session: %v", name, err)
+			}
+			got, st, err := sess.Round()
+			if err != nil {
+				t.Fatalf("%s round: %v", name, err)
+			}
+			if !st.Cold || st.Round != 1 {
+				t.Fatalf("%s: first round stats not cold: %+v", name, st)
+			}
+			if st.Considered != want.CandidatesConsidered {
+				t.Fatalf("%s: universe %d sets, agent considered %d", name, st.Considered, want.CandidatesConsidered)
+			}
+			if st.Rescored+st.Pruned != st.Considered {
+				t.Fatalf("%s: cold round rescored %d and pruned %d of %d", name, st.Rescored, st.Pruned, st.Considered)
+			}
+			if !samePick(want, got) {
+				t.Fatalf("%s: cold round diverged from Schedule\nagent:   %+v\nsession: %+v", name, want, got)
+			}
+			if bounded := agent.spillFactor >= 1; !bounded && (st.Pruned != 0 || got.CandidatesPlanned != want.CandidatesPlanned) {
+				t.Fatalf("%s: unbounded cold round pruned %d, planned %d of the agent's %d",
+					name, st.Pruned, got.CandidatesPlanned, want.CandidatesPlanned)
+			} else if got.CandidatesPlanned > want.CandidatesPlanned {
+				t.Fatalf("%s: bounded cold round planned %d, more than the agent's %d",
+					name, got.CandidatesPlanned, want.CandidatesPlanned)
 			}
 		}
 	}
@@ -109,19 +97,31 @@ func TestSessionColdParity(t *testing.T) {
 
 // TestSessionDeltaParity drives twin sessions through perturbation
 // sweeps — no change, one host, three hosts, the whole pool — applied
-// through a live availability overlay, under every selector family and
-// user metric, and demands Round() pick exactly the schedule FullRound()
-// picks on its twin. A bounded round skips the sets its metric bound
-// rules out, so on small perturbations it does less work; an unbounded
-// round (spill factor below 1) plans every set, so it must equal
-// FullRound outright, planned count included. EstimatePlacement must
-// agree with the agent's allocating estimator under the same refreshed
-// inputs.
+// through a live availability overlay, under every user metric, and
+// demands Round() pick exactly the schedule FullRound() picks on its
+// twin. A bounded round skips the sets its metric bound rules out, so
+// on small perturbations it does less work; an unbounded round (spill
+// factor below 1) plans every set, so it must equal FullRound outright,
+// planned count included. EstimatePlacement must agree with the agent's
+// allocating estimator under the same refreshed inputs.
+//
+// Two pools feed the sweep: a 3×4 pool behind stopped NWS forecasts,
+// and a loaded 2×6 grid behind the oracle, whose clock advances 30 s
+// before every perturbed round, so link bandwidths change and the
+// session's transfer-cost store is recomposed from its link column.
+// After every round that store must hold the costs a fresh pool model
+// prices from the same instant.
 func TestSessionDeltaParity(t *testing.T) {
-	tp, base := buildPool(t, 3, 4, 7)
-	overlay := map[string]float64{}
-	info := NewOverlayInformation(base, overlay)
-	hosts := tp.Hosts()
+	type input struct {
+		name string
+		tp   *grid.Topology
+		info Information
+		eng  *sim.Engine // advanced before every perturbed round; nil for a static view
+	}
+	tp, nwsInfo := buildPool(t, 3, 4, 7)
+	eng := sim.NewEngine()
+	loaded := grid.ClusterOfClusters(eng, grid.ClusterOptions{Clusters: 2, PerCluster: 6, Seed: 7})
+	inputs := []input{{"nws-3x4", tp, nwsInfo, nil}, {"loaded-2x6", loaded, OracleInformation(loaded), eng}}
 	const n = 600
 
 	deltas := []struct {
@@ -132,170 +132,245 @@ func TestSessionDeltaParity(t *testing.T) {
 		{"one", 1},
 		{"three", 3},
 		{"one-b", 1},
-		{"all", len(hosts)},
+		{"all", 12},
 		{"none-b", 0},
 	}
 	type row struct {
 		name   string
-		sel    SelectorSpec
 		metric userspec.Metric
 		spill  float64 // 0 keeps the agent's default
 	}
 	var rows []row
-	for _, sel := range sessionSelectors {
-		for _, m := range []userspec.Metric{userspec.MinExecutionTime, userspec.MaxSpeedup, userspec.MinCost} {
-			rows = append(rows, row{sel.name + "/" + m.String(), sel.spec, m, 0})
-		}
+	for _, m := range []userspec.Metric{userspec.MinExecutionTime, userspec.MaxSpeedup, userspec.MinCost} {
+		rows = append(rows, row{m.String(), m, 0})
 	}
 	// Below a spill factor of 1 the bounds are unsound, so Round plans
 	// every set.
-	rows = append(rows, row{"exhaustive/min-time/spill0.5", SelectorSpec{Kind: SelectorExhaustive}, userspec.MinExecutionTime, 0.5})
+	rows = append(rows, row{"min-time/spill0.5", userspec.MinExecutionTime, 0.5})
 
-	for _, r := range rows {
-		for k := range overlay {
-			delete(overlay, k)
-		}
-		agent, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{Metric: r.metric}, info,
-			WithSelector(r.sel), WithSpillFactor(r.spill))
-		if err != nil {
-			t.Fatalf("%s: %v", r.name, err)
-		}
-		bounded := agent.spillFactor >= 1
-		sess, err := agent.NewReschedSession(n)
-		if err != nil {
-			t.Fatalf("%s session: %v", r.name, err)
-		}
-		twin, err := agent.NewReschedSession(n)
-		if err != nil {
-			t.Fatalf("%s twin: %v", r.name, err)
-		}
+	for _, in := range inputs {
+		hosts := in.tp.Hosts()
+		overlay := map[string]float64{}
+		info := NewOverlayInformation(in.info, overlay)
+		for _, r := range rows {
+			for k := range overlay {
+				delete(overlay, k)
+			}
+			agent, err := NewAgent(in.tp, hat.Jacobi2D(n, 10), &userspec.Spec{Metric: r.metric}, info,
+				WithSpillFactor(r.spill))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", in.name, r.name, err)
+			}
+			bounded := agent.spillFactor >= 1
+			sess, err := agent.NewReschedSession(n)
+			if err != nil {
+				t.Fatalf("%s/%s session: %v", in.name, r.name, err)
+			}
+			twin, err := agent.NewReschedSession(n)
+			if err != nil {
+				t.Fatalf("%s/%s twin: %v", in.name, r.name, err)
+			}
 
-		for round, d := range deltas {
-			for i := 0; i < d.hosts; i++ {
-				// Deterministic, round-varying perturbation.
-				overlay[hosts[i].Name] = 0.15 + 0.1*float64((round+i)%7)
-			}
-			got, st, gerr := sess.Round()
-			want, wst, werr := twin.FullRound()
-			name := r.name + "/" + d.name
-			if (gerr == nil) != (werr == nil) {
-				t.Fatalf("%s: error divergence: %v vs %v", name, gerr, werr)
-			}
-			if !samePick(want, got) || (!bounded && !reflect.DeepEqual(want, got)) {
-				t.Fatalf("%s: round diverged from full recomputation\nfull:  %+v\nround: %+v", name, want, got)
-			}
-			if wst.Rescored != wst.Considered || wst.Pruned != 0 {
-				t.Fatalf("%s: FullRound rescored %d and pruned %d of %d", name, wst.Rescored, wst.Pruned, wst.Considered)
-			}
-			if st.Rescored+st.Pruned != st.Considered && !st.Carried {
-				t.Fatalf("%s: round rescored %d and pruned %d of %d", name, st.Rescored, st.Pruned, st.Considered)
-			}
-			if !bounded && st.Pruned != 0 {
-				t.Fatalf("%s: unbounded round pruned %d sets", name, st.Pruned)
-			}
-			if round == 0 {
-				continue
-			}
-			// A bounded round must do less work than FullRound. Under
-			// greedy/min-cost it cannot: this pool's rates are uniform,
-			// so every greedy prefix holds the fastest host, whose cost
-			// per point minimises every set's cost bound; nothing is
-			// prunable there.
-			if d.hosts == 0 {
-				if st.Rescored != 0 || st.Pruned != 0 || !st.Carried || st.ChangedHosts != 0 {
-					t.Fatalf("%s: quiescent round did work: %+v", name, st)
+			for round, d := range deltas {
+				name := in.name + "/" + r.name + "/" + d.name
+				if in.eng != nil && round > 0 && d.hosts > 0 {
+					if err := in.eng.RunUntil(in.eng.Now() + 30); err != nil {
+						t.Fatal(err)
+					}
 				}
-			} else if d.hosts == 1 && bounded && r.name != "greedy/min-cost" &&
-				st.Rescored >= st.Considered && st.Considered > 1 {
-				t.Fatalf("%s: one-host delta rescored the whole universe: %+v", name, st)
-			}
+				for i := 0; i < d.hosts; i++ {
+					// Deterministic, round-varying perturbation.
+					overlay[hosts[i].Name] = 0.15 + 0.1*float64((round+i)%7)
+				}
+				got, st, gerr := sess.Round()
+				want, wst, werr := twin.FullRound()
+				if (gerr == nil) != (werr == nil) {
+					t.Fatalf("%s: error divergence: %v vs %v", name, gerr, werr)
+				}
+				if !samePick(want, got) || (!bounded && !reflect.DeepEqual(want, got)) {
+					t.Fatalf("%s: round diverged from full recomputation\nfull:  %+v\nround: %+v", name, want, got)
+				}
+				if wst.Rescored != wst.Considered || wst.Pruned != 0 {
+					t.Fatalf("%s: FullRound rescored %d and pruned %d of %d", name, wst.Rescored, wst.Pruned, wst.Considered)
+				}
+				if st.Rescored+st.Pruned != st.Considered && !st.Carried {
+					t.Fatalf("%s: round rescored %d and pruned %d of %d", name, st.Rescored, st.Pruned, st.Considered)
+				}
+				if !bounded && st.Pruned != 0 {
+					t.Fatalf("%s: unbounded round pruned %d sets", name, st.Pruned)
+				}
+				// The store must hold the costs the selector's model
+				// prices from a fresh view at this instant.
+				pool := sess.sel.pool
+				fresh := buildSelModel(poolSelector(in.tp, roundSnapshot(info, pool), pool), true)
+				if !reflect.DeepEqual(sess.sel.cost, fresh.cost) {
+					t.Fatalf("%s: session transfer costs differ from a fresh pool model", name)
+				}
+				if round == 0 {
+					continue
+				}
+				if in.eng != nil && d.hosts > 0 && st.ChangedLinks == 0 {
+					t.Fatalf("%s: no link changed on the loaded grid", name)
+				}
+				// A bounded round must do less work than FullRound.
+				if d.hosts == 0 {
+					if st.Rescored != 0 || st.Pruned != 0 || !st.Carried || st.ChangedHosts != 0 {
+						t.Fatalf("%s: quiescent round did work: %+v", name, st)
+					}
+				} else if d.hosts == 1 && bounded && st.Rescored >= st.Considered && st.Considered > 1 {
+					t.Fatalf("%s: one-host delta rescored the whole universe: %+v", name, st)
+				}
 
-			// Placement pricing parity under the same refreshed inputs.
-			if got != nil {
-				se, serr := sess.EstimatePlacement(got.Placement)
-				ae, aerr := agent.EstimatePlacement(n, got.Placement)
-				if (serr == nil) != (aerr == nil) || se != ae {
-					t.Fatalf("%s: EstimatePlacement diverged: session (%v, %v) vs agent (%v, %v)",
-						name, se, serr, ae, aerr)
+				// Placement pricing parity under the same refreshed inputs.
+				if got != nil {
+					se, serr := sess.EstimatePlacement(got.Placement)
+					ae, aerr := agent.EstimatePlacement(n, got.Placement)
+					if (serr == nil) != (aerr == nil) || se != ae {
+						t.Fatalf("%s: EstimatePlacement diverged: session (%v, %v) vs agent (%v, %v)",
+							name, se, serr, ae, aerr)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestSessionGridDeltaParity exercises the chunked-bitmask and
-// lazy-link paths on a pool past the pair-array threshold: a 128-host
-// grid, perturbed through the overlay. Under the greedy selector chains
-// take the site layout; under the exhaustive selector (the
-// desirability-prefix fallback) they take the nearest-neighbor layout
-// over the session's transfer-cost store, composed from the link
-// column. On the loaded grid the clock advances between rounds, so
-// link bandwidths change and the store is recomposed. The cold round
-// must equal ScheduleExplained's schedule, and Round() must match
-// FullRound() bit for bit.
-func TestSessionGridDeltaParity(t *testing.T) {
-	const n = 2000
+// TestSessionNeverStalerThanFresh pins why a session exists only over a
+// universe that cannot change with information. On uncapped exhaustive
+// 3×4 and 2×6 pools, every host's availability drifts to a fresh
+// U(0.05, 1) on each of 30 steps, and the session's winner must predict
+// exactly the total a fresh ScheduleExplained(n, 1) predicts on the same
+// view. Totals are compared, not host order: exact ties are broken in
+// the frozen enumeration order. Greedy, beam, a MaxResourceSets cap of
+// 16 and a 13-host exhaustive pool pick from sets chosen against the
+// information of the moment, so each must be refused with
+// ErrSessionUniverse; a cap of 4,095 on 12 hosts keeps every subset and
+// still gets a session.
+func TestSessionNeverStalerThanFresh(t *testing.T) {
+	const n = 400
+	for _, p := range [][2]int{{3, 4}, {2, 6}} {
+		for _, seed := range []int64{1, 2, 3, 11} {
+			name := fmt.Sprintf("%dx%d/seed%d", p[0], p[1], seed)
+			tp, base := buildPool(t, p[0], p[1], seed)
+			overlay := map[string]float64{}
+			agent, err := NewAgent(tp, hat.Jacobi2D(n, 40), &userspec.Spec{}, NewOverlayInformation(base, overlay))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sess, err := agent.NewReschedSession(n)
+			if err != nil {
+				t.Fatalf("%s session: %v", name, err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for step := 0; step < 30; step++ {
+				for _, h := range sess.Pool() {
+					overlay[h] = 0.05 + 0.95*rng.Float64()
+				}
+				got, _, err := sess.Round()
+				if err != nil {
+					t.Fatalf("%s step %d round: %v", name, step, err)
+				}
+				want, _, err := agent.ScheduleExplained(n, 1)
+				if err != nil {
+					t.Fatalf("%s step %d fresh: %v", name, step, err)
+				}
+				if got.PredictedTotal != want.PredictedTotal {
+					t.Fatalf("%s step %d: session predicts %v on %v, a fresh round %v on %v",
+						name, step, got.PredictedTotal, got.Hosts, want.PredictedTotal, want.Hosts)
+				}
+			}
+		}
+	}
+
+	tp, info := buildPool(t, 3, 4, 11)
+	wide, wideInfo := buildPool(t, 1, 13, 11)
+	exhaustive := SelectorSpec{Kind: SelectorExhaustive}
 	for _, c := range []struct {
-		kind  SelectorKind
-		quiet bool
-	}{{SelectorGreedy, true}, {SelectorExhaustive, true}, {SelectorExhaustive, false}} {
-		eng := sim.NewEngine()
-		tp := grid.ClusterOfClusters(eng, grid.ClusterOptions{Clusters: 8, PerCluster: 16, Seed: 7, Quiet: c.quiet})
-		hosts := tp.Hosts()
-		overlay := map[string]float64{}
-		info := NewOverlayInformation(OracleInformation(tp), overlay)
-		agent, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{}, info,
-			WithSelector(SelectorSpec{Kind: c.kind}))
+		name    string
+		tp      *grid.Topology
+		info    Information
+		sel     SelectorSpec
+		maxSets int
+		frozen  bool
+	}{
+		{"greedy", tp, info, SelectorSpec{Kind: SelectorGreedy}, 0, false},
+		{"beam", tp, info, SelectorSpec{Kind: SelectorBeam, BeamWidth: 8}, 0, false},
+		{"cap16", tp, info, exhaustive, 16, false},
+		{"13host", wide, wideInfo, exhaustive, 0, false},
+		{"cap4095", tp, info, exhaustive, 4095, true},
+	} {
+		agent, err := NewAgent(c.tp, hat.Jacobi2D(n, 40), &userspec.Spec{MaxResourceSets: c.maxSets}, c.info,
+			WithSelector(c.sel))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		cold, _, err := agent.ScheduleExplained(n, 1)
-		if err != nil {
-			t.Fatal(err)
+		_, err = agent.NewReschedSession(n)
+		if c.frozen && err != nil {
+			t.Fatalf("%s: %v, want a session", c.name, err)
 		}
-		sess, err := agent.NewReschedSession(n)
-		if err != nil {
-			t.Fatal(err)
+		if !c.frozen && !errors.Is(err, ErrSessionUniverse) {
+			t.Fatalf("%s: %v, want ErrSessionUniverse", c.name, err)
 		}
-		twin, err := agent.NewReschedSession(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := fmt.Sprintf("%s/quiet=%v", c.kind, c.quiet)
-		for round := 0; round < 4; round++ {
-			if !c.quiet && round > 0 {
-				if err := eng.RunUntil(eng.Now() + 30); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < round*3; i++ {
-				overlay[hosts[(i*17)%len(hosts)].Name] = 0.2 + 0.1*float64((round+i)%5)
-			}
-			got, st, gerr := sess.Round()
-			want, _, werr := twin.FullRound()
-			if (gerr == nil) != (werr == nil) {
-				t.Fatalf("%s round %d: error divergence: %v vs %v", name, round, gerr, werr)
-			}
-			if round == 0 && !samePick(cold, got) {
-				t.Fatalf("%s: cold round diverged from Schedule\nagent:   %+v\nsession: %+v", name, cold, got)
-			}
-			if !c.quiet && round > 0 && st.ChangedLinks == 0 {
-				t.Fatalf("%s round %d: no link changed on the loaded grid", name, round)
-			}
-			if !samePick(want, got) {
-				t.Fatalf("%s round %d (changed %d): diverged from full recomputation\nfull:  %+v\nround: %+v",
-					name, round, st.ChangedHosts, want, got)
-			}
-			if c.kind == SelectorExhaustive {
-				// The store must hold the costs the selector's model
-				// prices from a fresh view at this instant.
-				pool := sess.sel.pool
-				fresh := buildSelModel(poolSelector(tp, roundSnapshot(info, pool), pool), true)
-				if !reflect.DeepEqual(sess.sel.cost, fresh.cost) {
-					t.Fatalf("%s round %d: session transfer costs differ from a fresh pool model", name, round)
-				}
+	}
+}
+
+// TestReschedulerHeuristicPoolReselects pins the Rescheduler of an agent
+// that gets no session: a greedy 3×4 agent re-selects at every
+// checkpoint with a fresh Schedule. After a first checkpoint, the
+// placement's largest host drops to 5% availability, which moves the
+// fresh winner off it: a checkpoint whose hysteresis and migration cost
+// allow the move must return exactly the placement a.Schedule(n)
+// returns, and one whose hysteresis forbids it must keep the placement
+// and trace a keep event. A Rescheduler that froze the greedy sets
+// chosen before the drift keeps a band on that host instead.
+func TestReschedulerHeuristicPoolReselects(t *testing.T) {
+	tp, base := buildPool(t, 3, 4, 11)
+	overlay := map[string]float64{}
+	col := obs.NewCollector()
+	const n = 400
+	a, err := NewAgent(tp, hat.Jacobi2D(n, 40), &userspec.Spec{Decomposition: "strip"},
+		NewOverlayInformation(base, overlay), WithSelector(SelectorSpec{Kind: SelectorGreedy}), WithTracer(col))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, err := a.Schedule(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := start.Placement
+	move, stay := a.Rescheduler(n, 0.1), a.Rescheduler(n, 0.99)
+	lastResched := func() obs.Event {
+		var last obs.Event
+		for _, e := range col.Events() {
+			if e.Type == obs.EvReschedule {
+				last = e
 			}
 		}
+		return last
+	}
+	// A checkpoint before the drift: a Rescheduler that froze its
+	// candidate sets here would pick from stale ones after it.
+	move(1, current)
+
+	overlay[start.Hosts[0]] = 0.05
+	want, err := a.Schedule(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(want.Placement, current) {
+		t.Fatal("the drift did not move the fresh winner")
+	}
+	if got := move(2, current); !reflect.DeepEqual(got, want.Placement) {
+		t.Fatalf("checkpoint returned %v, want the fresh schedule's %v (last event %+v)", got, want.Placement, lastResched())
+	}
+	if e := lastResched(); e.Verdict != "migrate" {
+		t.Fatalf("move: event %+v, want migrate", e)
+	}
+	if p := stay(2, current); p != nil {
+		t.Fatalf("hysteresis 0.99: moved to %v", p)
+	}
+	if e := lastResched(); e.Verdict != "keep" || e.Reason != "hysteresis" {
+		t.Fatalf("hysteresis 0.99: event %+v, want keep/hysteresis", e)
 	}
 }
 
@@ -517,7 +592,7 @@ func TestScheduleExplainedAllocs(t *testing.T) {
 }
 
 // TestReschedulerEmptyPoolKeeps pins the Rescheduler on an agent whose
-// Spec filters out every host: it cannot build its session, so every
+// Spec filters out every host: every fresh round fails, so every
 // checkpoint keeps the current placement and traces why.
 func TestReschedulerEmptyPoolKeeps(t *testing.T) {
 	tp, info := buildPool(t, 0, 0, 3)

@@ -616,35 +616,21 @@ func (g *siteGrouper) group(out, members []int) {
 	}
 }
 
-// linkRoute composes pair (i,j)'s latency and bandwidth from the frozen
-// link column, as linkSnapshot does (no route, latency 0 and bandwidth
-// 1e30, when the route topology does not know either host).
-func (s *ReschedSession) linkRoute(i, j int) (lat, bw float64) {
-	if s.tidx[i] < 0 || s.tidx[j] < 0 {
-		return 0, 1e30
-	}
-	return composeRoute(s.rtp, s.linkBW, s.tidx[i], s.tidx[j])
-}
-
-// pairRoute is the session columns' route accessor, over its refreshed
-// inputs: the frozen pair arrays when present, otherwise composed from
-// the link column.
+// pairRoute is the session columns' route accessor, over the refreshed
+// pair arrays.
 func (s *ReschedSession) pairRoute(i, j int) (lat, bw float64) {
-	if s.pairArrays {
-		at := i*len(s.names) + j
-		return s.pairLat[at], s.pairBW[at]
-	}
-	return s.linkRoute(i, j)
+	at := i*len(s.names) + j
+	return s.pairLat[at], s.pairBW[at]
 }
 
 // chainFor lays candidate mask out as a strip chain into kn.chain and
 // returns its length: members filtered from the eff order, then laid
 // out by the session's pool model (selModel.layout).
-func (s *ReschedSession) chainFor(mask []uint64) int {
+func (s *ReschedSession) chainFor(mask uint64) int {
 	chain := s.kn.chain
 	k := 0
 	for _, idx := range s.sel.effOrder {
-		if maskTest(mask, idx) {
+		if mask&(1<<idx) != 0 {
 			chain[k] = idx
 			k++
 		}

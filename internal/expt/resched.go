@@ -49,22 +49,3 @@ func NewMetricReschedScenario(clusters, per, n int, seed int64, m userspec.Metri
 	}
 	return agent, overlay, nil
 }
-
-// NewGridReschedScenario is the grid-scale variant: a dedicated (quiet,
-// oracle-informed) cluster-of-clusters with the same live availability
-// overlay, for exercising the chunked-bitmask and lazy-link paths on
-// pools past the pair-array threshold without NWS warmup cost.
-func NewGridReschedScenario(clusters, per, n int, seed int64, opts ...core.AgentOption) (*core.Agent, map[string]float64, error) {
-	eng := sim.NewEngine()
-	tp := grid.ClusterOfClusters(eng, grid.ClusterOptions{
-		Clusters: clusters, PerCluster: per, Seed: seed, Quiet: true,
-	})
-	overlay := map[string]float64{}
-	info := core.NewOverlayInformation(core.OracleInformation(tp), overlay)
-	agent, err := core.NewAgent(tp, hat.Jacobi2D(n, 40), &userspec.Spec{Decomposition: "strip"},
-		info, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return agent, overlay, nil
-}
