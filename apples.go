@@ -573,47 +573,6 @@ func NewPipelineAgent(tp *Topology, tpl *Template, spec *UserSpec, info Informat
 	return core.NewPipelineAgent(tp, tpl, spec, info, opt, opts...)
 }
 
-// Generic Coordinator blueprint, for assembling a custom agent paradigm
-// (a third blueprint beyond Agent and PipelineAgent) out of pluggable
-// subsystems. See DESIGN.md §9 for a walkthrough.
-type (
-	// Coordinator owns the generic scheduling round: per-round
-	// information snapshot, bounded parallel fan-out,
-	// selection-preserving pruning on rounds that supply a bound,
-	// deterministic (score, index) reduce.
-	Coordinator = core.Coordinator
-	// CoordinatorRound is one round handed to Coordinator.EvaluateRound:
-	// the filtered host pool plus the factories binding the
-	// application-specific subsystems to the round's information view.
-	CoordinatorRound = core.Round
-	// ResourceSelector streams candidate resource sets for a round.
-	ResourceSelector = core.ResourceSelector
-	// ResourceSelectorFunc adapts a slice-returning function to the
-	// streaming ResourceSelector interface.
-	ResourceSelectorFunc = core.ResourceSelectorFunc
-	// SelectorStreamFunc adapts a sequence-returning function directly to
-	// ResourceSelector, for selectors that are naturally streaming.
-	SelectorStreamFunc = core.SelectorStreamFunc
-	// TruncationReporter is implemented by selectors that cap their
-	// enumeration; the Coordinator surfaces capped rounds in traces and
-	// the sched_selector_truncated_total counter.
-	TruncationReporter = core.TruncationReporter
-	// CandidateEvaluator is the fused Planner + Performance Estimator.
-	CandidateEvaluator = core.CandidateEvaluator
-	// CandidateEvaluatorFunc adapts a function to CandidateEvaluator.
-	CandidateEvaluatorFunc = core.CandidateEvaluatorFunc
-	// LowerBounder supplies the never-overestimating pruning bound.
-	LowerBounder = core.LowerBounder
-	// LowerBoundFunc adapts a function to LowerBounder.
-	LowerBoundFunc = core.LowerBoundFunc
-)
-
-// NewCoordinator builds a coordinator over an information source, for
-// custom blueprint agents. It accepts the same options as NewAgent.
-func NewCoordinator(info Information, opts ...AgentOption) *Coordinator {
-	return core.NewCoordinator(info, opts...)
-}
-
 // Information sources for the agent.
 var (
 	// NWSInformation backs the agent with NWS forecasts (production).

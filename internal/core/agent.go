@@ -169,7 +169,7 @@ func rankCandidates(cands []Candidate, k int) []Candidate {
 	return ranked
 }
 
-// roundPricer is the Jacobi blueprint's CandidateEvaluator for one
+// roundPricer is the Jacobi blueprint's Planner + Estimator for one
 // scheduling round: it feeds each candidate chain from the round's pool
 // columns into a private strip kernel and prices it. Its fields are
 // fixed once the round binds, so concurrent workers share it; after the
@@ -210,7 +210,7 @@ func (rp *roundPricer) solve(kn *stripKernel, set []*grid.Host) (float64, bool) 
 	return kn.solve(&rp.m, len(set))
 }
 
-// Evaluate implements CandidateEvaluator. The candidate keeps set, the
+// Evaluate is the round plan's Evaluate. The candidate keeps set, the
 // selector's fresh chain, in place of host names, and carries no
 // placement: only the winner and a requested top-k are ever built.
 func (rp *roundPricer) Evaluate(set []*grid.Host) (Candidate, bool) {
@@ -260,23 +260,22 @@ func (rp *roundPricer) place(cands []Candidate) {
 // everything else — snapshotting, fan-out, pruning bookkeeping, and the
 // deterministic reduce.
 func (a *Agent) round(rp *roundPricer, winnerOnly bool) Round {
-	r := Round{
+	return Round{
 		Pool:     a.hp.hosts,
 		Selector: string(a.coord.selector.normalized().Kind),
-		Bind: func(info Information) (ResourceSelector, CandidateEvaluator, error) {
-			rp.bind(info)
-			return newSelector(a.coord.selector, &resourceSelector{cols: rp.cols}, a.spec.MaxResourceSets), rp, nil
+		Bind: func(view Information) RoundPlan {
+			rp.bind(view)
+			sets, truncated := newSelector(a.coord.selector, &resourceSelector{cols: rp.cols}, a.spec.MaxResourceSets)
+			plan := RoundPlan{Sets: sets, Evaluate: rp.Evaluate, Truncated: truncated}
+			if winnerOnly && a.hasComputeBound() {
+				plan.Bound = func(set []*grid.Host) float64 {
+					rate, leastCost := rp.cols.boundTerms(set)
+					return rp.m.bound(rate, leastCost, rp.solo)
+				}
+			}
+			return plan
 		},
 	}
-	if winnerOnly && a.hasComputeBound() {
-		r.Bound = func(Information) LowerBounder {
-			return LowerBoundFunc(func(set []*grid.Host) float64 {
-				rate, leastCost := rp.cols.boundTerms(set)
-				return rp.m.bound(rate, leastCost, rp.solo)
-			})
-		}
-	}
-	return r
 }
 
 // evaluate runs the shared Coordinator round over the Jacobi blueprint

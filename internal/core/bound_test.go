@@ -42,19 +42,14 @@ func TestLowerBoundNeverExceedsScore(t *testing.T) {
 						t.Fatal(err)
 					}
 					r := a.round(a.newPricer(n), true)
-					view := roundSnapshot(info, r.Pool)
-					sel, ev, err := r.Bind(view)
-					if err != nil {
-						t.Fatal(err)
-					}
-					bound := r.Bound(view)
-					for set := range sel.SelectSeq(r.Pool) {
-						c, ok := ev.Evaluate(set)
+					plan := r.Bind(roundSnapshot(info, r.Pool))
+					for set := range plan.Sets {
+						c, ok := plan.Evaluate(set)
 						if !ok {
 							continue
 						}
 						sets++
-						if lb := bound.LowerBound(set); lb > c.Score {
+						if lb := plan.Bound(set); lb > c.Score {
 							t.Errorf("%d×%d seed %d %s n=%d %v: bound %.17g > score %.17g",
 								p.clusters, p.per, seed, m, n, c.names(), lb, c.Score)
 						}
@@ -75,7 +70,8 @@ func TestLowerBoundNeverExceedsScore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r := a.round(a.newPricer(400), true); r.Bound != nil {
+		r := a.round(a.newPricer(400), true)
+		if r.Bind(roundSnapshot(info, r.Pool)).Bound != nil {
 			t.Errorf("%s: spill factor 0.5 round has a bound", m)
 		}
 	}

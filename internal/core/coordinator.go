@@ -17,125 +17,64 @@ import (
 // Coordinator drives Resource Selector -> Planner -> Performance
 // Estimator -> Actuator for *every* application paradigm. A concrete
 // agent (the Jacobi2D Agent, the 3D-REACT PipelineAgent, or a future
-// master/worker HAT agent) only supplies the pluggable subsystems below;
+// master/worker HAT agent) only supplies a Round binding its subsystems;
 // the round itself — information snapshot, pool-size-driven fan-out,
 // selection-preserving pruning, and the deterministic (score, index)
 // reduce — is shared code.
 
-// ResourceSelector enumerates the candidate resource sets the Coordinator
-// fans out in one scheduling round. For a data-parallel blueprint the
-// sets are host chains; for a pipeline blueprint they are single machines
-// and ordered producer/consumer pairs. The enumeration order is the
-// tie-break order of the reduce, so it must be deterministic.
-//
-// The contract is streaming: SelectSeq returns a sequence the
-// Coordinator consumes as candidates are produced, so a selector over a
-// 2048-host pool never materializes an exponential slice. A yielded set
-// is owned by the Coordinator afterwards — selectors must not reuse the
-// backing array. Selector construction (ranking, cost models) should
-// happen eagerly in SelectSeq so the round's "select" stage span keeps
-// measuring it; only per-set work belongs inside the sequence.
-// Slice-returning selectors keep working through ResourceSelectorFunc.
-type ResourceSelector interface {
-	SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host]
-}
-
-// ResourceSelectorFunc adapts a slice-returning function to the
-// streaming ResourceSelector interface — the compatibility shim for
-// pre-streaming selectors: the function runs eagerly (inside the select
-// stage, as before) and the sequence yields its sets in order.
-type ResourceSelectorFunc func(pool []*grid.Host) [][]*grid.Host
-
-// SelectSeq implements ResourceSelector.
-func (f ResourceSelectorFunc) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
-	sets := f(pool)
-	return func(yield func([]*grid.Host) bool) {
-		for _, set := range sets {
-			if !yield(set) {
-				return
-			}
-		}
-	}
-}
-
-// SelectorStreamFunc adapts a sequence-returning function directly to
-// ResourceSelector, for selectors that are naturally streaming.
-type SelectorStreamFunc func(pool []*grid.Host) iter.Seq[[]*grid.Host]
-
-// SelectSeq implements ResourceSelector.
-func (f SelectorStreamFunc) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] { return f(pool) }
-
-// TruncationReporter is implemented by selectors that may cap their
-// enumeration (e.g. userspec.MaxResourceSets). After draining the
-// sequence the Coordinator asks whether the cap hit and emits an
-// EvTruncated trace event plus the sched_selector_truncated_total
-// counter, so a capped round is visible in decision traces.
-type TruncationReporter interface {
-	// Truncated reports how many candidate sets the cap cut from the
-	// most recent SelectSeq enumeration (capped is false when the
-	// enumeration ran to completion).
-	Truncated() (dropped int, capped bool)
-}
-
-// CandidateEvaluator is the fused Planner + Performance Estimator: it
-// plans one candidate resource set and scores the plan under the user's
-// metric, returning the evaluated Candidate (lower Score is better) or
-// ok=false when the set is infeasible. Evaluate is called concurrently
-// for distinct sets, so implementations must not mutate shared state;
-// they read the round's frozen information view instead.
-type CandidateEvaluator interface {
-	Evaluate(set []*grid.Host) (c Candidate, ok bool)
-}
-
-// CandidateEvaluatorFunc adapts a function to CandidateEvaluator.
-type CandidateEvaluatorFunc func(set []*grid.Host) (Candidate, bool)
-
-// Evaluate implements CandidateEvaluator.
-func (f CandidateEvaluatorFunc) Evaluate(set []*grid.Host) (Candidate, bool) { return f(set) }
-
-// LowerBounder supplies a cheap bound on the best score any plan over a
-// candidate set can achieve. The bound must never overestimate the
-// score the evaluator computes, rounding included: the Coordinator
-// skips a set only when its bound already exceeds the best score seen,
-// so a sound bound makes pruning selection-preserving.
-type LowerBounder interface {
-	LowerBound(set []*grid.Host) float64
-}
-
-// LowerBoundFunc adapts a function to LowerBounder.
-type LowerBoundFunc func(set []*grid.Host) float64
-
-// LowerBound implements LowerBounder.
-func (f LowerBoundFunc) LowerBound(set []*grid.Host) float64 { return f(set) }
-
 // Round is one scheduling round handed to the Coordinator by a blueprint
-// agent: the US-filtered host pool plus factories that bind the
+// agent: the US-filtered host pool plus the binding of the
 // application-specific subsystems to the round's information view.
 type Round struct {
 	// Pool is the host pool after User Specification filtering. An empty
 	// pool fails the round with ErrNoFeasibleHosts.
 	Pool []*grid.Host
-	// Bind builds the round's Resource Selector and fused
-	// Planner+Estimator against the round's frozen information view.
-	Bind func(info Information) (ResourceSelector, CandidateEvaluator, error)
-	// Bound, when non-nil, builds the pruning bound for the round: sets
-	// whose bound exceeds the best score seen are skipped, so they are
-	// neither planned nor returned. It is called after Bind, so the bound
-	// may read what Bind resolved (the Jacobi agent's MaxSpeedup bound
-	// reads the round's solo baseline), and may return nil to decline.
-	// Rounds that must list every feasible candidate, such as rankings,
-	// leave it nil.
-	Bound func(info Information) LowerBounder
+	// Bind builds the round's plan against its frozen information view.
+	// It runs inside the round's select stage span, so selector
+	// construction (ranking, cost models) belongs in Bind; only per-set
+	// work belongs inside the plan's sequence.
+	Bind func(view Information) RoundPlan
 	// Selector labels the round's candidate counter
 	// (`sched_candidates_total{selector=...}`). The blueprint agents set
 	// it to their configured selector kind; empty means "custom".
 	Selector string
 }
 
+// RoundPlan is a blueprint's Resource Selector, fused Planner +
+// Performance Estimator and pruning bound, bound to one round's
+// information view.
+type RoundPlan struct {
+	// Sets streams the candidate resource sets: host chains for the
+	// data-parallel blueprint, single machines and ordered
+	// producer/consumer pairs for the pipeline one. The enumeration order
+	// is the tie-break order of the reduce, so it must be deterministic,
+	// and a yielded set is owned by the Coordinator afterwards: the
+	// sequence must not reuse its backing array.
+	Sets iter.Seq[[]*grid.Host]
+	// Evaluate plans one set and scores the plan under the user's
+	// metric, returning the evaluated Candidate (lower Score is better)
+	// or ok=false when the set is infeasible. It is called concurrently
+	// for distinct sets, so it must not mutate shared state.
+	Evaluate func(set []*grid.Host) (c Candidate, ok bool)
+	// Bound, when non-nil, is a cheap bound on the best score any plan
+	// over a set can reach. The round skips a set whose bound already
+	// exceeds the best score seen, so the bound must never overestimate
+	// Evaluate's score, rounding included: then a pruned set could not
+	// have won. Rounds that must list every feasible candidate, such as
+	// rankings, leave it nil.
+	Bound func(set []*grid.Host) float64
+	// Truncated, when non-nil, reports after Sets is drained how many
+	// sets a cap (userspec.MaxResourceSets) cut from the enumeration;
+	// capped is false when it ran to completion. A capped round emits an
+	// EvTruncated trace event and counts sched_selector_truncated_total.
+	// Nil means the enumeration is never capped.
+	Truncated func() (dropped int, capped bool)
+}
+
 // Coordinator owns the generic AppLeS scheduling round. It is configured
 // once per agent (information source, selector, observability) and
-// reused every round; the zero value is not useful — construct through
-// NewCoordinator or an agent constructor.
+// reused every round; the zero value is not useful — an agent
+// constructor builds it.
 type Coordinator struct {
 	info Information
 
@@ -197,20 +136,6 @@ func (m *roundMetrics) candidates(selector string) *obs.Counter {
 	return m.reg.Counter(obs.NameWithLabels(obs.MetricCandidates, "selector", selector))
 }
 
-// NewCoordinator builds a coordinator over an information source with the
-// given evaluation options, for callers assembling a custom blueprint
-// agent outside the built-in Agent/PipelineAgent pair.
-func NewCoordinator(info Information, opts ...AgentOption) *Coordinator {
-	cfg := newCoordConfig(info)
-	for _, opt := range opts {
-		if opt != nil {
-			opt(&cfg)
-		}
-	}
-	c := cfg.Coordinator
-	return &c
-}
-
 // Information returns the coordinator's underlying information source
 // (not the per-round snapshot).
 func (c *Coordinator) Information() Information { return c.info }
@@ -223,8 +148,8 @@ func (c *Coordinator) View(hosts []string) Information {
 	return roundSnapshot(c.info, nil, hosts...)
 }
 
-// EvaluateRound runs the blueprint round: resolve the information view,
-// bind the subsystems, stream candidate sets off the selector, evaluate
+// evaluateRound runs the blueprint round: resolve the information view,
+// bind the round's plan, stream candidate sets off it, evaluate
 // them (inline, or across a worker pool on large pools), and reduce
 // deterministically. It returns the feasible candidates in enumeration
 // order plus the number of sets considered.
@@ -250,17 +175,13 @@ func (c *Coordinator) View(hosts []string) Information {
 // lower bound already exceeds it. The bound never overestimates, so a
 // pruned set could not have won; pruning only reduces how many sets are
 // planned and returned.
-func (c *Coordinator) EvaluateRound(r Round) ([]Candidate, int, error) {
-	return c.evaluateRound(r, nil)
-}
-
-// evaluateRound is EvaluateRound with the SchedService's injection
-// point exposed: a non-nil view is an externally resolved frozen
-// information view (typically a cache-shared snapshot) that replaces
-// the round's own freeze. With view == nil this is exactly the
-// standalone round; an injected view built by roundSnapshot over the
-// same pool yields bit-identical decisions, since the view only changes
-// who froze the values, never the values themselves.
+//
+// A non-nil view is the SchedService's injection point: an externally
+// resolved frozen information view (typically a cache-shared snapshot)
+// that replaces the round's own freeze. An injected view built by
+// roundSnapshot over the same pool yields bit-identical decisions,
+// since the view only changes who froze the values, never the values
+// themselves.
 func (c *Coordinator) evaluateRound(r Round, view infoView) ([]Candidate, int, error) {
 	if len(r.Pool) == 0 {
 		return nil, 0, fmt.Errorf("core: %w: user specification filters out every host", ErrNoFeasibleHosts)
@@ -301,26 +222,20 @@ func (c *Coordinator) evaluateRound(r Round, view infoView) ([]Candidate, int, e
 		}
 	}
 	selSpan := stages.Start(round, obs.StageSelect)
-	sel, ev, err := r.Bind(view)
-	if err != nil {
-		return nil, 0, err
-	}
-	seq := sel.SelectSeq(r.Pool)
+	plan := r.Bind(view)
 	selSpan.End()
 
-	var bound LowerBounder
+	bound, evaluate := plan.Bound, plan.Evaluate
 	var incumbent *bestScore
-	if r.Bound != nil {
-		if bound = r.Bound(view); bound != nil {
-			incumbent = newBestScore()
-		}
+	if bound != nil {
+		incumbent = newBestScore()
 	}
 
 	// evalOne plans and estimates candidate set i (0-based enumeration
 	// index); it is called concurrently for distinct sets.
 	evalOne := func(i int, set []*grid.Host) (Candidate, bool) {
 		if incumbent != nil {
-			lb := bound.LowerBound(set)
+			lb := bound(set)
 			if inc := incumbent.load(); lb > inc {
 				if met != nil {
 					met.pruned.Inc()
@@ -332,7 +247,7 @@ func (c *Coordinator) evaluateRound(r Round, view infoView) ([]Candidate, int, e
 				return Candidate{}, false
 			}
 		}
-		cand, ok := ev.Evaluate(set)
+		cand, ok := evaluate(set)
 		if !ok {
 			if met != nil {
 				met.infeasible.Inc()
@@ -370,15 +285,15 @@ func (c *Coordinator) evaluateRound(r Round, view infoView) ([]Candidate, int, e
 		workers = runtime.GOMAXPROCS(0)
 	}
 	planSpan := stages.Start(round, obs.StagePlanEstimate)
-	cands, considered := runStreamed(seq, workers, evalOne)
+	cands, considered := runStreamed(plan.Sets, workers, evalOne)
 	planSpan.End()
 
 	if observing {
 		if met != nil {
 			met.candidates(r.Selector).Add(uint64(considered))
 		}
-		if trc, ok := sel.(TruncationReporter); ok {
-			if dropped, capped := trc.Truncated(); capped {
+		if plan.Truncated != nil {
+			if dropped, capped := plan.Truncated(); capped {
 				if met != nil {
 					met.truncated.Inc()
 				}

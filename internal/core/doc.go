@@ -8,7 +8,9 @@
 // candidate resource sets (inline on pools up to 64 hosts, fanned out to
 // GOMAXPROCS workers above), selection-preserving pruning on rounds
 // that supply a bound, and the deterministic (score, index) reduce — while each
-// application paradigm plugs in its subsystems through a Round. The
+// application paradigm hands it a Round whose Bind returns the round's
+// plan: its candidate sets, a fused planner/estimator and, optionally,
+// a pruning bound. The
 // Jacobi2D Agent (agent.go) and the 3D-REACT PipelineAgent (pipeline.go)
 // are both thin instantiations of this one blueprint.
 //

@@ -25,7 +25,7 @@ func newCoordConfig(info Information) coordConfig {
 
 // AgentOption configures a blueprint agent's Coordinator at construction.
 // The same options apply to every blueprint sharing the coordinator —
-// NewAgent, NewPipelineAgent, and NewCoordinator all accept them:
+// NewAgent and NewPipelineAgent both accept them:
 //
 //	a, err := core.NewAgent(tp, tpl, spec, info,
 //		core.WithSpillFactor(30), core.WithMetrics(reg))

@@ -141,47 +141,40 @@ func (a *PipelineAgent) singleSitePrediction(info Information, h *grid.Host) (fl
 // thousand-host pools tractable while singles still cover the full pool.
 const pipelinePairFactor = 4
 
-// pairSelector streams every single machine followed by ordered
+// pairSelector streams every single machine of pool followed by ordered
 // producer/consumer pairs. The exhaustive kind enumerates every pair in
-// pool order — the same sequence the legacy slice selector returned;
-// heuristic kinds restrict the pair family to the top hosts by frozen
-// effective speed, name tie-break.
-func pairSelector(spec SelectorSpec, info Information) ResourceSelector {
-	limit := 0
-	if spec.Kind != SelectorExhaustive {
-		limit = pipelinePairFactor * spec.BeamWidth
-	}
-	return SelectorStreamFunc(func(pool []*grid.Host) iter.Seq[[]*grid.Host] {
-		pairPool := pool
-		if limit > 0 && len(pool) > limit {
-			pairPool = append([]*grid.Host(nil), pool...)
-			eff := make(map[string]float64, len(pool))
-			for _, h := range pool {
-				eff[h.Name] = h.Speed * floorAvailability(info.Availability(h.Name))
-			}
-			sort.SliceStable(pairPool, func(i, j int) bool {
-				if eff[pairPool[i].Name] != eff[pairPool[j].Name] {
-					return eff[pairPool[i].Name] > eff[pairPool[j].Name]
-				}
-				return pairPool[i].Name < pairPool[j].Name
-			})
-			pairPool = pairPool[:limit]
+// pool order; heuristic kinds restrict the pair family to the top hosts
+// by frozen effective speed, name tie-break.
+func pairSelector(spec SelectorSpec, info Information, pool []*grid.Host) iter.Seq[[]*grid.Host] {
+	pairPool := pool
+	if limit := pipelinePairFactor * spec.BeamWidth; spec.Kind != SelectorExhaustive && len(pool) > limit {
+		pairPool = append([]*grid.Host(nil), pool...)
+		eff := make(map[string]float64, len(pool))
+		for _, h := range pool {
+			eff[h.Name] = h.Speed * floorAvailability(info.Availability(h.Name))
 		}
-		return func(yield func([]*grid.Host) bool) {
-			for _, h := range pool {
-				if !yield([]*grid.Host{h}) {
+		sort.SliceStable(pairPool, func(i, j int) bool {
+			if eff[pairPool[i].Name] != eff[pairPool[j].Name] {
+				return eff[pairPool[i].Name] > eff[pairPool[j].Name]
+			}
+			return pairPool[i].Name < pairPool[j].Name
+		})
+		pairPool = pairPool[:limit]
+	}
+	return func(yield func([]*grid.Host) bool) {
+		for _, h := range pool {
+			if !yield([]*grid.Host{h}) {
+				return
+			}
+		}
+		for _, p := range pairPool {
+			for _, c := range pairPool {
+				if p.Name != c.Name && !yield([]*grid.Host{p, c}) {
 					return
 				}
 			}
-			for _, p := range pairPool {
-				for _, c := range pairPool {
-					if p.Name != c.Name && !yield([]*grid.Host{p, c}) {
-						return
-					}
-				}
-			}
 		}
-	})
+	}
 }
 
 // round assembles the pipeline blueprint's Round: the US-filtered pool, a
@@ -193,15 +186,15 @@ func pairSelector(spec SelectorSpec, info Information) ResourceSelector {
 // have [producer, consumer] and the tuned unit. Every supported metric
 // reduces to minimizing predicted time here (speedup is bestSingle/t,
 // monotone in t for a fixed baseline), so Score is the predicted
-// execution time. The blueprint has no pruning bound, so Round.Bound is
-// nil and every round evaluates every mapping.
+// execution time. The blueprint has no pruning bound, so the plan's
+// Bound is nil and every round evaluates every mapping.
 func (a *PipelineAgent) round() Round {
 	spec := a.coord.selector.normalized()
+	pool := a.spec.Filter(a.tp.Hosts())
 	return Round{
-		Pool:     a.spec.Filter(a.tp.Hosts()),
+		Pool:     pool,
 		Selector: string(spec.Kind),
-		Bind: func(info Information) (ResourceSelector, CandidateEvaluator, error) {
-			sel := pairSelector(spec, info)
+		Bind: func(info Information) RoundPlan {
 
 			minU, maxU := a.tpl.PipelineUnitMin, a.tpl.PipelineUnitMax
 			if minU == 0 {
@@ -211,7 +204,7 @@ func (a *PipelineAgent) round() Round {
 				maxU = minU
 			}
 
-			ev := CandidateEvaluatorFunc(func(set []*grid.Host) (Candidate, bool) {
+			evaluate := func(set []*grid.Host) (Candidate, bool) {
 				if len(set) == 1 {
 					t, err := a.singleSitePrediction(info, set[0])
 					if err != nil {
@@ -225,15 +218,16 @@ func (a *PipelineAgent) round() Round {
 				}
 				u, t := m.BestUnit(minU, maxU)
 				return Candidate{Hosts: []string{set[0].Name, set[1].Name}, PredictedTotal: t, Score: t, Unit: u}, true
-			})
-			return sel, ev, nil
+			}
+			return RoundPlan{Sets: pairSelector(spec, info, pool), Evaluate: evaluate}
 		},
 	}
 }
 
-// evaluate runs the shared Coordinator round over the pipeline blueprint.
+// evaluateRound runs the shared Coordinator round over the pipeline
+// blueprint.
 func (a *PipelineAgent) evaluateRound() ([]Candidate, int, error) {
-	return a.coord.EvaluateRound(a.round())
+	return a.coord.evaluateRound(a.round(), nil)
 }
 
 // scheduleFrom reduces evaluated candidates to the chosen mapping via the

@@ -45,8 +45,13 @@ func (a *Agent) EstimatePlacement(n int, p *partition.Placement) (float64, error
 //   - the predicted savings over the remaining iterations exceed the
 //     estimated cost of migrating the strip state.
 //
-// Each checkpoint runs a fresh Schedule and EstimatePlacement, so the
-// candidate sets are re-selected against the forecasts of the moment.
+// Each checkpoint runs a fresh Schedule, so the candidate sets are
+// re-selected against the forecasts of the moment, and prices both the
+// current and the fresh placement with EstimatePlacement, so the two
+// are compared the same way. (The schedule's own PredictedIterTime
+// prices each band's border exchange against its chain neighbours,
+// zero-row hosts included; an estimate prices the bands' real
+// neighbours.)
 func (a *Agent) Rescheduler(n int, hysteresis float64) jacobi.ReplanFunc {
 	if hysteresis <= 0 {
 		hysteresis = 0.10
@@ -72,22 +77,26 @@ func (a *Agent) Rescheduler(n int, hysteresis float64) jacobi.ReplanFunc {
 		if err != nil {
 			return keep("no-fresh-schedule", 0, 0, 0, 0)
 		}
+		freshIter, err := a.EstimatePlacement(n, fresh.Placement)
+		if err != nil {
+			return keep("estimate-failed", 0, 0, 0, 0)
+		}
 		curIter, err := a.EstimatePlacement(n, current)
 		if err != nil {
-			return keep("estimate-failed", 0, fresh.PredictedIterTime, 0, 0)
+			return keep("estimate-failed", 0, freshIter, 0, 0)
 		}
-		if fresh.PredictedIterTime >= curIter*(1-hysteresis) {
-			return keep("hysteresis", curIter, fresh.PredictedIterTime, 0, 0)
+		if freshIter >= curIter*(1-hysteresis) {
+			return keep("hysteresis", curIter, freshIter, 0, 0)
 		}
-		savings := (curIter - fresh.PredictedIterTime) * float64(remaining)
+		savings := (curIter - freshIter) * float64(remaining)
 		migMB := jacobi.EstimateMigrationMB(current, fresh.Placement, bytesPerPoint)
 		migCost := a.migrationCost(current, fresh.Placement, migMB)
 		if savings <= migCost {
-			return keep("migration-cost", curIter, fresh.PredictedIterTime, savings, migCost)
+			return keep("migration-cost", curIter, freshIter, savings, migCost)
 		}
 		if tr := a.coord.tracer; tr != nil {
 			tr.Emit(obs.Event{Type: obs.EvReschedule, Verdict: "migrate", Hosts: fresh.Hosts,
-				Current: curIter, Fresh: fresh.PredictedIterTime, Savings: savings, MigCost: migCost})
+				Current: curIter, Fresh: freshIter, Savings: savings, MigCost: migCost})
 		}
 		return fresh.Placement
 	}

@@ -14,22 +14,21 @@ import (
 // machines; beyond this we fall back to desirability prefixes.
 const maxExhaustiveHosts = 12
 
-// exhaustiveSelector adapts the all-subsets enumeration to the streaming
-// ResourceSelector contract. The enumeration itself stays eager — it is
-// the work the select stage span measures, and on exhaustive-size pools
-// the whole list fits easily — but consumers still pull sets one at a
-// time, and the cap that userspec.MaxResourceSets applies is reported
-// through TruncationReporter instead of silently shrinking the round.
+// exhaustiveSelector streams the all-subsets enumeration. The
+// enumeration itself stays eager — it is the work the select stage span
+// measures, and on exhaustive-size pools the whole list fits easily —
+// but consumers still pull sets one at a time, and the cap that
+// userspec.MaxResourceSets applies is reported through Truncated instead
+// of silently shrinking the round.
 type exhaustiveSelector struct {
 	rs      *resourceSelector
 	maxSets int
-	dropped int
-	capped  bool
+	truncation
 }
 
-// SelectSeq implements ResourceSelector.
+// SelectSeq streams the subsets of pool.
 func (s *exhaustiveSelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
-	s.dropped, s.capped = 0, false
+	s.truncation = truncation{}
 	sets := s.rs.candidates(s.maxSets)
 	if s.maxSets > 0 && len(pool) > 0 {
 		total := len(pool)
@@ -48,9 +47,6 @@ func (s *exhaustiveSelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host]
 		}
 	}
 }
-
-// Truncated implements TruncationReporter.
-func (s *exhaustiveSelector) Truncated() (int, bool) { return s.dropped, s.capped }
 
 // resourceSelector implements the Resource Selector subsystem: it ranks
 // feasible hosts by deliverable performance, orders each candidate set so

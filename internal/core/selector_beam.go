@@ -31,7 +31,7 @@ type beamSelector struct {
 	truncation
 }
 
-// SelectSeq implements ResourceSelector.
+// SelectSeq streams the beam's states over pool.
 func (b *beamSelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
 	b.truncation = truncation{}
 	m := buildSelModel(b.rs, len(pool) <= selExactPairHosts)

@@ -43,7 +43,7 @@ type greedySelector struct {
 	truncation
 }
 
-// SelectSeq implements ResourceSelector. Model construction (the only
+// SelectSeq streams the greedy family over pool. Model construction (the only
 // O(pool·samples) work) runs eagerly; each yielded set is chained
 // lazily.
 func (g *greedySelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {

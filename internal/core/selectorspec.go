@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"strings"
+
+	"apples/internal/grid"
 )
 
 // SelectorKind names a candidate-enumeration strategy for the blueprint
@@ -65,15 +68,21 @@ func (s SelectorSpec) normalized() SelectorSpec {
 }
 
 // newSelector binds the configured selector for one data-parallel round
-// over rs, whose information view is the round's frozen snapshot.
-func newSelector(spec SelectorSpec, rs *resourceSelector, maxSets int) ResourceSelector {
+// over rs, whose information view is the round's frozen snapshot, and
+// returns its sequence of the round's candidate sets with its cap
+// report. The selector's eager work runs here.
+func newSelector(spec SelectorSpec, rs *resourceSelector, maxSets int) (iter.Seq[[]*grid.Host], func() (int, bool)) {
 	spec = spec.normalized()
+	pool := rs.cols.pool.hosts
 	switch spec.Kind {
 	case SelectorGreedy:
-		return &greedySelector{rs: rs, maxSets: maxSets}
+		s := &greedySelector{rs: rs, maxSets: maxSets}
+		return s.SelectSeq(pool), s.Truncated
 	case SelectorBeam:
-		return &beamSelector{rs: rs, width: spec.BeamWidth, maxSets: maxSets}
+		s := &beamSelector{rs: rs, width: spec.BeamWidth, maxSets: maxSets}
+		return s.SelectSeq(pool), s.Truncated
 	default:
-		return &exhaustiveSelector{rs: rs, maxSets: maxSets}
+		s := &exhaustiveSelector{rs: rs, maxSets: maxSets}
+		return s.SelectSeq(pool), s.Truncated
 	}
 }

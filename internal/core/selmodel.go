@@ -415,11 +415,11 @@ func prefixSizes(n int) []int {
 }
 
 // truncation is the shared cap bookkeeping the heuristic selectors embed
-// to satisfy TruncationReporter.
+// for their round plan's Truncated.
 type truncation struct {
 	dropped int
 	capped  bool
 }
 
-// Truncated implements TruncationReporter.
+// Truncated reports the sets the cap cut from the last enumeration.
 func (t *truncation) Truncated() (int, bool) { return t.dropped, t.capped }

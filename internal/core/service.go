@@ -19,8 +19,8 @@ import (
 //
 //   - snapshot layer: concurrent tenant rounds in one tick share one
 //     frozen information view through a copy-on-write snapshotCache
-//     (one routeBatcher pass over the forecaster bank, refcounted
-//     immutable fan-out) instead of N independent freezes;
+//     (one routeBatcher pass over the forecaster bank, immutable
+//     fan-out) instead of N independent freezes;
 //   - runner layer: concurrency lives across requests — up to
 //     WithServiceRunners rounds run at once, each the same agent round
 //     a standalone Schedule runs (inline on pools up to 64 hosts,
@@ -381,7 +381,7 @@ func (s *SchedService) serveTenant(t *Tenant) {
 }
 
 // runRound evaluates one round: resolve the shared snapshot, run the
-// tenant's scheduler, release the snapshot, publish observability.
+// tenant's scheduler, publish observability.
 func (s *SchedService) runRound(t *Tenant, req roundRequest) RoundResult {
 	start := time.Now()
 	res := RoundResult{Tenant: t.id, Seq: req.seq}
@@ -393,14 +393,11 @@ func (s *SchedService) runRound(t *Tenant, req roundRequest) RoundResult {
 		view = entry.view
 	}
 	res.Schedule, res.Err = t.agent.scheduleWith(req.n, view)
-	if entry != nil {
-		s.cache.release(entry)
-		if s.met != nil {
-			if res.SharedSnapshot {
-				s.met.reused.Inc()
-			} else {
-				s.met.builds.Inc()
-			}
+	if entry != nil && s.met != nil {
+		if res.SharedSnapshot {
+			s.met.reused.Inc()
+		} else {
+			s.met.builds.Inc()
 		}
 	}
 	res.Elapsed = time.Since(start)

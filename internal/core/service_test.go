@@ -360,8 +360,6 @@ func TestSnapshotCacheInvalidate(t *testing.T) {
 	if !shared || e2.view != e1.view {
 		t.Fatal("second acquire did not share the frozen view")
 	}
-	c.release(e1)
-	c.release(e2)
 	c.Invalidate()
 	e3, shared := c.acquire(info, pool)
 	if shared {
@@ -370,7 +368,6 @@ func TestSnapshotCacheInvalidate(t *testing.T) {
 	if e3.view == e1.view {
 		t.Fatal("post-invalidate acquire returned the retired view")
 	}
-	c.release(e3)
 	if want := 1.0 / 3.0; c.ratio() != want {
 		t.Fatalf("ratio = %g, want %g (1 reuse over 2 builds + 1 reuse)", c.ratio(), want)
 	}

@@ -381,7 +381,7 @@ func (s *ReschedSession) scan(prune bool) (bestIdx, rescored, pruned int) {
 }
 
 // bound is candidate c's metric bound over the pool columns, the session
-// twin of Agent.round's Round.Bound: stripModel.bound, fed the aggregate
+// twin of Agent.round's RoundPlan.Bound: stripModel.bound, fed the aggregate
 // its metric reads. Min-time sets, the common case, take its rateBound
 // case directly, which inlines.
 func (s *ReschedSession) bound(c int) float64 {

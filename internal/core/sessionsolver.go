@@ -647,31 +647,3 @@ func (s *ReschedSession) solveChain(k int) (iterT float64, ok bool) {
 	}
 	return s.kn.solve(&s.m, k)
 }
-
-// EstimatePlacement prices an existing placement under the inputs of
-// the session's most recent Round refresh — the allocation-free twin of
-// Agent.EstimatePlacement, sharing one refresh per tick instead of
-// building a fresh snapshot per call. Placements touching hosts outside
-// the frozen pool (or predating the first Round) delegate to the agent.
-func (s *ReschedSession) EstimatePlacement(p *partition.Placement) (float64, error) {
-	if s.rounds == 0 {
-		return s.a.EstimatePlacement(s.m.n, p)
-	}
-	k := 0
-	for _, asg := range p.Assignments {
-		if asg.Points == 0 {
-			continue
-		}
-		h := s.a.tp.Host(asg.Host)
-		if h == nil {
-			continue
-		}
-		idx := s.cols.pool.indexOf(h)
-		if idx < 0 || k >= len(s.names) {
-			return s.a.EstimatePlacement(s.m.n, p)
-		}
-		s.kn.chain[k] = idx
-		k++
-	}
-	return s.kn.estimate(&s.m, s.cols, k, s.a.tp, p)
-}

@@ -14,14 +14,13 @@ import (
 // over the forecaster bank — instead of N independent freezes. The
 // first round to arrive builds the snapshot (under the entry's
 // sync.Once, so concurrent arrivals block briefly and then share);
-// every other round fans out over the immutable result with a
-// refcount tracking how many are reading it.
+// every other round fans out over the immutable result.
 //
 // Correctness leans on the same property the standalone round does:
 // a frozen view is immutable, so sharing it across rounds is
 // indistinguishable from each round freezing its own — provided the
 // underlying source has not moved between the builds being collapsed.
-// The service guarantees that by epoch: Invalidate() retires every
+// The service guarantees that by invalidation: Invalidate() retires every
 // entry (future acquires rebuild), and the daemon calls it whenever
 // simulated time advances. Between invalidations the source is static,
 // so shared and private freezes are bit-identical.
@@ -32,7 +31,6 @@ import (
 // is a pointer).
 type snapshotCache struct {
 	mu      sync.Mutex
-	epoch   uint64
 	entries map[snapKey]*snapEntry
 
 	// builds counts rounds that froze a snapshot (cache miss), reused
@@ -50,7 +48,6 @@ type snapKey struct {
 type snapEntry struct {
 	once sync.Once
 	view infoView
-	refs atomic.Int64 // rounds currently evaluating against this view
 }
 
 func newSnapshotCache() *snapshotCache {
@@ -73,9 +70,8 @@ func poolFingerprint(pool []*grid.Host) string {
 }
 
 // acquire resolves the shared frozen view for (info, pool), building it
-// exactly once per epoch. shared reports whether this round reused an
-// existing freeze. The returned entry's refcount is held; pair with
-// release once the round is done reading.
+// exactly once between invalidations. shared reports whether this
+// round reused an existing freeze.
 func (c *snapshotCache) acquire(info Information, pool []*grid.Host) (e *snapEntry, shared bool) {
 	key := snapKey{info: info, pool: poolFingerprint(pool)}
 	c.mu.Lock()
@@ -96,21 +92,16 @@ func (c *snapshotCache) acquire(info Information, pool []*grid.Host) (e *snapEnt
 	} else {
 		c.reused.Add(1)
 	}
-	e.refs.Add(1)
 	return e, !built
 }
-
-// release drops one round's hold on the entry's view.
-func (c *snapshotCache) release(e *snapEntry) { e.refs.Add(-1) }
 
 // Invalidate retires every cached entry: subsequent acquires freeze
 // fresh views. Rounds still holding a retired entry finish against it
 // unharmed (the view is immutable; the garbage collector reclaims it
-// when the last ref drops). Call whenever the underlying information
+// once the last of them is done). Call whenever the underlying information
 // may have moved — the daemon ties this to simulated-time advances.
 func (c *snapshotCache) Invalidate() {
 	c.mu.Lock()
-	c.epoch++
 	c.entries = make(map[snapKey]*snapEntry)
 	c.mu.Unlock()
 }

@@ -222,7 +222,7 @@ type routeIndex interface {
 }
 
 // roundSnapshot is the one snapshot constructor every scheduling path
-// resolves through: Coordinator.EvaluateRound and View, WaitOrRun's
+// resolves through: Coordinator.evaluateRound and View, WaitOrRun's
 // union view, the ReschedSession cold path, and the SchedService's
 // shared-snapshot cache. It freezes the pool's hosts, then any extra
 // names not already present (WaitOrRun's offered hosts), each once in
