@@ -25,13 +25,16 @@ cover:
 	$(GO) test -coverprofile=cover.out ./internal/core ./internal/nws ./internal/obs ./internal/obs/audit ./internal/mstore
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Short fuzz probe of the serialization decoders and of session rounds
-# under hostile availability deltas; the committed corpora under
-# testdata/fuzz replay as regular tests on every `make test`.
+# Short fuzz probe of the serialization decoders, of session rounds
+# under hostile availability deltas, and of scheduling rounds under
+# hostile availability, bandwidth and latency forecasts; the committed
+# corpora under testdata/fuzz replay as regular tests on every
+# `make test`.
 fuzz:
 	$(GO) test -fuzz=FuzzReadPlacement -fuzztime=10s ./internal/partition
 	$(GO) test -fuzz=FuzzSegmentDecode -fuzztime=10s ./internal/mstore
 	$(GO) test -fuzz=FuzzSessionDelta -fuzztime=10s ./internal/core
+	$(GO) test -fuzz=FuzzInformation -fuzztime=10s ./internal/core
 
 # Full reproduction benchmarks (paper figures + ablations).
 bench:

@@ -231,8 +231,10 @@ type (
 	Candidate = core.Candidate
 	// Information is the agent's dynamic-information source.
 	Information = core.Information
-	// InfoSnapshot is an immutable point-in-time resolution of an
-	// Information source (the agent takes one per scheduling round).
+	// InfoSnapshot is a point-in-time resolution of an Information
+	// source over a host set, immutable once returned: the agent
+	// freezes one per scheduling round over the pool's hosts, and a
+	// ReschedSession keeps its own, which only its rounds refresh.
 	InfoSnapshot = core.InfoSnapshot
 	// Actuator implements a schedule on the target system.
 	Actuator = core.Actuator
@@ -278,7 +280,7 @@ const (
 	SelectorExhaustive = core.SelectorExhaustive
 	// SelectorGreedy grows sets by marginal gain over host desirability.
 	SelectorGreedy = core.SelectorGreedy
-	// SelectorBeam runs a width-W beam search over add/drop/swap moves.
+	// SelectorBeam runs a width-8 beam search over add/drop/swap moves.
 	SelectorBeam = core.SelectorBeam
 )
 
@@ -286,7 +288,10 @@ const (
 // "beam") into a SelectorSpec.
 var ParseSelector = core.ParseSelector
 
-// SnapshotInformation freezes an Information source over a host set.
+// SnapshotInformation freezes an Information source over a host set:
+// each distinct host once, a non-finite availability as 0, a route
+// latency that is not finite or above 10^6 s as 10^6 s, and a NaN
+// bandwidth or one below 10^-6 MB/s as 0, a dead route.
 var SnapshotInformation = core.SnapshotInformation
 
 // Delta-aware rescheduling (the kHz-rate loop).
@@ -306,9 +311,9 @@ type (
 	// Rescheduler does.
 	ReschedSession = core.ReschedSession
 	// DeltaStats describes what one session round did: hosts whose
-	// availability changed, links changed, candidates rescored and
-	// pruned vs considered, and whether the round was quiescent
-	// (Carried).
+	// availability changed, links on the pool's routes (or host pairs)
+	// changed, candidates rescored and pruned vs considered, and
+	// whether the round was quiescent (Carried).
 	DeltaStats = core.DeltaStats
 )
 

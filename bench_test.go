@@ -91,7 +91,7 @@ func BenchmarkSelect(b *testing.B) {
 	}{
 		{"exhaustive", core.SelectorSpec{Kind: core.SelectorExhaustive}},
 		{"greedy", core.SelectorSpec{Kind: core.SelectorGreedy}},
-		{"beam", core.SelectorSpec{Kind: core.SelectorBeam, BeamWidth: 8}},
+		{"beam", core.SelectorSpec{Kind: core.SelectorBeam}},
 	}
 	const n = 4000
 	for _, p := range pools {

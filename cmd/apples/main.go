@@ -42,7 +42,6 @@ func main() {
 	explain := flag.Int("explain", 0, "also print the top-K candidate schedules the agent weighed")
 	metric := flag.String("metric", "min-time", "user performance metric: min-time, speedup, cost")
 	selector := flag.String("selector", "exhaustive", "resource selector family: exhaustive, greedy, beam")
-	beamWidth := flag.Int("beam-width", 8, "beam width for -selector beam")
 	spill := flag.Float64("spill", 25, "estimator out-of-memory penalty multiplier")
 	saveSched := flag.String("save-schedule", "", "write the chosen placement as JSON to this file")
 	loadSched := flag.String("load-schedule", "", "skip scheduling; execute the placement JSON from this file")
@@ -258,7 +257,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	selSpec.BeamWidth = *beamWidth
 
 	tpl := apples.JacobiTemplate(*n, *iters)
 	agentOpts := []apples.AgentOption{

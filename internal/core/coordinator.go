@@ -140,14 +140,6 @@ func (m *roundMetrics) candidates(selector string) *obs.Counter {
 // (not the per-round snapshot).
 func (c *Coordinator) Information() Information { return c.info }
 
-// View resolves the frozen information view the coordinator would
-// evaluate the named hosts against. Sequential re-estimation paths (e.g.
-// pricing an existing placement before a rescheduling decision) share it
-// so they see exactly what a scheduling round would.
-func (c *Coordinator) View(hosts []string) Information {
-	return roundSnapshot(c.info, nil, hosts...)
-}
-
 // evaluateRound runs the blueprint round: resolve the information view,
 // bind the round's plan, stream candidate sets off it, evaluate
 // them (inline, or across a worker pool on large pools), and reduce

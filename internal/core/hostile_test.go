@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"testing"
 
+	"apples/internal/grid"
 	"apples/internal/hat"
+	"apples/internal/sim"
 	"apples/internal/userspec"
 )
 
@@ -18,7 +20,7 @@ var selectorFamilies = []struct {
 }{
 	{"exhaustive", SelectorSpec{Kind: SelectorExhaustive}},
 	{"greedy", SelectorSpec{Kind: SelectorGreedy}},
-	{"beam", SelectorSpec{Kind: SelectorBeam, BeamWidth: 8}},
+	{"beam", SelectorSpec{Kind: SelectorBeam}},
 }
 
 // TestNonFiniteAvailabilityActsAsZero pins how rounds read a
@@ -293,3 +295,199 @@ func FuzzSessionDelta(f *testing.F) {
 		}
 	})
 }
+
+// infoFuzzPools are FuzzInformation's agents: a 12-host pool under the
+// exhaustive and the greedy selector, evaluated inline, and a 72-host
+// greedy pool, evaluated by workers.
+var infoFuzzPools = []struct {
+	name          string
+	clusters, per int
+	spec          SelectorSpec
+}{
+	{"12host-exhaustive", 3, 4, SelectorSpec{Kind: SelectorExhaustive}},
+	{"12host-greedy", 3, 4, SelectorSpec{Kind: SelectorGreedy}},
+	{"72host-greedy", 6, 12, SelectorSpec{Kind: SelectorGreedy}},
+}
+
+// genericInfo hides a source's batched route resolution, so every view
+// reads it pair by pair.
+type genericInfo struct{ Information }
+
+// fuzzForecast decodes one hostile forecast of a quantity whose normal
+// values are around scale: 0, NaN, ±Inf, -scale, the largest or the
+// smallest positive float, or a value in [0.05, 1]·scale.
+func fuzzForecast(b byte, scale float64) float64 {
+	switch b % 16 {
+	case 0:
+		return 0
+	case 1:
+		return math.NaN()
+	case 2:
+		return math.Inf(1)
+	case 3:
+		return math.Inf(-1)
+	case 4:
+		return -scale
+	case 5:
+		return math.MaxFloat64
+	case 6:
+		return math.SmallestNonzeroFloat64
+	}
+	return scale * (0.05 + 0.95*float64(b>>4)/15)
+}
+
+// FuzzInformation feeds hostile forecasts across the Information
+// boundary into whole scheduling rounds. Each input sets arbitrary host
+// availabilities, link bandwidths and link latencies (NaN, ±Inf, 0,
+// negative, huge) on a quiet grid, then schedules through a generic
+// source, read pair by pair, and through a batched overlay. Schedule
+// must return a finite PredictedTotal or an error wrapping
+// ErrNoFeasiblePlan or ErrNoFeasibleHosts, never panic, and pick the
+// hosts and total the unpruned ScheduleExplained(n, 1) picks; both
+// sources must pick the same.
+//
+// Input: a byte for the pool (infoFuzzPools) and one for its seed, then
+// a count byte k (0–15) and k (kind, target, value) triples: kind picks
+// availability, bandwidth or latency, target the host or link, value a
+// fuzzForecast. The committed corpus under testdata/fuzz/FuzzInformation
+// replays in every `go test` run.
+func FuzzInformation(f *testing.F) {
+	f.Add([]byte{0, 1, 3, 0, 0, 1, 1, 2, 1, 2, 3, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		p := infoFuzzPools[int(in.next())%len(infoFuzzPools)]
+		tp := grid.ClusterOfClusters(sim.NewEngine(), grid.ClusterOptions{
+			Clusters: p.clusters, PerCluster: p.per, Seed: int64(in.next()%8) + 1, Quiet: true})
+		hosts, links := tp.Hosts(), tp.Links()
+		overlay := map[string]float64{}
+		for k := in.next() % 16; k > 0; k-- {
+			kind, target, v := in.next()%3, int(in.next()), in.next()
+			switch kind {
+			case 0:
+				overlay[hosts[target%len(hosts)].Name] = fuzzForecast(v, 1)
+			case 1:
+				links[target%len(links)].Bandwidth = fuzzForecast(v, 10)
+			default:
+				links[target%len(links)].Latency = fuzzForecast(v, 1e-3)
+			}
+		}
+
+		const n = 600
+		var picks []*Schedule
+		for _, src := range []struct {
+			name string
+			info Information
+		}{
+			{"generic", NewOverlayInformation(genericInfo{OracleInformation(tp)}, overlay)},
+			{"batched", NewOverlayInformation(OracleInformation(tp), overlay)},
+		} {
+			name := p.name + "/" + src.name
+			agent, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{}, src.info, WithSelector(p.spec))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got, gerr := agent.Schedule(n)
+			want, _, werr := agent.ScheduleExplained(n, 1)
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("%s: error divergence: %v vs %v", name, gerr, werr)
+			}
+			if gerr != nil {
+				if !errors.Is(gerr, ErrNoFeasiblePlan) && !errors.Is(gerr, ErrNoFeasibleHosts) {
+					t.Fatalf("%s: untyped error %v", name, gerr)
+				}
+				picks = append(picks, nil)
+				continue
+			}
+			if pt := got.PredictedTotal; math.IsNaN(pt) || math.IsInf(pt, 0) {
+				t.Fatalf("%s: predicted total %v is not finite", name, pt)
+			}
+			if !reflect.DeepEqual(got.Hosts, want.Hosts) ||
+				math.Float64bits(got.PredictedTotal) != math.Float64bits(want.PredictedTotal) {
+				t.Fatalf("%s: pruned round picked %v (%v), unpruned %v (%v)",
+					name, got.Hosts, got.PredictedTotal, want.Hosts, want.PredictedTotal)
+			}
+			picks = append(picks, got)
+		}
+		if g, b := picks[0], picks[1]; (g == nil) != (b == nil) || g != nil && (!reflect.DeepEqual(g.Hosts, b.Hosts) ||
+			math.Float64bits(g.PredictedTotal) != math.Float64bits(b.PredictedTotal)) {
+			t.Fatalf("%s: generic source picked %+v, batched %+v", p.name, g, b)
+		}
+	})
+}
+
+// routeInfo reports the same latency and bandwidth for every route,
+// pair by pair.
+type routeInfo struct {
+	Information
+	lat, bw float64
+}
+
+func (r routeInfo) RouteLatency(a, b string) float64   { return r.lat }
+func (r routeInfo) RouteBandwidth(a, b string) float64 { return r.bw }
+
+// TestHostileRouteFreezesFinite pins how views freeze route forecasts
+// the strip kernel cannot price: a latency that is NaN, ±Inf or above
+// maxRouteLatency freezes as maxRouteLatency, and a bandwidth that is
+// NaN or below deadRouteBandwidth as 0. The eager view reads them pair
+// by pair from a generic source; the lazy view composes them from the
+// same values set on every link, and every route it composes must
+// stay within those bounds. Unfrozen, an infinite border cost made the
+// balancer's row rounding loop without end, so Schedule never
+// returned; on both views it must return a finite total.
+func TestHostileRouteFreezesFinite(t *testing.T) {
+	tp := grid.ClusterOfClusters(sim.NewEngine(), grid.ClusterOptions{Clusters: 6, PerCluster: 12, Seed: 3, Quiet: true})
+	hosts, links := tp.Hosts(), tp.Links()
+	const n = 600
+	cases := []struct {
+		name            string
+		lat, bw         float64
+		wantLat, wantBW float64
+	}{
+		{"nan-latency", math.NaN(), 10, maxRouteLatency, 10},
+		{"inf-latency", math.Inf(1), 10, maxRouteLatency, 10},
+		{"-inf-latency", math.Inf(-1), 10, maxRouteLatency, 10},
+		{"huge-latency", math.MaxFloat64, 10, maxRouteLatency, 10},
+		{"nan-bandwidth", 1e-3, math.NaN(), 1e-3, 0},
+		{"tiny-bandwidth", 1e-3, math.SmallestNonzeroFloat64, 1e-3, 0},
+	}
+	schedule := func(name string, pool []*grid.Host, info Information, spec SelectorSpec) {
+		t.Helper()
+		agent, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{Accessible: hostNames(pool)}, info, WithSelector(spec))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sched, err := agent.Schedule(n)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if pt := sched.PredictedTotal; math.IsNaN(pt) || math.IsInf(pt, 0) {
+			t.Fatalf("%s: predicted total %v is not finite", name, pt)
+		}
+	}
+	for _, c := range cases {
+		pool := hosts[:12]
+		info := routeInfo{OracleInformation(tp), c.lat, c.bw}
+		if lat, bw := SnapshotInformation(info, hostNames(pool)).routeAt(0, 1); !sameFloat(lat, c.wantLat) || !sameFloat(bw, c.wantBW) {
+			t.Fatalf("%s/eager: froze latency %v, bandwidth %v; want %v, %v", c.name, lat, bw, c.wantLat, c.wantBW)
+		}
+		schedule(c.name+"/eager", pool, info, SelectorSpec{})
+
+		for _, l := range links {
+			l.Latency, l.Bandwidth = c.lat, c.bw
+		}
+		view := roundSnapshot(OracleInformation(tp), hosts)
+		if _, ok := view.(*linkSnapshot); !ok {
+			t.Fatalf("%s/lazy: built %T", c.name, view)
+		}
+		for j := 1; j < len(hosts); j++ {
+			lat, bw := view.routeAt(view.hostIndex(hosts[0]), view.hostIndex(hosts[j]))
+			if !(lat <= maxRouteLatency) || !(bw == 0 || bw >= deadRouteBandwidth) {
+				t.Fatalf("%s/lazy: route to %s froze latency %v, bandwidth %v", c.name, hosts[j].Name, lat, bw)
+			}
+		}
+		schedule(c.name+"/lazy", hosts, OracleInformation(tp), SelectorSpec{Kind: SelectorGreedy})
+	}
+}
+
+// sameFloat reports whether two floats have the same bits.
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

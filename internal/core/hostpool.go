@@ -84,7 +84,8 @@ func (hp *hostPool) indexOf(h *grid.Host) int {
 // poolCols is one round's dynamic columns over a hostPool: availability
 // as the round reads it, and the three quantities fill derives from it.
 // A round owns its columns (concurrent Schedule calls never share
-// them); a ReschedSession keeps one set and refreshes it in place.
+// them); a ReschedSession keeps one set whose availability is its
+// view's column, refreshed in place.
 type poolCols struct {
 	pool   *hostPool
 	avail  []float64

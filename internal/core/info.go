@@ -26,7 +26,7 @@ func floorAvailability(avail float64) float64 {
 
 // finiteAvailability maps a non-finite availability forecast (NaN, ±Inf)
 // to 0, a host the source cannot vouch for. Every frozen view (round
-// snapshots and the ReschedSession's refreshed arrays) stores forecasts
+// snapshots and the ReschedSession's refreshed view) stores forecasts
 // through it: desirability ranking and chain seeding read the raw value,
 // where NaN breaks the sort and +Inf ranks a dead host first.
 func finiteAvailability(avail float64) float64 {

@@ -135,11 +135,11 @@ func (a *PipelineAgent) singleSitePrediction(info Information, h *grid.Host) (fl
 	return t / floorAvailability(info.Availability(h.Name)), nil
 }
 
-// pipelinePairLimit bounds the quadratic pair family for heuristic
-// selector kinds: ordered pairs are drawn from the pairFactor×BeamWidth
-// most effective hosts (speed × forecast availability), which keeps
-// thousand-host pools tractable while singles still cover the full pool.
-const pipelinePairFactor = 4
+// pipelinePairHosts bounds the quadratic pair family for heuristic
+// selector kinds: ordered pairs are drawn from the 32 most effective
+// hosts (speed × forecast availability), which keeps thousand-host pools
+// tractable while singles still cover the full pool.
+const pipelinePairHosts = 32
 
 // pairSelector streams every single machine of pool followed by ordered
 // producer/consumer pairs. The exhaustive kind enumerates every pair in
@@ -147,7 +147,7 @@ const pipelinePairFactor = 4
 // by frozen effective speed, name tie-break.
 func pairSelector(spec SelectorSpec, info Information, pool []*grid.Host) iter.Seq[[]*grid.Host] {
 	pairPool := pool
-	if limit := pipelinePairFactor * spec.BeamWidth; spec.Kind != SelectorExhaustive && len(pool) > limit {
+	if spec.Kind != SelectorExhaustive && len(pool) > pipelinePairHosts {
 		pairPool = append([]*grid.Host(nil), pool...)
 		eff := make(map[string]float64, len(pool))
 		for _, h := range pool {
@@ -159,7 +159,7 @@ func pairSelector(spec SelectorSpec, info Information, pool []*grid.Host) iter.S
 			}
 			return pairPool[i].Name < pairPool[j].Name
 		})
-		pairPool = pairPool[:limit]
+		pairPool = pairPool[:pipelinePairHosts]
 	}
 	return func(yield func([]*grid.Host) bool) {
 		for _, h := range pool {

@@ -25,7 +25,7 @@ func (a *Agent) EstimatePlacement(n int, p *partition.Placement) (float64, error
 	}
 	m := a.model(n)
 	hp := newHostPool(a.tp, &a.tpl.Tasks[0], a.spec, chain)
-	cols := viewCols(hp, a.coord.View(hostNames(chain)), m.flopPerUnit)
+	cols := viewCols(hp, roundSnapshot(a.coord.info, chain), m.flopPerUnit)
 	kn := kernelPool.Get().(*stripKernel)
 	defer kernelPool.Put(kn)
 	kn.reserve(len(chain))

@@ -16,8 +16,11 @@ const beamIterations = 16
 // or swap in per iteration.
 const beamMoveFanout = 6
 
-// beamSelector runs a width-W beam search over memberships: the beam
-// seeds from the desirability-prefix family (all of which it also
+// beamWidth is the number of beam states kept per iteration.
+const beamWidth = 8
+
+// beamSelector runs a beam search of width beamWidth over memberships:
+// the beam seeds from the desirability-prefix family (all of which it also
 // yields, so it never does worse than the legacy large-pool fallback)
 // plus the top single hosts, then iterates add / drop / swap moves
 // scored by the surrogate objective, keeping the best W distinct states
@@ -26,7 +29,6 @@ const beamMoveFanout = 6
 // key — so equal specs enumerate equal candidates.
 type beamSelector struct {
 	rs      *resourceSelector
-	width   int
 	maxSets int
 	truncation
 }
@@ -35,10 +37,6 @@ type beamSelector struct {
 func (b *beamSelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
 	b.truncation = truncation{}
 	m := buildSelModel(b.rs, len(pool) <= selExactPairHosts)
-	width := b.width
-	if width <= 0 {
-		width = 8
-	}
 	return func(yield func([]*grid.Host) bool) {
 		if m.n == 0 {
 			return
@@ -86,7 +84,7 @@ func (b *beamSelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
 			}
 			admit(s)
 		}
-		for i := 0; i < min(width, m.n); i++ {
+		for i := 0; i < min(beamWidth, m.n); i++ {
 			s := newSelState(m.n)
 			m.add(s, m.effOrder[i])
 			if !emit(s) {
@@ -112,7 +110,7 @@ func (b *beamSelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
 				}
 				seen[k] = true
 				kept = append(kept, s)
-				if len(kept) == width {
+				if len(kept) == beamWidth {
 					break
 				}
 			}

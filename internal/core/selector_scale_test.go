@@ -118,7 +118,7 @@ func TestExhaustiveFallbackAllocs(t *testing.T) {
 // wider heuristic survives pools far past the exhaustive range (greedy
 // has its own 2048-host test).
 func TestHeuristicSelectors512Hosts(t *testing.T) {
-	agent := newGridAgent(t, 32, 16, SelectorSpec{Kind: SelectorBeam, BeamWidth: 8})
+	agent := newGridAgent(t, 32, 16, SelectorSpec{Kind: SelectorBeam})
 	sched, err := agent.Schedule(4000)
 	if err != nil {
 		t.Fatal(err)

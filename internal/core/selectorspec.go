@@ -27,15 +27,11 @@ const (
 	SelectorBeam SelectorKind = "beam"
 )
 
-// SelectorSpec selects and parameterizes the Resource Selector a
-// blueprint agent binds each scheduling round. The zero value means
-// exhaustive with default parameters; pass it through WithSelector.
+// SelectorSpec selects the Resource Selector a blueprint agent binds
+// each scheduling round. The zero value means exhaustive; pass it
+// through WithSelector.
 type SelectorSpec struct {
 	Kind SelectorKind
-	// BeamWidth is the number of beam states kept per iteration
-	// (SelectorBeam; default 8). The pipeline blueprint also uses it to
-	// size its pair-enumeration cutoff under heuristic selectors.
-	BeamWidth int
 }
 
 // ParseSelector parses a -selector flag value into a SelectorSpec.
@@ -56,13 +52,10 @@ func (s SelectorSpec) validate() error {
 	return fmt.Errorf("core: unknown selector %q (want exhaustive, greedy, or beam)", s.Kind)
 }
 
-// normalized fills defaults: exhaustive kind, beam width 8.
+// normalized fills the default kind, exhaustive.
 func (s SelectorSpec) normalized() SelectorSpec {
 	if s.Kind == "" {
 		s.Kind = SelectorExhaustive
-	}
-	if s.BeamWidth <= 0 {
-		s.BeamWidth = 8
 	}
 	return s
 }
@@ -79,7 +72,7 @@ func newSelector(spec SelectorSpec, rs *resourceSelector, maxSets int) (iter.Seq
 		s := &greedySelector{rs: rs, maxSets: maxSets}
 		return s.SelectSeq(pool), s.Truncated
 	case SelectorBeam:
-		s := &beamSelector{rs: rs, width: spec.BeamWidth, maxSets: maxSets}
+		s := &beamSelector{rs: rs, maxSets: maxSets}
 		return s.SelectSeq(pool), s.Truncated
 	default:
 		s := &exhaustiveSelector{rs: rs, maxSets: maxSets}

@@ -154,7 +154,7 @@ func buildSelModel(rs *resourceSelector, exact bool) *selModel {
 // 1e-6 MB/s so a dead route prices as very slow.
 func transferCost(lat, bw float64) float64 {
 	if bw <= 0 {
-		bw = 1e-6
+		bw = deadRouteBandwidth
 	}
 	return lat + 1.0/bw
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 
-	"apples/internal/grid"
 	"apples/internal/obs"
 	"apples/internal/userspec"
 )
@@ -23,16 +22,19 @@ import (
 // current then — and represents each set as one uint64 bitmask over the
 // frozen pool ordering. Every static per-host coefficient comes from the
 // agent's hostPool, resolved once when the agent was built; the session
-// owns only the dynamic inputs and the pool columns (poolCols) derived
-// from them.
+// owns only its information view, an InfoSnapshot over the pool whose
+// positions are pool indices, and the pool columns (poolCols) derived
+// from it.
 //
 // Each Round() then:
 //
-//  1. re-reads the dynamic inputs (per-host availability; per-link
-//     bandwidth for batched sources, per-pair values otherwise) into the
-//     same arrays and counts what changed. A round where nothing changed
-//     ends here and carries the previous outcome; one where availability
-//     changed refills the pool columns (P_i, ρ_i, r_i·P_i);
+//  1. refreshes the view in place (InfoSnapshot.refresh: per-host
+//     availability; the bandwidth of the links the pool's routes cross
+//     for batched sources, per-pair values otherwise) and counts what
+//     changed. A round where nothing changed ends here and carries the
+//     previous outcome; one where availability changed refills the pool
+//     columns (P_i, ρ_i, r_i·P_i), and one where a route changed
+//     re-prices the chain transfer costs;
 //  2. re-plans the universe in one scan. With a spill factor ≥ 1, where
 //     the metric bounds are sound (Agent.hasComputeBound), the scan is
 //     bounded: it re-prices the previous winner as the incumbent, then
@@ -68,31 +70,17 @@ type ReschedSession struct {
 	a *Agent
 	m stripModel
 
-	// Frozen pool names, in userspec filter order; every per-host array
-	// below is indexed by pool index. cols holds the last refreshed
-	// availability and the columns filled from it, routed by pairRoute.
-	names []string
-	cols  *poolCols
-
-	// Batched link mode (sources implementing routeBatcher): per-link
-	// bandwidth is refreshed and diffed by grid.Link.Index. tidx holds
-	// each pool host's dense index in rtp (-1 when rtp does not know it:
-	// no route).
-	rb     routeBatcher
-	rtp    *grid.Topology // route topology for link composition
-	tidx   []int
-	links  []*grid.Link
-	linkBW []float64
-
-	// Pair arrays: bandwidth and latency per ordered pair, flattened
-	// n×n, for pricing chain borders.
-	pairBW  []float64
-	pairLat []float64
+	// view is the session's information over its pool, refreshed in
+	// place every round; its position i is pool index i. cols.avail
+	// aliases the view's availability column, and cols routes through
+	// view.routeAt.
+	view *InfoSnapshot
+	cols *poolCols
 
 	// sel is the session's exact pool model: eff and the eff-seed order,
 	// refreshed with availability, and the chain layout. Its pair-cost
-	// matrix is the session's transfer-cost store, refreshed with the
-	// routes.
+	// matrix is the session's transfer-cost store, re-priced from the
+	// view when a route changes.
 	sel *selModel
 
 	// Frozen candidate universe: one membership mask per set, in the
@@ -127,8 +115,9 @@ type DeltaStats struct {
 	// ChangedHosts counts pool hosts whose availability changed since
 	// the previous round. On a cold or FullRound it is the pool size.
 	ChangedHosts int
-	// ChangedLinks counts changed links (batched sources) or changed
-	// ordered host pairs (generic sources).
+	// ChangedLinks counts changed links on the pool's routes (batched
+	// sources: a change on any other link leaves the round quiescent) or
+	// changed ordered host pairs (generic sources).
 	ChangedLinks int
 	// Rescored is how many candidate sets were re-planned; Considered is
 	// the frozen universe size.
@@ -164,34 +153,21 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 		return nil, fmt.Errorf("core: %w: %s selector, %d hosts, MaxResourceSets %d",
 			ErrSessionUniverse, a.coord.selector.normalized().Kind, len(pool), a.spec.MaxResourceSets)
 	}
-	np := len(pool)
 	s := &ReschedSession{
 		a:       a,
 		m:       a.model(n),
-		names:   hostNames(pool),
-		pairBW:  make([]float64, np*np),
-		pairLat: make([]float64, np*np),
+		view:    SnapshotInformation(a.coord.info, hostNames(pool)),
 		sel:     newSelModel(a.hp, true),
 		winner:  -1,
 		bounded: a.hasComputeBound(),
 	}
-	s.cols = newPoolCols(a.hp, s.pairRoute)
-
-	if rb, ok := a.coord.info.(routeBatcher); ok {
-		s.rb = rb
-		s.rtp = rb.routeTopology()
-		s.tidx = make([]int, np)
-		for i, h := range pool {
-			s.tidx[i] = s.rtp.IndexOf(h)
-		}
-		s.links = s.rtp.Links()
-		s.linkBW = make([]float64, len(s.links))
-	}
+	s.cols = newPoolCols(a.hp, s.view.routeAt)
+	s.cols.avail = s.view.avail
 
 	// Enumerate the universe once, exactly the way a scheduling round
-	// does: every subset, in the exhaustive selector's order over a real
-	// snapshot of the current information.
-	rs := &resourceSelector{cols: viewCols(a.hp, roundSnapshot(a.coord.info, pool), s.m.flopPerUnit)}
+	// does: every subset, in the exhaustive selector's order over the
+	// view of the current information.
+	rs := &resourceSelector{cols: viewCols(a.hp, s.view, s.m.flopPerUnit)}
 	sets := rs.candidates(0)
 	s.candMask = make([]uint64, len(sets))
 	for c, set := range sets {
@@ -202,7 +178,7 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	s.score = make([]float64, len(sets))
 	s.feasible = make([]bool, len(sets))
 
-	s.kn.reserve(np)
+	s.kn.reserve(len(pool))
 	return s, nil
 }
 
@@ -215,74 +191,6 @@ func (a *Agent) frozenUniverse() bool {
 	np, maxSets := len(a.hp.hosts), a.spec.MaxResourceSets
 	return a.coord.selector.normalized().Kind == SelectorExhaustive && np <= maxExhaustiveHosts &&
 		(maxSets <= 0 || maxSets >= 1<<np-1)
-}
-
-// refresh re-reads every dynamic input into the session arrays and
-// diffs against the previous round. It returns how many hosts'
-// availability changed and how many links (or pairs) changed; on the
-// cold round every input counts as changed.
-func (s *ReschedSession) refresh(cold bool) (changedHosts, changedLinks int) {
-	info := s.a.coord.info
-	avail := s.cols.avail
-	for i, name := range s.names {
-		v := finiteAvailability(info.Availability(name))
-		if cold || v != avail[i] {
-			avail[i] = v
-			changedHosts++
-		}
-	}
-	if s.rb != nil {
-		for li, l := range s.links {
-			v := s.rb.linkBandwidth(l)
-			if cold || v != s.linkBW[li] {
-				s.linkBW[li] = v
-				changedLinks++
-			}
-		}
-		if changedLinks > 0 {
-			for i := range s.names {
-				for j := range s.names {
-					if i != j {
-						s.composePair(i, j)
-					}
-				}
-			}
-		}
-		return changedHosts, changedLinks
-	}
-	np := len(s.names)
-	for i := 0; i < np; i++ {
-		for j := 0; j < np; j++ {
-			if i == j {
-				continue
-			}
-			bw := info.RouteBandwidth(s.names[i], s.names[j])
-			lat := info.RouteLatency(s.names[i], s.names[j])
-			at := i*np + j
-			if cold || bw != s.pairBW[at] || lat != s.pairLat[at] {
-				s.pairBW[at] = bw
-				s.pairLat[at] = lat
-				s.sel.cost[i][j] = transferCost(lat, bw)
-				changedLinks++
-			}
-		}
-	}
-	return changedHosts, changedLinks
-}
-
-// composePair recomputes pair (i,j)'s pair-array values and chain
-// transfer cost from the frozen per-link bandwidths, as linkSnapshot
-// does (no route, latency 0 and bandwidth 1e30, when the route
-// topology does not know either host).
-func (s *ReschedSession) composePair(i, j int) {
-	lat, bw := 0.0, 1e30
-	if s.tidx[i] >= 0 && s.tidx[j] >= 0 {
-		lat, bw = composeRoute(s.rtp, s.linkBW, s.tidx[i], s.tidx[j])
-	}
-	at := i*len(s.names) + j
-	s.pairBW[at] = bw
-	s.pairLat[at] = lat
-	s.sel.cost[i][j] = transferCost(lat, bw)
 }
 
 // Round advances the session one rescheduling tick: refresh, re-plan
@@ -300,16 +208,26 @@ func (s *ReschedSession) FullRound() (*Schedule, DeltaStats, error) { return s.r
 func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 	cold := s.rounds == 0
 	s.rounds++
-	changedHosts, changedLinks := s.refresh(cold)
+	changedHosts, changedLinks := s.view.refresh(cold)
 
 	st := DeltaStats{Round: s.rounds, Cold: cold, ChangedHosts: changedHosts, ChangedLinks: changedLinks, Considered: len(s.candMask)}
 	if full {
-		st.ChangedHosts = len(s.names)
+		st.ChangedHosts = len(s.cols.avail)
 	} else if changedHosts == 0 && changedLinks == 0 {
 		// Nothing moved: the previous outcome stands as-is.
 		st.Carried = true
 		s.emit(st)
 		return s.sched, st, s.schedErr
+	}
+
+	if cold || changedLinks > 0 {
+		for i, row := range s.sel.cost {
+			for j := range row {
+				if i != j {
+					row[j] = transferCost(s.view.routeAt(i, j))
+				}
+			}
+		}
 	}
 
 	if full || changedHosts > 0 {
@@ -435,7 +353,7 @@ func (s *ReschedSession) materialize(c int) *Schedule {
 	iterT, _ := s.solveChain(k)
 	hosts := make([]string, k)
 	for i := 0; i < k; i++ {
-		hosts[i] = s.names[s.kn.chain[i]]
+		hosts[i] = s.view.names[s.kn.chain[i]]
 	}
 	sched := s.kn.schedule(&s.m, hosts, iterT)
 	sched.InfoSource = s.a.coord.Information().Source()
@@ -476,4 +394,4 @@ func (s *ReschedSession) Stats() (rounds, considered int) { return s.rounds, len
 // Pool returns the frozen pool's host names in userspec filter order —
 // the universe every candidate bitmask indexes into. The slice is owned
 // by the session; callers must not mutate it.
-func (s *ReschedSession) Pool() []string { return s.names }
+func (s *ReschedSession) Pool() []string { return s.view.names }

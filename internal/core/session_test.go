@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -283,7 +284,7 @@ func TestSessionNeverStalerThanFresh(t *testing.T) {
 		frozen  bool
 	}{
 		{"greedy", tp, info, SelectorSpec{Kind: SelectorGreedy}, 0, false},
-		{"beam", tp, info, SelectorSpec{Kind: SelectorBeam, BeamWidth: 8}, 0, false},
+		{"beam", tp, info, SelectorSpec{Kind: SelectorBeam}, 0, false},
 		{"cap16", tp, info, exhaustive, 16, false},
 		{"13host", wide, wideInfo, exhaustive, 0, false},
 		{"cap4095", tp, info, exhaustive, 4095, true},
@@ -430,6 +431,176 @@ func TestSessionSteadyStateAllocFree(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("steady-state Round allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// nanLinkInfo is a batched source whose one link reports a NaN
+// bandwidth.
+type nanLinkInfo struct {
+	Information
+	rb  routeBatcher
+	nan *grid.Link
+}
+
+func (i nanLinkInfo) routeTopology() *grid.Topology { return i.rb.routeTopology() }
+
+func (i nanLinkInfo) linkBandwidth(l *grid.Link) float64 {
+	if l == i.nan {
+		return math.NaN()
+	}
+	return i.rb.linkBandwidth(l)
+}
+
+// TestSessionNaNInputCarries: a NaN forecast that does not change must
+// not keep a session busy. On the 3×4 pool, once through a batched
+// source with a NaN link on the pool's routes and once through a
+// generic source that reports a NaN bandwidth for every pair, the
+// second Round of an unchanged source carries, and a quiescent round
+// allocates nothing. Compared with !=, a NaN read as changed on every
+// round.
+func TestSessionNaNInputCarries(t *testing.T) {
+	tp, base := buildPool(t, 3, 4, 11)
+	hosts := tp.Hosts()
+	const n = 600
+	for _, src := range []struct {
+		name string
+		info Information
+	}{
+		{"batched-nan-link", nanLinkInfo{base, base.(routeBatcher), tp.RouteAt(hosts[0].Index(), hosts[1].Index())[0]}},
+		{"generic-nan-pairs", routeInfo{base, 1e-3, math.NaN()}},
+	} {
+		agent, err := NewAgent(tp, hat.Jacobi2D(n, 10), &userspec.Spec{}, src.info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := agent.NewReschedSession(n)
+		if err != nil {
+			t.Fatalf("%s: %v", src.name, err)
+		}
+		if _, _, err := sess.Round(); err != nil {
+			t.Fatalf("%s: %v", src.name, err)
+		}
+		if _, st, err := sess.Round(); err != nil || !st.Carried || st.Rescored != 0 {
+			t.Fatalf("%s: unchanged round 2: %+v, %v; want carried", src.name, st, err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			if _, _, err := sess.Round(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%s: unchanged Round allocates %v objects/op, want 0", src.name, allocs)
+		}
+	}
+}
+
+// TestSessionViewMatchesSnapshot: a session's view, refreshed in place,
+// must equal a fresh SnapshotInformation over its pool after every
+// Round, bit for bit in each availability and each pair's latency and
+// bandwidth, and the round must count exactly the inputs whose bits
+// changed since the previous fresh snapshot: pool hosts' availability,
+// and the links on the pool's routes (batched source) or the ordered
+// pairs (generic source). Random availability steps, NaN among them,
+// drive a 3×4 pool behind stopped NWS forecasts; a loaded 2×6 grid also
+// advances its clock between rounds, so link bandwidths move, read
+// through the batched oracle and pair by pair.
+func TestSessionViewMatchesSnapshot(t *testing.T) {
+	tp, nwsInfo := buildPool(t, 3, 4, 7)
+	eng := sim.NewEngine()
+	loaded := grid.ClusterOfClusters(eng, grid.ClusterOptions{Clusters: 2, PerCluster: 6, Seed: 7})
+	inputs := []struct {
+		name string
+		tp   *grid.Topology
+		info Information
+		eng  *sim.Engine
+	}{
+		{"nws-3x4", tp, nwsInfo, nil},
+		{"loaded-2x6-batched", loaded, OracleInformation(loaded), eng},
+		{"loaded-2x6-generic", loaded, genericInfo{OracleInformation(loaded)}, eng},
+	}
+	const n = 600
+	rng := rand.New(rand.NewSource(5))
+	for _, in := range inputs {
+		hosts := in.tp.Hosts()
+		overlay := map[string]float64{}
+		info := NewOverlayInformation(in.info, overlay)
+		agent, err := NewAgent(in.tp, hat.Jacobi2D(n, 10), &userspec.Spec{}, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := agent.NewReschedSession(n)
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		pool := sess.Pool()
+		var prev *InfoSnapshot
+		hostsMoved, linksMoved := 0, 0
+		for step := 0; step < 12; step++ {
+			name := fmt.Sprintf("%s/step%d", in.name, step)
+			if in.eng != nil && rng.Intn(2) == 0 {
+				if err := in.eng.RunUntil(in.eng.Now() + 30); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				v := 0.05 + 0.95*rng.Float64()
+				if rng.Intn(4) == 0 {
+					v = math.NaN()
+				}
+				overlay[hosts[rng.Intn(len(hosts))].Name] = v
+			}
+			_, st, err := sess.Round()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			fresh := SnapshotInformation(info, pool)
+			view := sess.view
+			for i := range pool {
+				if !sameFloat(view.avail[i], fresh.avail[i]) {
+					t.Fatalf("%s: %s availability %v, fresh %v", name, pool[i], view.avail[i], fresh.avail[i])
+				}
+				for j := range pool {
+					if i == j {
+						continue
+					}
+					lat, bw := view.routeAt(i, j)
+					flat, fbw := fresh.routeAt(i, j)
+					if !sameFloat(lat, flat) || !sameFloat(bw, fbw) {
+						t.Fatalf("%s: route %s→%s (%v, %v), fresh (%v, %v)", name, pool[i], pool[j], lat, bw, flat, fbw)
+					}
+				}
+			}
+			if prev != nil {
+				hostsChanged, linksChanged := 0, 0
+				for i := range pool {
+					if !sameFloat(prev.avail[i], fresh.avail[i]) {
+						hostsChanged++
+					}
+				}
+				if fresh.rb != nil {
+					for _, l := range fresh.links {
+						if !sameFloat(prev.linkBW[l.Index()], fresh.linkBW[l.Index()]) {
+							linksChanged++
+						}
+					}
+				} else {
+					for k := range fresh.lat {
+						if !sameFloat(prev.lat[k], fresh.lat[k]) || !sameFloat(prev.bw[k], fresh.bw[k]) {
+							linksChanged++
+						}
+					}
+				}
+				if st.ChangedHosts != hostsChanged || st.ChangedLinks != linksChanged {
+					t.Fatalf("%s: round counted %d hosts and %d links changed, want %d and %d",
+						name, st.ChangedHosts, st.ChangedLinks, hostsChanged, linksChanged)
+				}
+				hostsMoved += hostsChanged
+				linksMoved += linksChanged
+			}
+			prev = fresh
+		}
+		if hostsMoved == 0 || (in.eng != nil) != (linksMoved > 0) {
+			t.Fatalf("%s: %d host and %d link changes over the steps", in.name, hostsMoved, linksMoved)
+		}
 	}
 }
 

@@ -73,7 +73,7 @@ func (a *Agent) model(n int) stripModel {
 // by zero.
 func borderSec(lat, bw, edgeMB float64) float64 {
 	if bw <= 0 {
-		bw = 1e-6
+		bw = deadRouteBandwidth
 	}
 	return 2 * (lat + edgeMB/bw)
 }
@@ -614,13 +614,6 @@ func (g *siteGrouper) group(out, members []int) {
 	for _, i := range members {
 		g.rank[g.siteID[i]] = -1
 	}
-}
-
-// pairRoute is the session columns' route accessor, over the refreshed
-// pair arrays.
-func (s *ReschedSession) pairRoute(i, j int) (lat, bw float64) {
-	at := i*len(s.names) + j
-	return s.pairLat[at], s.pairBW[at]
 }
 
 // chainFor lays candidate mask out as a strip chain into kn.chain and

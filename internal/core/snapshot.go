@@ -6,10 +6,10 @@ import (
 	"apples/internal/grid"
 )
 
-// InfoSnapshot is an immutable, point-in-time resolution of an
-// Information source over a fixed host set. The agent takes one snapshot
-// per scheduling round and evaluates every candidate resource set against
-// it, which
+// InfoSnapshot is a point-in-time resolution of an Information source
+// over a fixed host set: the small-pool information view. The agent
+// takes one snapshot per scheduling round and evaluates every candidate
+// resource set against it, which
 //
 //   - removes the repeated Availability/RouteBandwidth/RouteLatency
 //     queries the select → plan → estimate loop otherwise issues for the
@@ -20,11 +20,16 @@ import (
 //     snapshot's frozen values, never the underlying source, so an
 //     Information implementation need not be thread-safe.
 //
+// A round's snapshot is immutable once built. The one snapshot ever
+// modified afterwards is a ReschedSession's own, which its rounds
+// refresh in place (refresh); no cache or worker ever shares it.
+//
 // Lookups for hosts outside the snapshot fall through to the underlying
 // source (this only happens on sequential paths such as re-estimating a
 // stale placement whose hosts have since been filtered out).
 type InfoSnapshot struct {
 	pos    map[string]int // host name -> position in the frozen host list
+	names  []string       // the frozen host list
 	n      int
 	avail  []float64 // by position
 	lat    []float64 // n×n by position pair (i·n + j); the diagonal is unused
@@ -32,6 +37,16 @@ type InfoSnapshot struct {
 	source string
 	base   Information
 	stats  SnapshotStats
+
+	// Batched sources (routeBatcher) only: each position's index in tp
+	// (-1 when tp does not know the host: no route), the links the
+	// frozen hosts' routes cross, in the order first crossed, and their
+	// bandwidths by grid.Link.Index.
+	rb     routeBatcher
+	tp     *grid.Topology
+	tidx   []int
+	links  []*grid.Link
+	linkBW []float64
 }
 
 // SnapshotStats reports what building a snapshot cost: how much was
@@ -60,84 +75,121 @@ func (s *InfoSnapshot) Stats() SnapshotStats { return s.stats }
 // RouteLatency per ordered pair — and freezes them, non-finite
 // availabilities as 0. The snapshot reflects the source at call time;
 // take a fresh one per scheduling round.
+//
+// It sets the snapshot up over the distinct names in hosts, in order:
+// over a batched source, each position's topology index and the links
+// the positions' routes cross. refresh then reads every value.
 func SnapshotInformation(info Information, hosts []string) *InfoSnapshot {
 	s := &InfoSnapshot{
 		pos:    make(map[string]int, len(hosts)),
+		names:  make([]string, 0, len(hosts)),
 		source: info.Source(),
 		base:   info,
 	}
-	names := make([]string, 0, len(hosts))
 	for _, h := range hosts {
 		if _, dup := s.pos[h]; !dup {
-			s.pos[h] = len(names)
-			names = append(names, h)
+			s.pos[h] = len(s.names)
+			s.names = append(s.names, h)
 		}
 	}
-	n := len(names)
+	n := len(s.names)
 	s.n = n
-	s.avail = make([]float64, n)
-	s.lat = make([]float64, n*n)
-	s.bw = make([]float64, n*n)
-	for i, h := range names {
-		s.avail[i] = finiteAvailability(info.Availability(h))
-	}
+	f := make([]float64, n+2*n*n)
+	s.avail, s.lat, s.bw = f[:n:n], f[n:n+n*n:n+n*n], f[n+n*n:]
 	pairs := n * (n - 1)
+	s.stats = SnapshotStats{Hosts: n, Pairs: pairs, SourceQueries: n + 2*pairs}
 	if rb, ok := info.(routeBatcher); ok {
-		// Batched path: resolve each link's bandwidth once, then compose
-		// the per-pair bottleneck mins and latency sums by walking the
-		// precomputed routes. Route queries reduce per-link values in
-		// route order with the same seed and comparison as the source's
-		// own query, so the resulting snapshot is bit-identical to the
-		// per-pair path below — just without re-consulting the forecaster
-		// bank for every pair sharing a link.
-		tp := rb.routeTopology()
-		tidx := make([]int, n)
-		for i, h := range names {
-			tidx[i] = tp.HostIndex(h)
+		s.rb, s.tp = rb, rb.routeTopology()
+		s.tidx = make([]int, n)
+		for i, h := range s.names {
+			s.tidx[i] = s.tp.HostIndex(h)
 		}
-		nl := len(tp.Links())
-		linkBW := make([]float64, nl)
-		resolved := make([]bool, nl)
-		links := 0
-		for i := range names {
-			for j := range names {
+		// Links returns a fresh copy of every link, so its backing holds
+		// the crossed ones without growing.
+		all := s.tp.Links()
+		s.links = all[:0]
+		s.linkBW = make([]float64, len(all))
+		crossed := make([]bool, len(all))
+		for _, ti := range s.tidx {
+			for _, tj := range s.tidx {
+				if ti < 0 || tj < 0 {
+					continue
+				}
+				for _, l := range s.tp.RouteAt(ti, tj) {
+					if li := l.Index(); !crossed[li] {
+						crossed[li] = true
+						s.links = append(s.links, l)
+					}
+				}
+			}
+		}
+		s.stats.SourceQueries = n + len(s.links)
+	}
+	s.refresh(true)
+	return s
+}
+
+// refresh re-reads every frozen value from the base source in place and
+// counts the availabilities and the links (batched sources) or ordered
+// pairs (generic sources) whose bits changed; when cold, every value
+// counts as changed. Availability is frozen through finiteAvailability,
+// route values through finiteRoute. A batched source re-reads the crossed links' bandwidths and, when the
+// round is cold or one changed, recomposes every pair by composeRoute
+// over them: in route order with the same seed and comparison as the
+// source's own route query, so the values are bit-identical to the
+// per-pair reads a generic source gets, without re-consulting the
+// forecaster bank for every pair that shares a link.
+func (s *InfoSnapshot) refresh(cold bool) (changedHosts, changedLinks int) {
+	for i, h := range s.names {
+		if v := finiteAvailability(s.base.Availability(h)); cold || differ(v, s.avail[i]) {
+			s.avail[i] = v
+			changedHosts++
+		}
+	}
+	n := s.n
+	if s.rb != nil {
+		for _, l := range s.links {
+			if v, li := s.rb.linkBandwidth(l), l.Index(); cold || differ(v, s.linkBW[li]) {
+				s.linkBW[li] = v
+				changedLinks++
+			}
+		}
+		if !cold && changedLinks == 0 {
+			return changedHosts, 0
+		}
+		for i, ti := range s.tidx {
+			for j, tj := range s.tidx {
 				if i == j {
 					continue
 				}
-				bw, lat := 1e30, 0.0
-				if tidx[i] >= 0 && tidx[j] >= 0 {
-					for _, l := range tp.RouteAt(tidx[i], tidx[j]) {
-						li := l.Index()
-						if !resolved[li] {
-							resolved[li] = true
-							linkBW[li] = rb.linkBandwidth(l)
-							links++
-						}
-						if v := linkBW[li]; v < bw {
-							bw = v
-						}
-						lat += l.Latency
-					}
+				lat, bw := 0.0, 1e30
+				if ti >= 0 && tj >= 0 {
+					lat, bw = composeRoute(s.tp, s.linkBW, ti, tj)
 				}
-				s.bw[i*n+j] = bw
-				s.lat[i*n+j] = lat
+				s.lat[i*n+j], s.bw[i*n+j] = lat, bw
 			}
 		}
-		s.stats = SnapshotStats{Hosts: n, Pairs: pairs, SourceQueries: n + links}
-		return s
+		return changedHosts, changedLinks
 	}
-	for i, a := range names {
-		for j, b := range names {
+	for i, a := range s.names {
+		for j, b := range s.names {
 			if i == j {
 				continue
 			}
-			s.bw[i*n+j] = info.RouteBandwidth(a, b)
-			s.lat[i*n+j] = info.RouteLatency(a, b)
+			k := i*n + j
+			lat, bw := finiteRoute(s.base.RouteLatency(a, b), s.base.RouteBandwidth(a, b))
+			if cold || differ(bw, s.bw[k]) || differ(lat, s.lat[k]) {
+				s.bw[k], s.lat[k] = bw, lat
+				changedLinks++
+			}
 		}
 	}
-	s.stats = SnapshotStats{Hosts: n, Pairs: pairs, SourceQueries: n + 2*pairs}
-	return s
+	return changedHosts, changedLinks
 }
+
+// differ reports whether two frozen values differ in their bits, so a
+// NaN that stays NaN reads as unchanged.
+func differ(a, b float64) bool { return math.Float64bits(a) != math.Float64bits(b) }
 
 // Availability implements Information from the frozen column.
 func (s *InfoSnapshot) Availability(host string) float64 {
@@ -222,71 +274,53 @@ type routeIndex interface {
 }
 
 // roundSnapshot is the one snapshot constructor every scheduling path
-// resolves through: Coordinator.evaluateRound and View, WaitOrRun's
-// union view, the ReschedSession cold path, and the SchedService's
-// shared-snapshot cache. It freezes the pool's hosts, then any extra
-// names not already present (WaitOrRun's offered hosts), each once in
-// that order — so "what does a round see" has exactly one answer
-// regardless of which layer asked.
+// resolves through: Coordinator.evaluateRound, EstimatePlacement,
+// WaitOrRun's union view and the SchedService's shared-snapshot cache. It freezes the pool's
+// hosts, each once in pool order — so "what does a round see" has
+// exactly one answer regardless of which layer asked.
 //
 // Past lazySnapshotThreshold distinct hosts, over a route-batching
-// source, the view is a linkSnapshot, which freezes one availability
-// per host and one bandwidth per link and composes route values on
-// demand — the same values bit for bit (both paths reduce per-link
-// bandwidth in route order with the same seed and comparison), at
-// O(hosts + links) source queries instead of O(hosts²). Smaller pools
-// get the fully materialized InfoSnapshot.
-func roundSnapshot(info Information, pool []*grid.Host, extra ...string) infoView {
-	if len(pool)+len(extra) > lazySnapshotThreshold {
+// source whose topology indexes every pool host, the view is a
+// linkSnapshot, which freezes one availability per host and one
+// bandwidth per link and composes route values on demand — the same
+// values bit for bit (both paths reduce per-link bandwidth in route
+// order with the same seed and comparison), at O(hosts + links) source
+// queries instead of O(hosts²). Smaller pools get the fully
+// materialized InfoSnapshot.
+func roundSnapshot(info Information, pool []*grid.Host) infoView {
+	if len(pool) > lazySnapshotThreshold {
 		if rb, ok := info.(routeBatcher); ok {
-			if s := newLinkSnapshot(info, rb, pool, extra); s != nil {
+			if s := newLinkSnapshot(info, rb, pool); s != nil {
 				return s
 			}
 		}
 	}
-	names := make([]string, 0, len(pool)+len(extra))
-	seen := make(map[string]bool, len(pool)+len(extra))
-	for _, h := range pool {
-		if !seen[h.Name] {
-			seen[h.Name] = true
-			names = append(names, h.Name)
-		}
-	}
-	for _, name := range extra {
-		if !seen[name] {
-			seen[name] = true
-			names = append(names, name)
-		}
-	}
-	return SnapshotInformation(info, names)
+	return SnapshotInformation(info, hostNames(pool))
 }
 
 // linkSnapshot is the large-pool information view: per-host availability
 // and per-link bandwidth are frozen eagerly; per-pair route values are
 // composed on demand by walking the topology's route table over the
 // frozen link column. Its dense host index is the topology's, so every
-// topology host prices by index, and availability is a column by that
+// pool host prices by index, and availability is a column by that
 // index. All state is read-only after construction, so parallel
 // evaluation workers share it exactly like an InfoSnapshot.
 type linkSnapshot struct {
 	tp     *grid.Topology
 	avail  []float64 // by topology host index
 	frozen []bool    // by topology host index: avail holds a frozen value
-	// named freezes hosts the topology has no index for, by name (nil
-	// when there are none).
-	named  map[string]float64
 	linkBW []float64 // by grid.Link.Index
 	source string
 	base   Information
 	stats  SnapshotStats
 }
 
-// newLinkSnapshot freezes the availability of pool's hosts, then of the
-// extra names, each distinct host once in that order, plus every link's
-// bandwidth. Pool hosts are deduplicated by topology index, names by
-// name. It returns nil, having queried nothing, when they come to
-// lazySnapshotThreshold distinct hosts or fewer.
-func newLinkSnapshot(info Information, rb routeBatcher, pool []*grid.Host, extra []string) *linkSnapshot {
+// newLinkSnapshot freezes the availability of pool's hosts, each
+// distinct host once in pool order, plus every link's bandwidth. It
+// returns nil, having queried nothing, when the topology cannot index a
+// pool host or the pool comes to lazySnapshotThreshold distinct hosts
+// or fewer.
+func newLinkSnapshot(info Information, rb routeBatcher, pool []*grid.Host) *linkSnapshot {
 	tp := rb.routeTopology()
 	s := &linkSnapshot{
 		tp:     tp,
@@ -299,45 +333,23 @@ func newLinkSnapshot(info Information, rb routeBatcher, pool []*grid.Host, extra
 	// can be measured before any query; a frozen availability is never
 	// NaN, so the placeholder also marks what is still to query.
 	hosts := 0
-	mark := func(i int, name string) {
-		if i >= 0 {
-			if !s.frozen[i] {
-				s.frozen[i], s.avail[i] = true, math.NaN()
-				hosts++
-			}
-			return
+	for _, h := range pool {
+		i := tp.IndexOf(h)
+		if i < 0 {
+			return nil
 		}
-		if _, ok := s.named[name]; !ok {
-			if s.named == nil {
-				s.named = make(map[string]float64)
-			}
-			s.named[name] = math.NaN()
+		if !s.frozen[i] {
+			s.frozen[i], s.avail[i] = true, math.NaN()
 			hosts++
 		}
-	}
-	for _, h := range pool {
-		mark(tp.IndexOf(h), h.Name)
-	}
-	for _, name := range extra {
-		mark(tp.HostIndex(name), name)
 	}
 	if hosts <= lazySnapshotThreshold {
 		return nil
 	}
-	freeze := func(i int, name string) {
-		if i >= 0 {
-			if math.IsNaN(s.avail[i]) {
-				s.avail[i] = finiteAvailability(info.Availability(name))
-			}
-		} else if math.IsNaN(s.named[name]) {
-			s.named[name] = finiteAvailability(info.Availability(name))
-		}
-	}
 	for _, h := range pool {
-		freeze(tp.IndexOf(h), h.Name)
-	}
-	for _, name := range extra {
-		freeze(tp.HostIndex(name), name)
+		if i := tp.IndexOf(h); math.IsNaN(s.avail[i]) {
+			s.avail[i] = finiteAvailability(info.Availability(h.Name))
+		}
 	}
 	links := tp.Links()
 	s.linkBW = make([]float64, len(links))
@@ -357,9 +369,6 @@ func (s *linkSnapshot) Stats() SnapshotStats { return s.stats }
 // the name to its topology index.
 func (s *linkSnapshot) Availability(host string) float64 {
 	if v, ok := s.availAt(s.tp.HostIndex(host)); ok {
-		return v
-	}
-	if v, ok := s.named[host]; ok {
 		return v
 	}
 	return s.base.Availability(host)
@@ -416,7 +425,8 @@ func (s *linkSnapshot) routeAt(i, j int) (lat, bw float64) {
 
 // composeRoute composes the route between topology hosts i and j in
 // one walk: latencies summed and the bottleneck min over linkBW (by
-// grid.Link.Index) seeded at 1e30, both in route order.
+// grid.Link.Index) seeded at 1e30, both in route order, then frozen
+// through finiteRoute.
 func composeRoute(tp *grid.Topology, linkBW []float64, i, j int) (lat, bw float64) {
 	bw = 1e30
 	for _, l := range tp.RouteAt(i, j) {
@@ -424,6 +434,32 @@ func composeRoute(tp *grid.Topology, linkBW []float64, i, j int) (lat, bw float6
 			bw = v
 		}
 		lat += l.Latency
+	}
+	return finiteRoute(lat, bw)
+}
+
+// Route forecasts outside these bounds freeze at them (finiteRoute).
+const (
+	// maxRouteLatency is one million seconds, about what transferCost
+	// charges a dead route for its nominal megabyte.
+	maxRouteLatency = 1e6
+	// deadRouteBandwidth is the MB/s borderSec and transferCost floor a
+	// dead route's bandwidth at.
+	deadRouteBandwidth = 1e-6
+)
+
+// finiteRoute maps a route's forecasts to values the strip kernel
+// prices as finite border costs, the way finiteAvailability maps a
+// host's: a latency that is not finite or exceeds maxRouteLatency
+// freezes as maxRouteLatency, and a bandwidth that is NaN or below
+// deadRouteBandwidth as 0, a dead route. An infinite border cost would
+// make the balancer's row rounding loop without end.
+func finiteRoute(lat, bw float64) (float64, float64) {
+	if math.IsInf(lat, 0) || !(lat <= maxRouteLatency) {
+		lat = maxRouteLatency
+	}
+	if !(bw >= deadRouteBandwidth) {
+		bw = 0
 	}
 	return lat, bw
 }

@@ -95,7 +95,7 @@ func TestSnapshotFreezes(t *testing.T) {
 // Availability they report for it by name, a non-finite availability
 // frozen as 0. A host outside the view has no frozen value there and
 // falls through to the base source by name; so does a name the
-// topology does not know, unless the round froze it as an extra host.
+// topology does not know.
 func TestAvailAtMatchesAvailability(t *testing.T) {
 	tp := grid.ClusterOfClusters(sim.NewEngine(), grid.ClusterOptions{Clusters: 8, PerCluster: 16, Seed: 5, Quiet: true})
 	hosts := tp.Hosts()
@@ -104,7 +104,6 @@ func TestAvailAtMatchesAvailability(t *testing.T) {
 		hosts[0].Name: math.NaN(), hosts[1].Name: math.Inf(1), hosts[2].Name: math.Inf(-1),
 		hosts[3].Name: -0.25, hosts[4].Name: 0,
 		hosts[inPool].Name: math.NaN(), hosts[inPool+1].Name: math.Inf(1), // outside the pool
-		"ghost": math.Inf(1), // unknown to the topology
 	}
 	info := NewOverlayInformation(OracleInformation(tp), overlay)
 	pool := hosts[:inPool]
@@ -112,14 +111,14 @@ func TestAvailAtMatchesAvailability(t *testing.T) {
 	for i, h := range pool {
 		names[i] = h.Name
 	}
-	link := roundSnapshot(info, pool, "ghost")
+	link := roundSnapshot(info, pool)
 	if _, ok := link.(*linkSnapshot); !ok {
 		t.Fatalf("roundSnapshot over %d hosts built %T, want *linkSnapshot", inPool, link)
 	}
 	views := []struct {
 		name string
 		v    infoView
-	}{{"link", link}, {"eager", SnapshotInformation(info, append(names, "ghost"))}}
+	}{{"link", link}, {"eager", SnapshotInformation(info, names)}}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for _, vw := range views {
 		for _, h := range hosts {
@@ -140,9 +139,6 @@ func TestAvailAtMatchesAvailability(t *testing.T) {
 			if !same(at, byName) || !same(at, finiteAvailability(base)) {
 				t.Fatalf("%s: %s availAt %v, Availability %v, base %v", vw.name, h.Name, at, byName, base)
 			}
-		}
-		if got := vw.v.Availability("ghost"); got != 0 {
-			t.Fatalf("%s: extra host frozen at %v, want 0", vw.name, got)
 		}
 		if got := vw.v.Availability("nobody"); got != 1 {
 			t.Fatalf("%s: unknown host reads %v, want the base's 1", vw.name, got)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"apples/internal/obs"
 )
@@ -58,23 +59,6 @@ func (a *Agent) WaitOrRun(n int, offer DedicatedOffer) (*WaitOrRunDecision, erro
 	if offer.WaitSec < 0 {
 		return nil, fmt.Errorf("core: negative queue wait %v", offer.WaitSec)
 	}
-	// Both branches price against ONE frozen information view, resolved
-	// over the union of the shared pool and the offered hosts. This halves
-	// the forecaster traffic (the old path built a full snapshot per
-	// branch) and guarantees the comparison is internally consistent: the
-	// shared and dedicated predictions cannot diverge because the source
-	// moved between the two evaluations. Under the simulation's
-	// stopped-clock scheduling the decisions are value-identical to the
-	// two-snapshot path.
-	snap := roundSnapshot(a.coord.info, a.hp.hosts, offer.Hosts...)
-
-	sharedAgent := a.clone()
-	sharedAgent.coord.info = snap
-	shared, err := sharedAgent.Schedule(n)
-	if err != nil {
-		return nil, err
-	}
-
 	dedSpec := *a.spec
 	dedSpec.Accessible = append([]string(nil), offer.Hosts...)
 	dedSpec.Excluded = nil
@@ -88,6 +72,24 @@ func (a *Agent) WaitOrRun(n int, offer DedicatedOffer) (*WaitOrRunDecision, erro
 	dedAgent := a.clone()
 	dedAgent.spec = &dedSpec
 	dedAgent.hp = newHostPool(a.tp, &a.tpl.Tasks[0], &dedSpec, dedSpec.Filter(a.tp.Hosts()))
+
+	// Both branches price against ONE frozen information view, resolved
+	// over the hosts of the shared and the dedicated pool. This halves
+	// the forecaster traffic (the old path built a full snapshot per
+	// branch) and guarantees the comparison is internally consistent: the
+	// shared and dedicated predictions cannot diverge because the source
+	// moved between the two evaluations. Under the simulation's
+	// stopped-clock scheduling the decisions are value-identical to the
+	// two-snapshot path.
+	snap := roundSnapshot(a.coord.info, append(slices.Clip(a.hp.hosts), dedAgent.hp.hosts...))
+
+	sharedAgent := a.clone()
+	sharedAgent.coord.info = snap
+	shared, err := sharedAgent.Schedule(n)
+	if err != nil {
+		return nil, err
+	}
+
 	dedAgent.coord.info = &dedicatedInfo{Information: snap, hosts: hostSet}
 	dedicated, err := dedAgent.Schedule(n)
 	if err != nil {

@@ -22,7 +22,7 @@ var selectorGapSpecs = []struct {
 	spec core.SelectorSpec
 }{
 	{"greedy", core.SelectorSpec{Kind: core.SelectorGreedy}},
-	{"beam", core.SelectorSpec{Kind: core.SelectorBeam, BeamWidth: 8}},
+	{"beam", core.SelectorSpec{Kind: core.SelectorBeam}},
 }
 
 // SelectorGap measures the optimality gap of the heuristic selector

@@ -39,7 +39,7 @@ func TestSelectorOptimalityGap(t *testing.T) {
 		maxGap float64 // percent above the exhaustive optimum
 	}{
 		{"greedy", core.SelectorSpec{Kind: core.SelectorGreedy}, 15},
-		{"beam", core.SelectorSpec{Kind: core.SelectorBeam, BeamWidth: 8}, 5},
+		{"beam", core.SelectorSpec{Kind: core.SelectorBeam}, 5},
 	}
 	seeds := []int64{1, 2, 3, 4, 5}
 	for size := 2; size <= 12; size++ {
@@ -72,7 +72,7 @@ func TestSelectorDeterminism(t *testing.T) {
 	specs := []core.SelectorSpec{
 		{Kind: core.SelectorExhaustive},
 		{Kind: core.SelectorGreedy},
-		{Kind: core.SelectorBeam, BeamWidth: 4},
+		{Kind: core.SelectorBeam},
 	}
 	for _, spec := range specs {
 		var schedules []interface{}
