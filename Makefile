@@ -26,8 +26,9 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 # Short fuzz probe of the serialization decoders, of session rounds
-# under hostile availability deltas, and of scheduling rounds under
-# hostile availability, bandwidth and latency forecasts; the committed
+# under hostile availability deltas, of scheduling rounds under
+# hostile availability, bandwidth and latency forecasts, and of the
+# service's /schedule query (raw tenant and n strings); the committed
 # corpora under testdata/fuzz replay as regular tests on every
 # `make test`.
 fuzz:
@@ -35,6 +36,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSegmentDecode -fuzztime=10s ./internal/mstore
 	$(GO) test -fuzz=FuzzSessionDelta -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzInformation -fuzztime=10s ./internal/core
+	$(GO) test -fuzz=FuzzScheduleQuery -fuzztime=10s ./internal/obs/obshttp
 
 # Full reproduction benchmarks (paper figures + ablations).
 bench:

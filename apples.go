@@ -232,9 +232,13 @@ type (
 	// Information is the agent's dynamic-information source.
 	Information = core.Information
 	// InfoSnapshot is a point-in-time resolution of an Information
-	// source over a host set, immutable once returned: the agent
-	// freezes one per scheduling round over the pool's hosts, and a
-	// ReschedSession keeps its own, which only its rounds refresh.
+	// source over a host set, immutable once returned, and the one
+	// frozen view of every pool size: the agent freezes one per
+	// scheduling round over the pool's hosts (position i is the pool's
+	// i-th host), the scheduling service shares one across tenants, and
+	// a ReschedSession keeps its own, which only its rounds refresh. Up
+	// to 64 hosts it materializes every host pair's route; above that it
+	// freezes per-link bandwidths and composes each pair on demand.
 	InfoSnapshot = core.InfoSnapshot
 	// Actuator implements a schedule on the target system.
 	Actuator = core.Actuator
@@ -289,9 +293,10 @@ const (
 var ParseSelector = core.ParseSelector
 
 // SnapshotInformation freezes an Information source over a host set:
-// each distinct host once, a non-finite availability as 0, a route
-// latency that is not finite or above 10^6 s as 10^6 s, and a NaN
-// bandwidth or one below 10^-6 MB/s as 0, a dead route.
+// each distinct host once, a non-finite availability as 0 and one above
+// 1 as 1, a route latency that is not finite or above 10^6 s as
+// 10^6 s, and a NaN bandwidth or one below 10^-6 MB/s as 0, a dead
+// route.
 var SnapshotInformation = core.SnapshotInformation
 
 // Delta-aware rescheduling (the kHz-rate loop).

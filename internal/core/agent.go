@@ -188,8 +188,8 @@ func (a *Agent) newPricer(n int) *roundPricer {
 
 // bind resolves the round's pool columns from its information view,
 // and under MaxSpeedup the solo baseline.
-func (rp *roundPricer) bind(info Information) {
-	rp.cols = viewCols(rp.hp, info, rp.m.flopPerUnit)
+func (rp *roundPricer) bind(view *InfoSnapshot) {
+	rp.cols = viewCols(rp.hp, view, rp.m.flopPerUnit)
 	rp.solo = math.Inf(1)
 	if rp.m.metric == userspec.MaxSpeedup {
 		kn := kernelPool.Get().(*stripKernel)
@@ -263,7 +263,7 @@ func (a *Agent) round(rp *roundPricer, winnerOnly bool) Round {
 	return Round{
 		Pool:     a.hp.hosts,
 		Selector: string(a.coord.selector.normalized().Kind),
-		Bind: func(view Information) RoundPlan {
+		Bind: func(view *InfoSnapshot) RoundPlan {
 			rp.bind(view)
 			sets, truncated := newSelector(a.coord.selector, &resourceSelector{cols: rp.cols}, a.spec.MaxResourceSets)
 			plan := RoundPlan{Sets: sets, Evaluate: rp.Evaluate, Truncated: truncated}
@@ -285,13 +285,26 @@ func (a *Agent) round(rp *roundPricer, winnerOnly bool) Round {
 // Rounds that only need the winner pass winnerOnly, which prunes sets
 // that cannot beat it out of the candidates; rankings pass false to get
 // every feasible set.
-func (a *Agent) evaluate(n int, view infoView, winnerOnly bool) ([]Candidate, int, *roundPricer, error) {
-	if n <= 0 {
-		return nil, 0, nil, fmt.Errorf("core: non-positive problem size %d", n)
+func (a *Agent) evaluate(n int, view *InfoSnapshot, winnerOnly bool) ([]Candidate, int, *roundPricer, error) {
+	if err := checkProblemSize(n); err != nil {
+		return nil, 0, nil, err
 	}
 	rp := a.newPricer(n)
 	cands, considered, err := a.coord.evaluateRound(a.round(rp, winnerOnly), view)
 	return cands, considered, rp, err
+}
+
+// checkProblemSize rejects an n×n problem size that is not positive or
+// whose n² grid points overflow int, where they would wrap into a
+// small, wrongly priced grid. The largest valid n is 3,037,000,499.
+func checkProblemSize(n int) error {
+	if n <= 0 {
+		return fmt.Errorf("core: non-positive problem size %d", n)
+	}
+	if n > math.MaxInt/n {
+		return fmt.Errorf("core: problem size %d: its n×n grid overflows int", n)
+	}
+	return nil
 }
 
 // hasComputeBound reports whether the metric bounds of stripModel.bound
@@ -376,7 +389,7 @@ func (a *Agent) Schedule(n int) (*Schedule, error) {
 // back to the agent's own snapshotting). The decision is bit-identical
 // to Schedule(n) against the same frozen values — the view only moves
 // snapshot ownership out of the round.
-func (a *Agent) scheduleWith(n int, view infoView) (*Schedule, error) {
+func (a *Agent) scheduleWith(n int, view *InfoSnapshot) (*Schedule, error) {
 	cands, considered, rp, err := a.evaluate(n, view, true)
 	if err != nil {
 		return nil, err

@@ -84,7 +84,7 @@ func TestLowerBoundNeverExceedsScore(t *testing.T) {
 // replay needs only the feasible candidates.
 func prunedPlanned(tp *grid.Topology, tpl *hat.Template, info Information, n int, cands []Candidate) int {
 	task := &tpl.Tasks[0]
-	cols := viewCols(newHostPool(tp, task, &userspec.Spec{}, tp.Hosts()), info, task.FlopPerUnit)
+	cols := rawCols(newHostPool(tp, task, &userspec.Spec{}, tp.Hosts()), info, task.FlopPerUnit)
 	planned, best := 0, math.Inf(1)
 	for _, c := range cands {
 		set := make([]*grid.Host, len(c.Hosts))

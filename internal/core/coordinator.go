@@ -29,11 +29,13 @@ type Round struct {
 	// Pool is the host pool after User Specification filtering. An empty
 	// pool fails the round with ErrNoFeasibleHosts.
 	Pool []*grid.Host
-	// Bind builds the round's plan against its frozen information view.
+	// Bind builds the round's plan against its frozen information view
+	// over Pool, whose position i is Pool[i] (Pool holds no duplicate
+	// host), so the plan may read it by pool index or by host name.
 	// It runs inside the round's select stage span, so selector
 	// construction (ranking, cost models) belongs in Bind; only per-set
 	// work belongs inside the plan's sequence.
-	Bind func(view Information) RoundPlan
+	Bind func(view *InfoSnapshot) RoundPlan
 	// Selector labels the round's candidate counter
 	// (`sched_candidates_total{selector=...}`). The blueprint agents set
 	// it to their configured selector kind; empty means "custom".
@@ -174,7 +176,7 @@ func (c *Coordinator) Information() Information { return c.info }
 // roundSnapshot over the same pool yields bit-identical decisions,
 // since the view only changes who froze the values, never the values
 // themselves.
-func (c *Coordinator) evaluateRound(r Round, view infoView) ([]Candidate, int, error) {
+func (c *Coordinator) evaluateRound(r Round, view *InfoSnapshot) ([]Candidate, int, error) {
 	if len(r.Pool) == 0 {
 		return nil, 0, fmt.Errorf("core: %w: user specification filters out every host", ErrNoFeasibleHosts)
 	}
@@ -264,7 +266,7 @@ func (c *Coordinator) evaluateRound(r Round, view infoView) ([]Candidate, int, e
 	}
 
 	// Fan-out follows the pool size, on the same boundary that picks the
-	// snapshot type. Up to lazySnapshotThreshold hosts sets are evaluated
+	// snapshot's route policy. Up to lazySnapshotThreshold hosts sets are evaluated
 	// inline: the exhaustive 8-host round (bench fig2-round) and the
 	// 64-tenant service traffic (service-mixed) lose more to channel
 	// hand-off than workers win back. Above it GOMAXPROCS workers let

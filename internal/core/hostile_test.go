@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"apples/internal/grid"
@@ -24,16 +25,18 @@ var selectorFamilies = []struct {
 }
 
 // TestNonFiniteAvailabilityActsAsZero pins how rounds read a
-// non-finite availability forecast: exactly like 0. One pool host's
-// forecast is overridden with each value under every selector family,
-// and Schedule, ScheduleExplained, a session opened on the value, and a
-// session that sees it arrive as a delta must all return what they
-// return for 0, DeepEqual. Unclamped, NaN broke the desirability sort
-// and +Inf ranked the dead host first, so every greedy and beam set
-// contained it and no set could be planned. A negative forecast is
-// finite and keeps its own ranking; it must still plan. Greedy and
-// beam universes get no session: opening one must fail with
-// ErrSessionUniverse under every value.
+// non-finite availability forecast, exactly like 0, and one above 1,
+// exactly like 1. One pool host's forecast is overridden with each
+// value under every selector family, and Schedule, ScheduleExplained, a
+// session opened on the value, and a session that sees it arrive as a
+// delta must all return what they return for the value it acts as,
+// DeepEqual. Unclamped, NaN broke the desirability sort and +Inf ranked
+// the dead host first, so every greedy and beam set contained it and no
+// set could be planned; a host at 1e300 won alone with a predicted
+// total near 1e-300 s. A negative forecast is finite and keeps its own
+// ranking; it must still plan. Greedy and beam universes get no
+// session: opening one must fail with ErrSessionUniverse under every
+// value.
 func TestNonFiniteAvailabilityActsAsZero(t *testing.T) {
 	tp, base := buildPool(t, 3, 4, 11)
 	overlay := map[string]float64{}
@@ -79,14 +82,17 @@ func TestNonFiniteAvailabilityActsAsZero(t *testing.T) {
 		}},
 	}
 	values := []struct {
-		name   string
-		v      float64
-		finite bool
+		name  string
+		v     float64
+		actAs float64 // the availability it must schedule like; NaN: any finite plan
 	}{
-		{"NaN", math.NaN(), false},
-		{"+Inf", math.Inf(1), false},
-		{"-Inf", math.Inf(-1), false},
-		{"-1", -1, true},
+		{"NaN", math.NaN(), 0},
+		{"+Inf", math.Inf(1), 0},
+		{"-Inf", math.Inf(-1), 0},
+		{"MaxFloat64", math.MaxFloat64, 1},
+		{"1e300", 1e300, 1},
+		{"1+1e-9", 1 + 1e-9, 1},
+		{"-1", -1, math.NaN()},
 	}
 
 	for _, sel := range selectorFamilies {
@@ -97,14 +103,18 @@ func TestNonFiniteAvailabilityActsAsZero(t *testing.T) {
 		}
 		stale := sel.spec.Kind != SelectorExhaustive
 		for _, r := range rounds {
-			delete(overlay, dead)
-			want, err := r.run(agent, func() { overlay[dead] = 0 })
-			if r.session && stale {
-				if !errors.Is(err, ErrSessionUniverse) {
-					t.Fatalf("%s/%s/0: %v, want ErrSessionUniverse", sel.name, r.name, err)
+			want := map[float64]*Schedule{}
+			for _, like := range []float64{0, 1} {
+				delete(overlay, dead)
+				s, err := r.run(agent, func() { overlay[dead] = like })
+				if r.session && stale {
+					if !errors.Is(err, ErrSessionUniverse) {
+						t.Fatalf("%s/%s/%v: %v, want ErrSessionUniverse", sel.name, r.name, like, err)
+					}
+				} else if err != nil {
+					t.Fatalf("%s/%s/%v: %v", sel.name, r.name, like, err)
 				}
-			} else if err != nil {
-				t.Fatalf("%s/%s/0: %v", sel.name, r.name, err)
+				want[like] = s
 			}
 			for _, v := range values {
 				name := sel.name + "/" + r.name + "/" + v.name
@@ -119,14 +129,14 @@ func TestNonFiniteAvailabilityActsAsZero(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if v.finite {
+				if math.IsNaN(v.actAs) {
 					if p := got.PredictedTotal; !(p > 0) || math.IsInf(p, 1) {
 						t.Fatalf("%s: predicted total %v is not a positive finite time", name, p)
 					}
 					continue
 				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s: differs from availability 0\nzero: %+v\ngot:  %+v", name, want, got)
+				if !reflect.DeepEqual(want[v.actAs], got) {
+					t.Fatalf("%s: differs from availability %v\nwant: %+v\ngot:  %+v", name, v.actAs, want[v.actAs], got)
 				}
 			}
 		}
@@ -476,11 +486,11 @@ func TestHostileRouteFreezesFinite(t *testing.T) {
 			l.Latency, l.Bandwidth = c.lat, c.bw
 		}
 		view := roundSnapshot(OracleInformation(tp), hosts)
-		if _, ok := view.(*linkSnapshot); !ok {
-			t.Fatalf("%s/lazy: built %T", c.name, view)
+		if pairs := view.Stats().Pairs; pairs != 0 {
+			t.Fatalf("%s/lazy: %d-host view materialized %d pairs", c.name, len(hosts), pairs)
 		}
 		for j := 1; j < len(hosts); j++ {
-			lat, bw := view.routeAt(view.hostIndex(hosts[0]), view.hostIndex(hosts[j]))
+			lat, bw := view.routeAt(0, j)
 			if !(lat <= maxRouteLatency) || !(bw == 0 || bw >= deadRouteBandwidth) {
 				t.Fatalf("%s/lazy: route to %s froze latency %v, bandwidth %v", c.name, hosts[j].Name, lat, bw)
 			}
@@ -491,3 +501,74 @@ func TestHostileRouteFreezesFinite(t *testing.T) {
 
 // sameFloat reports whether two floats have the same bits.
 func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestProblemSizeOverflowRejected: every entry point that takes an n×n
+// problem size rejects one that is not positive or whose n² grid
+// overflows int. Unchecked, n = 1<<40 wrapped n² and scheduled a 1-host
+// placement that predicted 0 s.
+func TestProblemSizeOverflowRejected(t *testing.T) {
+	tp, info := buildPool(t, 3, 4, 11)
+	agent, err := NewAgent(tp, hat.Jacobi2D(600, 10), &userspec.Spec{}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := agent.Schedule(600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewSchedService()
+	defer svc.Close()
+	tenant, err := svc.Register("t", agent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []struct {
+		name string
+		run  func(n int) error
+	}{
+		{"Schedule", func(n int) error { _, err := agent.Schedule(n); return err }},
+		{"Tenant.Submit", func(n int) error { _, err := tenant.Submit(n); return err }},
+		{"NewReschedSession", func(n int) error { _, err := agent.NewReschedSession(n); return err }},
+		{"EstimatePlacement", func(n int) error { _, err := agent.EstimatePlacement(n, sched.Placement); return err }},
+	}
+	for _, e := range entries {
+		for _, n := range []int{0, -1, 3037000500, 1 << 40, math.MaxInt} {
+			if err := e.run(n); err == nil {
+				t.Errorf("%s(%d) succeeded, want an error", e.name, n)
+			}
+		}
+	}
+}
+
+// TestEstimatePlacementRejectsDuplicateHost: a placement that works one
+// host twice cannot be priced by pool position, so EstimatePlacement
+// returns an error instead of an estimate.
+func TestEstimatePlacementRejectsDuplicateHost(t *testing.T) {
+	tp, info := buildPool(t, 3, 4, 11)
+	agent, err := NewAgent(tp, hat.Jacobi2D(600, 10), &userspec.Spec{}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := agent.Schedule(600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := agent.EstimatePlacement(600, sched.Placement); err != nil {
+		t.Fatalf("distinct placement: %v", err)
+	}
+	p := *sched.Placement
+	p.Assignments = slices.Clone(p.Assignments)
+	var worked []int
+	for i, a := range p.Assignments {
+		if a.Points > 0 {
+			worked = append(worked, i)
+		}
+	}
+	if len(worked) < 2 {
+		t.Fatalf("schedule works %d hosts, want at least 2", len(worked))
+	}
+	p.Assignments[worked[1]].Host = p.Assignments[worked[0]].Host
+	if est, err := agent.EstimatePlacement(600, &p); err == nil {
+		t.Fatalf("placement working %s twice estimated %v, want an error", p.Assignments[worked[0]].Host, est)
+	}
+}

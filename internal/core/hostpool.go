@@ -105,34 +105,12 @@ func newPoolCols(hp *hostPool, route func(i, j int) (lat, bw float64)) *poolCols
 	return &poolCols{pool: hp, avail: f[:n:n], secPP: f[n : 2*n : 2*n], rho: f[2*n : 3*n : 3*n], costPP: f[3*n:], route: route}
 }
 
-// viewCols resolves hp's columns for one round from its information
-// view: each host's view index and availability once (by index where
-// the view froze one, by name otherwise), then fill. Pairs route by
-// view index when both hosts have one, by name otherwise.
-func viewCols(hp *hostPool, info Information, flopPerUnit float64) *poolCols {
-	ri, _ := info.(routeIndex)
-	vidx := make([]int, len(hp.hosts))
-	c := newPoolCols(hp, func(i, j int) (lat, bw float64) {
-		if vi, vj := vidx[i], vidx[j]; vi >= 0 && vj >= 0 && vi != vj {
-			return ri.routeAt(vi, vj)
-		}
-		a, b := hp.hosts[i].Name, hp.hosts[j].Name
-		return info.RouteLatency(a, b), info.RouteBandwidth(a, b)
-	})
-	for i, h := range hp.hosts {
-		vidx[i] = -1
-		if ri != nil {
-			vidx[i] = ri.hostIndex(h)
-		}
-		v, ok := 0.0, false
-		if vidx[i] >= 0 {
-			v, ok = ri.availAt(vidx[i])
-		}
-		if !ok {
-			v = info.Availability(h.Name)
-		}
-		c.avail[i] = v
-	}
+// viewCols resolves hp's columns for one round from view, a frozen view
+// over hp's hosts (position i is pool index i): it copies the view's
+// availability column, routes pairs through view.routeAt, and fills.
+func viewCols(hp *hostPool, view *InfoSnapshot, flopPerUnit float64) *poolCols {
+	c := newPoolCols(hp, view.routeAt)
+	copy(c.avail, view.avail)
 	c.fill(flopPerUnit)
 	return c
 }

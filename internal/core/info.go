@@ -25,15 +25,18 @@ func floorAvailability(avail float64) float64 {
 }
 
 // finiteAvailability maps a non-finite availability forecast (NaN, ±Inf)
-// to 0, a host the source cannot vouch for. Every frozen view (round
-// snapshots and the ReschedSession's refreshed view) stores forecasts
-// through it: desirability ranking and chain seeding read the raw value,
-// where NaN breaks the sort and +Inf ranks a dead host first.
+// to 0, a host the source cannot vouch for, and a forecast above 1 to 1,
+// the most a host can deliver (Information.Availability's range is
+// (0, 1]). Every frozen view (round snapshots and the ReschedSession's
+// refreshed view) stores forecasts through it: desirability ranking and
+// chain seeding read the raw value, where NaN breaks the sort, +Inf
+// ranks a dead host first, and a huge finite value ranks its host first
+// while its P_i underflows to 0 or its predicted time to nearly nothing.
 func finiteAvailability(avail float64) float64 {
 	if math.IsNaN(avail) || math.IsInf(avail, 0) {
 		return 0
 	}
-	return avail
+	return min(avail, 1)
 }
 
 // Information is the agent's view of dynamic system state: short-term

@@ -148,7 +148,7 @@ func TestKernelMatchesPlannerEstimator(t *testing.T) {
 		wantP, costs, _, werr := pl.plan(n, chain)
 
 		rp := agent.newPricer(n)
-		rp.bind(info)
+		rp.cols = rawCols(rp.hp, info, rp.m.flopPerUnit)
 		iterT, ok := rp.solve(kn, chain)
 
 		name := fmt.Sprintf("trial %d (n=%d, k=%d, %v)", trial, n, k, spec.Metric)

@@ -194,7 +194,7 @@ func (a *PipelineAgent) round() Round {
 	return Round{
 		Pool:     pool,
 		Selector: string(spec.Kind),
-		Bind: func(info Information) RoundPlan {
+		Bind: func(info *InfoSnapshot) RoundPlan {
 
 			minU, maxU := a.tpl.PipelineUnitMin, a.tpl.PipelineUnitMax
 			if minU == 0 {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"apples/internal/grid"
 	"apples/internal/jacobi"
 	"apples/internal/obs"
@@ -12,8 +14,13 @@ import (
 // rescheduling decision compares against a fresh schedule's prediction.
 // The placement's worked hosts, in placement order, are set up as a
 // pool of their own (they need not lie in the agent's) and priced
-// through the same columns and feeder as a round.
+// through the same columns and feeder as a round. A placement that
+// works one host twice is an error: the pool's positions would not line
+// up with its bands.
 func (a *Agent) EstimatePlacement(n int, p *partition.Placement) (float64, error) {
+	if err := checkProblemSize(n); err != nil {
+		return 0, err
+	}
 	var chain []*grid.Host
 	for _, asg := range p.Assignments {
 		if asg.Points == 0 {
@@ -23,9 +30,13 @@ func (a *Agent) EstimatePlacement(n int, p *partition.Placement) (float64, error
 			chain = append(chain, h)
 		}
 	}
+	view := roundSnapshot(a.coord.info, chain)
+	if len(view.hosts) != len(chain) {
+		return 0, fmt.Errorf("core: placement works %d hosts but only %d distinct ones", len(chain), len(view.hosts))
+	}
 	m := a.model(n)
 	hp := newHostPool(a.tp, &a.tpl.Tasks[0], a.spec, chain)
-	cols := viewCols(hp, roundSnapshot(a.coord.info, chain), m.flopPerUnit)
+	cols := viewCols(hp, view, m.flopPerUnit)
 	kn := kernelPool.Get().(*stripKernel)
 	defer kernelPool.Put(kn)
 	kn.reserve(len(chain))

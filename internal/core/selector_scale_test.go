@@ -30,7 +30,7 @@ func newGridAgent(t testing.TB, clusters, per int, spec SelectorSpec) *Agent {
 // one greedy scheduling round over a 2048-host grid must stay
 // interactive (< 50ms wall-clock; relaxed under the race detector). The
 // round exercises the whole large-pool path — class-collapsed routes,
-// the lazy link snapshot, the sampled selector model, and the streaming
+// routes composed on demand over frozen links, the sampled selector model, and the streaming
 // coordinator.
 func TestGreedySelector2048Hosts(t *testing.T) {
 	agent := newGridAgent(t, 128, 16, SelectorSpec{Kind: SelectorGreedy})

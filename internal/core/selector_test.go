@@ -15,10 +15,31 @@ import (
 )
 
 // poolSelector binds a resourceSelector to pool's columns over info, as
-// an Agent round binds one to its pool.
+// an Agent round binds one to its pool: through viewCols when info is a
+// frozen view over pool, by raw reads (rawCols) otherwise.
 func poolSelector(tp *grid.Topology, info Information, pool []*grid.Host) *resourceSelector {
 	task := hat.Jacobi2D(100, 1).Tasks[0]
-	return &resourceSelector{cols: viewCols(newHostPool(tp, &task, &userspec.Spec{}, pool), info, task.FlopPerUnit)}
+	hp := newHostPool(tp, &task, &userspec.Spec{}, pool)
+	if view, ok := info.(*InfoSnapshot); ok {
+		return &resourceSelector{cols: viewCols(hp, view, task.FlopPerUnit)}
+	}
+	return &resourceSelector{cols: rawCols(hp, info, task.FlopPerUnit)}
+}
+
+// rawCols resolves hp's columns straight from info by host name, with
+// no frozen view between: every availability and route value reaches
+// fill and the kernel exactly as the source reports it, NaN and
+// negative values included.
+func rawCols(hp *hostPool, info Information, flopPerUnit float64) *poolCols {
+	c := newPoolCols(hp, func(i, j int) (lat, bw float64) {
+		a, b := hp.hosts[i].Name, hp.hosts[j].Name
+		return info.RouteLatency(a, b), info.RouteBandwidth(a, b)
+	})
+	for i, h := range hp.hosts {
+		c.avail[i] = info.Availability(h.Name)
+	}
+	c.fill(flopPerUnit)
+	return c
 }
 
 // directSelector is the name-keyed Resource Selector oracle: every
@@ -144,7 +165,7 @@ func TestCandidatesPrefixLargePool(t *testing.T) {
 // hand-built two-site topology, quiet and loaded cluster-of-clusters
 // pools of 9 and 12 hosts (all 4,095 sets of the loaded one, and a
 // capped run), a 32-host prefix-fallback pool, and a 128-host pool
-// whose selector reads the lazy link snapshot roundSnapshot builds past
+// whose selector reads the routes roundSnapshot composes on demand past
 // lazySnapshotThreshold. This equivalence is what lets liveAgentSchedule
 // serve as a bit-identical sequential reference for the parallel engine.
 func TestCandidatesMatchLegacyConstruction(t *testing.T) {
@@ -190,8 +211,8 @@ func TestCandidatesMatchLegacyConstruction(t *testing.T) {
 		}
 		pool := gtp.Hosts()
 		view := roundSnapshot(OracleInformation(gtp), pool)
-		if _, lazy := view.(*linkSnapshot); lazy != (len(pool) > lazySnapshotThreshold) {
-			t.Fatalf("%d-host pool: lazy link snapshot %v", len(pool), lazy)
+		if lazy := view.Stats().Pairs == 0; lazy != (len(pool) > lazySnapshotThreshold) {
+			t.Fatalf("%d-host pool: routes composed on demand %v", len(pool), lazy)
 		}
 		check(fmt.Sprintf("prefix-%dhost-cap%d", len(pool), p.maxSets), gtp, view, pool, p.maxSets, p.want)
 	}

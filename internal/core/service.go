@@ -275,8 +275,8 @@ func (t *Tenant) Pending() int {
 // delivered in submission order.
 func (t *Tenant) Submit(n int) (<-chan RoundResult, error) {
 	s := t.svc
-	if n <= 0 {
-		return nil, fmt.Errorf("core: non-positive problem size %d", n)
+	if err := checkProblemSize(n); err != nil {
+		return nil, err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -387,7 +387,7 @@ func (s *SchedService) runRound(t *Tenant, req roundRequest) RoundResult {
 	res := RoundResult{Tenant: t.id, Seq: req.seq}
 
 	var entry *snapEntry
-	var view infoView
+	var view *InfoSnapshot
 	if pool := t.agent.hp.hosts; len(pool) > 0 {
 		entry, res.SharedSnapshot = s.cache.acquire(t.agent.coord.info, pool)
 		view = entry.view

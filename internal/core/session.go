@@ -142,8 +142,8 @@ type DeltaStats struct {
 // gets ErrSessionUniverse: a frozen copy of its sets would go stale as
 // forecasts drift, so it re-schedules with fresh rounds instead.
 func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("core: non-positive problem size %d", n)
+	if err := checkProblemSize(n); err != nil {
+		return nil, err
 	}
 	pool := a.hp.hosts
 	if len(pool) == 0 {
@@ -156,7 +156,7 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	s := &ReschedSession{
 		a:       a,
 		m:       a.model(n),
-		view:    SnapshotInformation(a.coord.info, hostNames(pool)),
+		view:    roundSnapshot(a.coord.info, pool),
 		sel:     newSelModel(a.hp, true),
 		winner:  -1,
 		bounded: a.hasComputeBound(),
@@ -353,7 +353,7 @@ func (s *ReschedSession) materialize(c int) *Schedule {
 	iterT, _ := s.solveChain(k)
 	hosts := make([]string, k)
 	for i := 0; i < k; i++ {
-		hosts[i] = s.view.names[s.kn.chain[i]]
+		hosts[i] = s.a.hp.hosts[s.kn.chain[i]].Name
 	}
 	sched := s.kn.schedule(&s.m, hosts, iterT)
 	sched.InfoSource = s.a.coord.Information().Source()
@@ -392,6 +392,5 @@ func (s *ReschedSession) emit(st DeltaStats) {
 func (s *ReschedSession) Stats() (rounds, considered int) { return s.rounds, len(s.candMask) }
 
 // Pool returns the frozen pool's host names in userspec filter order —
-// the universe every candidate bitmask indexes into. The slice is owned
-// by the session; callers must not mutate it.
-func (s *ReschedSession) Pool() []string { return s.view.names }
+// the universe every candidate bitmask indexes into — as a fresh slice.
+func (s *ReschedSession) Pool() []string { return hostNames(s.a.hp.hosts) }

@@ -47,7 +47,7 @@ type snapKey struct {
 
 type snapEntry struct {
 	once sync.Once
-	view infoView
+	view *InfoSnapshot
 }
 
 func newSnapshotCache() *snapshotCache {

@@ -7,9 +7,10 @@ import (
 )
 
 // InfoSnapshot is a point-in-time resolution of an Information source
-// over a fixed host set: the small-pool information view. The agent
-// takes one snapshot per scheduling round and evaluates every candidate
-// resource set against it, which
+// over a fixed host list: the one frozen view every scheduling round,
+// the SchedService's shared snapshots, EstimatePlacement and every
+// ReschedSession read. The agent takes one snapshot per scheduling round
+// and evaluates every candidate resource set against it, which
 //
 //   - removes the repeated Availability/RouteBandwidth/RouteLatency
 //     queries the select → plan → estimate loop otherwise issues for the
@@ -20,31 +21,46 @@ import (
 //     snapshot's frozen values, never the underlying source, so an
 //     Information implementation need not be thread-safe.
 //
+// Its positions are the distinct hosts in order, so a view built over a
+// host pool is indexed by that pool's index: position i is pool[i].
+// Availability is one column by position. Routes follow one of two
+// policies, chosen by the number of positions:
+//
+//   - over a batched source (routeBatcher) with at most
+//     lazySnapshotThreshold positions, it freezes the links the
+//     positions' routes cross and materializes every ordered pair;
+//   - over a batched source with more, it freezes every topology link
+//     and composes each pair on demand (composeRoute), so a 2048-host
+//     round reads O(hosts + links) values instead of O(hosts²);
+//   - over any other source it reads and materializes pair by pair.
+//
 // A round's snapshot is immutable once built. The one snapshot ever
 // modified afterwards is a ReschedSession's own, which its rounds
 // refresh in place (refresh); no cache or worker ever shares it.
 //
-// Lookups for hosts outside the snapshot fall through to the underlying
-// source (this only happens on sequential paths such as re-estimating a
-// stale placement whose hosts have since been filtered out).
+// Lookups by name answer from the frozen values for the snapshot's own
+// hosts and fall through to the underlying source for any other host.
 type InfoSnapshot struct {
-	pos    map[string]int // host name -> position in the frozen host list
-	names  []string       // the frozen host list
-	n      int
+	hosts []*grid.Host // the frozen host list: position i is hosts[i]
+	// A host's position: by its index in tp (1 + position, 0 for none)
+	// when a batched source's list is longer than lazySnapshotThreshold,
+	// so a large view keeps no map keyed by name; by name in pos for
+	// every other host.
+	at  []int32
+	pos map[string]int
+
 	avail  []float64 // by position
-	lat    []float64 // n×n by position pair (i·n + j); the diagonal is unused
+	lat    []float64 // n×n by position pair (i·n + j); nil when composed on demand
 	bw     []float64
 	source string
 	base   Information
 	stats  SnapshotStats
 
-	// Batched sources (routeBatcher) only: each position's index in tp
-	// (-1 when tp does not know the host: no route), the links the
-	// frozen hosts' routes cross, in the order first crossed, and their
-	// bandwidths by grid.Link.Index.
+	// Batched sources (routeBatcher) only: the links frozen (those the
+	// positions' routes cross when pairs are materialized, every link
+	// otherwise) and their bandwidths by grid.Link.Index.
 	rb     routeBatcher
 	tp     *grid.Topology
-	tidx   []int
 	links  []*grid.Link
 	linkBW []float64
 }
@@ -57,12 +73,12 @@ type InfoSnapshot struct {
 type SnapshotStats struct {
 	// Hosts is the number of availability lookups frozen.
 	Hosts int
-	// Pairs is the number of ordered host pairs resolved (bandwidth and
-	// latency each).
+	// Pairs is the number of ordered host pairs materialized (bandwidth
+	// and latency each); 0 when routes are composed on demand.
 	Pairs int
 	// SourceQueries counts calls issued to the underlying Information
 	// source: one availability per host plus, on the batched path, one
-	// bandwidth query per distinct link — or bandwidth+latency per pair
+	// bandwidth query per frozen link — or bandwidth+latency per pair
 	// on the generic path.
 	SourceQueries int
 }
@@ -71,57 +87,56 @@ type SnapshotStats struct {
 func (s *InfoSnapshot) Stats() SnapshotStats { return s.stats }
 
 // SnapshotInformation resolves every lookup the scheduling round can make
-// for the given hosts — one Availability per host, one RouteBandwidth and
-// RouteLatency per ordered pair — and freezes them, non-finite
-// availabilities as 0. The snapshot reflects the source at call time;
-// take a fresh one per scheduling round.
-//
-// It sets the snapshot up over the distinct names in hosts, in order:
-// over a batched source, each position's topology index and the links
-// the positions' routes cross. refresh then reads every value.
+// for the named hosts and freezes it, non-finite availabilities as 0
+// (see InfoSnapshot for the route policies). The snapshot reflects the
+// source at call time; take a fresh one per scheduling round. A name the
+// batched source's topology knows stands for that host; any other name
+// has no route there.
 func SnapshotInformation(info Information, hosts []string) *InfoSnapshot {
-	s := &InfoSnapshot{
-		pos:    make(map[string]int, len(hosts)),
-		names:  make([]string, 0, len(hosts)),
-		source: info.Source(),
-		base:   info,
+	var tp *grid.Topology
+	if rb, ok := info.(routeBatcher); ok {
+		tp = rb.routeTopology()
 	}
-	for _, h := range hosts {
-		if _, dup := s.pos[h]; !dup {
-			s.pos[h] = len(s.names)
-			s.names = append(s.names, h)
+	pool := make([]*grid.Host, len(hosts))
+	for i, name := range hosts {
+		if tp != nil {
+			pool[i] = tp.Host(name)
+		}
+		if pool[i] == nil {
+			pool[i] = &grid.Host{Name: name}
 		}
 	}
-	n := len(s.names)
-	s.n = n
-	f := make([]float64, n+2*n*n)
-	s.avail, s.lat, s.bw = f[:n:n], f[n:n+n*n:n+n*n], f[n+n*n:]
-	pairs := n * (n - 1)
-	s.stats = SnapshotStats{Hosts: n, Pairs: pairs, SourceQueries: n + 2*pairs}
+	return roundSnapshot(info, pool)
+}
+
+// roundSnapshot is the one snapshot constructor every scheduling path
+// resolves through: Coordinator.evaluateRound, EstimatePlacement,
+// WaitOrRun's union view, the SchedService's shared-snapshot cache and
+// ReschedSession. It freezes pool's distinct hosts, each once in pool
+// order, so "what does a round see" has exactly one answer regardless of
+// which layer asked. The snapshot keeps pool as its host list when pool
+// holds no duplicate; the caller must not modify it afterwards.
+func roundSnapshot(info Information, pool []*grid.Host) *InfoSnapshot {
+	s := &InfoSnapshot{source: info.Source(), base: info}
 	if rb, ok := info.(routeBatcher); ok {
 		s.rb, s.tp = rb, rb.routeTopology()
-		s.tidx = make([]int, n)
-		for i, h := range s.names {
-			s.tidx[i] = s.tp.HostIndex(h)
-		}
-		// Links returns a fresh copy of every link, so its backing holds
-		// the crossed ones without growing.
-		all := s.tp.Links()
-		s.links = all[:0]
-		s.linkBW = make([]float64, len(all))
-		crossed := make([]bool, len(all))
-		for _, ti := range s.tidx {
-			for _, tj := range s.tidx {
-				if ti < 0 || tj < 0 {
-					continue
-				}
-				for _, l := range s.tp.RouteAt(ti, tj) {
-					if li := l.Index(); !crossed[li] {
-						crossed[li] = true
-						s.links = append(s.links, l)
-					}
-				}
-			}
+	}
+	s.index(pool)
+	n := len(s.hosts)
+	s.stats = SnapshotStats{Hosts: n}
+	if s.rb != nil && n > lazySnapshotThreshold {
+		s.avail = make([]float64, n)
+	} else {
+		f := make([]float64, n+2*n*n)
+		s.avail, s.lat, s.bw = f[:n:n], f[n:n+n*n:n+n*n], f[n+n*n:]
+		s.stats.Pairs = n * (n - 1)
+	}
+	s.stats.SourceQueries = n + 2*s.stats.Pairs
+	if s.rb != nil {
+		s.links = s.tp.Links()
+		s.linkBW = make([]float64, len(s.links))
+		if s.lat != nil {
+			s.links = s.crossedLinks()
 		}
 		s.stats.SourceQueries = n + len(s.links)
 	}
@@ -129,24 +144,86 @@ func SnapshotInformation(info Information, hosts []string) *InfoSnapshot {
 	return s
 }
 
+// index sets up the positions: pool's distinct hosts in order (pool
+// itself when it holds no duplicate) and each one's entry in at or pos.
+func (s *InfoSnapshot) index(pool []*grid.Host) {
+	if s.tp != nil && len(pool) > lazySnapshotThreshold {
+		s.at = make([]int32, s.tp.NumHosts())
+	} else {
+		s.pos = make(map[string]int, len(pool))
+	}
+	s.hosts = pool
+	dup := false
+	for k, h := range pool {
+		ti := -1
+		if s.at != nil {
+			ti = s.tp.IndexOf(h)
+		}
+		if s.positionOf(ti, h.Name) >= 0 {
+			if !dup {
+				s.hosts, dup = append(make([]*grid.Host, 0, len(pool)), pool[:k]...), true
+			}
+			continue
+		}
+		p := k
+		if dup {
+			p = len(s.hosts)
+			s.hosts = append(s.hosts, h)
+		}
+		if ti >= 0 {
+			s.at[ti] = int32(p + 1)
+		} else {
+			if s.pos == nil {
+				s.pos = make(map[string]int)
+			}
+			s.pos[h.Name] = p
+		}
+	}
+}
+
+// crossedLinks filters s.links, every topology link, down to those the
+// positions' routes cross, in the order first crossed. It filters in
+// place: Links returns a fresh copy.
+func (s *InfoSnapshot) crossedLinks() []*grid.Link {
+	crossed := make([]bool, len(s.links))
+	out := s.links[:0]
+	var buf [lazySnapshotThreshold]int
+	tidx := s.topoIndices(buf[:0])
+	for _, ti := range tidx {
+		for _, tj := range tidx {
+			if ti < 0 || tj < 0 {
+				continue
+			}
+			for _, l := range s.tp.RouteAt(ti, tj) {
+				if li := l.Index(); !crossed[li] {
+					crossed[li] = true
+					out = append(out, l)
+				}
+			}
+		}
+	}
+	return out
+}
+
 // refresh re-reads every frozen value from the base source in place and
 // counts the availabilities and the links (batched sources) or ordered
 // pairs (generic sources) whose bits changed; when cold, every value
 // counts as changed. Availability is frozen through finiteAvailability,
-// route values through finiteRoute. A batched source re-reads the crossed links' bandwidths and, when the
-// round is cold or one changed, recomposes every pair by composeRoute
-// over them: in route order with the same seed and comparison as the
-// source's own route query, so the values are bit-identical to the
-// per-pair reads a generic source gets, without re-consulting the
-// forecaster bank for every pair that shares a link.
+// route values through finiteRoute. A batched source re-reads the frozen
+// links' bandwidths and, when pairs are materialized and the round is
+// cold or a link changed, recomposes every pair by composeRoute over
+// them: in route order with the same seed and comparison as the source's
+// own route query, so the values are bit-identical to the per-pair reads
+// a generic source gets, without re-consulting the forecaster bank for
+// every pair that shares a link.
 func (s *InfoSnapshot) refresh(cold bool) (changedHosts, changedLinks int) {
-	for i, h := range s.names {
-		if v := finiteAvailability(s.base.Availability(h)); cold || differ(v, s.avail[i]) {
+	for i, h := range s.hosts {
+		if v := finiteAvailability(s.base.Availability(h.Name)); cold || differ(v, s.avail[i]) {
 			s.avail[i] = v
 			changedHosts++
 		}
 	}
-	n := s.n
+	n := len(s.hosts)
 	if s.rb != nil {
 		for _, l := range s.links {
 			if v, li := s.rb.linkBandwidth(l), l.Index(); cold || differ(v, s.linkBW[li]) {
@@ -154,30 +231,27 @@ func (s *InfoSnapshot) refresh(cold bool) (changedHosts, changedLinks int) {
 				changedLinks++
 			}
 		}
-		if !cold && changedLinks == 0 {
-			return changedHosts, 0
+		if s.lat == nil || !cold && changedLinks == 0 {
+			return changedHosts, changedLinks
 		}
-		for i, ti := range s.tidx {
-			for j, tj := range s.tidx {
-				if i == j {
-					continue
+		var buf [lazySnapshotThreshold]int
+		tidx := s.topoIndices(buf[:0])
+		for i, ti := range tidx {
+			for j, tj := range tidx {
+				if i != j {
+					s.lat[i*n+j], s.bw[i*n+j] = s.compose(ti, tj)
 				}
-				lat, bw := 0.0, 1e30
-				if ti >= 0 && tj >= 0 {
-					lat, bw = composeRoute(s.tp, s.linkBW, ti, tj)
-				}
-				s.lat[i*n+j], s.bw[i*n+j] = lat, bw
 			}
 		}
 		return changedHosts, changedLinks
 	}
-	for i, a := range s.names {
-		for j, b := range s.names {
+	for i, a := range s.hosts {
+		for j, b := range s.hosts {
 			if i == j {
 				continue
 			}
 			k := i*n + j
-			lat, bw := finiteRoute(s.base.RouteLatency(a, b), s.base.RouteBandwidth(a, b))
+			lat, bw := finiteRoute(s.base.RouteLatency(a.Name, b.Name), s.base.RouteBandwidth(a.Name, b.Name))
 			if cold || differ(bw, s.bw[k]) || differ(lat, s.lat[k]) {
 				s.bw[k], s.lat[k] = bw, lat
 				changedLinks++
@@ -191,237 +265,99 @@ func (s *InfoSnapshot) refresh(cold bool) (changedHosts, changedLinks int) {
 // NaN that stays NaN reads as unchanged.
 func differ(a, b float64) bool { return math.Float64bits(a) != math.Float64bits(b) }
 
+// topoIndices appends each position's index in tp (-1 when tp does not
+// know the host) to dst. Pairs are materialized only up to
+// lazySnapshotThreshold positions, so callers that materialize pass a
+// stack buffer of that size and the round allocates nothing for it.
+func (s *InfoSnapshot) topoIndices(dst []int) []int {
+	for _, h := range s.hosts {
+		dst = append(dst, s.tp.IndexOf(h))
+	}
+	return dst
+}
+
+// compose composes the route between the hosts with indices ti and tj
+// in tp over the frozen link column; a host tp does not know (-1) has no
+// route (latency 0, bandwidth 1e30).
+func (s *InfoSnapshot) compose(ti, tj int) (lat, bw float64) {
+	if ti < 0 || tj < 0 {
+		return 0, 1e30
+	}
+	return composeRoute(s.tp, s.linkBW, ti, tj)
+}
+
 // Availability implements Information from the frozen column.
 func (s *InfoSnapshot) Availability(host string) float64 {
-	if i, ok := s.pos[host]; ok {
+	if i := s.indexOf(host); i >= 0 {
 		return s.avail[i]
 	}
 	return s.base.Availability(host)
 }
 
-// RouteBandwidth implements Information from the frozen pair array.
+// RouteBandwidth implements Information from the frozen routes.
 func (s *InfoSnapshot) RouteBandwidth(a, b string) float64 {
 	if i, j := s.indexOf(a), s.indexOf(b); i >= 0 && j >= 0 && i != j {
-		return s.bw[i*s.n+j]
+		_, bw := s.routeAt(i, j)
+		return bw
 	}
 	return s.base.RouteBandwidth(a, b)
 }
 
-// RouteLatency implements Information from the frozen pair array.
+// RouteLatency implements Information from the frozen routes.
 func (s *InfoSnapshot) RouteLatency(a, b string) float64 {
 	if i, j := s.indexOf(a), s.indexOf(b); i >= 0 && j >= 0 && i != j {
-		return s.lat[i*s.n+j]
+		lat, _ := s.routeAt(i, j)
+		return lat
 	}
 	return s.base.RouteLatency(a, b)
 }
 
-// indexOf is the named host's position in the frozen host list, -1
-// outside it.
+// indexOf is the named host's position, -1 outside the view.
 func (s *InfoSnapshot) indexOf(name string) int {
+	ti := -1
+	if s.at != nil {
+		ti = s.tp.HostIndex(name)
+	}
+	return s.positionOf(ti, name)
+}
+
+// positionOf is the position of the host with index ti in tp (-1 when
+// tp does not know it or at is not set up) and the given name, -1
+// outside the view.
+func (s *InfoSnapshot) positionOf(ti int, name string) int {
+	if ti >= 0 {
+		return int(s.at[ti]) - 1
+	}
 	if i, ok := s.pos[name]; ok {
 		return i
 	}
 	return -1
 }
 
-// hostIndex implements routeIndex by the host's position in the frozen
-// host list.
-func (s *InfoSnapshot) hostIndex(h *grid.Host) int { return s.indexOf(h.Name) }
-
-// availAt implements routeIndex by position: every indexed host is
-// frozen.
-func (s *InfoSnapshot) availAt(i int) (float64, bool) { return s.avail[i], true }
-
-// routeAt implements routeIndex from the frozen pair arrays.
+// routeAt returns the frozen latency and bandwidth between the hosts at
+// two distinct positions: exactly what RouteLatency and RouteBandwidth
+// report for them by name.
 func (s *InfoSnapshot) routeAt(i, j int) (lat, bw float64) {
-	k := i*s.n + j
+	if s.lat == nil {
+		return s.compose(s.tp.IndexOf(s.hosts[i]), s.tp.IndexOf(s.hosts[j]))
+	}
+	k := i*len(s.hosts) + j
 	return s.lat[k], s.bw[k]
 }
 
 // Source names the underlying source as of snapshot time.
 func (s *InfoSnapshot) Source() string { return s.source }
 
-// lazySnapshotThreshold is the pool size past which a scheduling round
-// freezes per-link values instead of materializing every ordered pair:
-// at p hosts the full snapshot stores 2·p·(p−1) route values, which at
-// 2048 hosts is ~8.4M map entries per round — far more than any
-// heuristic selector will ever read. The same boundary decides whether
-// the round evaluates candidates inline or on a worker pool (see
-// Coordinator.evaluateRound).
+// lazySnapshotThreshold is the number of positions past which a snapshot
+// over a batched source composes routes on demand instead of
+// materializing every ordered pair: at p hosts the pair arrays hold
+// 2·p·(p−1) route values, which at 2048 hosts is ~8.4M values per round
+// — far more than any heuristic selector will ever read. Below it the
+// pair arrays win: composing on demand at 8 and 12 hosts made
+// BenchmarkEvaluate and BenchmarkResched rounds slower. The same
+// boundary decides whether the round evaluates candidates inline or on
+// a worker pool (see Coordinator.evaluateRound).
 const lazySnapshotThreshold = 64
-
-// infoView is what a scheduling round evaluates against: a frozen
-// Information source with dense host addressing that can report what
-// building it cost.
-type infoView interface {
-	Information
-	routeIndex
-	Stats() SnapshotStats
-}
-
-// routeIndex is a frozen view's dense host addressing, which lets a
-// round resolve each host once and price it and its pairs by index.
-// hostIndex is a host's index in the view, -1 when the view has none;
-// routeAt(i, j) returns, for two distinct indexed hosts, exactly the
-// RouteLatency and RouteBandwidth the view reports for them by name;
-// availAt(i) returns the Availability the view froze for the host at
-// index i, and false when it froze none (the view then answers from its
-// base source by name).
-type routeIndex interface {
-	hostIndex(h *grid.Host) int
-	routeAt(i, j int) (lat, bw float64)
-	availAt(i int) (float64, bool)
-}
-
-// roundSnapshot is the one snapshot constructor every scheduling path
-// resolves through: Coordinator.evaluateRound, EstimatePlacement,
-// WaitOrRun's union view and the SchedService's shared-snapshot cache. It freezes the pool's
-// hosts, each once in pool order — so "what does a round see" has
-// exactly one answer regardless of which layer asked.
-//
-// Past lazySnapshotThreshold distinct hosts, over a route-batching
-// source whose topology indexes every pool host, the view is a
-// linkSnapshot, which freezes one availability per host and one
-// bandwidth per link and composes route values on demand — the same
-// values bit for bit (both paths reduce per-link bandwidth in route
-// order with the same seed and comparison), at O(hosts + links) source
-// queries instead of O(hosts²). Smaller pools get the fully
-// materialized InfoSnapshot.
-func roundSnapshot(info Information, pool []*grid.Host) infoView {
-	if len(pool) > lazySnapshotThreshold {
-		if rb, ok := info.(routeBatcher); ok {
-			if s := newLinkSnapshot(info, rb, pool); s != nil {
-				return s
-			}
-		}
-	}
-	return SnapshotInformation(info, hostNames(pool))
-}
-
-// linkSnapshot is the large-pool information view: per-host availability
-// and per-link bandwidth are frozen eagerly; per-pair route values are
-// composed on demand by walking the topology's route table over the
-// frozen link column. Its dense host index is the topology's, so every
-// pool host prices by index, and availability is a column by that
-// index. All state is read-only after construction, so parallel
-// evaluation workers share it exactly like an InfoSnapshot.
-type linkSnapshot struct {
-	tp     *grid.Topology
-	avail  []float64 // by topology host index
-	frozen []bool    // by topology host index: avail holds a frozen value
-	linkBW []float64 // by grid.Link.Index
-	source string
-	base   Information
-	stats  SnapshotStats
-}
-
-// newLinkSnapshot freezes the availability of pool's hosts, each
-// distinct host once in pool order, plus every link's bandwidth. It
-// returns nil, having queried nothing, when the topology cannot index a
-// pool host or the pool comes to lazySnapshotThreshold distinct hosts
-// or fewer.
-func newLinkSnapshot(info Information, rb routeBatcher, pool []*grid.Host) *linkSnapshot {
-	tp := rb.routeTopology()
-	s := &linkSnapshot{
-		tp:     tp,
-		avail:  make([]float64, tp.NumHosts()),
-		frozen: make([]bool, tp.NumHosts()),
-		source: info.Source(),
-		base:   info,
-	}
-	// Mark every distinct host with a NaN placeholder first, so the pool
-	// can be measured before any query; a frozen availability is never
-	// NaN, so the placeholder also marks what is still to query.
-	hosts := 0
-	for _, h := range pool {
-		i := tp.IndexOf(h)
-		if i < 0 {
-			return nil
-		}
-		if !s.frozen[i] {
-			s.frozen[i], s.avail[i] = true, math.NaN()
-			hosts++
-		}
-	}
-	if hosts <= lazySnapshotThreshold {
-		return nil
-	}
-	for _, h := range pool {
-		if i := tp.IndexOf(h); math.IsNaN(s.avail[i]) {
-			s.avail[i] = finiteAvailability(info.Availability(h.Name))
-		}
-	}
-	links := tp.Links()
-	s.linkBW = make([]float64, len(links))
-	for i, l := range links {
-		s.linkBW[i] = rb.linkBandwidth(l)
-	}
-	// Pairs stays 0: nothing pairwise is materialized up front.
-	s.stats = SnapshotStats{Hosts: hosts, SourceQueries: hosts + len(links)}
-	return s
-}
-
-// Stats reports how the snapshot was built (Pairs is 0: route values are
-// composed lazily).
-func (s *linkSnapshot) Stats() SnapshotStats { return s.stats }
-
-// Availability implements Information from the frozen column, resolving
-// the name to its topology index.
-func (s *linkSnapshot) Availability(host string) float64 {
-	if v, ok := s.availAt(s.tp.HostIndex(host)); ok {
-		return v
-	}
-	return s.base.Availability(host)
-}
-
-// RouteBandwidth implements Information: the bottleneck min over the
-// route's frozen link bandwidths, seeded at 1e30 like every source.
-func (s *linkSnapshot) RouteBandwidth(a, b string) float64 {
-	if a == b {
-		return s.base.RouteBandwidth(a, b)
-	}
-	_, bw := s.routeNamed(a, b)
-	return bw
-}
-
-// RouteLatency implements Information: latencies are static link
-// properties for every built-in source, so the sum needs no freezing.
-func (s *linkSnapshot) RouteLatency(a, b string) float64 {
-	if a == b {
-		return 0
-	}
-	lat, _ := s.routeNamed(a, b)
-	return lat
-}
-
-// routeNamed is routeAt by host name; a host unknown to the topology has
-// no route (latency 0, bandwidth 1e30).
-func (s *linkSnapshot) routeNamed(a, b string) (lat, bw float64) {
-	i, j := s.tp.HostIndex(a), s.tp.HostIndex(b)
-	if i < 0 || j < 0 {
-		return 0, 1e30
-	}
-	return s.routeAt(i, j)
-}
-
-// hostIndex implements routeIndex with the topology's dense host index,
-// read off the host itself when it is the topology's own.
-func (s *linkSnapshot) hostIndex(h *grid.Host) int { return s.tp.IndexOf(h) }
-
-// availAt implements routeIndex from the frozen column; an index outside
-// it (-1 included) froze nothing.
-func (s *linkSnapshot) availAt(i int) (float64, bool) {
-	if i < 0 || i >= len(s.frozen) || !s.frozen[i] {
-		return 0, false
-	}
-	return s.avail[i], true
-}
-
-// routeAt implements routeIndex by composeRoute over the frozen link
-// column.
-func (s *linkSnapshot) routeAt(i, j int) (lat, bw float64) {
-	return composeRoute(s.tp, s.linkBW, i, j)
-}
 
 // composeRoute composes the route between topology hosts i and j in
 // one walk: latencies summed and the bottleneck min over linkBW (by
@@ -463,6 +399,3 @@ func finiteRoute(lat, bw float64) (float64, float64) {
 	}
 	return lat, bw
 }
-
-// Source names the underlying source as of snapshot time.
-func (s *linkSnapshot) Source() string { return s.source }

@@ -90,58 +90,57 @@ func TestSnapshotFreezes(t *testing.T) {
 	}
 }
 
-// TestAvailAtMatchesAvailability: on a pool of more than 64 hosts, both
-// view types answer availAt at a host's dense index with exactly the
-// Availability they report for it by name, a non-finite availability
-// frozen as 0. A host outside the view has no frozen value there and
-// falls through to the base source by name; so does a name the
-// topology does not know.
+// TestAvailAtMatchesAvailability: under a hostile availability overlay,
+// at every position of a view over a 100-host pool (routes composed on
+// demand) and a 12-host pool (pairs materialized), the frozen
+// availability and routeAt equal what the view reports for the host by
+// name and what the base source reports through finiteAvailability and
+// finiteRoute. A topology host outside the view and a name the topology
+// does not know fall through to the base source by name.
 func TestAvailAtMatchesAvailability(t *testing.T) {
 	tp := grid.ClusterOfClusters(sim.NewEngine(), grid.ClusterOptions{Clusters: 8, PerCluster: 16, Seed: 5, Quiet: true})
 	hosts := tp.Hosts()
-	const inPool = 100
-	overlay := map[string]float64{
-		hosts[0].Name: math.NaN(), hosts[1].Name: math.Inf(1), hosts[2].Name: math.Inf(-1),
-		hosts[3].Name: -0.25, hosts[4].Name: 0,
-		hosts[inPool].Name: math.NaN(), hosts[inPool+1].Name: math.Inf(1), // outside the pool
+	overlay := map[string]float64{}
+	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.25, 0, 1e300, math.MaxFloat64, 1 + 1e-9} {
+		overlay[hosts[i].Name] = v
 	}
+	outside := hosts[len(hosts)-1].Name
+	overlay[outside] = math.Inf(1)
 	info := NewOverlayInformation(OracleInformation(tp), overlay)
-	pool := hosts[:inPool]
-	names := make([]string, len(pool))
-	for i, h := range pool {
-		names[i] = h.Name
-	}
-	link := roundSnapshot(info, pool)
-	if _, ok := link.(*linkSnapshot); !ok {
-		t.Fatalf("roundSnapshot over %d hosts built %T, want *linkSnapshot", inPool, link)
-	}
-	views := []struct {
-		name string
-		v    infoView
-	}{{"link", link}, {"eager", SnapshotInformation(info, names)}}
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	for _, vw := range views {
-		for _, h := range hosts {
-			byName, base := vw.v.Availability(h.Name), info.Availability(h.Name)
-			at, frozen := 0.0, false
-			if i := vw.v.hostIndex(h); i >= 0 {
-				at, frozen = vw.v.availAt(i)
+	for _, k := range []int{100, 12} {
+		pool := hosts[:k]
+		view := roundSnapshot(info, pool)
+		if composed := view.Stats().Pairs == 0; composed != (k > lazySnapshotThreshold) {
+			t.Fatalf("%d hosts: routes composed on demand %v", k, composed)
+		}
+		for i, a := range pool {
+			byName, base := view.Availability(a.Name), info.Availability(a.Name)
+			if !sameFloat(view.avail[i], byName) || !sameFloat(byName, finiteAvailability(base)) {
+				t.Fatalf("%d hosts: %s froze %v, reads %v by name, base %v", k, a.Name, view.avail[i], byName, base)
 			}
-			if want := h.Index() < inPool; frozen != want {
-				t.Fatalf("%s: %s frozen=%v, want %v", vw.name, h.Name, frozen, want)
-			}
-			if !frozen {
-				if !same(byName, base) {
-					t.Fatalf("%s: %s outside the view reads %v, base %v", vw.name, h.Name, byName, base)
+			for j, b := range pool {
+				if i == j {
+					continue
 				}
-				continue
-			}
-			if !same(at, byName) || !same(at, finiteAvailability(base)) {
-				t.Fatalf("%s: %s availAt %v, Availability %v, base %v", vw.name, h.Name, at, byName, base)
+				lat, bw := view.routeAt(i, j)
+				wantLat, wantBW := finiteRoute(info.RouteLatency(a.Name, b.Name), info.RouteBandwidth(a.Name, b.Name))
+				if !sameFloat(lat, view.RouteLatency(a.Name, b.Name)) || !sameFloat(bw, view.RouteBandwidth(a.Name, b.Name)) ||
+					!sameFloat(lat, wantLat) || !sameFloat(bw, wantBW) {
+					t.Fatalf("%d hosts: %s→%s froze (%v, %v), base (%v, %v)", k, a.Name, b.Name, lat, bw, wantLat, wantBW)
+				}
 			}
 		}
-		if got := vw.v.Availability("nobody"); got != 1 {
-			t.Fatalf("%s: unknown host reads %v, want the base's 1", vw.name, got)
+		in := pool[0].Name
+		for _, name := range []string{outside, "nobody"} {
+			if got, want := view.Availability(name), info.Availability(name); !sameFloat(got, want) {
+				t.Fatalf("%d hosts: %s reads %v, base %v", k, name, got, want)
+			}
+			if got, want := view.RouteLatency(in, name), info.RouteLatency(in, name); !sameFloat(got, want) {
+				t.Fatalf("%d hosts: latency to %s reads %v, base %v", k, name, got, want)
+			}
+			if got, want := view.RouteBandwidth(name, in), info.RouteBandwidth(name, in); !sameFloat(got, want) {
+				t.Fatalf("%d hosts: bandwidth from %s reads %v, base %v", k, name, got, want)
+			}
 		}
 	}
 }
