@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -204,10 +205,15 @@ func (rp *roundPricer) solve(kn *stripKernel, set []*grid.Host) (float64, bool) 
 	for i, h := range set {
 		kn.chain[i] = rp.hp.indexOf(h)
 	}
-	if kn.feed(&rp.m, rp.cols, len(set)) >= 0 {
+	return rp.solveChain(kn, len(set))
+}
+
+// solveChain feeds and solves the chain of pool indices kn.chain[:k].
+func (rp *roundPricer) solveChain(kn *stripKernel, k int) (float64, bool) {
+	if kn.feed(&rp.m, rp.cols, k) >= 0 {
 		return 0, false
 	}
-	return kn.solve(&rp.m, len(set))
+	return kn.solve(&rp.m, k)
 }
 
 // Evaluate is the round plan's Evaluate. The candidate keeps set, the
@@ -230,6 +236,30 @@ func (rp *roundPricer) Evaluate(set []*grid.Host) (Candidate, bool) {
 		Score:             score,
 		chain:             set,
 	}, true
+}
+
+// score is the exact score of chain, pool indices in chain order, +Inf
+// when it is infeasible.
+func (rp *roundPricer) score(chain []int) float64 {
+	kn := kernelPool.Get().(*stripKernel)
+	kn.reserve(len(chain))
+	copy(kn.chain, chain)
+	sc := math.Inf(1)
+	if iterT, ok := rp.solveChain(kn, len(chain)); ok {
+		sc = kn.score(&rp.m, len(chain), iterT, rp.solo)
+	}
+	kernelPool.Put(kn)
+	return sc
+}
+
+// bound is stripModel.bound over the round's MaxSpeedup baseline.
+func (rp *roundPricer) bound(rate, leastCost float64) float64 {
+	return rp.m.bound(rate, leastCost, rp.solo)
+}
+
+// boundSet is the round plan's Bound: bound over set's aggregates.
+func (rp *roundPricer) boundSet(set []*grid.Host) float64 {
+	return rp.bound(rp.cols.boundTerms(set))
 }
 
 // resolve re-solves an evaluated candidate's chain into kn, returning
@@ -265,14 +295,18 @@ func (a *Agent) round(rp *roundPricer, winnerOnly bool) Round {
 		Selector: string(a.coord.selector.normalized().Kind),
 		Bind: func(view *InfoSnapshot) RoundPlan {
 			rp.bind(view)
-			sets, truncated := newSelector(a.coord.selector, &resourceSelector{cols: rp.cols}, a.spec.MaxResourceSets)
-			plan := RoundPlan{Sets: sets, Evaluate: rp.Evaluate, Truncated: truncated}
+			rs := &resourceSelector{cols: rp.cols}
+			plan := RoundPlan{Evaluate: rp.Evaluate}
 			if winnerOnly && a.hasComputeBound() {
-				plan.Bound = func(set []*grid.Host) float64 {
-					rate, leastCost := rp.cols.boundTerms(set)
-					return rp.m.bound(rate, leastCost, rp.solo)
+				plan.Bound = rp.boundSet
+				if a.frozenUniverse() {
+					var sets [][]*grid.Host
+					sets, plan.Skipped = rs.boundedSubsets(rp.score, rp.bound)
+					plan.Sets = slices.Values(sets)
+					return plan
 				}
 			}
+			plan.Sets, plan.Truncated = newSelector(a.coord.selector, rs, a.spec.MaxResourceSets)
 			return plan
 		},
 	}

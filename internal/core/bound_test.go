@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"apples/internal/grid"
@@ -97,4 +99,88 @@ func prunedPlanned(tp *grid.Topology, tpl *hat.Template, info Information, n int
 		best = min(best, c.Score)
 	}
 	return planned
+}
+
+// TestBoundedWalkExact is the exactness property of the bounded walk
+// (resourceSelector.boundedSubsets): on 1- to 12-host NWS pools under
+// every metric, with one host's availability overlaid by a hostile value
+// (NaN, 0, +Inf, 1e300, or none) and MaxResourceSets uncapped, capped
+// at exactly every subset, or capped below it, Schedule must equal the
+// winner of the unpruned full walk apart from CandidatesPlanned, and
+// fail with the same error when nothing is feasible. On every feasible
+// set of the full walk the round's bound must not exceed the score, the
+// property the walk's strict prune rests on.
+func TestBoundedWalkExact(t *testing.T) {
+	metrics := []userspec.Metric{userspec.MinExecutionTime, userspec.MaxSpeedup, userspec.MinCost}
+	hostile := []float64{math.NaN(), 0, math.Inf(1), 1e300}
+	seeds := 21
+	if testing.Short() {
+		seeds = 4
+	}
+	rounds, skipped := 0, 0
+	for seed := 0; seed < seeds; seed++ {
+		tp, info := buildPool(t, 3, 4, int64(seed))
+		hosts := tp.Hosts()
+		rates := map[string]float64{}
+		for i, h := range hosts {
+			if i%4 != 3 {
+				rates[h.Name] = 0.5 + 0.5*float64((i*7+seed)%9)
+			}
+		}
+		for p := 1; p <= len(hosts); p++ {
+			pool := make([]string, p)
+			for j := range pool {
+				pool[j] = hosts[(seed+j)%len(hosts)].Name
+			}
+			overlay := map[string]float64{}
+			if v := (seed + p) % (len(hostile) + 1); v < len(hostile) {
+				overlay[pool[(seed*5+p)%p]] = hostile[v]
+			}
+			view := NewOverlayInformation(info, overlay)
+			n := []int{200, 600, 1500, 4000}[(seed+p)%4]
+			all := 1<<p - 1
+			for _, m := range metrics {
+				for _, maxSets := range []int{0, all, all / 2} {
+					if maxSets == all && seed%3 != 0 {
+						continue
+					}
+					spec := &userspec.Spec{Metric: m, CostPerCPUHour: rates, Accessible: pool, MaxResourceSets: maxSets}
+					a, err := NewAgent(tp, hat.Jacobi2D(n, 10), spec, view)
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("seed %d, %d hosts, %v, n=%d, MaxResourceSets %d, overlay %v", seed, p, m, n, maxSets, overlay)
+					cands, considered, rp, err := a.evaluate(n, nil, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, c := range cands {
+						if lb := rp.boundSet(c.chain); lb > c.Score {
+							t.Fatalf("%s: %v bound %.17g > score %.17g", name, c.names(), lb, c.Score)
+						}
+					}
+					want, werr := a.pickBest(rp, cands, considered)
+					got, gerr := a.Schedule(n)
+					rounds++
+					if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+						t.Fatalf("%s: Schedule error %v, full walk error %v", name, gerr, werr)
+					}
+					if werr != nil {
+						continue
+					}
+					if got.CandidatesPlanned < len(cands) {
+						skipped++
+					}
+					got.CandidatesPlanned = want.CandidatesPlanned
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("%s: Schedule diverged from the full walk\nfull:     %v\nschedule: %v", name, want, got)
+					}
+				}
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatalf("no round of %d planned fewer sets than the full walk", rounds)
+	}
+	t.Logf("%d rounds, %d planned fewer sets than the full walk", rounds, skipped)
 }

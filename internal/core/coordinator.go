@@ -71,6 +71,11 @@ type RoundPlan struct {
 	// EvTruncated trace event and counts sched_selector_truncated_total.
 	// Nil means the enumeration is never capped.
 	Truncated func() (dropped int, capped bool)
+	// Skipped reports the sets Bind ruled out by their bound before
+	// chaining them (see SkippedSets); its zero value means none. Sets
+	// never yields them, and the round counts them as considered and
+	// pruned.
+	Skipped SkippedSets
 }
 
 // Coordinator owns the generic AppLeS scheduling round. It is configured
@@ -168,7 +173,8 @@ func (c *Coordinator) Information() Information { return c.info }
 // best score seen so far (shared across workers) and skips sets whose
 // lower bound already exceeds it. The bound never overestimates, so a
 // pruned set could not have won; pruning only reduces how many sets are
-// planned and returned.
+// planned and returned. Sets the plan skipped before yielding them
+// (RoundPlan.Skipped) count as considered and pruned the same way.
 //
 // A non-nil view is the SchedService's injection point: an externally
 // resolved frozen information view (typically a cache-shared snapshot)
@@ -224,6 +230,26 @@ func (c *Coordinator) evaluateRound(r Round, view *InfoSnapshot) ([]Candidate, i
 	if bound != nil {
 		incumbent = newBestScore()
 	}
+	// Sets the plan skipped before chaining are pruned as one summary;
+	// traced indices map back to positions in the unskipped enumeration.
+	skip := plan.Skipped
+	var pos []int
+	if skip.Count > 0 {
+		if met != nil {
+			met.pruned.Add(uint64(skip.Count))
+		}
+		if tr != nil {
+			tr.Emit(obs.Event{Round: round, Type: obs.EvPruned, Pruned: skip.Count,
+				Bound: skip.LeastBound, Incumbent: skip.Seed})
+			pos = skip.positions()
+		}
+	}
+	index := func(i int) int {
+		if pos != nil {
+			return pos[i] + 1
+		}
+		return i + 1
+	}
 
 	// evalOne plans and estimates candidate set i (0-based enumeration
 	// index); it is called concurrently for distinct sets.
@@ -235,7 +261,7 @@ func (c *Coordinator) evaluateRound(r Round, view *InfoSnapshot) ([]Candidate, i
 					met.pruned.Inc()
 				}
 				if tr != nil {
-					tr.Emit(obs.Event{Round: round, Type: obs.EvPruned, Index: i + 1,
+					tr.Emit(obs.Event{Round: round, Type: obs.EvPruned, Index: index(i),
 						Hosts: hostNames(set), Bound: lb, Incumbent: inc})
 				}
 				return Candidate{}, false
@@ -247,7 +273,7 @@ func (c *Coordinator) evaluateRound(r Round, view *InfoSnapshot) ([]Candidate, i
 				met.infeasible.Inc()
 			}
 			if tr != nil {
-				tr.Emit(obs.Event{Round: round, Type: obs.EvInfeasible, Index: i + 1,
+				tr.Emit(obs.Event{Round: round, Type: obs.EvInfeasible, Index: index(i),
 					Hosts: hostNames(set)})
 			}
 			return Candidate{}, false
@@ -256,7 +282,7 @@ func (c *Coordinator) evaluateRound(r Round, view *InfoSnapshot) ([]Candidate, i
 			met.evaluated.Inc()
 		}
 		if tr != nil {
-			tr.Emit(obs.Event{Round: round, Type: obs.EvCandidate, Index: i + 1,
+			tr.Emit(obs.Event{Round: round, Type: obs.EvCandidate, Index: index(i),
 				Hosts: cand.names(), Predicted: cand.PredictedTotal, Score: cand.Score})
 		}
 		if incumbent != nil {
@@ -281,6 +307,7 @@ func (c *Coordinator) evaluateRound(r Round, view *InfoSnapshot) ([]Candidate, i
 	planSpan := stages.Start(round, obs.StagePlanEstimate)
 	cands, considered := runStreamed(plan.Sets, workers, evalOne)
 	planSpan.End()
+	considered += skip.Count
 
 	if observing {
 		if met != nil {

@@ -9,9 +9,11 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"apples/internal/grid"
 	"apples/internal/hat"
+	"apples/internal/partition"
 	"apples/internal/sim"
 	"apples/internal/userspec"
 )
@@ -447,5 +449,60 @@ func TestKernelReserveAllocs(t *testing.T) {
 	}
 	if len(kn.secPP) < 2048 || len(kn.chain) != len(kn.secPP) || len(kn.lrRem) != len(kn.secPP) {
 		t.Fatalf("columns hold %d/%d/%d positions after reserve(2048)", len(kn.secPP), len(kn.chain), len(kn.lrRem))
+	}
+}
+
+// TestKernelRejectsNonFiniteInput feeds the kernel chains the freeze
+// path never produces, straight into its columns: a border cost or a
+// P_i that is +Inf or NaN. Balancing such a chain gives NaN areas, on
+// which rounding once spun through about 2^63 degenerate dumps (an odd
+// number of NaN areas; partition.TimeBalanced spins the same way, so
+// only the two-host chain asks it). The kernel must report ok=false
+// within the deadline; for the two-host chain with a +Inf border cost,
+// partition.TimeBalanced reports an error too.
+func TestKernelRejectsNonFiniteInput(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	m := stripModel{n: 600, iterations: 10, spillFactor: 25}
+	for _, tc := range []struct {
+		name           string
+		secPP, commSec []float64
+		oracle         bool
+	}{
+		{"inf-border-pair", []float64{1e-6, 1e-6}, []float64{inf, 0.01}, true},
+		{"inf-border", []float64{1e-6, 1e-6, 1e-6}, []float64{inf, 0.01, 0.01}, false},
+		{"nan-border", []float64{1e-6, 1e-6, 1e-6}, []float64{nan, 0.01, 0.01}, false},
+		{"inf-secpp", []float64{inf, 1e-6, 1e-6}, []float64{0.01, 0.01, 0.01}, false},
+		{"nan-secpp", []float64{1e-6, nan, 1e-6}, []float64{0.01, 0.01, 0.01}, false},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			if tc.oracle {
+				costs := make([]partition.HostCost, len(tc.secPP))
+				for i := range costs {
+					costs[i] = partition.HostCost{Host: fmt.Sprint("h", i), SecPerPoint: tc.secPP[i], CommSec: tc.commSec[i]}
+				}
+				if _, _, err := partition.TimeBalanced(m.n, costs, 0); err == nil {
+					done <- fmt.Errorf("partition.TimeBalanced accepted the chain")
+					return
+				}
+			}
+			kn := new(stripKernel)
+			kn.reserve(len(tc.secPP))
+			copy(kn.secPP, tc.secPP)
+			copy(kn.commSec, tc.commSec)
+			if iterT, ok := kn.solve(&m, len(tc.secPP)); ok {
+				done <- fmt.Errorf("kernel solved the chain: iteration time %v", iterT)
+				return
+			}
+			done <- nil
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: kernel did not return within 10 s", tc.name)
+		}
 	}
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"cmp"
 	"iter"
+	"math"
 	"math/bits"
 	"slices"
+	"sort"
 
 	"apples/internal/grid"
 )
@@ -92,53 +94,183 @@ func (rs *resourceSelector) candidates(maxSets int) [][]*grid.Host {
 		return sets
 	}
 
-	// Prefer larger aggregate desirability first so a cap keeps the most
-	// promising sets; ties keep mask-enumeration order, and cmp.Compare
-	// puts a NaN aggregate (from a NaN route forecast) last. Bit b of a
-	// mask is ranking position b. agg[mask] adds the highest member to
-	// the sum of the others, which were themselves summed lowest bit
-	// first, so every sum takes its terms in ascending bit order.
-	total := 1<<n - 1
-	agg := make([]float64, total+1)
-	for mask := 1; mask <= total; mask++ {
-		hb := bits.Len(uint(mask)) - 1
-		agg[mask] = agg[mask&^(1<<hb)] + m.des[m.rank[hb]]
-	}
-	order := make([]int, total)
-	for i := range order {
-		order[i] = i + 1
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(agg[b], agg[a]); c != 0 {
-			return c
-		}
-		return a - b
-	})
+	order := enumOrder(m.desSums())
 	if maxSets > 0 && len(order) > maxSets {
 		order = order[:maxSets]
 	}
+	return m.chainMasks(order)
+}
+
+// desSums returns the aggregate desirability of every ranking-bit mask
+// over the model's hosts (at most maxExhaustiveHosts): bit b of a mask
+// is ranking position b. agg[mask] adds the highest member to the sum
+// of the others, which were themselves summed lowest bit first, so
+// every sum takes its terms in ascending bit order.
+func (m *selModel) desSums() []float64 {
+	agg := make([]float64, 1<<m.n)
+	for mask := 1; mask < len(agg); mask++ {
+		hb := bits.Len(uint(mask)) - 1
+		agg[mask] = agg[mask&^(1<<hb)] + m.des[m.rank[hb]]
+	}
+	return agg
+}
+
+// enumCmp orders ranking-bit masks as the exhaustive enumeration does:
+// larger aggregate desirability first, so a cap keeps the most
+// promising sets, ties in mask order. cmp.Compare puts a NaN aggregate
+// (from a NaN route forecast) last.
+func enumCmp(agg []float64, a, b int) int {
+	if c := cmp.Compare(agg[b], agg[a]); c != 0 {
+		return c
+	}
+	return a - b
+}
+
+// sortMasks sorts ranking-bit masks into enumeration order.
+func sortMasks(masks []int, agg []float64) {
+	slices.SortFunc(masks, func(a, b int) int { return enumCmp(agg, a, b) })
+}
+
+// enumOrder returns every non-empty ranking-bit mask of agg in
+// enumeration order.
+func enumOrder(agg []float64) []int {
+	order := make([]int, len(agg)-1)
+	for i := range order {
+		order[i] = i + 1
+	}
+	sortMasks(order, agg)
+	return order
+}
+
+// chainMasks lays every ranking-bit mask out as a strip chain, in
+// order; every chain is a capped window of one backing array.
+func (m *selModel) chainMasks(masks []int) [][]*grid.Host {
 	members := 0
-	for _, mask := range order {
+	for _, mask := range masks {
 		members += bits.OnesCount(uint(mask))
 	}
-
-	// Filtering the eff order by a mask yields each subset in eff-seed
-	// order; every chain is a capped window of one backing array.
-	sets := make([][]*grid.Host, len(order))
+	sets := make([][]*grid.Host, len(masks))
 	backing := make([]*grid.Host, 0, members)
-	for si, mask := range order {
-		ordered := m.ordered[:0]
-		for _, idx := range m.effOrder {
-			if mask&(1<<m.rankPos[idx]) != 0 {
-				ordered = append(ordered, idx)
-			}
-		}
-		m.layout(ordered)
+	for si, mask := range masks {
 		start := len(backing)
-		for _, idx := range ordered {
+		for _, idx := range m.orderMask(mask) {
 			backing = append(backing, m.pool[idx])
 		}
 		sets[si] = backing[start:len(backing):len(backing)]
 	}
 	return sets
+}
+
+// orderMask lays ranking-bit mask out as a strip chain of pool indices
+// in the model's scratch, valid until the next chain: filtering the eff
+// order by the mask yields its members in eff-seed order, and layout
+// lays them out.
+func (m *selModel) orderMask(mask int) []int {
+	ordered := m.ordered[:0]
+	for _, idx := range m.effOrder {
+		if mask&(1<<m.rankPos[idx]) != 0 {
+			ordered = append(ordered, idx)
+		}
+	}
+	m.layout(ordered)
+	return ordered
+}
+
+// SkippedSets is a round plan's report of the sets it skipped before
+// chaining. Every one of them has a bound strictly above Seed, the
+// exact score of a set the plan yields, so none could have won or tied
+// the winner.
+type SkippedSets struct {
+	// Count is how many sets were skipped, LeastBound the least of
+	// their bounds.
+	Count      int
+	LeastBound float64
+	Seed       float64
+
+	// kept holds the yielded sets' ranking-bit masks and agg every
+	// mask's enumeration key, to place the kept sets in the unskipped
+	// enumeration.
+	kept []int
+	agg  []float64
+}
+
+// positions returns each yielded set's 0-based position in the
+// unskipped enumeration, so trace events keep the indices an unskipped
+// round gives them. Every skipped mask falls before the first kept
+// mask it does not follow, found by binary search, and so before every
+// later kept mask.
+func (s *SkippedSets) positions() []int {
+	pos := make([]int, len(s.kept))
+	for mask := 1; mask < len(s.agg); mask++ {
+		j := sort.Search(len(s.kept), func(j int) bool { return enumCmp(s.agg, s.kept[j], mask) >= 0 })
+		if j < len(s.kept) && s.kept[j] != mask {
+			pos[j]++
+		}
+	}
+	run := 0
+	for j := range pos {
+		run += pos[j]
+		pos[j] = j + run
+	}
+	return pos
+}
+
+// boundedSubsets is the exhaustive enumeration of a winner-only round
+// over a pool of at most maxExhaustiveHosts hosts, bounded before it is
+// chained. The seed is the least exact score (score, +Inf when
+// infeasible) among the pool's desirability prefixes, each a member of
+// the universe chained as the enumeration chains it. One walk over the
+// ranking-bit masks then fills, by the recurrence desSums uses, each
+// set's point rate Σρ_i and least r_i·P_i, and skips every set whose
+// bound(rate, leastCost) strictly exceeds the seed. Only the survivors
+// are sorted into enumeration order and chained.
+//
+// The decision cannot move. The winner W scores at most the seed, and
+// its bound never exceeds its score, so W survives, and so does every
+// set tied with it; the survivors keep their enumeration order, so the
+// (score, index) tie-break among them is unchanged.
+func (rs *resourceSelector) boundedSubsets(score func(chain []int) float64, bound func(rate, leastCost float64) float64) ([][]*grid.Host, SkippedSets) {
+	m := buildSelModel(rs, true)
+	c := rs.cols
+	skip := SkippedSets{LeastBound: math.Inf(1), Seed: math.Inf(1), agg: m.desSums()}
+	for k := 1; k <= m.n; k++ {
+		if sc := score(m.orderMask(1<<k - 1)); sc < skip.Seed {
+			skip.Seed = sc
+		}
+	}
+
+	total := len(skip.agg)
+	terms := make([]float64, 2*total)
+	rate, least := terms[:total], terms[total:]
+	least[0] = math.Inf(1)
+	skip.kept = make([]int, 0, total-1)
+	for mask := 1; mask < total; mask++ {
+		hb := bits.Len(uint(mask)) - 1
+		rest, i := mask&^(1<<hb), m.rank[hb]
+		rate[mask] = rate[rest] + c.rho[i]
+		least[mask] = min(least[rest], c.costPP[i])
+		if b := bound(rate[mask], least[mask]); b > skip.Seed {
+			skip.Count++
+			skip.LeastBound = min(skip.LeastBound, b)
+			continue
+		}
+		skip.kept = append(skip.kept, mask)
+	}
+	sortMasks(skip.kept, skip.agg)
+	return m.chainMasks(skip.kept), skip
+}
+
+// poolMasks returns every non-empty subset of the pool (at most
+// maxExhaustiveHosts hosts) in the exhaustive enumeration order, each
+// as a mask over pool indices: the universe a ReschedSession freezes.
+func (rs *resourceSelector) poolMasks() []uint64 {
+	m := buildSelModel(rs, true)
+	order := enumOrder(m.desSums())
+	masks := make([]uint64, len(order))
+	for c, mask := range order {
+		for b := mask; b != 0; b &= b - 1 {
+			masks[c] |= 1 << m.rank[bits.TrailingZeros(uint(b))]
+		}
+	}
+	return masks
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -564,6 +565,45 @@ func TestGreedyMatchesLegacy(t *testing.T) {
 						t.Fatalf("%s: set %d differs from legacy", name, s)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestSkippedPositions pins the trace indices of a bounded walk's kept
+// sets: SkippedSets.positions must place every kept mask where the
+// full enumeration order puts it, with aggregate ties and NaN
+// aggregates, for every share of masks kept.
+func TestSkippedPositions(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		agg := make([]float64, 1<<(1+rng.Intn(maxExhaustiveHosts)))
+		for mask := 1; mask < len(agg); mask++ {
+			switch rng.Intn(8) {
+			case 0:
+				agg[mask] = math.NaN()
+			case 1, 2:
+				agg[mask] = float64(rng.Intn(3))
+			default:
+				agg[mask] = rng.Float64()
+			}
+		}
+		full := enumOrder(agg)
+		at := make(map[int]int, len(full))
+		for i, mask := range full {
+			at[mask] = i
+		}
+		keep := rng.Float64()
+		skip := SkippedSets{agg: agg}
+		for mask := 1; mask < len(agg); mask++ {
+			if rng.Float64() < keep {
+				skip.kept = append(skip.kept, mask)
+			}
+		}
+		sortMasks(skip.kept, agg)
+		for j, pos := range skip.positions() {
+			if want := at[skip.kept[j]]; pos != want {
+				t.Fatalf("trial %d: kept mask %d at position %d, enumeration puts it at %d", trial, skip.kept[j], pos, want)
 			}
 		}
 	}

@@ -135,9 +135,10 @@ type DeltaStats struct {
 
 // NewReschedSession freezes the agent's scheduling round for an n×n
 // problem into an incrementally re-evaluable session. The candidate
-// universe is enumerated once, by the agent's own selector against a
-// snapshot of the information current now. An agent whose universe
-// depends on information (a heuristic selector, a pool of more than
+// universe is ordered once, as the agent's exhaustive selector orders
+// it against a snapshot of the information current now, into masks
+// that are never chained. An agent whose universe depends on
+// information (a heuristic selector, a pool of more than
 // maxExhaustiveHosts hosts, or a MaxResourceSets cap below 2^pool − 1)
 // gets ErrSessionUniverse: a frozen copy of its sets would go stale as
 // forecasts drift, so it re-schedules with fresh rounds instead.
@@ -165,18 +166,12 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	s.cols.avail = s.view.avail
 
 	// Enumerate the universe once, exactly the way a scheduling round
-	// does: every subset, in the exhaustive selector's order over the
-	// view of the current information.
+	// orders it: every subset, in the exhaustive selector's order over
+	// the view of the current information.
 	rs := &resourceSelector{cols: viewCols(a.hp, s.view, s.m.flopPerUnit)}
-	sets := rs.candidates(0)
-	s.candMask = make([]uint64, len(sets))
-	for c, set := range sets {
-		for _, h := range set {
-			s.candMask[c] |= 1 << a.hp.indexOf(h)
-		}
-	}
-	s.score = make([]float64, len(sets))
-	s.feasible = make([]bool, len(sets))
+	s.candMask = rs.poolMasks()
+	s.score = make([]float64, len(s.candMask))
+	s.feasible = make([]bool, len(s.candMask))
 
 	s.kn.reserve(len(pool))
 	return s, nil
@@ -186,7 +181,8 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 // change with information: the exhaustive selector over at most
 // maxExhaustiveHosts pool hosts, with no MaxResourceSets cap below the
 // 2^pool − 1 non-empty subsets. Only such a universe backs a
-// ReschedSession.
+// ReschedSession, and a winner-only round over it takes the bounded
+// walk (resourceSelector.boundedSubsets).
 func (a *Agent) frozenUniverse() bool {
 	np, maxSets := len(a.hp.hosts), a.spec.MaxResourceSets
 	return a.coord.selector.normalized().Kind == SelectorExhaustive && np <= maxExhaustiveHosts &&

@@ -724,13 +724,13 @@ func TestGoldenTraceDeltaRounds(t *testing.T) {
 
 // TestAgentScheduleAllocs gates the allocation cost of a plain
 // Coordinator round: a 12-host exhaustive Agent.Schedule (4095
-// candidate sets, sequential) chains every set into one backing array,
-// skips the sets its compute bound rules out, prices the rest on the
-// strip kernel and builds a placement for the winner only. A candidate
-// keeps its chain instead of copying host names, so nothing is
-// allocated per planned set (569 here): the 92 allocations are the
-// snapshot, the enumeration's tables, candidate slice growth, and the
-// winner.
+// candidate sets, sequential) skips the sets its compute bound rules
+// out against the best desirability prefix, chains the rest into one
+// backing array, prices them on the strip kernel and builds a
+// placement for the winner only. A candidate keeps its chain instead
+// of copying host names, so nothing is allocated per planned set (569
+// here): the 58 allocations are the snapshot, the walk's tables,
+// candidate slice growth, and the winner.
 func TestAgentScheduleAllocs(t *testing.T) {
 	tp, info := buildPool(t, 3, 4, 11)
 	const n = 600

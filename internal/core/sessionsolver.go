@@ -169,13 +169,16 @@ func (kn *stripKernel) feed(m *stripModel, c *poolCols, k int) int {
 // partition.TimeBalanced's solve with its one-pass negative drop, cap
 // iteration and capacity relaxation, largest-remainder rounding into
 // kn.rows, and the spill-priced per-iteration time. ok is false
-// wherever TimeBalanced returns an error.
+// wherever TimeBalanced returns an error, and for any P_i or C_i that
+// is not finite.
 func (kn *stripKernel) solve(m *stripModel, k int) (iterT float64, ok bool) {
 	if k == 0 {
 		return 0, false
 	}
 	for i := 0; i < k; i++ {
-		if kn.secPP[i] <= 0 || kn.commSec[i] < 0 {
+		// A non-finite P_i or C_i balances to NaN areas, which rounding
+		// cannot place.
+		if p, c := kn.secPP[i], kn.commSec[i]; !(p > 0 && p <= math.MaxFloat64) || !(c >= 0 && c <= math.MaxFloat64) {
 			return 0, false
 		}
 	}

@@ -234,10 +234,24 @@ func TestSharedObsAcrossConcurrentRounds(t *testing.T) {
 	if got := reg.Histogram(obs.MetricRoundSeconds, nil).Count(); got != agents*rounds {
 		t.Fatalf("round latency observations = %d, want %d", got, agents*rounds)
 	}
-	// Each round emits one snapshot, one event per considered set, and
-	// one winner.
-	if got, want := col.Len(), totalConsidered+2*agents*rounds; got != want {
-		t.Fatalf("collector holds %d events, want %d", got, want)
+	// Each round emits one snapshot, one winner, and an event per
+	// considered set, except that the sets skipped before chaining share
+	// one pruned summary carrying their count.
+	sets, bookends, summaries := 0, 0, 0
+	for _, e := range col.Events() {
+		switch {
+		case e.Type == obs.EvSnapshot || e.Type == obs.EvWinner:
+			bookends++
+		case e.Type == obs.EvPruned && e.Index == 0:
+			summaries++
+			sets += e.Pruned
+		default:
+			sets++
+		}
+	}
+	if bookends != 2*agents*rounds || sets != totalConsidered || summaries > agents*rounds {
+		t.Fatalf("collector holds %d snapshot/winner events and %d sets (%d in summaries), want %d and %d, at most one summary per round",
+			bookends, sets, summaries, 2*agents*rounds, totalConsidered)
 	}
 }
 

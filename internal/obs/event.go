@@ -4,10 +4,11 @@ package obs
 type EventType string
 
 // The event vocabulary. One Coordinator round emits, in order: one
-// EvSnapshot, then an EvCandidate / EvPruned / EvInfeasible per
-// enumerated resource set (emission order follows evaluation order, so
-// it is the enumeration order only under sequential evaluation), then
-// one EvWinner. EvReschedule and EvWaitOrRun wrap whole rounds: they
+// EvSnapshot; one summary EvPruned when the round's plan skipped sets
+// before chaining them (an exhaustive winner-only round does); an
+// EvCandidate / EvPruned / EvInfeasible per set the plan yields
+// (emission order follows evaluation order, so it is the enumeration
+// order only under sequential evaluation); then one EvWinner. EvReschedule and EvWaitOrRun wrap whole rounds: they
 // record the policy verdicts of Section 3.2.
 const (
 	// EvSnapshot: the round's information snapshot was built — Pool
@@ -23,7 +24,11 @@ const (
 	// EvPruned: a resource set was skipped because its lower bound
 	// (Bound) already exceeded the best score seen so far (Incumbent).
 	// Both are in score units: seconds under min-time, cost under
-	// min-cost, and negated speedups under max-speedup.
+	// min-cost, and negated speedups under max-speedup. A summary
+	// EvPruned (no Index, no Hosts) stands for the Pruned sets the
+	// round's plan skipped before chaining them: Bound is the least of
+	// their bounds and Incumbent the seed, the exact score of a set the
+	// round does plan, that every one of them strictly exceeds.
 	EvPruned EventType = "pruned"
 	// EvInfeasible: the planner rejected the set (e.g. aggregate memory
 	// cannot hold the problem).
@@ -110,11 +115,12 @@ type Event struct {
 	// enumeration (EvTruncated only).
 	Dropped int `json:"dropped,omitempty"`
 
-	// Delta-round fields (EvDeltaRound only). Changed is the number of
-	// pool hosts whose availability changed since the previous session
-	// round, Rescored how many candidate sets were re-planned, Pruned how
-	// many a bounded round skipped by its metric bound, and Carried
-	// whether the round was quiescent and returned the previous outcome.
+	// Delta-round fields (EvDeltaRound; Pruned also on a summary
+	// EvPruned). Changed is the number of pool hosts whose availability
+	// changed since the previous session round, Rescored how many
+	// candidate sets were re-planned, Pruned how many a bounded round
+	// skipped by its metric bound, and Carried whether the round was
+	// quiescent and returned the previous outcome.
 	Changed  int  `json:"changed,omitempty"`
 	Rescored int  `json:"rescored,omitempty"`
 	Pruned   int  `json:"pruned,omitempty"`
