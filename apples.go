@@ -303,10 +303,10 @@ var SnapshotInformation = core.SnapshotInformation
 type (
 	// ReschedSession is the incremental form of Agent.Schedule for
 	// applications that re-ask the scheduling question at high rates: it
-	// freezes the candidate universe once (one bitmask per set over the
-	// pool ordering), then each Round() re-plans only the candidates
-	// whose bound under the user's metric (time, speedup or cost) does
-	// not rule them out against the previous winner. A round that
+	// freezes the order the exhaustive selector enumerates every subset
+	// in once, then each Round() re-plans only the candidates whose
+	// bound under the user's metric (time, speedup or cost) does not
+	// rule them out against the previous winner. A round that
 	// observes no change returns the previous schedule and is
 	// allocation-free. Create one with Agent.NewReschedSession(n). Only
 	// an agent whose universe cannot change with information gets one:

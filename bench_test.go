@@ -128,11 +128,13 @@ func BenchmarkSelect(b *testing.B) {
 // BenchmarkResched measures the rescheduling session against the full
 // per-tick blueprint round it replaces — the kHz-rate loop of a
 // long-running application re-asking "is my placement still right?"
-// every simulated second. Every session round is bounded under each
-// user metric: it re-prices the previous winner and skips the sets
-// whose metric bound cannot beat it. "full" rebuilds snapshot +
-// selection + plan/estimate per tick (the Rescheduler's path); "cold"
-// pays session construction plus a first bounded round each iteration;
+// every simulated second. Every session round takes the bounded walk
+// an Agent round takes under each user metric: seeded with the
+// previous winner, re-priced, it skips the sets whose metric bound
+// cannot beat it. "full" rebuilds snapshot + selection + plan/estimate
+// per tick (the Rescheduler's path); "cold" pays session construction
+// plus a first round each iteration, whose walk is seeded with the
+// best desirability prefix, as "full"'s is;
 // "delta1" perturbs one host's availability through a live overlay
 // between ticks, so each tick is one bounded round (its min-time
 // allocations are gated by TestSessionDeltaRoundAllocs); "nodelta" is

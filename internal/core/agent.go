@@ -238,18 +238,16 @@ func (rp *roundPricer) Evaluate(set []*grid.Host) (Candidate, bool) {
 	}, true
 }
 
-// score is the exact score of chain, pool indices in chain order, +Inf
-// when it is infeasible.
-func (rp *roundPricer) score(chain []int) float64 {
-	kn := kernelPool.Get().(*stripKernel)
+// priceChain feeds, solves and scores chain, pool indices in chain
+// order, in kn: its iteration time and exact score, ok=false when it is
+// infeasible. kn keeps the solved rows.
+func (rp *roundPricer) priceChain(kn *stripKernel, chain []int) (iterT, score float64, ok bool) {
 	kn.reserve(len(chain))
 	copy(kn.chain, chain)
-	sc := math.Inf(1)
-	if iterT, ok := rp.solveChain(kn, len(chain)); ok {
-		sc = kn.score(&rp.m, len(chain), iterT, rp.solo)
+	if iterT, ok = rp.solveChain(kn, len(chain)); ok {
+		score = kn.score(&rp.m, len(chain), iterT, rp.solo)
 	}
-	kernelPool.Put(kn)
-	return sc
+	return iterT, score, ok
 }
 
 // bound is stripModel.bound over the round's MaxSpeedup baseline.
@@ -298,13 +296,13 @@ func (a *Agent) round(rp *roundPricer, winnerOnly bool) Round {
 			rs := &resourceSelector{cols: rp.cols}
 			plan := RoundPlan{Evaluate: rp.Evaluate}
 			if winnerOnly && a.hasComputeBound() {
-				plan.Bound = rp.boundSet
 				if a.frozenUniverse() {
 					var sets [][]*grid.Host
-					sets, plan.Skipped = rs.boundedSubsets(rp.score, rp.bound)
+					sets, plan.Bound, plan.Skipped = rs.boundedSubsets(rp)
 					plan.Sets = slices.Values(sets)
 					return plan
 				}
+				plan.Bound = rp.boundSet
 			}
 			plan.Sets, plan.Truncated = newSelector(a.coord.selector, rs, a.spec.MaxResourceSets)
 			return plan

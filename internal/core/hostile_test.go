@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"testing"
@@ -249,10 +250,10 @@ func FuzzSessionDelta(f *testing.F) {
 				got, want  *Schedule
 				st         DeltaStats
 				gerr, werr error
-				prev       = -1
+				prev       int // the session's previous winner mask, 0 for none
 			)
 			if sess != nil {
-				prev = sess.winner
+				prev = sess.win
 				got, st, gerr = sess.Round()
 				want, _, werr = twin.FullRound()
 			} else {
@@ -279,31 +280,63 @@ func FuzzSessionDelta(f *testing.F) {
 			if st.Rescored+st.Pruned != st.Considered {
 				t.Fatalf("step %d: rescored %d and pruned %d of %d", step, st.Rescored, st.Pruned, st.Considered)
 			}
-			inc := math.Inf(1)
-			if prev >= 0 && twin.feasible[prev] {
-				inc = twin.score[prev]
-			}
-			pruned := 0
-			for c := range twin.candMask {
-				if c == prev {
-					continue
-				}
-				if b := sess.bound(c); b > inc {
-					pruned++
-					if twin.feasible[c] && b > twin.score[c] {
-						t.Fatalf("step %d: set %d pruned with bound %v above its score %v", step, c, b, twin.score[c])
-					}
-					continue
-				}
-				if twin.feasible[c] {
-					inc = min(inc, twin.score[c])
-				}
-			}
+			pruned := replayPruned(t, twin, prev)
 			if pruned != st.Pruned {
 				t.Fatalf("step %d: session pruned %d sets, the strict bound rule prunes %d", step, st.Pruned, pruned)
 			}
 		}
 	})
+}
+
+// replayPruned replays a bounded session round's skip rule over twin, a
+// session that has just run FullRound at the same instant, from every
+// set's exact score, and returns how many sets the rule skips. The seed
+// is prev's exact score (prev the mask of the session's previous
+// winner, 0 for none) when prev is feasible, otherwise the best
+// desirability prefix's. A set's bound is read over its Σρ_i, summed
+// in ranking-bit order, and its least r_i·P_i. In enumeration order, a
+// set is skipped when its bound is strictly above the seed, or else
+// strictly above the best score planned before it. Every skipped set's
+// bound must be at most its exact score.
+func replayPruned(t *testing.T, twin *ReschedSession, prev int) int {
+	t.Helper()
+	m, rp := twin.sel, &twin.rp
+	price := func(mask int) (float64, bool) {
+		_, sc, ok := rp.priceChain(&twin.kn, m.orderMask(mask))
+		return sc, ok
+	}
+	seed := math.Inf(1)
+	if sc, ok := price(prev); prev != 0 && ok {
+		seed = sc
+	} else {
+		for k := 1; k <= m.n; k++ {
+			if sc, ok := price(1<<k - 1); ok && sc < seed {
+				seed = sc
+			}
+		}
+	}
+	inc, pruned := math.Inf(1), 0
+	for _, mask := range enumOrder(twin.agg) {
+		sc, ok := price(mask)
+		rate, least := 0.0, math.Inf(1)
+		for b := mask; b != 0; b &= b - 1 {
+			i := m.rank[bits.TrailingZeros(uint(b))]
+			rate += rp.cols.rho[i]
+			least = min(least, rp.cols.costPP[i])
+		}
+		b := rp.bound(rate, least)
+		if b <= seed && b <= inc {
+			if ok {
+				inc = min(inc, sc)
+			}
+			continue
+		}
+		pruned++
+		if ok && b > sc {
+			t.Fatalf("set %b skipped with bound %v above its score %v", mask, b, sc)
+		}
+	}
+	return pruned
 }
 
 // infoFuzzPools are FuzzInformation's agents: a 12-host pool under the

@@ -454,37 +454,35 @@ func TestKernelReserveAllocs(t *testing.T) {
 
 // TestKernelRejectsNonFiniteInput feeds the kernel chains the freeze
 // path never produces, straight into its columns: a border cost or a
-// P_i that is +Inf or NaN. Balancing such a chain gives NaN areas, on
-// which rounding once spun through about 2^63 degenerate dumps (an odd
-// number of NaN areas; partition.TimeBalanced spins the same way, so
-// only the two-host chain asks it). The kernel must report ok=false
-// within the deadline; for the two-host chain with a +Inf border cost,
-// partition.TimeBalanced reports an error too.
+// P_i that is +Inf or NaN, and finite columns whose balance overflows
+// (C_i/P_i beyond the float range). Balancing such a chain gives NaN or
+// infinite areas, on which rounding once spun through about 2^63
+// degenerate dumps, as partition.TimeBalanced did. The kernel must
+// report ok=false within the deadline, and partition.TimeBalanced must
+// report an error.
 func TestKernelRejectsNonFiniteInput(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	m := stripModel{n: 600, iterations: 10, spillFactor: 25}
 	for _, tc := range []struct {
 		name           string
 		secPP, commSec []float64
-		oracle         bool
 	}{
-		{"inf-border-pair", []float64{1e-6, 1e-6}, []float64{inf, 0.01}, true},
-		{"inf-border", []float64{1e-6, 1e-6, 1e-6}, []float64{inf, 0.01, 0.01}, false},
-		{"nan-border", []float64{1e-6, 1e-6, 1e-6}, []float64{nan, 0.01, 0.01}, false},
-		{"inf-secpp", []float64{inf, 1e-6, 1e-6}, []float64{0.01, 0.01, 0.01}, false},
-		{"nan-secpp", []float64{1e-6, nan, 1e-6}, []float64{0.01, 0.01, 0.01}, false},
+		{"inf-border-pair", []float64{1e-6, 1e-6}, []float64{inf, 0.01}},
+		{"inf-border", []float64{1e-6, 1e-6, 1e-6}, []float64{inf, 0.01, 0.01}},
+		{"nan-border", []float64{1e-6, 1e-6, 1e-6}, []float64{nan, 0.01, 0.01}},
+		{"inf-secpp", []float64{inf, 1e-6, 1e-6}, []float64{0.01, 0.01, 0.01}},
+		{"nan-secpp", []float64{1e-6, nan, 1e-6}, []float64{0.01, 0.01, 0.01}},
+		{"balance-overflow", []float64{1e-300, 1e-300, 1e-300}, []float64{1e300, 1e300, 1e300}},
 	} {
 		done := make(chan error, 1)
 		go func() {
-			if tc.oracle {
-				costs := make([]partition.HostCost, len(tc.secPP))
-				for i := range costs {
-					costs[i] = partition.HostCost{Host: fmt.Sprint("h", i), SecPerPoint: tc.secPP[i], CommSec: tc.commSec[i]}
-				}
-				if _, _, err := partition.TimeBalanced(m.n, costs, 0); err == nil {
-					done <- fmt.Errorf("partition.TimeBalanced accepted the chain")
-					return
-				}
+			costs := make([]partition.HostCost, len(tc.secPP))
+			for i := range costs {
+				costs[i] = partition.HostCost{Host: fmt.Sprint("h", i), SecPerPoint: tc.secPP[i], CommSec: tc.commSec[i]}
+			}
+			if _, _, err := partition.TimeBalanced(m.n, costs, 0); err == nil {
+				done <- fmt.Errorf("partition.TimeBalanced accepted the chain")
+				return
 			}
 			kn := new(stripKernel)
 			kn.reserve(len(tc.secPP))

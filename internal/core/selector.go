@@ -217,60 +217,96 @@ func (s *SkippedSets) positions() []int {
 
 // boundedSubsets is the exhaustive enumeration of a winner-only round
 // over a pool of at most maxExhaustiveHosts hosts, bounded before it is
-// chained. The seed is the least exact score (score, +Inf when
-// infeasible) among the pool's desirability prefixes, each a member of
-// the universe chained as the enumeration chains it. One walk over the
-// ranking-bit masks then fills, by the recurrence desSums uses, each
-// set's point rate Σρ_i and least r_i·P_i, and skips every set whose
-// bound(rate, leastCost) strictly exceeds the seed. Only the survivors
-// are sorted into enumeration order and chained.
-//
-// The decision cannot move. The winner W scores at most the seed, and
-// its bound never exceeds its score, so W survives, and so does every
-// set tied with it; the survivors keep their enumeration order, so the
-// (score, index) tie-break among them is unchanged.
-func (rs *resourceSelector) boundedSubsets(score func(chain []int) float64, bound func(rate, leastCost float64) float64) ([][]*grid.Host, SkippedSets) {
+// chained: the one mask walk (selModel.walk), seeded with the best
+// desirability prefix (selModel.prefixSeed). Only the kept sets are
+// chained. bound is the round plan's per-set Bound: the walk's bound of
+// the set's mask, so the walk's seed filter and the Coordinator's
+// per-set prune read one bound per set, as a ReschedSession's do.
+func (rs *resourceSelector) boundedSubsets(rp *roundPricer) (sets [][]*grid.Host, bound func([]*grid.Host) float64, skip SkippedSets) {
 	m := buildSelModel(rs, true)
-	c := rs.cols
-	skip := SkippedSets{LeastBound: math.Inf(1), Seed: math.Inf(1), agg: m.desSums()}
+	kn := kernelPool.Get().(*stripKernel)
+	seed := m.prefixSeed(rp, kn)
+	kernelPool.Put(kn)
+	w := newMaskWalk(m.n)
+	skip = m.walk(&w, rp, seed, m.desSums())
+	rate, least := w.rate, w.least
+	bound = func(set []*grid.Host) float64 {
+		mask := 0
+		for _, h := range set {
+			mask |= 1 << m.rankPos[rp.hp.indexOf(h)]
+		}
+		return rp.bound(rate[mask], least[mask])
+	}
+	return m.chainMasks(skip.kept), bound, skip
+}
+
+// prefixSeed is the least exact score (+Inf when infeasible) among the
+// model's desirability prefixes, each a member of the universe chained
+// as the enumeration chains it and priced by rp into kn: the seed of a
+// bounded walk with no better one.
+func (m *selModel) prefixSeed(rp *roundPricer, kn *stripKernel) float64 {
+	seed := math.Inf(1)
 	for k := 1; k <= m.n; k++ {
-		if sc := score(m.orderMask(1<<k - 1)); sc < skip.Seed {
-			skip.Seed = sc
+		if _, sc, ok := rp.priceChain(kn, m.orderMask(1<<k-1)); ok && sc < seed {
+			seed = sc
 		}
 	}
+	return seed
+}
 
-	total := len(skip.agg)
+// maskWalk is the scratch of the bounded mask walk over a pool of p
+// hosts: each ranking-bit mask's point rate Σρ_i and least r_i·P_i, and
+// the masks the walk kept. A ReschedSession keeps one across rounds;
+// an Agent round makes its own, because its SkippedSets outlives the
+// walk.
+type maskWalk struct {
+	rate, least []float64
+	kept        []int
+}
+
+// bound is mask's bound under rp's metric over the terms the last walk
+// filled.
+func (w *maskWalk) bound(rp *roundPricer, mask int) float64 {
+	return rp.bound(w.rate[mask], w.least[mask])
+}
+
+func newMaskWalk(p int) maskWalk {
+	total := 1 << p
 	terms := make([]float64, 2*total)
-	rate, least := terms[:total], terms[total:]
-	least[0] = math.Inf(1)
-	skip.kept = make([]int, 0, total-1)
-	for mask := 1; mask < total; mask++ {
+	w := maskWalk{rate: terms[:total:total], least: terms[total:], kept: make([]int, 0, total-1)}
+	w.least[0] = math.Inf(1)
+	return w
+}
+
+// walk is the one bounded walk over the model's ranking-bit masks (at
+// most maxExhaustiveHosts hosts), shared by winner-only Agent rounds and
+// ReschedSession rounds. It fills, by the recurrence desSums uses, each
+// mask's Σρ_i and least r_i·P_i from rp's pool columns into w, keeps
+// every mask whose bound under rp's metric (stripModel.bound) is not
+// strictly above seed, and sorts the kept masks into enumeration order
+// by agg, the enumeration key. The kept masks live in w's scratch.
+//
+// With seed the exact score of a set in the universe (+Inf prunes
+// nothing), the decision cannot move. The winner W scores at most the
+// seed, and its bound never exceeds its score, so W is kept, and so is
+// every set tied with it; the kept sets keep their enumeration order,
+// so the (score, index) tie-break among them is unchanged.
+func (m *selModel) walk(w *maskWalk, rp *roundPricer, seed float64, agg []float64) SkippedSets {
+	skip := SkippedSets{LeastBound: math.Inf(1), Seed: seed, kept: w.kept[:0], agg: agg}
+	c := rp.cols
+	for mask := 1; mask < len(w.rate); mask++ {
 		hb := bits.Len(uint(mask)) - 1
 		rest, i := mask&^(1<<hb), m.rank[hb]
-		rate[mask] = rate[rest] + c.rho[i]
-		least[mask] = min(least[rest], c.costPP[i])
-		if b := bound(rate[mask], least[mask]); b > skip.Seed {
+		w.rate[mask] = w.rate[rest] + c.rho[i]
+		w.least[mask] = min(w.least[rest], c.costPP[i])
+		if b := w.bound(rp, mask); b > seed {
 			skip.Count++
 			skip.LeastBound = min(skip.LeastBound, b)
 			continue
 		}
 		skip.kept = append(skip.kept, mask)
 	}
-	sortMasks(skip.kept, skip.agg)
-	return m.chainMasks(skip.kept), skip
-}
-
-// poolMasks returns every non-empty subset of the pool (at most
-// maxExhaustiveHosts hosts) in the exhaustive enumeration order, each
-// as a mask over pool indices: the universe a ReschedSession freezes.
-func (rs *resourceSelector) poolMasks() []uint64 {
-	m := buildSelModel(rs, true)
-	order := enumOrder(m.desSums())
-	masks := make([]uint64, len(order))
-	for c, mask := range order {
-		for b := mask; b != 0; b &= b - 1 {
-			masks[c] |= 1 << m.rank[bits.TrailingZeros(uint(b))]
-		}
-	}
-	return masks
+	sortMasks(skip.kept, agg)
+	w.kept = skip.kept
+	return skip
 }

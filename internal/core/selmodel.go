@@ -60,26 +60,6 @@ type selModel struct {
 	sites   siteGrouper
 }
 
-// newSelModel allocates a model's per-host columns and chain scratch
-// for hp's pool, with a pair-cost matrix when exact and a clone of the
-// pool's site layout otherwise. Name ranks and site ids come from hp.
-// The caller fills eff, cost and effOrder.
-func newSelModel(hp *hostPool, exact bool) *selModel {
-	n := len(hp.hosts)
-	m := &selModel{pool: hp.hosts, n: n, eff: make([]float64, n), effOrder: make([]int, n),
-		nameRank: hp.nameRank, mark: make([]bool, n), ordered: make([]int, 0, n), rem: make([]int, n)}
-	if exact {
-		m.cost = make([][]float64, n)
-		flat := make([]float64, n*n)
-		for i := range m.cost {
-			m.cost[i] = flat[i*n : (i+1)*n : (i+1)*n]
-		}
-	} else {
-		m.sites = hp.sites.clone()
-	}
-	return m
-}
-
 // setEff writes every host's deliverable speed, speed · availability,
 // and the eff-seed order it gives.
 func (m *selModel) setEff(avail []float64) {
@@ -92,12 +72,23 @@ func (m *selModel) setEff(avail []float64) {
 // buildSelModel resolves the model for the round rs is bound to from
 // its columns. exact asks for the pair-cost matrix and exact mean
 // distances; otherwise each host's distance averages a fixed sample of
-// the pool.
+// the pool, and the chain layout groups sites on a clone of the pool's
+// site layout. Name ranks and site ids come from the columns' pool.
 func buildSelModel(rs *resourceSelector, exact bool) *selModel {
 	c := rs.cols
-	m := newSelModel(c.pool, exact)
-	n := m.n
-	m.dist, m.des = make([]float64, n), make([]float64, n)
+	n := len(c.pool.hosts)
+	m := &selModel{pool: c.pool.hosts, n: n, eff: make([]float64, n), effOrder: make([]int, n),
+		dist: make([]float64, n), des: make([]float64, n), nameRank: c.pool.nameRank,
+		mark: make([]bool, n), ordered: make([]int, 0, n), rem: make([]int, n)}
+	if exact {
+		m.cost = make([][]float64, n)
+		flat := make([]float64, n*n)
+		for i := range m.cost {
+			m.cost[i] = flat[i*n : (i+1)*n : (i+1)*n]
+		}
+	} else {
+		m.sites = c.pool.sites.clone()
+	}
 	m.setEff(c.avail)
 	pairCost := func(i, j int) float64 {
 		return transferCost(c.route(i, j))
@@ -349,8 +340,9 @@ func (m *selModel) chain(idxs []int) []*grid.Host {
 	return chain
 }
 
-// layout is the one strip-chain layout, shared by the selectors' chain,
-// the exhaustive enumeration and ReschedSession.chainFor. It reorders
+// layout is the one strip-chain layout, shared by the selectors' chain
+// and every ranking-bit mask's orderMask (the exhaustive enumeration,
+// the bounded walk's kept sets and a ReschedSession's). It reorders
 // members (pool indices in eff-seed order) in place into strip-chain
 // order. With exact pair costs it is greedy nearest neighbor by
 // transfer cost, seeded at the first member, ties broken by name, so

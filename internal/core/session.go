@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"apples/internal/obs"
 	"apples/internal/userspec"
@@ -16,51 +15,42 @@ import (
 // A session exists only over a candidate universe that cannot change
 // with information (Agent.frozenUniverse): the exhaustive selector over
 // a pool of at most maxExhaustiveHosts hosts, uncapped, so the universe
-// is every non-empty subset. At construction the session freezes it —
-// the US-filtered pool in filter order and the sets in the order the
-// agent's Resource Selector enumerates them against the information
-// current then — and represents each set as one uint64 bitmask over the
-// frozen pool ordering. Every static per-host coefficient comes from the
-// agent's hostPool, resolved once when the agent was built; the session
-// owns only its information view, an InfoSnapshot over the pool whose
-// positions are pool indices, and the pool columns (poolCols) derived
-// from it.
+// is every non-empty subset. A session is three things:
 //
-// Each Round() then:
+//   - its information view, an InfoSnapshot over the pool whose
+//     positions are pool indices, refreshed in place every round, and
+//     the pool columns (P_i, ρ_i, r_i·P_i) derived from it. Every static
+//     per-host coefficient comes from the agent's hostPool;
+//   - the carry: a round where nothing in the view changed returns the
+//     previous outcome in O(hosts + links) comparisons and zero
+//     allocations (gated by TestSessionSteadyStateAllocFree);
+//   - the bounded mask walk every winner-only Agent round takes
+//     (selModel.walk), over the pool model built at construction. The
+//     model's desirability ranking and enumeration key are frozen
+//     then, so a set is one ranking-bit mask for the session's life;
+//     its eff-seed order and pair costs are refreshed with the view,
+//     so every chain is laid out as a fresh round lays it out.
 //
-//  1. refreshes the view in place (InfoSnapshot.refresh: per-host
-//     availability; the bandwidth of the links the pool's routes cross
-//     for batched sources, per-pair values otherwise) and counts what
-//     changed. A round where nothing changed ends here and carries the
-//     previous outcome; one where availability changed refills the pool
-//     columns (P_i, ρ_i, r_i·P_i), and one where a route changed
-//     re-prices the chain transfer costs;
-//  2. re-plans the universe in one scan. With a spill factor ≥ 1, where
-//     the metric bounds are sound (Agent.hasComputeBound), the scan is
-//     bounded: it re-prices the previous winner as the incumbent, then
-//     walks the universe in enumeration order, skipping every set whose
-//     bound under the user's metric (stripModel.bound, over the pool
-//     columns) exceeds the incumbent and
-//     planning the rest;
-//  3. reduces with the Coordinator's (score, index) rule over the frozen
-//     enumeration order and re-materializes the winning *Schedule.
+// A round that is not carried seeds the walk with the previous winner,
+// re-priced; on the cold round, or when the previous winner is no
+// longer feasible, with the best desirability prefix, as Agent rounds
+// do. It then plans the kept sets in enumeration order, skipping, as
+// the Coordinator does, every set whose bound exceeds the best score
+// planned so far, reduces with the (score, index) rule, and
+// re-materializes the winning *Schedule. Below a spill factor of 1,
+// where the metric bounds are unsound (Agent.hasComputeBound), and in
+// FullRound, the seed is +Inf and nothing is skipped. The solver never
+// allocates: chains, cost rows, balance areas, row counts and the
+// walk's per-mask terms live in session-owned scratch.
 //
-// A round where nothing changed performs O(hosts + links) comparisons
-// and returns the cached schedule — zero allocations (gated by
-// TestSessionSteadyStateAllocFree). The solver never allocates either:
-// chains, cost rows, balance areas, and row counts live in
-// session-owned scratch reused across rounds.
-//
-// Equivalence: the first Round() picks the schedule
-// Agent.ScheduleExplained(n, k) returns at the same instant, and every
-// later Round() the one FullRound() picks; FullRound re-plans the entire
-// frozen universe without a bound (the parity suite in session_test.go
-// pins both, DeepEqual on schedules and float bits on scores). Only
-// CandidatesPlanned differs on bounded rounds: a skipped set scores
-// above the final best, so it can change neither the winner nor its
-// tie-break, but it is not counted as planned. Every chain is re-laid
-// out from the current availability, so a later Round() plans the sets
-// a fresh round would; only exact score ties are broken in the frozen
+// Equivalence: the first Round() picks the schedule Agent.Schedule(n)
+// returns at the same instant, planned count included, and every later
+// Round() the one FullRound() picks (the parity suite in
+// session_test.go pins both, DeepEqual on schedules and float bits on
+// scores). A bounded Round() differs from FullRound() only in
+// CandidatesPlanned: a skipped set scores above the final best, so it
+// can change neither the winner nor its tie-break, but it is not
+// counted as planned. Only exact score ties are broken in the frozen
 // enumeration order.
 //
 // The session never modifies a *Schedule after returning it: a
@@ -68,37 +58,32 @@ import (
 // builds a new one. A session is not safe for concurrent use.
 type ReschedSession struct {
 	a *Agent
-	m stripModel
 
 	// view is the session's information over its pool, refreshed in
-	// place every round; its position i is pool index i. cols.avail
-	// aliases the view's availability column, and cols routes through
+	// place every round; its position i is pool index i. rp prices
+	// chains against the pool columns over it: rp.cols.avail aliases
+	// the view's availability column, and rp.cols routes through
 	// view.routeAt.
 	view *InfoSnapshot
-	cols *poolCols
+	rp   roundPricer
 
-	// sel is the session's exact pool model: eff and the eff-seed order,
-	// refreshed with availability, and the chain layout. Its pair-cost
-	// matrix is the session's transfer-cost store, re-priced from the
-	// view when a route changes.
-	sel *selModel
-
-	// Frozen candidate universe: one membership mask per set, in the
-	// selector's enumeration order, plus the latest round's
-	// per-candidate scores (a pruned set reads infeasible).
-	candMask []uint64
-
-	score    []float64
-	feasible []bool
-	planned  int
-
-	solo float64 // MaxSpeedup solo baseline
+	// sel is the session's pool model, as buildSelModel built it at
+	// construction: rank and rankPos stay frozen, eff and the eff-seed
+	// order are refreshed with availability, and the pair-cost matrix,
+	// the session's transfer-cost store, is re-priced from the view when
+	// a route changes. agg is the frozen enumeration key of every
+	// ranking-bit mask, and walk the bounded walk's scratch.
+	sel  *selModel
+	agg  []float64
+	walk maskWalk
 
 	// bounded marks sessions whose rounds skip sets by their metric
 	// bound (Agent.hasComputeBound).
 	bounded bool
 
-	winner   int // universe index of the incumbent, -1 if none
+	win      int     // ranking-bit mask of the winner, 0 if none
+	winScore float64 // its exact score
+	planned  int
 	sched    *Schedule
 	schedErr error
 	rounds   int
@@ -110,7 +95,8 @@ type ReschedSession struct {
 type DeltaStats struct {
 	// Round is the session-local round number, starting at 1.
 	Round int
-	// Cold marks the first round, which scores the whole universe.
+	// Cold marks the first round, whose walk is seeded with the best
+	// desirability prefix.
 	Cold bool
 	// ChangedHosts counts pool hosts whose availability changed since
 	// the previous round. On a cold or FullRound it is the pool size.
@@ -120,13 +106,13 @@ type DeltaStats struct {
 	// changed ordered host pairs (generic sources).
 	ChangedLinks int
 	// Rescored is how many candidate sets were re-planned; Considered is
-	// the frozen universe size.
+	// the frozen universe size. Pricing the seed is not counted.
 	Rescored   int
 	Considered int
 	// Pruned is how many candidate sets a bounded round skipped because
-	// their metric bound exceeded the incumbent. On a bounded round
-	// Rescored + Pruned = Considered; FullRound and unbounded rounds
-	// prune none.
+	// their metric bound exceeded the seed or the best score planned
+	// before them. On a bounded round Rescored + Pruned = Considered;
+	// FullRound and unbounded rounds prune none.
 	Pruned int
 	// Carried marks a quiescent round: no input changed, so the previous
 	// outcome was returned as-is.
@@ -134,14 +120,14 @@ type DeltaStats struct {
 }
 
 // NewReschedSession freezes the agent's scheduling round for an n×n
-// problem into an incrementally re-evaluable session. The candidate
-// universe is ordered once, as the agent's exhaustive selector orders
-// it against a snapshot of the information current now, into masks
-// that are never chained. An agent whose universe depends on
-// information (a heuristic selector, a pool of more than
-// maxExhaustiveHosts hosts, or a MaxResourceSets cap below 2^pool − 1)
-// gets ErrSessionUniverse: a frozen copy of its sets would go stale as
-// forecasts drift, so it re-schedules with fresh rounds instead.
+// problem into an incrementally re-evaluable session. The pool model,
+// and with it the order the agent's exhaustive selector enumerates the
+// universe in, is built once against a snapshot of the information
+// current now. An agent whose universe depends on information (a
+// heuristic selector, a pool of more than maxExhaustiveHosts hosts, or
+// a MaxResourceSets cap below 2^pool − 1) gets ErrSessionUniverse: a
+// frozen copy of its sets would go stale as forecasts drift, so it
+// re-schedules with fresh rounds instead.
 func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	if err := checkProblemSize(n); err != nil {
 		return nil, err
@@ -156,23 +142,15 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	}
 	s := &ReschedSession{
 		a:       a,
-		m:       a.model(n),
 		view:    roundSnapshot(a.coord.info, pool),
-		sel:     newSelModel(a.hp, true),
-		winner:  -1,
+		rp:      roundPricer{m: a.model(n), hp: a.hp, solo: math.Inf(1)},
+		walk:    newMaskWalk(len(pool)),
 		bounded: a.hasComputeBound(),
 	}
-	s.cols = newPoolCols(a.hp, s.view.routeAt)
-	s.cols.avail = s.view.avail
-
-	// Enumerate the universe once, exactly the way a scheduling round
-	// orders it: every subset, in the exhaustive selector's order over
-	// the view of the current information.
-	rs := &resourceSelector{cols: viewCols(a.hp, s.view, s.m.flopPerUnit)}
-	s.candMask = rs.poolMasks()
-	s.score = make([]float64, len(s.candMask))
-	s.feasible = make([]bool, len(s.candMask))
-
+	s.rp.cols = newPoolCols(a.hp, s.view.routeAt)
+	s.rp.cols.avail = s.view.avail
+	s.sel = buildSelModel(&resourceSelector{cols: s.rp.cols}, true)
+	s.agg = s.sel.desSums()
 	s.kn.reserve(len(pool))
 	return s, nil
 }
@@ -206,9 +184,9 @@ func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 	s.rounds++
 	changedHosts, changedLinks := s.view.refresh(cold)
 
-	st := DeltaStats{Round: s.rounds, Cold: cold, ChangedHosts: changedHosts, ChangedLinks: changedLinks, Considered: len(s.candMask)}
+	st := DeltaStats{Round: s.rounds, Cold: cold, ChangedHosts: changedHosts, ChangedLinks: changedLinks, Considered: len(s.agg) - 1}
 	if full {
-		st.ChangedHosts = len(s.cols.avail)
+		st.ChangedHosts = len(s.rp.cols.avail)
 	} else if changedHosts == 0 && changedLinks == 0 {
 		// Nothing moved: the previous outcome stands as-is.
 		st.Carried = true
@@ -227,133 +205,81 @@ func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 	}
 
 	if full || changedHosts > 0 {
-		s.sel.setEff(s.cols.avail)
-		s.cols.fill(s.m.flopPerUnit)
-		if s.m.metric == userspec.MaxSpeedup {
-			s.solo = s.cols.solo(&s.m, &s.kn)
+		s.sel.setEff(s.rp.cols.avail)
+		s.rp.cols.fill(s.rp.m.flopPerUnit)
+		if s.rp.m.metric == userspec.MaxSpeedup {
+			s.rp.solo = s.rp.cols.solo(&s.rp.m, &s.kn)
 		}
 	}
 
-	var bestIdx int
-	bestIdx, st.Rescored, st.Pruned = s.scan(s.bounded && !full)
-	if bestIdx < 0 {
-		s.winner = -1
+	st.Rescored, st.Pruned = s.plan(s.bounded && !full)
+	if s.win == 0 {
 		s.sched = nil
-		s.schedErr = fmt.Errorf("core: %w: no feasible schedule among %d candidate sets", ErrNoFeasiblePlan, len(s.candMask))
+		s.schedErr = fmt.Errorf("core: %w: no feasible schedule among %d candidate sets", ErrNoFeasiblePlan, st.Considered)
 	} else {
-		s.winner = bestIdx
-		s.sched = s.materialize(bestIdx)
+		s.sched = s.materialize()
 		s.schedErr = nil
 	}
 	s.emit(st)
 	return s.sched, st, s.schedErr
 }
 
-// scan re-plans the universe and reduces with the (score, index) rule
-// as it goes. It returns the winner's universe index (-1 when nothing
-// is feasible), and how many sets it re-planned and skipped.
-//
-// Under prune, the previous winner, re-priced, seeds the incumbent
-// (+Inf on the cold round), and the walk skips every set whose metric
-// bound strictly exceeds the incumbent. A skipped set's score is at
-// least its bound, so it scores above the final best and cannot change
-// the winner or its tie-break. Pruned sets are marked infeasible, so
-// the score caches hold this round's planned sets only.
-func (s *ReschedSession) scan(prune bool) (bestIdx, rescored, pruned int) {
-	inc, prev := math.Inf(1), -1
+// plan runs the round's walk and reduces its kept sets with the
+// (score, index) rule as it goes, into the winner fields. It returns
+// how many sets it re-planned and skipped. Under prune the walk is
+// seeded (seed) and, as the Coordinator's round does, a kept set whose
+// bound exceeds the best score planned before it is skipped unplanned;
+// otherwise the seed is +Inf and every set is planned.
+func (s *ReschedSession) plan(prune bool) (rescored, pruned int) {
+	seed := math.Inf(1)
 	if prune {
-		if prev = s.winner; prev >= 0 {
-			s.solve(prev)
-			rescored++
-			inc = s.score[prev]
-		}
+		seed = s.seed()
 	}
-	bestIdx, best := -1, math.Inf(1)
-	planned := 0
-	for c := range s.candMask {
-		if c != prev {
-			if prune && s.bound(c) > inc {
-				s.feasible[c] = false
-				pruned++
-				continue
-			}
-			s.solve(c)
-			rescored++
-		}
-		if !s.feasible[c] {
+	skip := s.sel.walk(&s.walk, &s.rp, seed, s.agg)
+	s.win, s.winScore, s.planned = 0, math.Inf(1), 0
+	for _, mask := range skip.kept {
+		if prune && s.walk.bound(&s.rp, mask) > s.winScore {
+			pruned++
 			continue
 		}
-		planned++
-		sc := s.score[c]
-		if sc < best {
-			bestIdx, best = c, sc
+		rescored++
+		if _, sc, ok := s.rp.priceChain(&s.kn, s.sel.orderMask(mask)); ok {
+			s.planned++
+			if sc < s.winScore {
+				s.win, s.winScore = mask, sc
+			}
 		}
-		inc = min(inc, sc)
 	}
-	s.planned = planned
-	return bestIdx, rescored, pruned
+	return rescored, pruned + skip.Count
 }
 
-// bound is candidate c's metric bound over the pool columns, the session
-// twin of Agent.round's RoundPlan.Bound: stripModel.bound, fed the aggregate
-// its metric reads. Min-time sets, the common case, take its rateBound
-// case directly, which inlines.
-func (s *ReschedSession) bound(c int) float64 {
-	switch s.m.metric {
-	case userspec.MinExecutionTime:
-		return rateBound(s.candRate(c), s.m.n, s.m.iterations)
-	case userspec.MinCost:
-		return s.m.bound(0, s.candLeastCost(c), s.solo)
+// seed is a bounded round's walk seed, the exact score of a set in the
+// universe: the previous winner's, re-priced, or, on the cold round or
+// when the previous winner is no longer feasible, the best desirability
+// prefix's (selModel.prefixSeed).
+func (s *ReschedSession) seed() float64 {
+	if s.win != 0 {
+		if _, sc, ok := s.rp.priceChain(&s.kn, s.sel.orderMask(s.win)); ok {
+			return sc
+		}
 	}
-	return s.m.bound(s.candRate(c), 0, s.solo)
-}
-
-// candRate is candidate c's aggregate point rate Σρ_i, summed in pool
-// index order.
-func (s *ReschedSession) candRate(c int) float64 {
-	rate := 0.0
-	for m := s.candMask[c]; m != 0; m &= m - 1 {
-		rate += s.cols.rho[bits.TrailingZeros64(m)]
-	}
-	return rate
-}
-
-// candLeastCost is the least r_i·P_i over candidate c's members.
-func (s *ReschedSession) candLeastCost(c int) float64 {
-	least := math.Inf(1)
-	for m := s.candMask[c]; m != 0; m &= m - 1 {
-		least = min(least, s.cols.costPP[bits.TrailingZeros64(m)])
-	}
-	return least
-}
-
-// solve re-plans universe candidate c into the score caches.
-func (s *ReschedSession) solve(c int) {
-	k := s.chainFor(s.candMask[c])
-	iterT, ok := s.solveChain(k)
-	if !ok {
-		s.feasible[c] = false
-		s.score[c] = math.Inf(1)
-		return
-	}
-	s.feasible[c] = true
-	s.score[c] = s.kn.score(&s.m, k, iterT, s.solo)
+	return s.sel.prefixSeed(&s.rp, &s.kn)
 }
 
 // materialize rebuilds the winner's *Schedule exactly as the agent's
-// pickBest does: re-solve the candidate into the kernel and build the
+// pickBest does: re-solve its chain into the kernel and build the
 // schedule from it. This is the only allocating step of a non-carried
 // round.
-func (s *ReschedSession) materialize(c int) *Schedule {
-	k := s.chainFor(s.candMask[c])
-	iterT, _ := s.solveChain(k)
-	hosts := make([]string, k)
-	for i := 0; i < k; i++ {
-		hosts[i] = s.a.hp.hosts[s.kn.chain[i]].Name
+func (s *ReschedSession) materialize() *Schedule {
+	chain := s.sel.orderMask(s.win)
+	iterT, _, _ := s.rp.priceChain(&s.kn, chain)
+	hosts := make([]string, len(chain))
+	for i, p := range chain {
+		hosts[i] = s.a.hp.hosts[p].Name
 	}
-	sched := s.kn.schedule(&s.m, hosts, iterT)
+	sched := s.kn.schedule(&s.rp.m, hosts, iterT)
 	sched.InfoSource = s.a.coord.Information().Source()
-	sched.CandidatesConsidered = len(s.candMask)
+	sched.CandidatesConsidered = len(s.agg) - 1
 	sched.CandidatesPlanned = s.planned
 	return sched
 }
@@ -363,7 +289,7 @@ func (s *ReschedSession) materialize(c int) *Schedule {
 // event.
 func (s *ReschedSession) emit(st DeltaStats) {
 	if met := s.a.coord.met; met != nil {
-		met.deltaRatio.Set(float64(st.Rescored) / float64(len(s.candMask)))
+		met.deltaRatio.Set(float64(st.Rescored) / float64(st.Considered))
 		met.rescored.Add(uint64(st.Rescored))
 		met.pruned.Add(uint64(st.Pruned))
 	}
@@ -374,7 +300,7 @@ func (s *ReschedSession) emit(st DeltaStats) {
 		if s.sched != nil {
 			e.Hosts = s.sched.Hosts
 			e.Predicted = s.sched.PredictedTotal
-			e.Score = s.score[s.winner]
+			e.Score = s.winScore
 			e.Planned = s.planned
 		} else {
 			e.Reason = "no-feasible-plan"
@@ -385,7 +311,7 @@ func (s *ReschedSession) emit(st DeltaStats) {
 
 // Stats returns the bookkeeping of the most recent round without
 // advancing the session.
-func (s *ReschedSession) Stats() (rounds, considered int) { return s.rounds, len(s.candMask) }
+func (s *ReschedSession) Stats() (rounds, considered int) { return s.rounds, len(s.agg) - 1 }
 
 // Pool returns the frozen pool's host names in userspec filter order —
 // the universe every candidate bitmask indexes into — as a fresh slice.

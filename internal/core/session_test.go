@@ -38,9 +38,9 @@ func samePick(a, b *Schedule) bool {
 // schedule Agent.ScheduleExplained produces at the same instant, across
 // pools and user metrics, under the default (exhaustive) selector.
 // ScheduleExplained plans every set; a bounded cold round (every
-// metric, at the default spill factor) skips the sets its metric bound
-// rules out, so only its planned count may be smaller. An unbounded
-// round plans every set, so its planned count agrees too.
+// metric, at the default spill factor) takes Agent.Schedule's seeded
+// walk, so its planned count is exactly Agent.Schedule's. An unbounded
+// round plans every set, so its planned count is ScheduleExplained's.
 func TestSessionColdParity(t *testing.T) {
 	pools := []struct {
 		name          string
@@ -88,9 +88,15 @@ func TestSessionColdParity(t *testing.T) {
 			if bounded := agent.spillFactor >= 1; !bounded && (st.Pruned != 0 || got.CandidatesPlanned != want.CandidatesPlanned) {
 				t.Fatalf("%s: unbounded cold round pruned %d, planned %d of the agent's %d",
 					name, st.Pruned, got.CandidatesPlanned, want.CandidatesPlanned)
-			} else if got.CandidatesPlanned > want.CandidatesPlanned {
-				t.Fatalf("%s: bounded cold round planned %d, more than the agent's %d",
-					name, got.CandidatesPlanned, want.CandidatesPlanned)
+			} else if bounded {
+				fresh, err := agent.Schedule(n)
+				if err != nil {
+					t.Fatalf("%s schedule: %v", name, err)
+				}
+				if got.CandidatesPlanned != fresh.CandidatesPlanned {
+					t.Fatalf("%s: bounded cold round planned %d, Agent.Schedule %d",
+						name, got.CandidatesPlanned, fresh.CandidatesPlanned)
+				}
 			}
 		}
 	}

@@ -169,8 +169,8 @@ func (kn *stripKernel) feed(m *stripModel, c *poolCols, k int) int {
 // partition.TimeBalanced's solve with its one-pass negative drop, cap
 // iteration and capacity relaxation, largest-remainder rounding into
 // kn.rows, and the spill-priced per-iteration time. ok is false
-// wherever TimeBalanced returns an error, and for any P_i or C_i that
-// is not finite.
+// wherever TimeBalanced returns an error: among others, for any P_i or
+// C_i that is not finite, and for a balance that overflows.
 func (kn *stripKernel) solve(m *stripModel, k int) (iterT float64, ok bool) {
 	if k == 0 {
 		return 0, false
@@ -256,6 +256,13 @@ func (kn *stripKernel) solve(m *stripModel, k int) (iterT float64, ok bool) {
 	}
 	if !converged {
 		return 0, false
+	}
+	for i := 0; i < k; i++ {
+		// A balance that overflowed (C_i/P_i or 1/P_i beyond the float
+		// range) leaves areas rounding cannot place.
+		if a := kn.area[i]; math.IsNaN(a) || math.IsInf(a, 0) {
+			return 0, false
+		}
 	}
 	kn.roundRows(k, n)
 	// The placement keeps only positive-row bands; it must cover the
@@ -617,29 +624,4 @@ func (g *siteGrouper) group(out, members []int) {
 	for _, i := range members {
 		g.rank[g.siteID[i]] = -1
 	}
-}
-
-// chainFor lays candidate mask out as a strip chain into kn.chain and
-// returns its length: members filtered from the eff order, then laid
-// out by the session's pool model (selModel.layout).
-func (s *ReschedSession) chainFor(mask uint64) int {
-	chain := s.kn.chain
-	k := 0
-	for _, idx := range s.sel.effOrder {
-		if mask&(1<<idx) != 0 {
-			chain[k] = idx
-			k++
-		}
-	}
-	s.sel.layout(chain[:k])
-	return k
-}
-
-// solveChain feeds and solves kn.chain[:k]; kn.rows holds the row
-// counts afterwards.
-func (s *ReschedSession) solveChain(k int) (iterT float64, ok bool) {
-	if s.kn.feed(&s.m, s.cols, k) >= 0 {
-		return 0, false
-	}
-	return s.kn.solve(&s.m, k)
 }

@@ -79,7 +79,10 @@ func WeightedStrip(n int, hosts []string, weights []float64, borderBytesPerPoint
 		return nil, fmt.Errorf("partition: hosts/weights mismatch (%d vs %d)", len(hosts), len(weights))
 	}
 	sum := 0.0
-	for _, w := range weights {
+	for i, w := range weights {
+		if !finite(w) {
+			return nil, fmt.Errorf("partition: host %s has non-finite weight %v", hosts[i], w)
+		}
 		if w < 0 {
 			return nil, fmt.Errorf("partition: negative weight")
 		}
@@ -87,6 +90,9 @@ func WeightedStrip(n int, hosts []string, weights []float64, borderBytesPerPoint
 	}
 	if sum <= 0 {
 		return nil, fmt.Errorf("partition: all weights zero")
+	}
+	if !finite(sum) {
+		return nil, fmt.Errorf("partition: weights overflow their sum")
 	}
 	rows := largestRemainder(weights, n)
 	return stripFromRows(n, hosts, rows, borderBytesPerPoint), nil
@@ -112,6 +118,11 @@ func TimeBalanced(n int, costs []HostCost, borderBytesPerPoint float64) (*Placem
 		return nil, 0, fmt.Errorf("partition: no hosts")
 	}
 	for _, c := range costs {
+		// A non-finite P_i or C_i balances to NaN areas, which rounding
+		// cannot place.
+		if !finite(c.SecPerPoint) || !finite(c.CommSec) {
+			return nil, 0, fmt.Errorf("partition: host %s has non-finite P_i or C_i", c.Host)
+		}
 		if c.SecPerPoint <= 0 {
 			return nil, 0, fmt.Errorf("partition: host %s has non-positive P_i", c.Host)
 		}
@@ -192,7 +203,13 @@ func TimeBalanced(n int, costs []HostCost, borderBytesPerPoint float64) (*Placem
 			remaining -= relaxed[worstOverIdx].MaxPoints
 			continue
 		}
-		// Converged.
+		// Converged. A balance that overflowed (C_i/P_i or 1/P_i beyond
+		// the float range) leaves areas rounding cannot place.
+		for _, a := range area {
+			if !finite(a) {
+				return nil, 0, fmt.Errorf("partition: time-balance solve overflowed")
+			}
+		}
 		hosts := make([]string, len(relaxed))
 		for i, c := range relaxed {
 			hosts[i] = c.Host
@@ -209,6 +226,9 @@ func TimeBalanced(n int, costs []HostCost, borderBytesPerPoint float64) (*Placem
 	}
 	return nil, 0, fmt.Errorf("partition: time-balance solve did not converge")
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // PredictStripTime evaluates the cost model for an existing strip
 // placement: the predicted per-iteration time is max_i (A_i*P_i + C_i)
