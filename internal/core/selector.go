@@ -131,6 +131,55 @@ func sortMasks(masks []int, agg []float64) {
 	slices.SortFunc(masks, func(a, b int) int { return enumCmp(agg, a, b) })
 }
 
+// sortEnum sorts ranking-bit masks (below 1<<maxExhaustiveHosts) into
+// enumeration order, exactly as sortMasks does, by sorting integers.
+// Each mask is packed below its aggregate's enumKey, whose lowest
+// maxExhaustiveHosts bits it replaces, and the packed keys are sorted
+// as plain ints. Masks whose keys agree above those bits land in one
+// run, ordered by mask: right when their aggregates tie, so a run is
+// re-sorted by enumCmp only when it is out of that order.
+func sortEnum(masks []int, agg []float64) {
+	const low = 1<<maxExhaustiveHosts - 1
+	for i, mask := range masks {
+		// Flipping the sign bit makes int order the keys' unsigned order.
+		masks[i] = int((enumKey(agg[mask])&^low | uint64(mask)) ^ 1<<63)
+	}
+	slices.Sort(masks)
+	for i := 0; i < len(masks); {
+		j := i + 1
+		for j < len(masks) && masks[j]>>maxExhaustiveHosts == masks[i]>>maxExhaustiveHosts {
+			j++
+		}
+		run := masks[i:j]
+		for r := range run {
+			run[r] &= low
+		}
+		if len(run) > 1 && !slices.IsSortedFunc(run, func(a, b int) int { return enumCmp(agg, a, b) }) {
+			sortMasks(run, agg)
+		}
+		i = j
+	}
+}
+
+// enumKey maps an aggregate to an unsigned key that ascends in
+// enumCmp's order: larger aggregates first, -0 level with +0, every NaN
+// last. A non-negative float's bits ascend with its value, so their
+// complement (sign bit cleared) descends; a negative float's bits
+// ascend with its magnitude and sit above every non-negative key.
+func enumKey(x float64) uint64 {
+	if x != x {
+		return math.MaxUint64
+	}
+	if x == 0 {
+		return 1<<63 - 1
+	}
+	b := math.Float64bits(x)
+	if b>>63 == 0 {
+		return ^b &^ (1 << 63)
+	}
+	return b
+}
+
 // enumOrder returns every non-empty ranking-bit mask of agg in
 // enumeration order.
 func enumOrder(agg []float64) []int {
@@ -138,7 +187,7 @@ func enumOrder(agg []float64) []int {
 	for i := range order {
 		order[i] = i + 1
 	}
-	sortMasks(order, agg)
+	sortEnum(order, agg)
 	return order
 }
 
@@ -306,7 +355,7 @@ func (m *selModel) walk(w *maskWalk, rp *roundPricer, seed float64, agg []float6
 		}
 		skip.kept = append(skip.kept, mask)
 	}
-	sortMasks(skip.kept, agg)
+	sortEnum(skip.kept, agg)
 	w.kept = skip.kept
 	return skip
 }

@@ -608,3 +608,51 @@ func TestSkippedPositions(t *testing.T) {
 		}
 	}
 }
+
+// TestSortEnumMatchesSortMasks checks the integer-key sort against the
+// comparator sort it replaces on random aggregates with ties, ±0,
+// ±Inf, NaNs of either sign, negatives and neighbours a few ulps apart
+// (which share a packed key and exercise the re-sorted runs), over
+// random subsets of masks in random order.
+func TestSortEnumMatchesSortMasks(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	negNaN := math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63)
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), negNaN, -1, 1}
+	for trial := 0; trial < 300; trial++ {
+		agg := make([]float64, 1<<(1+rng.Intn(maxExhaustiveHosts)))
+		base := rng.Float64() * 10
+		for mask := 1; mask < len(agg); mask++ {
+			switch rng.Intn(10) {
+			case 0:
+				agg[mask] = special[rng.Intn(len(special))]
+			case 1, 2:
+				agg[mask] = float64(rng.Intn(3))
+			case 3, 4:
+				agg[mask] = math.Float64frombits(math.Float64bits(base) + uint64(rng.Intn(1<<13)))
+			case 5:
+				agg[mask] = -rng.Float64()
+			default:
+				agg[mask] = rng.Float64() * 10
+			}
+		}
+		var masks []int
+		keep := rng.Float64()
+		for mask := 1; mask < len(agg); mask++ {
+			if rng.Float64() < keep {
+				masks = append(masks, mask)
+			}
+		}
+		rng.Shuffle(len(masks), func(i, j int) { masks[i], masks[j] = masks[j], masks[i] })
+		want := slices.Clone(masks)
+		sortMasks(want, agg)
+		sortEnum(masks, agg)
+		if !slices.Equal(masks, want) {
+			for i := range masks {
+				if masks[i] != want[i] {
+					t.Fatalf("trial %d: position %d holds mask %d (agg %v), sortMasks puts mask %d (agg %v) there",
+						trial, i, masks[i], agg[masks[i]], want[i], agg[want[i]])
+				}
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -343,6 +344,113 @@ func TestServiceQueueFull(t *testing.T) {
 	svc.Close()
 	if _, err := tn.Submit(400); !errors.Is(err, ErrServiceClosed) {
 		t.Fatalf("submit after close: got %v, want ErrServiceClosed", err)
+	}
+}
+
+// TestServiceSustainedOverload floods a parked service from several
+// goroutines far past its admission depth: every rejection must be a
+// typed ErrQueueFull, the heap in use after GC must not grow when ten
+// times as many submits are rejected, and once the runner is released
+// Close must deliver a result to every admitted request.
+func TestServiceSustainedOverload(t *testing.T) {
+	const (
+		depth   = 32
+		tenants = 4
+		senders = 4
+	)
+	tp, base := buildPool(t, 0, 0, 3)
+	tpl := hat.Jacobi2D(400, 5)
+	info := &gateInfo{Information: base, gate: make(chan struct{}), entry: make(chan struct{})}
+	reg := obs.NewMetrics()
+	svc := NewSchedService(WithServiceRunners(1), WithQueueDepth(depth), WithServiceMetrics(reg))
+	tns := make([]*Tenant, tenants)
+	for i := range tns {
+		a, err := NewAgent(tp, tpl, &userspec.Spec{}, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tns[i], err = svc.Register(fmt.Sprintf("t%d", i), a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := tns[0].Submit(400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-info.entry // the runner is now parked inside the snapshot build
+	admitted := []<-chan RoundResult{first}
+
+	var mu sync.Mutex
+	rejected := 0
+	flood := func(submits int) {
+		var wg sync.WaitGroup
+		for g := 0; g < senders; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var mine []<-chan RoundResult
+				full := 0
+				for i := 0; i < submits/senders; i++ {
+					ch, err := tns[(g+i)%tenants].Submit(400)
+					switch {
+					case err == nil:
+						mine = append(mine, ch)
+					case errors.Is(err, ErrQueueFull):
+						full++
+					default:
+						t.Errorf("overloaded submit: got %v, want ErrQueueFull", err)
+						return
+					}
+				}
+				mu.Lock()
+				admitted = append(admitted, mine...)
+				rejected += full
+				mu.Unlock()
+			}(g)
+		}
+		wg.Wait()
+	}
+	heapInUse := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+
+	flood(2_000)
+	if len(admitted) != depth {
+		t.Fatalf("%d requests admitted, want the queue depth %d", len(admitted), depth)
+	}
+	before := heapInUse()
+	flood(20_000)
+	after := heapInUse()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if len(admitted) != depth || rejected != 22_000-(depth-1) {
+		t.Fatalf("admitted %d, rejected %d of %d flooded submits", len(admitted), rejected, 22_000)
+	}
+	if got := reg.Counter(obs.MetricQueueRejected).Value(); got != uint64(rejected) {
+		t.Errorf("rejected counter = %d, want %d", got, rejected)
+	}
+	t.Logf("heap in use %d -> %d bytes", before, after)
+	// 18,000 more rejections leaking even 64 bytes each would add 1.1 MB.
+	if after > before+1<<20 {
+		t.Errorf("heap in use grew from %d to %d bytes across 10x more rejected submits", before, after)
+	}
+
+	close(info.gate)
+	svc.Close()
+	for i, ch := range admitted {
+		select {
+		case res := <-ch:
+			if res.Err != nil {
+				t.Fatalf("admitted request %d failed: %v", i, res.Err)
+			}
+		default:
+			t.Fatalf("admitted request %d has no result after Close", i)
+		}
 	}
 }
 

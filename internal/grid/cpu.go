@@ -95,8 +95,10 @@ func (c *cpu) advance() {
 	}
 }
 
-// reconfigure recomputes the shared rate and re-arms the next completion
-// and, while tasks are running, the next load-change wakeup.
+// reconfigure recomputes the shared rate and re-arms the next completion.
+// While tasks are running it keeps the next load-change wakeup armed,
+// re-arming it only when its deadline moves or the CPU goes busy
+// (armMoved); going idle stops it.
 func (c *cpu) reconfigure() {
 	k := len(c.tasks)
 	if k == 0 {
@@ -111,7 +113,7 @@ func (c *cpu) reconfigure() {
 	if math.IsInf(c.loadUntil, 1) {
 		c.loadChange.Stop()
 	} else {
-		c.loadChange.ArmAt(math.Max(c.loadUntil, c.eng.Now()))
+		armMoved(c.loadChange, math.Max(c.loadUntil, c.eng.Now()))
 	}
 	c.rate = c.speed / (float64(k) + c.loadVal)
 	if c.rate <= 0 {

@@ -69,27 +69,36 @@ func (l *Link) refreshLoad() {
 	}
 }
 
-// Transfer is a message in flight across a route of links.
-type Transfer struct {
+// transfer is a message in flight across a route of links. The network
+// recycles it, with the timer that ends its latency phase, when it
+// finishes, so a send allocates nothing once the free list has grown to
+// the most messages ever in flight at once.
+type transfer struct {
 	route     []*Link
 	remaining float64 // MB left in the byte phase
 	rate      float64
 	done      func()
 	finished  bool
+	latency   *sim.Timer // fires when the route's summed latency has elapsed
 }
 
-// Finished reports whether the transfer completed.
-func (t *Transfer) Finished() bool { return t.finished }
+func (t *transfer) isFinished() bool { return t.finished }
 
 // network owns all links and in-flight transfers of a topology and runs the
 // shared fluid bandwidth model. Rates are recomputed globally at each
 // arrival, completion, and cross-traffic change; with the handful of links
 // in the paper's testbeds this is cheap and exact.
+//
+// Nothing outside the network holds a transfer, so it recycles them:
+// a finished transfer returns to free just before its callback runs,
+// and the next send reuses it with its latency timer. A busy link's
+// cross-traffic wakeup is re-armed only when its deadline moves, or
+// when the link goes busy or idle (armMoved).
 type network struct {
 	eng         *sim.Engine
 	links       []*Link
-	active      []*Transfer    // in the byte phase, in start order
-	idle        []*latencyWait // pooled latency-phase wakeups
+	active      []*transfer // in the byte phase, in start order
+	free        []*transfer // recycled, with their latency timers
 	lastAdvance float64
 	completion  *sim.Timer
 	stalled     bool // the armed completion cannot advance the clock
@@ -117,46 +126,41 @@ func (n *network) addLink(l *Link) {
 // send starts a transfer of sizeMB along route; done fires on completion.
 // The message first pays the route's summed latency, then streams its bytes
 // through the fluid bandwidth model.
-func (n *network) send(route []*Link, sizeMB float64, done func()) *Transfer {
+func (n *network) send(route []*Link, sizeMB float64, done func()) {
 	if len(route) == 0 {
 		panic("grid: send with empty route")
 	}
-	t := &Transfer{route: route, remaining: sizeMB, done: done}
+	var t *transfer
+	if k := len(n.free); k > 0 {
+		t, n.free = n.free[k-1], n.free[:k-1]
+	} else {
+		t = &transfer{}
+		t.latency = n.eng.NewTimer(func() { n.start(t) })
+	}
+	t.route, t.remaining, t.rate, t.done, t.finished = route, sizeMB, 0, done, false
 	lat := 0.0
 	for _, l := range route {
 		lat += l.Latency
 	}
-	var w *latencyWait
-	if k := len(n.idle); k > 0 {
-		w, n.idle = n.idle[k-1], n.idle[:k-1]
-	} else {
-		w = &latencyWait{}
-		w.timer = n.eng.NewTimer(func() {
-			t := w.t
-			w.t = nil
-			n.idle = append(n.idle, w)
-			n.start(t)
-		})
-	}
-	w.t = t
-	w.timer.Arm(lat)
-	return t
+	t.latency.Arm(lat)
 }
 
-// latencyWait is the wakeup ending one transfer's latency phase. The
-// network pools them, so a send allocates only its Transfer.
-type latencyWait struct {
-	timer *sim.Timer
-	t     *Transfer
+// finish recycles a finished transfer and then runs its callback, which
+// may send again (and so reuse t).
+func (n *network) finish(t *transfer) {
+	done := t.done
+	t.route, t.done = nil, nil
+	n.free = append(n.free, t)
+	if done != nil {
+		done()
+	}
 }
 
 // start moves a transfer whose latency has elapsed into the byte phase.
-func (n *network) start(t *Transfer) {
+func (n *network) start(t *transfer) {
 	if t.remaining <= workEpsilon {
 		t.finished = true
-		if t.done != nil {
-			t.done()
-		}
+		n.finish(t)
 		return
 	}
 	n.advanceAll()
@@ -181,8 +185,8 @@ func (n *network) advanceAll() {
 }
 
 // reconfigureAll recomputes each transfer's rate as the minimum per-link
-// fair share along its route, re-arms the next completion event, and arms
-// cross-traffic wakeups on every busy link.
+// fair share along its route, re-arms the next completion event, and
+// keeps a cross-traffic wakeup armed on every busy link.
 func (n *network) reconfigureAll() {
 	for _, l := range n.links {
 		if l.transfers == 0 {
@@ -193,7 +197,7 @@ func (n *network) reconfigureAll() {
 		if math.IsInf(l.loadUntil, 1) {
 			l.loadEv.Stop()
 		} else {
-			l.loadEv.ArmAt(math.Max(l.loadUntil, n.eng.Now()))
+			armMoved(l.loadEv, math.Max(l.loadUntil, n.eng.Now()))
 		}
 	}
 	minETA := math.Inf(1)
@@ -222,7 +226,7 @@ func (n *network) reconfigureAll() {
 
 // eta is the time the transfer needs at its current rate, +Inf when its
 // route is starved.
-func (t *Transfer) eta() float64 {
+func (t *transfer) eta() float64 {
 	if t.rate > 0 {
 		return math.Max(t.remaining, 0) / t.rate
 	}
@@ -236,7 +240,7 @@ func (t *Transfer) eta() float64 {
 // instant forever.
 func (n *network) onCompletion() {
 	n.advanceAll()
-	var buf [8]*Transfer // the done list stays on the stack in the common case
+	var buf [8]*transfer // the done list stays on the stack in the common case
 	done := buf[:0]
 	for _, t := range n.active {
 		if t.remaining <= workEpsilon {
@@ -260,11 +264,19 @@ func (n *network) onCompletion() {
 			l.transfers--
 		}
 	}
-	n.active = slices.DeleteFunc(n.active, (*Transfer).Finished)
+	n.active = slices.DeleteFunc(n.active, (*transfer).isFinished)
 	n.reconfigureAll()
 	for _, t := range done {
-		if t.done != nil {
-			t.done()
-		}
+		n.finish(t)
+	}
+}
+
+// armMoved arms tm for at unless it is already pending at exactly at.
+// A wakeup whose deadline did not move keeps its sequence number, so
+// re-running a reconfiguration costs no heap sift; DESIGN §17 argues
+// that same-instant dispatch is unchanged.
+func armMoved(tm *sim.Timer, at float64) {
+	if !tm.Pending() || tm.Deadline() != at {
+		tm.ArmAt(at)
 	}
 }

@@ -460,32 +460,30 @@ func (tp *Topology) Route(a, b string) []*Link {
 // Same-host sends complete after a zero-length event (local copies are
 // treated as free, matching the paper's cost model where C_i covers only
 // network border exchange).
-func (tp *Topology) Send(a, b string, sizeMB float64, done func()) *Transfer {
+func (tp *Topology) Send(a, b string, sizeMB float64, done func()) {
 	if a == b {
-		return tp.SendRoute(nil, sizeMB, done)
+		tp.SendRoute(nil, sizeMB, done)
+		return
 	}
 	route := tp.Route(a, b)
 	if route == nil {
 		panic(fmt.Sprintf("grid: Send between unrouted hosts %q -> %q", a, b))
 	}
-	return tp.SendRoute(route, sizeMB, done)
+	tp.SendRoute(route, sizeMB, done)
 }
 
 // SendRoute is Send along a route resolved once with Route, for a caller
 // that sends between the same hosts many times. An empty route is a
 // same-host send.
-func (tp *Topology) SendRoute(route []*Link, sizeMB float64, done func()) *Transfer {
+func (tp *Topology) SendRoute(route []*Link, sizeMB float64, done func()) {
 	if len(route) == 0 {
-		t := &Transfer{}
-		tp.Engine.Schedule(0, func() {
-			t.finished = true
-			if done != nil {
-				done()
-			}
-		})
-		return t
+		if done == nil {
+			done = func() {}
+		}
+		tp.Engine.Schedule(0, done)
+		return
 	}
-	return tp.net.send(route, sizeMB, done)
+	tp.net.send(route, sizeMB, done)
 }
 
 // RouteLatency returns the summed one-way latency from a to b in seconds.

@@ -7,37 +7,53 @@ import (
 )
 
 // ResidualSink receives forecaster-quality observations from the
-// sensing sweep: one ObserveResidual per ready forecaster per sample
-// (selected flags the bank's current choice), then one ObserveSample
-// for the sample itself. kind is the mstore kind name ("cpu",
-// "bandwidth"). Implemented by audit.Engine; implementations must be
-// safe for concurrent calls when sensing runs on multiple engines.
+// sensing sweep, one call per sample. A series is resolved once, on its
+// first sample: ResidualSeries names it (kind is the mstore kind name,
+// "cpu" or "bandwidth") and its bank's forecasters in bank order, and
+// returns a handle. Every sample then arrives as one ObserveResiduals
+// with that handle: predicted[i] is forecaster i's standing one-step
+// prediction of actual, scored only where ready[i] is true, and
+// selected is the position of the forecaster the bank had chosen
+// before the sample (-1 when none was ready). The predictions are the
+// ones the bank scores as it absorbs the sample, and the slices are
+// its scratch, valid only during the call. Implemented by
+// audit.Engine; implementations must be safe for concurrent calls when
+// sensing runs on multiple engines.
 type ResidualSink interface {
-	ObserveSample(kind, series string, actual float64)
-	ObserveResidual(kind, series, forecaster string, predicted, actual float64, selected bool)
+	ResidualSeries(kind, series string, forecasters []string) int
+	ObserveResiduals(series int, actual float64, predicted []float64, ready []bool, selected int)
 }
 
 // WithResiduals streams every sensor sample's forecaster residuals
-// into sink, before the banks absorb the sample — each ready
-// forecaster's standing one-step prediction is scored against the
-// value that actually arrived. nil leaves auditing off; the sweep then
-// pays only a nil check (the audited sweep allocates one closure per
-// sample, a price only paid when someone is watching).
+// into sink as the bank absorbs the sample — each ready forecaster's
+// standing one-step prediction is scored against the value that
+// actually arrived. nil leaves auditing off; the sweep then pays only
+// a nil check, and an audited sample allocates nothing once its series
+// has been resolved.
 func WithResiduals(sink ResidualSink) ServiceOption {
 	return func(s *Service) { s.residuals = sink }
 }
 
-// observeResiduals reports every ready forecaster's standing
-// prediction for the sample v that just arrived on kind/name.
-func observeResiduals(sink ResidualSink, kind mstore.Kind, name string, bank *Bank, v float64) {
-	kindName := kind.String()
-	_, by, ok := bank.Forecast()
-	if ok {
-		bank.EachForecast(func(fc string, pred float64) {
-			sink.ObserveResidual(kindName, name, fc, pred, v, fc == by)
-		})
+// residualFeed streams one series' samples into a sink, resolving the
+// series on its first sample.
+type residualFeed struct {
+	sink   ResidualSink
+	kind   mstore.Kind
+	name   string
+	handle int
+	bound  bool
+}
+
+// update absorbs v into bank and reports every forecaster's standing
+// prediction of v to the sink, with the bank's selection from before
+// the update.
+func (f *residualFeed) update(bank *Bank, v float64) {
+	if !f.bound {
+		f.handle, f.bound = f.sink.ResidualSeries(f.kind.String(), f.name, bank.names()), true
 	}
-	sink.ObserveSample(kindName, name, v)
+	selected := bank.best()
+	predicted, ready := bank.updateScored(v)
+	f.sink.ObserveResiduals(f.handle, v, predicted, ready, selected)
 }
 
 // AuditStore replays every sensor record in st through fresh forecaster
@@ -52,7 +68,15 @@ func AuditStore(st *mstore.Store, sink ResidualSink, mk func() *Bank) (int, erro
 	if mk == nil {
 		mk = func() *Bank { return NewBank() }
 	}
-	banks := make(map[string]*Bank)
+	type seriesKey struct {
+		kind   mstore.Kind
+		series string
+	}
+	type series struct {
+		bank *Bank
+		feed residualFeed
+	}
+	banks := make(map[seriesKey]*series)
 	audited := 0
 	for r, err := range st.Records() {
 		if err != nil {
@@ -61,14 +85,13 @@ func AuditStore(st *mstore.Store, sink ResidualSink, mk func() *Bank) (int, erro
 		if r.Kind != mstore.KindCPU && r.Kind != mstore.KindBandwidth {
 			continue
 		}
-		key := r.Kind.String() + "\x00" + r.Series
-		b := banks[key]
-		if b == nil {
-			b = mk()
-			banks[key] = b
+		key := seriesKey{r.Kind, r.Series}
+		sr := banks[key]
+		if sr == nil {
+			sr = &series{bank: mk(), feed: residualFeed{sink: sink, kind: r.Kind, name: r.Series}}
+			banks[key] = sr
 		}
-		observeResiduals(sink, r.Kind, r.Series, b, r.Value)
-		b.Update(r.Value)
+		sr.feed.update(sr.bank, r.Value)
 		audited++
 	}
 	return audited, nil

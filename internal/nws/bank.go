@@ -27,6 +27,10 @@ type Bank struct {
 	n      int   // total measurements
 	last   float64
 	sum    float64
+	// pred and ready, allocated by the first updateScored, hold each
+	// forecaster's standing prediction as the last update scored it.
+	pred  []float64
+	ready []bool
 }
 
 // NewBank builds a bank over the given forecasters (DefaultForecasters()
@@ -68,6 +72,7 @@ func NewBank(fcs ...Forecaster) *Bank {
 // Update scores all standing predictions against v, then feeds v to every
 // forecaster. Steady state allocates nothing.
 func (b *Bank) Update(v float64) {
+	pred, readyOut := b.pred, b.ready
 	for i, f := range b.fcs {
 		var fc float64
 		var ready bool
@@ -78,6 +83,9 @@ func (b *Bank) Update(v float64) {
 				fc = f.Forecast()
 			}
 			f.Update(v)
+		}
+		if pred != nil { // recording since the first updateScored
+			pred[i], readyOut[i] = fc, ready
 		}
 		if ready {
 			e := fc - v
@@ -92,6 +100,18 @@ func (b *Bank) Update(v float64) {
 	b.n++
 	b.last = v
 	b.sum += v
+}
+
+// updateScored is Update that also returns, by bank position, every
+// forecaster's standing prediction of v and whether it was ready: the
+// values Update scored, in the bank's scratch, valid until the next
+// update.
+func (b *Bank) updateScored(v float64) ([]float64, []bool) {
+	if b.pred == nil {
+		b.pred, b.ready = make([]float64, len(b.fcs)), make([]bool, len(b.fcs))
+	}
+	b.Update(v)
+	return b.pred, b.ready
 }
 
 // Len reports how many measurements the bank has absorbed.
@@ -153,16 +173,13 @@ func (b *Bank) Forecast() (value float64, by string, ok bool) {
 	return b.fcs[i].Forecast(), b.fcs[i].Name(), true
 }
 
-// EachForecast calls fn with every ready forecaster's standing
-// one-step prediction, in bank order — the audit hook's view of what
-// each forecaster would say right now, before the next measurement is
-// absorbed.
-func (b *Bank) EachForecast(fn func(name string, predicted float64)) {
-	for _, f := range b.fcs {
-		if f.Ready() {
-			fn(f.Name(), f.Forecast())
-		}
+// names returns the forecasters' names in bank order.
+func (b *Bank) names() []string {
+	out := make([]string, len(b.fcs))
+	for i, f := range b.fcs {
+		out[i] = f.Name()
 	}
+	return out
 }
 
 // ErrorEstimate returns the root-mean-squared error of the currently

@@ -84,7 +84,7 @@ type Service struct {
 	store    *mstore.Store
 	storeErr error
 	// residuals, when non-nil, receives every sample's forecaster
-	// residuals before the bank absorbs it (WithResiduals).
+	// residuals as the bank absorbs it (WithResiduals).
 	residuals ResidualSink
 }
 
@@ -132,12 +132,17 @@ func (s *Service) addSensor(kind mstore.Kind, name string, bank *Bank, sample fu
 		}
 	}
 	updates := s.metBankUpdates
+	var feed *residualFeed
+	if s.residuals != nil {
+		feed = &residualFeed{sink: s.residuals, kind: kind, name: name}
+	}
 	s.batch.Add(func(float64) {
 		v := sample()
-		if s.residuals != nil {
-			observeResiduals(s.residuals, kind, name, bank, v)
+		if feed != nil {
+			feed.update(bank, v)
+		} else {
+			bank.Update(v)
 		}
-		bank.Update(v)
 		if updates != nil {
 			updates.Inc()
 		}

@@ -20,16 +20,19 @@
 //     invariant joined+pending+expired == predictions issued holds at
 //     every instant.
 //
-//   - ObserveSample / ObserveResidual score the NWS forecasters: every
-//     sensor sample updates the series' naive last-value baseline, and
-//     every ready forecaster's standing one-step prediction is scored
-//     against the sample (nws.WithResiduals installs the hook; the
-//     bank's currently selected forecaster is flagged so its error
-//     stream drives the series' drift detector). Per-forecaster skill
-//     is 1 - MAE_forecaster/MAE_naive: 1 is perfect, 0 no better than
-//     carrying the last value forward, negative worse.
+//   - ResidualSeries / ObserveResiduals score the NWS forecasters, one
+//     call per sensor sample on a series resolved once: every ready
+//     forecaster's standing one-step prediction is scored against the
+//     sample, then the sample updates the series' naive last-value
+//     baseline (nws.WithResiduals installs the hook; the bank's
+//     currently selected forecaster is flagged so its error stream
+//     drives the series' drift detector). ObserveResidual and
+//     ObserveSample do the same one forecaster at a time, by name.
+//     Per-forecaster skill is 1 - MAE_forecaster/MAE_naive: 1 is
+//     perfect, 0 no better than carrying the last value forward,
+//     negative worse.
 //
-//   - The same two methods back the offline mode: nws.AuditStore
+//   - The same methods back the offline mode: nws.AuditStore
 //     replays any mstore directory through fresh banks into an Engine,
 //     so historical decisions and sensing runs are auditable long after
 //     the process that made them exited.

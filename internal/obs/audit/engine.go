@@ -147,8 +147,8 @@ type Engine struct {
 	joined, orphaned, expired uint64
 	alarms                    uint64
 
-	series     map[string]*seriesAgg
-	seriesKeys []string // insertion order, for the gauge cap
+	series map[seriesKey]*seriesAgg
+	bound  []boundSeries // ResidualSeries handles
 
 	phDelta         float64
 	phLambda        float64
@@ -198,7 +198,7 @@ func New(opts ...Option) *Engine {
 		pending:         make(map[uint64]pendingPred),
 		groups:          make(map[DecisionLabels]*groupAgg),
 		calAll:          make([]uint64, len(CalibrationBuckets)+1),
-		series:          make(map[string]*seriesAgg),
+		series:          make(map[seriesKey]*seriesAgg),
 		phDelta:         DefaultPHDelta,
 		phLambda:        DefaultPHLambda,
 		phMin:           DefaultPHMinSamples,

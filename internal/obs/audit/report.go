@@ -136,21 +136,21 @@ func (e *Engine) SeriesSnapshot() []SeriesReport {
 			Series:      s.name,
 			Samples:     s.naiveN,
 			Degraded:    s.degraded,
-			Forecasters: make([]ForecasterReport, 0, len(s.fc)),
+			Forecasters: make([]ForecasterReport, 0, len(s.fcs)),
 		}
 		naiveMAE := 0.0
 		if s.naiveN > 0 {
 			naiveMAE = s.naiveAbsErr / float64(s.naiveN)
 			r.NaiveMAE = naiveMAE
 		}
-		for name, f := range s.fc {
-			fr := ForecasterReport{Name: name, Samples: f.n, Selected: f.selected}
-			if f.n > 0 {
-				fr.MAE = f.absErr / float64(f.n)
-				fr.RMSE = math.Sqrt(f.sqErr / float64(f.n))
-				if s.naiveN > 0 {
-					fr.Skill = skillScore(fr.MAE, naiveMAE)
-				}
+		for _, f := range s.fcs {
+			if f.n == 0 {
+				continue
+			}
+			fr := ForecasterReport{Name: f.name, Samples: f.n, Selected: f.selected,
+				MAE: f.absErr / float64(f.n), RMSE: math.Sqrt(f.sqErr / float64(f.n))}
+			if s.naiveN > 0 {
+				fr.Skill = skillScore(fr.MAE, naiveMAE)
 			}
 			r.Forecasters = append(r.Forecasters, fr)
 		}

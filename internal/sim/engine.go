@@ -207,3 +207,7 @@ func (t *Timer) Stop() bool { return t.eng.Cancel(&t.ev) }
 
 // Pending reports whether the timer is armed and has not yet fired.
 func (t *Timer) Pending() bool { return t.ev.index >= 0 }
+
+// Deadline returns the virtual time the timer was last armed for: while
+// it is Pending, the instant its wakeup fires.
+func (t *Timer) Deadline() float64 { return t.ev.time }
