@@ -10,12 +10,13 @@ build:
 test:
 	$(GO) test ./...
 
-# Race coverage of the candidate-evaluation engine. The core package
-# holds the snapshot and determinism tests, whose pools above 64 hosts
-# run the parallel worker path; the root package exercises the facade
-# against the same engine.
+# Race coverage of the candidate-evaluation engine, the NWS forecasting
+# hot path, the shared obs instruments and the store: at least CI's Race
+# step. The core package holds the snapshot and determinism tests, whose
+# pools above 64 hosts run the parallel worker path; the root package
+# exercises the facade against the same engine.
 race:
-	$(GO) test -race ./internal/core/... ./internal/mstore/... .
+	$(GO) test -race ./internal/core/... ./internal/nws/... ./internal/obs/... ./internal/mstore/... .
 
 vet:
 	$(GO) vet ./...

@@ -260,7 +260,7 @@ func NewAgent(tp *Topology, tpl *Template, spec *UserSpec, info Information, opt
 // Agent construction options.
 var (
 	// WithSpillFactor sets the estimator's out-of-memory penalty
-	// (default 25).
+	// (default 25); below 1 an agent prunes no candidate set.
 	WithSpillFactor = core.WithSpillFactor
 	// WithSelector picks the resource-selector family an agent enumerates
 	// candidates with (exhaustive below 2^12, or the greedy / beam

@@ -22,7 +22,10 @@ type Schedule struct {
 	// expectations for one sweep and the full run.
 	PredictedIterTime float64
 	PredictedTotal    float64
-	// Hosts lists the selected resources in strip-chain order.
+	// Hosts lists the selected resources by placement share, larger
+	// first; hosts with equal shares keep their strip-chain order, so a
+	// selected host the balancer gave 0 rows comes last. Placement lists
+	// the worked hosts in band (strip-chain) order.
 	Hosts []string
 	// CandidatesConsidered counts resource sets evaluated, and
 	// CandidatesPlanned those that produced a feasible plan. Schedule
@@ -143,20 +146,17 @@ type Candidate struct {
 	// data-parallel candidates and single-site mappings.
 	Unit int
 
-	// chain is a Jacobi round's evaluated set, in chain order, kept in
-	// place of Hosts while the round runs: only the winner, placed
-	// candidates and trace events get names, built from it. A candidate
-	// returned to a caller never carries it.
-	chain []*grid.Host
+	// chain is the evaluated set, positions in its round's pool, kept in
+	// place of Hosts while the round runs: only the winner, returned
+	// candidates and trace events get names, built from it (name). A
+	// candidate returned to a caller never carries it.
+	chain []int
 }
 
-// names returns c's host names: Hosts, or names built from the chain a
-// Jacobi round keeps instead.
-func (c *Candidate) names() []string {
-	if c.chain != nil {
-		return hostNames(c.chain)
-	}
-	return c.Hosts
+// name gives c its host names from its chain over pool, the round's
+// pool, and drops the chain: the candidate as a caller sees it.
+func (c *Candidate) name(pool []*grid.Host) {
+	c.Hosts, c.chain = chainNames(pool, c.chain), nil
 }
 
 // rankCandidates returns a copy of cands sorted ascending by score (ties
@@ -199,33 +199,31 @@ func (rp *roundPricer) bind(view *InfoSnapshot) {
 	}
 }
 
-// solve feeds and solves chain set, hosts of the pool, into kn.
-func (rp *roundPricer) solve(kn *stripKernel, set []*grid.Host) (float64, bool) {
-	kn.reserve(len(set))
-	for i, h := range set {
-		kn.chain[i] = rp.hp.indexOf(h)
-	}
-	return rp.solveChain(kn, len(set))
-}
-
-// solveChain feeds and solves the chain of pool indices kn.chain[:k].
-func (rp *roundPricer) solveChain(kn *stripKernel, k int) (float64, bool) {
-	if kn.feed(&rp.m, rp.cols, k) >= 0 {
+// solveChain feeds and solves chain, pool indices in chain order, in
+// kn: its iteration time, ok=false when it is infeasible. kn keeps the
+// solved rows.
+func (rp *roundPricer) solveChain(kn *stripKernel, chain []int) (float64, bool) {
+	kn.reserve(len(chain))
+	copy(kn.chain, chain)
+	if kn.feed(&rp.m, rp.cols, len(chain)) >= 0 {
 		return 0, false
 	}
-	return kn.solve(&rp.m, k)
+	return kn.solve(&rp.m, len(chain))
 }
 
-// Evaluate is the round plan's Evaluate. The candidate keeps set, the
-// selector's fresh chain, in place of host names, and carries no
-// placement: only the winner and a requested top-k are ever built.
-func (rp *roundPricer) Evaluate(set []*grid.Host) (Candidate, bool) {
-	kn := kernelPool.Get().(*stripKernel)
-	iterT, ok := rp.solve(kn, set)
-	var score float64
-	if ok {
-		score = kn.score(&rp.m, len(set), iterT, rp.solo)
+// priceChain is solveChain plus chain's exact score.
+func (rp *roundPricer) priceChain(kn *stripKernel, chain []int) (iterT, score float64, ok bool) {
+	if iterT, ok = rp.solveChain(kn, chain); ok {
+		score = kn.score(&rp.m, len(chain), iterT, rp.solo)
 	}
+	return iterT, score, ok
+}
+
+// Evaluate is the round plan's Evaluate. The candidate carries no
+// placement: only the winner and a requested top-k are ever built.
+func (rp *roundPricer) Evaluate(set []int) (Candidate, bool) {
+	kn := kernelPool.Get().(*stripKernel)
+	iterT, score, ok := rp.priceChain(kn, set)
 	kernelPool.Put(kn)
 	if !ok {
 		return Candidate{}, false
@@ -234,20 +232,7 @@ func (rp *roundPricer) Evaluate(set []*grid.Host) (Candidate, bool) {
 		PredictedIterTime: iterT,
 		PredictedTotal:    iterT * float64(rp.m.iterations),
 		Score:             score,
-		chain:             set,
 	}, true
-}
-
-// priceChain feeds, solves and scores chain, pool indices in chain
-// order, in kn: its iteration time and exact score, ok=false when it is
-// infeasible. kn keeps the solved rows.
-func (rp *roundPricer) priceChain(kn *stripKernel, chain []int) (iterT, score float64, ok bool) {
-	kn.reserve(len(chain))
-	copy(kn.chain, chain)
-	if iterT, ok = rp.solveChain(kn, len(chain)); ok {
-		score = kn.score(&rp.m, len(chain), iterT, rp.solo)
-	}
-	return iterT, score, ok
 }
 
 // bound is stripModel.bound over the round's MaxSpeedup baseline.
@@ -256,15 +241,16 @@ func (rp *roundPricer) bound(rate, leastCost float64) float64 {
 }
 
 // boundSet is the round plan's Bound: bound over set's aggregates.
-func (rp *roundPricer) boundSet(set []*grid.Host) float64 {
+func (rp *roundPricer) boundSet(set []int) float64 {
 	return rp.bound(rp.cols.boundTerms(set))
 }
 
-// resolve re-solves an evaluated candidate's chain into kn, returning
-// its iteration time.
-func (rp *roundPricer) resolve(kn *stripKernel, c *Candidate) float64 {
-	iterT, _ := rp.solve(kn, c.chain)
-	return iterT
+// schedule re-solves chain, the round's winning set, into kn and builds
+// its *Schedule: the winner of an Agent round and of a ReschedSession
+// round alike. The caller fills the source and candidate counters.
+func (rp *roundPricer) schedule(kn *stripKernel, chain []int) *Schedule {
+	iterT, _ := rp.solveChain(kn, chain)
+	return kn.schedule(&rp.m, chainNames(rp.hp.hosts, chain), iterT)
 }
 
 // place names every candidate in cands and builds its placement, leaving
@@ -273,8 +259,8 @@ func (rp *roundPricer) place(cands []Candidate) {
 	kn := kernelPool.Get().(*stripKernel)
 	for i := range cands {
 		c := &cands[i]
-		rp.resolve(kn, c)
-		c.Hosts, c.chain = hostNames(c.chain), nil
+		rp.solveChain(kn, c.chain)
+		c.name(rp.hp.hosts)
 		c.Placement = kn.placement(&rp.m, c.Hosts)
 	}
 	kernelPool.Put(kn)
@@ -293,18 +279,17 @@ func (a *Agent) round(rp *roundPricer, winnerOnly bool) Round {
 		Selector: string(a.coord.selector.normalized().Kind),
 		Bind: func(view *InfoSnapshot) RoundPlan {
 			rp.bind(view)
-			rs := &resourceSelector{cols: rp.cols}
 			plan := RoundPlan{Evaluate: rp.Evaluate}
 			if winnerOnly && a.hasComputeBound() {
 				if a.frozenUniverse() {
-					var sets [][]*grid.Host
-					sets, plan.Bound, plan.Skipped = rs.boundedSubsets(rp)
+					var sets [][]int
+					sets, plan.Bound, plan.Skipped = boundedSubsets(rp)
 					plan.Sets = slices.Values(sets)
 					return plan
 				}
 				plan.Bound = rp.boundSet
 			}
-			plan.Sets, plan.Truncated = newSelector(a.coord.selector, rs, a.spec.MaxResourceSets)
+			plan.Sets, plan.Truncated = newSelector(a.coord.selector, rp.cols, a.spec.MaxResourceSets)
 			return plan
 		},
 	}
@@ -436,9 +421,8 @@ func (a *Agent) pickBest(rp *roundPricer, cands []Candidate, considered int) (*S
 	if bestIdx < 0 {
 		return nil, fmt.Errorf("core: %w: no feasible schedule among %d candidate sets", ErrNoFeasiblePlan, considered)
 	}
-	c := &cands[bestIdx]
 	kn := kernelPool.Get().(*stripKernel)
-	best := kn.schedule(&rp.m, hostNames(c.chain), rp.resolve(kn, c))
+	best := rp.schedule(kn, cands[bestIdx].chain)
 	kernelPool.Put(kn)
 	best.InfoSource = a.coord.Information().Source()
 	best.CandidatesConsidered = considered

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"apples/internal/grid"
@@ -53,7 +54,7 @@ func TestLowerBoundNeverExceedsScore(t *testing.T) {
 						sets++
 						if lb := plan.Bound(set); lb > c.Score {
 							t.Errorf("%d×%d seed %d %s n=%d %v: bound %.17g > score %.17g",
-								p.clusters, p.per, seed, m, n, c.names(), lb, c.Score)
+								p.clusters, p.per, seed, m, n, chainNames(r.Pool, set), lb, c.Score)
 						}
 					}
 				}
@@ -86,12 +87,13 @@ func TestLowerBoundNeverExceedsScore(t *testing.T) {
 // replay needs only the feasible candidates.
 func prunedPlanned(tp *grid.Topology, tpl *hat.Template, info Information, n int, cands []Candidate) int {
 	task := &tpl.Tasks[0]
-	cols := rawCols(newHostPool(tp, task, &userspec.Spec{}, tp.Hosts()), info, task.FlopPerUnit)
+	pool := tp.Hosts()
+	cols := rawCols(newHostPool(tp, task, &userspec.Spec{}, pool), info, task.FlopPerUnit)
 	planned, best := 0, math.Inf(1)
 	for _, c := range cands {
-		set := make([]*grid.Host, len(c.Hosts))
+		set := make([]int, len(c.Hosts))
 		for i, name := range c.Hosts {
-			set[i] = tp.Host(name)
+			set[i] = slices.IndexFunc(pool, func(h *grid.Host) bool { return h.Name == name })
 		}
 		if rate, _ := cols.boundTerms(set); rateBound(rate, n, max(tpl.Iterations, 1)) <= best {
 			planned++
@@ -102,7 +104,7 @@ func prunedPlanned(tp *grid.Topology, tpl *hat.Template, info Information, n int
 }
 
 // TestBoundedWalkExact is the exactness property of the bounded walk
-// (resourceSelector.boundedSubsets): on 1- to 12-host NWS pools under
+// (boundedSubsets): on 1- to 12-host NWS pools under
 // every metric, with one host's availability overlaid by a hostile value
 // (NaN, 0, +Inf, 1e300, or none) and MaxResourceSets uncapped, capped
 // at exactly every subset, or capped below it, Schedule must equal the
@@ -156,7 +158,7 @@ func TestBoundedWalkExact(t *testing.T) {
 					}
 					for _, c := range cands {
 						if lb := rp.boundSet(c.chain); lb > c.Score {
-							t.Fatalf("%s: %v bound %.17g > score %.17g", name, c.names(), lb, c.Score)
+							t.Fatalf("%s: %v bound %.17g > score %.17g", name, chainNames(a.hp.hosts, c.chain), lb, c.Score)
 						}
 					}
 					want, werr := a.pickBest(rp, cands, considered)

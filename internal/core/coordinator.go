@@ -31,8 +31,7 @@ type Round struct {
 	Pool []*grid.Host
 	// Bind builds the round's plan against its frozen information view
 	// over Pool, whose position i is Pool[i] (Pool holds no duplicate
-	// host), so the plan may read it by pool index or by host name.
-	// It runs inside the round's select stage span, so selector
+	// host). It runs inside the round's select stage span, so selector
 	// construction (ranking, cost models) belongs in Bind; only per-set
 	// work belongs inside the plan's sequence.
 	Bind func(view *InfoSnapshot) RoundPlan
@@ -44,27 +43,31 @@ type Round struct {
 
 // RoundPlan is a blueprint's Resource Selector, fused Planner +
 // Performance Estimator and pruning bound, bound to one round's
-// information view.
+// information view. A candidate set is a chain of positions in
+// Round.Pool, which are also the view's positions; host names are built
+// from Pool only where a set leaves the round (trace events, the
+// winner's schedule, returned candidates).
 type RoundPlan struct {
-	// Sets streams the candidate resource sets: host chains for the
+	// Sets streams the candidate resource sets: strip chains for the
 	// data-parallel blueprint, single machines and ordered
 	// producer/consumer pairs for the pipeline one. The enumeration order
 	// is the tie-break order of the reduce, so it must be deterministic,
 	// and a yielded set is owned by the Coordinator afterwards: the
 	// sequence must not reuse its backing array.
-	Sets iter.Seq[[]*grid.Host]
+	Sets iter.Seq[[]int]
 	// Evaluate plans one set and scores the plan under the user's
 	// metric, returning the evaluated Candidate (lower Score is better)
-	// or ok=false when the set is infeasible. It is called concurrently
-	// for distinct sets, so it must not mutate shared state.
-	Evaluate func(set []*grid.Host) (c Candidate, ok bool)
+	// or ok=false when the set is infeasible; the round keeps set as the
+	// candidate's chain. It is called concurrently for distinct sets, so
+	// it must not mutate shared state.
+	Evaluate func(set []int) (c Candidate, ok bool)
 	// Bound, when non-nil, is a cheap bound on the best score any plan
 	// over a set can reach. The round skips a set whose bound already
 	// exceeds the best score seen, so the bound must never overestimate
 	// Evaluate's score, rounding included: then a pruned set could not
 	// have won. Rounds that must list every feasible candidate, such as
 	// rankings, leave it nil.
-	Bound func(set []*grid.Host) float64
+	Bound func(set []int) float64
 	// Truncated, when non-nil, reports after Sets is drained how many
 	// sets a cap (userspec.MaxResourceSets) cut from the enumeration;
 	// capped is false when it ran to completion. A capped round emits an
@@ -253,7 +256,7 @@ func (c *Coordinator) evaluateRound(r Round, view *InfoSnapshot) ([]Candidate, i
 
 	// evalOne plans and estimates candidate set i (0-based enumeration
 	// index); it is called concurrently for distinct sets.
-	evalOne := func(i int, set []*grid.Host) (Candidate, bool) {
+	evalOne := func(i int, set []int) (Candidate, bool) {
 		if incumbent != nil {
 			lb := bound(set)
 			if inc := incumbent.load(); lb > inc {
@@ -262,7 +265,7 @@ func (c *Coordinator) evaluateRound(r Round, view *InfoSnapshot) ([]Candidate, i
 				}
 				if tr != nil {
 					tr.Emit(obs.Event{Round: round, Type: obs.EvPruned, Index: index(i),
-						Hosts: hostNames(set), Bound: lb, Incumbent: inc})
+						Hosts: chainNames(r.Pool, set), Bound: lb, Incumbent: inc})
 				}
 				return Candidate{}, false
 			}
@@ -274,16 +277,17 @@ func (c *Coordinator) evaluateRound(r Round, view *InfoSnapshot) ([]Candidate, i
 			}
 			if tr != nil {
 				tr.Emit(obs.Event{Round: round, Type: obs.EvInfeasible, Index: index(i),
-					Hosts: hostNames(set)})
+					Hosts: chainNames(r.Pool, set)})
 			}
 			return Candidate{}, false
 		}
+		cand.chain = set
 		if met != nil {
 			met.evaluated.Inc()
 		}
 		if tr != nil {
 			tr.Emit(obs.Event{Round: round, Type: obs.EvCandidate, Index: index(i),
-				Hosts: cand.names(), Predicted: cand.PredictedTotal, Score: cand.Score})
+				Hosts: chainNames(r.Pool, set), Predicted: cand.PredictedTotal, Score: cand.Score})
 		}
 		if incumbent != nil {
 			incumbent.update(cand.Score)
@@ -339,7 +343,7 @@ func (c *Coordinator) evaluateRound(r Round, view *InfoSnapshot) ([]Candidate, i
 			// the decision it produced.
 			if bi := bestCandidate(cands); bi >= 0 {
 				w := cands[bi]
-				tr.Emit(obs.Event{Round: round, Type: obs.EvWinner, Hosts: w.names(),
+				tr.Emit(obs.Event{Round: round, Type: obs.EvWinner, Hosts: chainNames(r.Pool, w.chain),
 					Predicted: w.PredictedTotal, Score: w.Score,
 					Considered: considered, Planned: len(cands)})
 			} else {
@@ -359,11 +363,21 @@ func (c *Coordinator) actuateSpan() obs.Span {
 	return c.stages.Start(c.rounds.Load(), obs.StageActuate)
 }
 
-// hostNames flattens a candidate set for a trace event.
-func hostNames(set []*grid.Host) []string {
-	out := make([]string, len(set))
-	for i, h := range set {
+// hostNames returns the names of hosts, in order.
+func hostNames(hosts []*grid.Host) []string {
+	out := make([]string, len(hosts))
+	for i, h := range hosts {
 		out[i] = h.Name
+	}
+	return out
+}
+
+// chainNames names a candidate set, chain positions in pool, for a set
+// leaving its round: a trace event, a schedule or a returned candidate.
+func chainNames(pool []*grid.Host, chain []int) []string {
+	out := make([]string, len(chain))
+	for i, p := range chain {
+		out[i] = pool[p].Name
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"apples/internal/grid"
 	"apples/internal/hat"
@@ -22,7 +21,6 @@ import (
 // by pool index, the host's position in hosts.
 type hostPool struct {
 	hosts []*grid.Host
-	at    []int // by Host.Index: 1 + the pool index of that host, 0 for none
 
 	factor []float64 // implementation speed factor on the host's arch
 	capPts []float64 // memory capacity in points (0 = unbounded)
@@ -48,15 +46,7 @@ func newHostPool(tp *grid.Topology, task *hat.Task, spec *userspec.Spec, hosts [
 		nameRank: nameRanks(tp, hosts),
 		sites:    newSiteGrouper(hosts),
 	}
-	size := 0
-	for _, h := range hosts {
-		size = max(size, h.Index()+1)
-	}
-	hp.at = make([]int, size)
 	for i, h := range hosts {
-		if j := h.Index(); j >= 0 && hp.at[j] == 0 {
-			hp.at[j] = i + 1
-		}
 		hp.factor[i] = task.SpeedFactorOn(h.Arch)
 		if task.BytesPerUnit > 0 {
 			hp.capPts[i] = h.MemoryMB * 1e6 / task.BytesPerUnit
@@ -67,18 +57,6 @@ func newHostPool(tp *grid.Topology, task *hat.Task, spec *userspec.Spec, hosts [
 		}
 	}
 	return hp
-}
-
-// indexOf returns h's pool index, -1 when h is not in the pool: by its
-// dense topology index, or by a scan for a host that has none (a
-// topology that was never finalized).
-func (hp *hostPool) indexOf(h *grid.Host) int {
-	if i := h.Index(); i >= 0 && i < len(hp.at) {
-		if p := hp.at[i] - 1; p >= 0 && hp.hosts[p] == h {
-			return p
-		}
-	}
-	return slices.Index(hp.hosts, h)
 }
 
 // poolCols is one round's dynamic columns over a hostPool: availability
@@ -138,12 +116,11 @@ func (c *poolCols) fill(flopPerUnit float64) {
 }
 
 // boundTerms returns the two aggregates stripModel.bound reads over
-// set's hosts: the point rate Σρ_i, summed in set order, and the least
-// r_i·P_i (+Inf when no host has deliverable speed).
-func (c *poolCols) boundTerms(set []*grid.Host) (rate, leastCost float64) {
+// set, pool indices: the point rate Σρ_i, summed in set order, and the
+// least r_i·P_i (+Inf when no host has deliverable speed).
+func (c *poolCols) boundTerms(set []int) (rate, leastCost float64) {
 	leastCost = math.Inf(1)
-	for _, h := range set {
-		p := c.pool.indexOf(h)
+	for _, p := range set {
 		rate += c.rho[p]
 		leastCost = min(leastCost, c.costPP[p])
 	}

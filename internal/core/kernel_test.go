@@ -151,7 +151,11 @@ func TestKernelMatchesPlannerEstimator(t *testing.T) {
 
 		rp := agent.newPricer(n)
 		rp.cols = rawCols(rp.hp, info, rp.m.flopPerUnit)
-		iterT, ok := rp.solve(kn, chain)
+		idx := make([]int, k)
+		for i, h := range chain {
+			idx[i] = slices.Index(rp.hp.hosts, h)
+		}
+		iterT, ok := rp.solveChain(kn, idx)
 
 		name := fmt.Sprintf("trial %d (n=%d, k=%d, %v)", trial, n, k, spec.Metric)
 		if ok != (werr == nil) {

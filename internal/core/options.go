@@ -31,10 +31,14 @@ func newCoordConfig(info Information) coordConfig {
 //		core.WithSpillFactor(30), core.WithMetrics(reg))
 type AgentOption func(*coordConfig)
 
-// WithSpillFactor sets the estimator's out-of-memory penalty multiplier
-// (default 25, matching jacobi.Config). It replaces writing the exported
-// Agent.SpillFactor field; the pipeline blueprint, which has no spill
-// model, ignores it.
+// WithSpillFactor sets the Jacobi blueprint's out-of-memory penalty: a
+// strip that needs more memory than its host has is slowed by
+// 1 + s·(f − 1), s its spilled share (default f = 25, matching
+// jacobi.Config; f ≤ 0 keeps the default). Below 1 a spilled strip would
+// price faster than the no-spill floor every metric bound rests on, so
+// such an agent prunes nothing: its rounds plan every candidate set and
+// its ReschedSession rounds are unbounded. The pipeline blueprint, which
+// has no spill model, ignores it.
 func WithSpillFactor(f float64) AgentOption {
 	return func(c *coordConfig) {
 		if f > 0 {

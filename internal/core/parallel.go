@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"apples/internal/grid"
 )
 
 // evalChunk sizes the streamed job queue: workers*evalChunk sets may
@@ -25,7 +23,7 @@ const evalChunk = 16
 // re-sorted by enumeration index at the end — so the result, and
 // therefore the (score, index) reduce downstream, is bit-identical to
 // the sequential path regardless of interleaving.
-func runStreamed(seq iter.Seq[[]*grid.Host], workers int, eval func(int, []*grid.Host) (Candidate, bool)) ([]Candidate, int) {
+func runStreamed(seq iter.Seq[[]int], workers int, eval func(int, []int) (Candidate, bool)) ([]Candidate, int) {
 	considered := 0
 	if workers <= 1 {
 		var cands []Candidate
@@ -40,7 +38,7 @@ func runStreamed(seq iter.Seq[[]*grid.Host], workers int, eval func(int, []*grid
 	}
 	type job struct {
 		i   int
-		set []*grid.Host
+		set []int
 	}
 	type indexed struct {
 		i    int

@@ -56,7 +56,7 @@ func sequentialAgentSchedule(tp *grid.Topology, tpl *hat.Template, spec *userspe
 	if live {
 		sets = directSelector{info}.candidatesDirect(pool, spec.MaxResourceSets)
 	} else {
-		sets = poolSelector(tp, info, pool).candidates(spec.MaxResourceSets)
+		sets = poolCandidates(tp, info, pool, spec.MaxResourceSets)
 	}
 
 	solo := math.Inf(1)

@@ -103,16 +103,18 @@ func NewPipelineAgent(tp *grid.Topology, tpl *hat.Template, spec *userspec.Spec,
 // modelFor parameterizes the analytic pipeline model for one mapping,
 // discounting machine speeds by forecast availability and the link by
 // forecast bandwidth — the dynamic-information step the paper adds over
-// the developers' hand-built static model. Forecasts come from the given
-// information view (a per-round snapshot during evaluation).
-func (a *PipelineAgent) modelFor(info Information, producer, consumer *grid.Host) (*react.Model, error) {
-	m, err := react.NewModel(a.tp, a.tpl, producer.Name, consumer.Name, a.opt)
+// the developers' hand-built static model. Forecasts come from the
+// round's frozen view, read at the producer's and consumer's positions
+// p and c.
+func (a *PipelineAgent) modelFor(view *InfoSnapshot, p, c int) (*react.Model, error) {
+	m, err := react.NewModel(a.tp, a.tpl, view.hosts[p].Name, view.hosts[c].Name, a.opt)
 	if err != nil {
 		return nil, err
 	}
-	m.TL /= floorAvailability(info.Availability(producer.Name))
-	m.TD /= floorAvailability(info.Availability(consumer.Name))
-	if bw := info.RouteBandwidth(producer.Name, consumer.Name); bw > 0 && bw < 1e29 {
+	m.TL /= floorAvailability(view.avail[p])
+	m.TD /= floorAvailability(view.avail[c])
+	lat, bw := view.routeAt(p, c)
+	if bw > 0 && bw < 1e29 {
 		var comm hat.Comm
 		for _, c := range a.tpl.Comms {
 			if c.Pattern == hat.PipelineFlow {
@@ -121,18 +123,18 @@ func (a *PipelineAgent) modelFor(info Information, producer, consumer *grid.Host
 		}
 		m.SecPerUnitXfer = comm.BytesPerUnit / 1e6 / bw
 	}
-	m.Latency = info.RouteLatency(producer.Name, consumer.Name)
+	m.Latency = lat
 	return m, nil
 }
 
-// singleSitePrediction estimates a machine running both tasks alone,
-// discounted by forecast availability.
-func (a *PipelineAgent) singleSitePrediction(info Information, h *grid.Host) (float64, error) {
-	t, err := react.PredictSingleSite(a.tp, a.tpl, h.Name, a.opt)
+// singleSitePrediction estimates the machine at position i of view
+// running both tasks alone, discounted by forecast availability.
+func (a *PipelineAgent) singleSitePrediction(view *InfoSnapshot, i int) (float64, error) {
+	t, err := react.PredictSingleSite(a.tp, a.tpl, view.hosts[i].Name, a.opt)
 	if err != nil {
 		return 0, err
 	}
-	return t / floorAvailability(info.Availability(h.Name)), nil
+	return t / floorAvailability(view.avail[i]), nil
 }
 
 // pipelinePairHosts bounds the quadratic pair family for heuristic
@@ -142,34 +144,39 @@ func (a *PipelineAgent) singleSitePrediction(info Information, h *grid.Host) (fl
 const pipelinePairHosts = 32
 
 // pairSelector streams every single machine of pool followed by ordered
-// producer/consumer pairs. The exhaustive kind enumerates every pair in
-// pool order; heuristic kinds restrict the pair family to the top hosts
-// by frozen effective speed, name tie-break.
-func pairSelector(spec SelectorSpec, info Information, pool []*grid.Host) iter.Seq[[]*grid.Host] {
-	pairPool := pool
+// producer/consumer pairs, as pool positions. The exhaustive kind
+// enumerates every pair in pool order; heuristic kinds restrict the pair
+// family to the top hosts by effective speed (speed × floored
+// availability, read from view, the frozen view over pool), name
+// tie-break.
+func pairSelector(spec SelectorSpec, view *InfoSnapshot, pool []*grid.Host) iter.Seq[[]int] {
+	pairPool := make([]int, len(pool))
+	for i := range pairPool {
+		pairPool[i] = i
+	}
 	if spec.Kind != SelectorExhaustive && len(pool) > pipelinePairHosts {
-		pairPool = append([]*grid.Host(nil), pool...)
-		eff := make(map[string]float64, len(pool))
-		for _, h := range pool {
-			eff[h.Name] = h.Speed * floorAvailability(info.Availability(h.Name))
+		eff := make([]float64, len(pool))
+		for i, h := range pool {
+			eff[i] = h.Speed * floorAvailability(view.avail[i])
 		}
 		sort.SliceStable(pairPool, func(i, j int) bool {
-			if eff[pairPool[i].Name] != eff[pairPool[j].Name] {
-				return eff[pairPool[i].Name] > eff[pairPool[j].Name]
+			a, b := pairPool[i], pairPool[j]
+			if eff[a] != eff[b] {
+				return eff[a] > eff[b]
 			}
-			return pairPool[i].Name < pairPool[j].Name
+			return pool[a].Name < pool[b].Name
 		})
 		pairPool = pairPool[:pipelinePairHosts]
 	}
-	return func(yield func([]*grid.Host) bool) {
-		for _, h := range pool {
-			if !yield([]*grid.Host{h}) {
+	return func(yield func([]int) bool) {
+		for i := range pool {
+			if !yield([]int{i}) {
 				return
 			}
 		}
 		for _, p := range pairPool {
 			for _, c := range pairPool {
-				if p.Name != c.Name && !yield([]*grid.Host{p, c}) {
+				if p != c && !yield([]int{p, c}) {
 					return
 				}
 			}
@@ -194,8 +201,7 @@ func (a *PipelineAgent) round() Round {
 	return Round{
 		Pool:     pool,
 		Selector: string(spec.Kind),
-		Bind: func(info *InfoSnapshot) RoundPlan {
-
+		Bind: func(view *InfoSnapshot) RoundPlan {
 			minU, maxU := a.tpl.PipelineUnitMin, a.tpl.PipelineUnitMax
 			if minU == 0 {
 				minU = 1
@@ -204,42 +210,45 @@ func (a *PipelineAgent) round() Round {
 				maxU = minU
 			}
 
-			evaluate := func(set []*grid.Host) (Candidate, bool) {
+			evaluate := func(set []int) (Candidate, bool) {
 				if len(set) == 1 {
-					t, err := a.singleSitePrediction(info, set[0])
+					t, err := a.singleSitePrediction(view, set[0])
 					if err != nil {
 						return Candidate{}, false
 					}
-					return Candidate{Hosts: []string{set[0].Name}, PredictedTotal: t, Score: t}, true
+					return Candidate{PredictedTotal: t, Score: t}, true
 				}
-				m, err := a.modelFor(info, set[0], set[1])
+				m, err := a.modelFor(view, set[0], set[1])
 				if err != nil {
 					return Candidate{}, false
 				}
 				u, t := m.BestUnit(minU, maxU)
-				return Candidate{Hosts: []string{set[0].Name, set[1].Name}, PredictedTotal: t, Score: t, Unit: u}, true
+				return Candidate{PredictedTotal: t, Score: t, Unit: u}, true
 			}
-			return RoundPlan{Sets: pairSelector(spec, info, pool), Evaluate: evaluate}
+			return RoundPlan{Sets: pairSelector(spec, view, pool), Evaluate: evaluate}
 		},
 	}
 }
 
 // evaluateRound runs the shared Coordinator round over the pipeline
-// blueprint.
-func (a *PipelineAgent) evaluateRound() ([]Candidate, int, error) {
-	return a.coord.evaluateRound(a.round(), nil)
+// blueprint, returning the round's pool with its candidates.
+func (a *PipelineAgent) evaluateRound() ([]*grid.Host, []Candidate, int, error) {
+	r := a.round()
+	cands, considered, err := a.coord.evaluateRound(r, nil)
+	return r.Pool, cands, considered, err
 }
 
-// scheduleFrom reduces evaluated candidates to the chosen mapping via the
-// shared (score, index) rule: the strictly best score wins, ties keep the
-// earliest candidate (single-site mappings are enumerated before pairs,
-// as before).
-func (a *PipelineAgent) scheduleFrom(cands []Candidate, considered int) (*PipelineSchedule, error) {
+// scheduleFrom reduces evaluated candidates over pool to the chosen
+// mapping via the shared (score, index) rule: the strictly best score
+// wins, ties keep the earliest candidate (single-site mappings are
+// enumerated before pairs, as before).
+func (a *PipelineAgent) scheduleFrom(pool []*grid.Host, cands []Candidate, considered int) (*PipelineSchedule, error) {
 	bestIdx := bestCandidate(cands)
 	if bestIdx < 0 {
 		return nil, fmt.Errorf("core: %w: no feasible pipeline mapping among %d candidates", ErrNoFeasiblePlan, considered)
 	}
 	c := cands[bestIdx]
+	c.name(pool)
 	best := &PipelineSchedule{Predicted: c.Score, CandidatesConsidered: considered}
 	if len(c.Hosts) == 1 {
 		best.SingleSite = c.Hosts[0]
@@ -251,15 +260,24 @@ func (a *PipelineAgent) scheduleFrom(cands []Candidate, considered int) (*Pipeli
 	return best, nil
 }
 
+// namedRanking is rankCandidates with every candidate named over pool.
+func namedRanking(pool []*grid.Host, cands []Candidate, k int) []Candidate {
+	out := rankCandidates(cands, k)
+	for i := range out {
+		out[i].name(pool)
+	}
+	return out
+}
+
 // Schedule runs the blueprint: filter machines through the US, evaluate
 // every ordered pair (and every single machine), and return the mapping
 // with the best predicted performance under the user's metric.
 func (a *PipelineAgent) Schedule() (*PipelineSchedule, error) {
-	cands, considered, err := a.evaluateRound()
+	pool, cands, considered, err := a.evaluateRound()
 	if err != nil {
 		return nil, err
 	}
-	return a.scheduleFrom(cands, considered)
+	return a.scheduleFrom(pool, cands, considered)
 }
 
 // ScheduleExplained runs the blueprint and additionally returns the top-k
@@ -267,26 +285,26 @@ func (a *PipelineAgent) Schedule() (*PipelineSchedule, error) {
 // surface Agent.ScheduleExplained exposes, so callers explain both
 // blueprints uniformly. topK <= 0 returns every feasible candidate.
 func (a *PipelineAgent) ScheduleExplained(topK int) (*PipelineSchedule, []Candidate, error) {
-	cands, considered, err := a.evaluateRound()
+	pool, cands, considered, err := a.evaluateRound()
 	if err != nil {
 		return nil, nil, err
 	}
-	best, err := a.scheduleFrom(cands, considered)
+	best, err := a.scheduleFrom(pool, cands, considered)
 	if err != nil {
 		return nil, nil, err
 	}
-	return best, rankCandidates(cands, topK), nil
+	return best, namedRanking(pool, cands, topK), nil
 }
 
 // Candidates evaluates every mapping and returns the top-k sorted
 // ascending by score, without committing to a schedule. k <= 0 returns
 // all of them.
 func (a *PipelineAgent) Candidates(k int) ([]Candidate, error) {
-	cands, _, err := a.evaluateRound()
+	pool, cands, _, err := a.evaluateRound()
 	if err != nil {
 		return nil, err
 	}
-	return rankCandidates(cands, k), nil
+	return namedRanking(pool, cands, k), nil
 }
 
 // Run schedules and immediately actuates: the pipeline executes on the

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -136,5 +140,87 @@ func TestPipelineAgentEmptyPool(t *testing.T) {
 	a, _ := casaAgent(t, &userspec.Spec{Accessible: []string{"ghost"}})
 	if _, err := a.Schedule(); err == nil {
 		t.Fatal("empty pool accepted")
+	}
+}
+
+// TestPipelineHeuristicPairFamily pins the pair family of a heuristic
+// pipeline round on a pool larger than pipelinePairHosts: a greedy
+// agent on a 64-host NWS pool considers every single machine plus the
+// ordered pairs among the 32 hosts with the largest
+// Speed·floorAvailability(forecast), ties by name, and nothing else; and
+// its ranking (Candidates(0)) is the one the name-keyed pair selector
+// produced, pinned by its leading entries and a digest of every entry's
+// hosts, unit, prediction and score bits.
+func TestPipelineHeuristicPairFamily(t *testing.T) {
+	tp, info := buildPool(t, 8, 8, 11)
+	a, err := NewPipelineAgent(tp, hat.React3D(600), &userspec.Spec{}, info, react.Options{},
+		WithSelector(SelectorSpec{Kind: SelectorGreedy}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := a.spec.Filter(tp.Hosts())
+	if len(pool) <= pipelinePairHosts {
+		t.Fatalf("pool of %d hosts does not exceed the pair family's %d", len(pool), pipelinePairHosts)
+	}
+	s, err := a.Schedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(pool) + pipelinePairHosts*(pipelinePairHosts-1); s.CandidatesConsidered != want {
+		t.Fatalf("considered %d mappings, want %d", s.CandidatesConsidered, want)
+	}
+
+	view := roundSnapshot(info, pool)
+	byEff := append([]*grid.Host(nil), pool...)
+	eff := func(h *grid.Host) float64 { return h.Speed * floorAvailability(view.Availability(h.Name)) }
+	sort.Slice(byEff, func(i, j int) bool {
+		if ei, ej := eff(byEff[i]), eff(byEff[j]); ei != ej {
+			return ei > ej
+		}
+		return byEff[i].Name < byEff[j].Name
+	})
+	top := map[string]bool{}
+	for _, h := range byEff[:pipelinePairHosts] {
+		top[h.Name] = true
+	}
+
+	cands, err := a.Candidates(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := 0
+	digest := fnv.New64a()
+	for _, c := range cands {
+		if len(c.Hosts) == 2 {
+			pairs++
+			if !top[c.Hosts[0]] || !top[c.Hosts[1]] || c.Hosts[0] == c.Hosts[1] {
+				t.Fatalf("pair %v is not two distinct hosts of the top %d", c.Hosts, pipelinePairHosts)
+			}
+		}
+		fmt.Fprintf(digest, "%s|%d|%x|%x\n", strings.Join(c.Hosts, ","), c.Unit,
+			math.Float64bits(c.PredictedTotal), math.Float64bits(c.Score))
+	}
+	if len(cands) != s.CandidatesConsidered || pairs != pipelinePairHosts*(pipelinePairHosts-1) {
+		t.Fatalf("%d candidates, %d pairs", len(cands), pairs)
+	}
+	lead := []struct {
+		hosts string
+		unit  int
+		score uint64
+	}{
+		{"site5-h6,site1-h6", 5, 0x410aea9bddbe79fe},
+		{"site1-h6,site5-h6", 5, 0x410b173bddbe79fe},
+		{"site5-h6,site3-h3", 5, 0x410bc96c2d68336e},
+		{"site1-h6,site3-h3", 5, 0x410bd0a25e631f25},
+	}
+	for i, w := range lead {
+		c := cands[i]
+		if strings.Join(c.Hosts, ",") != w.hosts || c.Unit != w.unit || math.Float64bits(c.Score) != w.score {
+			t.Fatalf("rank %d: %v unit %d score %#x, want %s unit %d score %#x",
+				i, c.Hosts, c.Unit, math.Float64bits(c.Score), w.hosts, w.unit, w.score)
+		}
+	}
+	if got := digest.Sum64(); got != 0xfe986e6cb20cb7dd {
+		t.Fatalf("ranking digest %#x, want 0xfe986e6cb20cb7dd", got)
 	}
 }

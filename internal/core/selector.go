@@ -7,8 +7,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-
-	"apples/internal/grid"
 )
 
 // maxExhaustiveHosts bounds the all-subsets enumeration (2^12 - 1 = 4095
@@ -23,46 +21,35 @@ const maxExhaustiveHosts = 12
 // userspec.MaxResourceSets applies is reported through Truncated instead
 // of silently shrinking the round.
 type exhaustiveSelector struct {
-	rs      *resourceSelector
+	cols    *poolCols
 	maxSets int
 	truncation
 }
 
-// SelectSeq streams the subsets of pool.
-func (s *exhaustiveSelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
+// SelectSeq streams the subsets of the columns' pool.
+func (s *exhaustiveSelector) SelectSeq() iter.Seq[[]int] {
 	s.truncation = truncation{}
-	sets := s.rs.candidates(s.maxSets)
-	if s.maxSets > 0 && len(pool) > 0 {
-		total := len(pool)
-		if len(pool) <= maxExhaustiveHosts {
-			total = 1<<len(pool) - 1
+	sets := candidates(s.cols, s.maxSets)
+	if np := len(s.cols.pool.hosts); s.maxSets > 0 && np > 0 {
+		total := np
+		if np <= maxExhaustiveHosts {
+			total = 1<<np - 1
 		}
 		if total > len(sets) {
 			s.dropped, s.capped = total-len(sets), true
 		}
 	}
-	return func(yield func([]*grid.Host) bool) {
-		for _, set := range sets {
-			if !yield(set) {
-				return
-			}
-		}
-	}
+	return slices.Values(sets)
 }
 
-// resourceSelector implements the Resource Selector subsystem: it ranks
-// feasible hosts by deliverable performance, orders each candidate set so
-// that logically close hosts are strip neighbors, and enumerates candidate
-// sets for the Planner. It is bound to one round's pool columns, and
-// every selector over it enumerates the pool they cover: the round's.
-type resourceSelector struct {
-	cols *poolCols
-}
-
-// candidates enumerates resource sets for the Planner, each already
-// ordered as a strip chain. With a small pool every non-empty subset is
-// considered (as the paper's prototype did); larger pools use prefixes of
-// the desirability ranking. maxSets caps the result when positive.
+// candidates is the Resource Selector of the exhaustive kind over one
+// round's pool columns c: it ranks feasible hosts by deliverable
+// performance, orders each candidate set so that logically close hosts
+// are strip neighbors, and enumerates candidate sets for the Planner,
+// each a strip chain of pool indices. With a small pool every non-empty
+// subset is considered (as the paper's prototype did); larger pools use
+// prefixes of the desirability ranking. maxSets caps the result when
+// positive.
 //
 // A host's desirability is its forecast deliverable speed discounted by
 // its mean network distance to the rest of the pool — the
@@ -76,18 +63,18 @@ type resourceSelector struct {
 // bitmasks over ranking positions and laid out by the model's one chain
 // layout. The resulting sets are identical, element for element, to the
 // naive per-set construction the package tests keep as an oracle.
-func (rs *resourceSelector) candidates(maxSets int) [][]*grid.Host {
-	n := len(rs.cols.pool.hosts)
+func candidates(c *poolCols, maxSets int) [][]int {
+	n := len(c.pool.hosts)
 	if n == 0 {
 		return nil
 	}
-	m := buildSelModel(rs, true)
+	m := buildSelModel(c, true)
 	if n > maxExhaustiveHosts {
 		k := n
 		if maxSets > 0 {
 			k = min(k, maxSets)
 		}
-		sets := make([][]*grid.Host, k)
+		sets := make([][]int, k)
 		for i := range sets {
 			sets[i] = m.chain(m.rank[:i+1])
 		}
@@ -191,20 +178,19 @@ func enumOrder(agg []float64) []int {
 	return order
 }
 
-// chainMasks lays every ranking-bit mask out as a strip chain, in
-// order; every chain is a capped window of one backing array.
-func (m *selModel) chainMasks(masks []int) [][]*grid.Host {
+// chainMasks lays every ranking-bit mask out as a strip chain of pool
+// indices, in order; every chain is a capped window of one backing
+// array.
+func (m *selModel) chainMasks(masks []int) [][]int {
 	members := 0
 	for _, mask := range masks {
 		members += bits.OnesCount(uint(mask))
 	}
-	sets := make([][]*grid.Host, len(masks))
-	backing := make([]*grid.Host, 0, members)
+	sets := make([][]int, len(masks))
+	backing := make([]int, 0, members)
 	for si, mask := range masks {
 		start := len(backing)
-		for _, idx := range m.orderMask(mask) {
-			backing = append(backing, m.pool[idx])
-		}
+		backing = append(backing, m.orderMask(mask)...)
 		sets[si] = backing[start:len(backing):len(backing)]
 	}
 	return sets
@@ -271,18 +257,18 @@ func (s *SkippedSets) positions() []int {
 // chained. bound is the round plan's per-set Bound: the walk's bound of
 // the set's mask, so the walk's seed filter and the Coordinator's
 // per-set prune read one bound per set, as a ReschedSession's do.
-func (rs *resourceSelector) boundedSubsets(rp *roundPricer) (sets [][]*grid.Host, bound func([]*grid.Host) float64, skip SkippedSets) {
-	m := buildSelModel(rs, true)
+func boundedSubsets(rp *roundPricer) (sets [][]int, bound func([]int) float64, skip SkippedSets) {
+	m := buildSelModel(rp.cols, true)
 	kn := kernelPool.Get().(*stripKernel)
 	seed := m.prefixSeed(rp, kn)
 	kernelPool.Put(kn)
 	w := newMaskWalk(m.n)
 	skip = m.walk(&w, rp, seed, m.desSums())
 	rate, least := w.rate, w.least
-	bound = func(set []*grid.Host) float64 {
+	bound = func(set []int) float64 {
 		mask := 0
-		for _, h := range set {
-			mask |= 1 << m.rankPos[rp.hp.indexOf(h)]
+		for _, i := range set {
+			mask |= 1 << m.rankPos[i]
 		}
 		return rp.bound(rate[mask], least[mask])
 	}

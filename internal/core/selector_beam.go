@@ -3,8 +3,6 @@ package core
 import (
 	"iter"
 	"sort"
-
-	"apples/internal/grid"
 )
 
 // beamIterations bounds the local-search rounds; the beam always
@@ -28,16 +26,16 @@ const beamWidth = 8
 // orderings are deterministic — ties break on the canonical membership
 // key — so equal specs enumerate equal candidates.
 type beamSelector struct {
-	rs      *resourceSelector
+	cols    *poolCols
 	maxSets int
 	truncation
 }
 
-// SelectSeq streams the beam's states over pool.
-func (b *beamSelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
+// SelectSeq streams the beam's states over the columns' pool.
+func (b *beamSelector) SelectSeq() iter.Seq[[]int] {
 	b.truncation = truncation{}
-	m := buildSelModel(b.rs, len(pool) <= selExactPairHosts)
-	return func(yield func([]*grid.Host) bool) {
+	m := buildSelModel(b.cols, len(b.cols.pool.hosts) <= selExactPairHosts)
+	return func(yield func([]int) bool) {
 		if m.n == 0 {
 			return
 		}

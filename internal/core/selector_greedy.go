@@ -4,8 +4,6 @@ import (
 	"iter"
 	"math"
 	"slices"
-
-	"apples/internal/grid"
 )
 
 // maxGreedyGrowth caps how far the marginal-gain chain grows on very
@@ -38,18 +36,18 @@ const (
 // same-size prefix. O(pool) candidate sets, no randomness, fully
 // deterministic: ties break by host name through the model's orderings.
 type greedySelector struct {
-	rs      *resourceSelector
+	cols    *poolCols
 	maxSets int
 	truncation
 }
 
-// SelectSeq streams the greedy family over pool. Model construction (the only
-// O(pool·samples) work) runs eagerly; each yielded set is chained
-// lazily.
-func (g *greedySelector) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
+// SelectSeq streams the greedy family over the columns' pool. Model
+// construction (the only O(pool·samples) work) runs eagerly; each
+// yielded set is chained lazily.
+func (g *greedySelector) SelectSeq() iter.Seq[[]int] {
 	g.truncation = truncation{}
-	m := buildSelModel(g.rs, len(pool) <= selExactPairHosts)
-	return func(yield func([]*grid.Host) bool) {
+	m := buildSelModel(g.cols, len(g.cols.pool.hosts) <= selExactPairHosts)
+	return func(yield func([]int) bool) {
 		if m.n == 0 {
 			return
 		}

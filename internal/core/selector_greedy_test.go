@@ -54,7 +54,7 @@ func TestGrowthBoundNeverExceedsScore(t *testing.T) {
 		tp := grid.ClusterOfClusters(sim.NewEngine(), grid.ClusterOptions{
 			Clusters: p.clusters, PerCluster: p.per, Seed: 3, Quiet: p.quiet})
 		pool := tp.Hosts()
-		m := buildSelModel(poolSelector(tp, roundSnapshot(OracleInformation(tp), pool), pool), len(pool) <= selExactPairHosts)
+		m := buildSelModel(poolColsOf(tp, roundSnapshot(OracleInformation(tp), pool), pool), len(pool) <= selExactPairHosts)
 		name := fmt.Sprintf("%dhost/quiet=%v", len(pool), p.quiet)
 		growAll(t, name, m, func(g *growthScan, s *selState, k int, sd float64) {
 			for b := range g.blocks {

@@ -15,16 +15,36 @@ import (
 	"apples/internal/userspec"
 )
 
-// poolSelector binds a resourceSelector to pool's columns over info, as
-// an Agent round binds one to its pool: through viewCols when info is a
-// frozen view over pool, by raw reads (rawCols) otherwise.
-func poolSelector(tp *grid.Topology, info Information, pool []*grid.Host) *resourceSelector {
+// poolColsOf resolves pool's columns over info, as an Agent round
+// resolves its own: through viewCols when info is a frozen view over
+// pool, by raw reads (rawCols) otherwise.
+func poolColsOf(tp *grid.Topology, info Information, pool []*grid.Host) *poolCols {
 	task := hat.Jacobi2D(100, 1).Tasks[0]
 	hp := newHostPool(tp, &task, &userspec.Spec{}, pool)
 	if view, ok := info.(*InfoSnapshot); ok {
-		return &resourceSelector{cols: viewCols(hp, view, task.FlopPerUnit)}
+		return viewCols(hp, view, task.FlopPerUnit)
 	}
-	return &resourceSelector{cols: rawCols(hp, info, task.FlopPerUnit)}
+	return rawCols(hp, info, task.FlopPerUnit)
+}
+
+// poolCandidates is the exhaustive enumeration (candidates) over pool's
+// columns (poolColsOf), every chain mapped back to pool's hosts.
+func poolCandidates(tp *grid.Topology, info Information, pool []*grid.Host, maxSets int) [][]*grid.Host {
+	sets := candidates(poolColsOf(tp, info, pool), maxSets)
+	out := make([][]*grid.Host, len(sets))
+	for i, set := range sets {
+		out[i] = hostChain(pool, set)
+	}
+	return out
+}
+
+// hostChain maps a chain of pool indices to pool's hosts.
+func hostChain(pool []*grid.Host, chain []int) []*grid.Host {
+	out := make([]*grid.Host, len(chain))
+	for i, p := range chain {
+		out[i] = pool[p]
+	}
+	return out
 }
 
 // rawCols resolves hp's columns straight from info by host name, with
@@ -93,7 +113,7 @@ func TestDesirabilityPenalizesDistance(t *testing.T) {
 func TestOrderChainKeepsCloseHostsAdjacent(t *testing.T) {
 	rs, tp := selectorFixture(t)
 	pool := tp.Hosts()
-	for _, chain := range [][]*grid.Host{rs.orderChain(pool), buildSelModel(poolSelector(tp, rs.info, pool), true).chain([]int{0, 1, 2})} {
+	for _, chain := range [][]*grid.Host{rs.orderChain(pool), hostChain(pool, buildSelModel(poolColsOf(tp, rs.info, pool), true).chain([]int{0, 1, 2}))} {
 		if len(chain) != 3 {
 			t.Fatalf("chain %v", chain)
 		}
@@ -118,7 +138,7 @@ func TestOrderChainDeterministic(t *testing.T) {
 
 func TestCandidatesExhaustiveSmallPool(t *testing.T) {
 	rs, tp := selectorFixture(t)
-	sets := poolSelector(tp, rs.info, tp.Hosts()).candidates(0)
+	sets := poolCandidates(tp, rs.info, tp.Hosts(), 0)
 	if len(sets) != 7 { // 2^3 - 1
 		t.Fatalf("candidate sets %d, want 7", len(sets))
 	}
@@ -139,7 +159,7 @@ func TestCandidatesExhaustiveSmallPool(t *testing.T) {
 
 func TestCandidatesCap(t *testing.T) {
 	rs, tp := selectorFixture(t)
-	sets := poolSelector(tp, rs.info, tp.Hosts()).candidates(2)
+	sets := poolCandidates(tp, rs.info, tp.Hosts(), 2)
 	if len(sets) != 2 {
 		t.Fatalf("capped candidates %d, want 2", len(sets))
 	}
@@ -148,7 +168,7 @@ func TestCandidatesCap(t *testing.T) {
 func TestCandidatesPrefixLargePool(t *testing.T) {
 	eng := sim.NewEngine()
 	tp := grid.ClusterOfClusters(eng, grid.ClusterOptions{Clusters: 4, PerCluster: 4, Seed: 1, Quiet: true})
-	sets := poolSelector(tp, OracleInformation(tp), tp.Hosts()).candidates(0)
+	sets := poolCandidates(tp, OracleInformation(tp), tp.Hosts(), 0)
 	if len(sets) != 16 {
 		t.Fatalf("16-host pool candidates %d, want 16 prefixes", len(sets))
 	}
@@ -172,7 +192,7 @@ func TestCandidatesPrefixLargePool(t *testing.T) {
 func TestCandidatesMatchLegacyConstruction(t *testing.T) {
 	check := func(name string, tp *grid.Topology, info Information, pool []*grid.Host, maxSets, wantSets int) {
 		t.Helper()
-		got := poolSelector(tp, info, pool).candidates(maxSets)
+		got := poolCandidates(tp, info, pool, maxSets)
 		want := directSelector{info}.candidatesDirect(pool, maxSets)
 		if len(got) != len(want) || len(got) != wantSets {
 			t.Fatalf("%s: %d sets, oracle %d, want %d", name, len(got), len(want), wantSets)
@@ -364,7 +384,7 @@ func TestCandidatesPreferLoadedPoolShift(t *testing.T) {
 	tp.Attach("busy", l)
 	tp.Attach("idle", l)
 	tp.Finalize()
-	sets := poolSelector(tp, OracleInformation(tp), tp.Hosts()).candidates(1)
+	sets := poolCandidates(tp, OracleInformation(tp), tp.Hosts(), 1)
 	// The single best set is the full pool (most aggregate desirability);
 	// within it the chain starts at the faster *deliverable* host.
 	if sets[0][0].Name != "idle" {
@@ -376,12 +396,12 @@ func TestCandidatesPreferLoadedPoolShift(t *testing.T) {
 // model, kept as the greedy oracle's layout: membership through a map
 // probe over the eff order, then either the exact-cost nearest-neighbor
 // pass or a sort.SliceStable by each site's first appearance.
-func legacyChain(m *selModel, idxs []int) []*grid.Host {
+func legacyChain(m *selModel, pool []*grid.Host, idxs []int) []*grid.Host {
 	if len(idxs) == 0 {
 		return nil
 	}
 	if len(idxs) == 1 {
-		return []*grid.Host{m.pool[idxs[0]]}
+		return []*grid.Host{pool[idxs[0]]}
 	}
 	member := make(map[int]bool, len(idxs))
 	for _, i := range idxs {
@@ -396,34 +416,34 @@ func legacyChain(m *selModel, idxs []int) []*grid.Host {
 	if m.cost != nil {
 		chain := make([]*grid.Host, 1, len(ordered))
 		cur := ordered[0]
-		chain[0] = m.pool[cur]
+		chain[0] = pool[cur]
 		rem := append([]int(nil), ordered[1:]...)
 		for len(rem) > 0 {
 			bestI, bestCost := 0, math.Inf(1)
 			for i, idx := range rem {
-				if c := m.cost[cur][idx]; c < bestCost || (c == bestCost && m.pool[idx].Name < m.pool[rem[bestI]].Name) {
+				if c := m.cost[cur][idx]; c < bestCost || (c == bestCost && pool[idx].Name < pool[rem[bestI]].Name) {
 					bestI, bestCost = i, c
 				}
 			}
 			cur = rem[bestI]
-			chain = append(chain, m.pool[cur])
+			chain = append(chain, pool[cur])
 			rem = append(rem[:bestI], rem[bestI+1:]...)
 		}
 		return chain
 	}
 	siteRank := make(map[string]int)
 	for _, i := range ordered {
-		site := m.pool[i].Site
+		site := pool[i].Site
 		if _, ok := siteRank[site]; !ok {
 			siteRank[site] = len(siteRank)
 		}
 	}
 	sort.SliceStable(ordered, func(a, b int) bool {
-		return siteRank[m.pool[ordered[a]].Site] < siteRank[m.pool[ordered[b]].Site]
+		return siteRank[pool[ordered[a]].Site] < siteRank[pool[ordered[b]].Site]
 	})
 	chain := make([]*grid.Host, len(ordered))
 	for i, idx := range ordered {
-		chain[i] = m.pool[idx]
+		chain[i] = pool[idx]
 	}
 	return chain
 }
@@ -432,7 +452,7 @@ func legacyChain(m *selModel, idxs []int) []*grid.Host {
 // the index-based model: prefixes grown by add and cloned per emit,
 // every membership deduplicated through a map of canonical keys before
 // the maxSets cap, chains laid out by legacyChain.
-func legacyGreedy(m *selModel, maxSets int) (chains [][]*grid.Host, dropped int, capped bool) {
+func legacyGreedy(m *selModel, pool []*grid.Host, maxSets int) (chains [][]*grid.Host, dropped int, capped bool) {
 	seen := make(map[string]bool)
 	emit := func(s *selState) {
 		if seen[s.key()] {
@@ -444,7 +464,7 @@ func legacyGreedy(m *selModel, maxSets int) (chains [][]*grid.Host, dropped int,
 			capped = true
 			return
 		}
-		chains = append(chains, legacyChain(m, s.idxs))
+		chains = append(chains, legacyChain(m, pool, s.idxs))
 	}
 	prefix := newSelState(m.n)
 	next := 0
@@ -476,7 +496,7 @@ func legacyGreedy(m *selModel, maxSets int) (chains [][]*grid.Host, dropped int,
 			}
 			sc := surrogate(grown.sumEff+m.eff[i], grown.sumPair+dp, k+1)
 			if bestIdx < 0 || sc < bestScore ||
-				(sc == bestScore && m.pool[i].Name < m.pool[bestIdx].Name) {
+				(sc == bestScore && pool[i].Name < pool[bestIdx].Name) {
 				bestIdx, bestScore = i, sc
 			}
 		}
@@ -541,16 +561,16 @@ func TestGreedyMatchesLegacy(t *testing.T) {
 			view := roundSnapshot(info, pool)
 			for _, maxSets := range []int{0, 40, 60} {
 				name := fmt.Sprintf("%dhost-%s/avail=%v/cap=%d", len(pool), kind, avail, maxSets)
-				g := &greedySelector{rs: poolSelector(tp, view, pool), maxSets: maxSets}
+				g := &greedySelector{cols: poolColsOf(tp, view, pool), maxSets: maxSets}
 				var got [][]*grid.Host
-				for set := range g.SelectSeq(pool) {
-					got = append(got, set)
+				for set := range g.SelectSeq() {
+					got = append(got, hostChain(pool, set))
 				}
 				gotDropped, gotCapped := g.Truncated()
 
-				lm := buildSelModel(poolSelector(tp, namesOnly{view}, pool), len(pool) <= selExactPairHosts)
-				want, wantDropped, wantCapped := legacyGreedy(lm, maxSets)
-				m := buildSelModel(poolSelector(tp, view, pool), len(pool) <= selExactPairHosts)
+				lm := buildSelModel(poolColsOf(tp, namesOnly{view}, pool), len(pool) <= selExactPairHosts)
+				want, wantDropped, wantCapped := legacyGreedy(lm, pool, maxSets)
+				m := buildSelModel(poolColsOf(tp, view, pool), len(pool) <= selExactPairHosts)
 				for i := range m.dist {
 					if math.Float64bits(m.dist[i]) != math.Float64bits(lm.dist[i]) {
 						t.Fatalf("%s: host %d distance %v by index, %v by name", name, i, m.dist[i], lm.dist[i])

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"iter"
 	"strings"
-
-	"apples/internal/grid"
 )
 
 // SelectorKind names a candidate-enumeration strategy for the blueprint
@@ -61,21 +59,19 @@ func (s SelectorSpec) normalized() SelectorSpec {
 }
 
 // newSelector binds the configured selector for one data-parallel round
-// over rs, whose information view is the round's frozen snapshot, and
-// returns its sequence of the round's candidate sets with its cap
-// report. The selector's eager work runs here.
-func newSelector(spec SelectorSpec, rs *resourceSelector, maxSets int) (iter.Seq[[]*grid.Host], func() (int, bool)) {
-	spec = spec.normalized()
-	pool := rs.cols.pool.hosts
-	switch spec.Kind {
+// to the round's pool columns c, read from its frozen view, and returns
+// its sequence of the round's candidate sets, chains of pool indices,
+// with its cap report. The selector's eager work runs here.
+func newSelector(spec SelectorSpec, c *poolCols, maxSets int) (iter.Seq[[]int], func() (int, bool)) {
+	switch spec.normalized().Kind {
 	case SelectorGreedy:
-		s := &greedySelector{rs: rs, maxSets: maxSets}
-		return s.SelectSeq(pool), s.Truncated
+		s := &greedySelector{cols: c, maxSets: maxSets}
+		return s.SelectSeq(), s.Truncated
 	case SelectorBeam:
-		s := &beamSelector{rs: rs, maxSets: maxSets}
-		return s.SelectSeq(pool), s.Truncated
+		s := &beamSelector{cols: c, maxSets: maxSets}
+		return s.SelectSeq(), s.Truncated
 	default:
-		s := &exhaustiveSelector{rs: rs, maxSets: maxSets}
-		return s.SelectSeq(pool), s.Truncated
+		s := &exhaustiveSelector{cols: c, maxSets: maxSets}
+		return s.SelectSeq(), s.Truncated
 	}
 }

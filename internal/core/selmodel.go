@@ -37,8 +37,7 @@ const selDistSamples = 8
 // costs, and a site-aware O(pool + k) approximation when distances are
 // sampled.
 type selModel struct {
-	pool []*grid.Host
-	n    int
+	n int
 
 	eff  []float64   // deliverable speed per pool index
 	dist []float64   // mean network distance per pool index
@@ -60,24 +59,23 @@ type selModel struct {
 	sites   siteGrouper
 }
 
-// setEff writes every host's deliverable speed, speed · availability,
-// and the eff-seed order it gives.
-func (m *selModel) setEff(avail []float64) {
-	for i, h := range m.pool {
-		m.eff[i] = h.Speed * avail[i]
+// setEff writes every host's deliverable speed, speed · availability
+// as c reads it, and the eff-seed order it gives.
+func (m *selModel) setEff(c *poolCols) {
+	for i, h := range c.pool.hosts {
+		m.eff[i] = h.Speed * c.avail[i]
 	}
 	rankDesc(m.effOrder, m.eff, m.nameRank)
 }
 
-// buildSelModel resolves the model for the round rs is bound to from
-// its columns. exact asks for the pair-cost matrix and exact mean
-// distances; otherwise each host's distance averages a fixed sample of
-// the pool, and the chain layout groups sites on a clone of the pool's
-// site layout. Name ranks and site ids come from the columns' pool.
-func buildSelModel(rs *resourceSelector, exact bool) *selModel {
-	c := rs.cols
+// buildSelModel resolves the model for one round from its pool columns
+// c. exact asks for the pair-cost matrix and exact mean distances;
+// otherwise each host's distance averages a fixed sample of the pool,
+// and the chain layout groups sites on a clone of the pool's site
+// layout. Name ranks and site ids come from the columns' pool.
+func buildSelModel(c *poolCols, exact bool) *selModel {
 	n := len(c.pool.hosts)
-	m := &selModel{pool: c.pool.hosts, n: n, eff: make([]float64, n), effOrder: make([]int, n),
+	m := &selModel{n: n, eff: make([]float64, n), effOrder: make([]int, n),
 		dist: make([]float64, n), des: make([]float64, n), nameRank: c.pool.nameRank,
 		mark: make([]bool, n), ordered: make([]int, 0, n), rem: make([]int, n)}
 	if exact {
@@ -89,7 +87,7 @@ func buildSelModel(rs *resourceSelector, exact bool) *selModel {
 	} else {
 		m.sites = c.pool.sites.clone()
 	}
-	m.setEff(c.avail)
+	m.setEff(c)
 	pairCost := func(i, j int) float64 {
 		return transferCost(c.route(i, j))
 	}
@@ -114,7 +112,7 @@ func buildSelModel(rs *resourceSelector, exact bool) *selModel {
 		for s := 0; s < n; s += stride {
 			samples = append(samples, s)
 		}
-		for i := range m.pool {
+		for i := range n {
 			d, k := 0.0, 0
 			for _, s := range samples {
 				if s == i {
@@ -128,7 +126,7 @@ func buildSelModel(rs *resourceSelector, exact bool) *selModel {
 			}
 		}
 	}
-	for i := range m.pool {
+	for i := range n {
 		m.des[i] = m.eff[i] / (1 + m.dist[i])
 	}
 	m.rank = make([]int, n)
@@ -310,10 +308,11 @@ func (s *selState) key() string {
 	return sb.String()
 }
 
-// chain lays a membership out as a fresh strip chain: its members in
-// eff-seed order (eff desc, name asc), laid out by layout. The chain is
-// the caller's; the model's scratch is not, so calls must not overlap.
-func (m *selModel) chain(idxs []int) []*grid.Host {
+// chain lays a membership out as a fresh strip chain of pool indices:
+// its members in eff-seed order (eff desc, name asc), laid out by
+// layout. The chain is the caller's; the model's scratch is not, so
+// calls must not overlap.
+func (m *selModel) chain(idxs []int) []int {
 	left := 0
 	for _, i := range idxs {
 		if !m.mark[i] {
@@ -333,11 +332,7 @@ func (m *selModel) chain(idxs []int) []*grid.Host {
 		}
 	}
 	m.layout(ordered)
-	chain := make([]*grid.Host, len(ordered))
-	for i, idx := range ordered {
-		chain[i] = m.pool[idx]
-	}
-	return chain
+	return slices.Clone(ordered)
 }
 
 // layout is the one strip-chain layout, shared by the selectors' chain

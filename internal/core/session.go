@@ -149,7 +149,7 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 	}
 	s.rp.cols = newPoolCols(a.hp, s.view.routeAt)
 	s.rp.cols.avail = s.view.avail
-	s.sel = buildSelModel(&resourceSelector{cols: s.rp.cols}, true)
+	s.sel = buildSelModel(s.rp.cols, true)
 	s.agg = s.sel.desSums()
 	s.kn.reserve(len(pool))
 	return s, nil
@@ -160,7 +160,7 @@ func (a *Agent) NewReschedSession(n int) (*ReschedSession, error) {
 // maxExhaustiveHosts pool hosts, with no MaxResourceSets cap below the
 // 2^pool − 1 non-empty subsets. Only such a universe backs a
 // ReschedSession, and a winner-only round over it takes the bounded
-// walk (resourceSelector.boundedSubsets).
+// walk (boundedSubsets).
 func (a *Agent) frozenUniverse() bool {
 	np, maxSets := len(a.hp.hosts), a.spec.MaxResourceSets
 	return a.coord.selector.normalized().Kind == SelectorExhaustive && np <= maxExhaustiveHosts &&
@@ -205,7 +205,7 @@ func (s *ReschedSession) roundImpl(full bool) (*Schedule, DeltaStats, error) {
 	}
 
 	if full || changedHosts > 0 {
-		s.sel.setEff(s.rp.cols.avail)
+		s.sel.setEff(s.rp.cols)
 		s.rp.cols.fill(s.rp.m.flopPerUnit)
 		if s.rp.m.metric == userspec.MaxSpeedup {
 			s.rp.solo = s.rp.cols.solo(&s.rp.m, &s.kn)
@@ -267,17 +267,10 @@ func (s *ReschedSession) seed() float64 {
 }
 
 // materialize rebuilds the winner's *Schedule exactly as the agent's
-// pickBest does: re-solve its chain into the kernel and build the
-// schedule from it. This is the only allocating step of a non-carried
-// round.
+// pickBest does (roundPricer.schedule). This is the only allocating
+// step of a non-carried round.
 func (s *ReschedSession) materialize() *Schedule {
-	chain := s.sel.orderMask(s.win)
-	iterT, _, _ := s.rp.priceChain(&s.kn, chain)
-	hosts := make([]string, len(chain))
-	for i, p := range chain {
-		hosts[i] = s.a.hp.hosts[p].Name
-	}
-	sched := s.kn.schedule(&s.rp.m, hosts, iterT)
+	sched := s.rp.schedule(&s.kn, s.sel.orderMask(s.win))
 	sched.InfoSource = s.a.coord.Information().Source()
 	sched.CandidatesConsidered = len(s.agg) - 1
 	sched.CandidatesPlanned = s.planned

@@ -207,8 +207,8 @@ func TestSessionDeltaParity(t *testing.T) {
 				}
 				// The store must hold the costs the selector's model
 				// prices from a fresh view at this instant.
-				pool := sess.sel.pool
-				fresh := buildSelModel(poolSelector(in.tp, roundSnapshot(info, pool), pool), true)
+				pool := sess.a.hp.hosts
+				fresh := buildSelModel(poolColsOf(in.tp, roundSnapshot(info, pool), pool), true)
 				if !reflect.DeepEqual(sess.sel.cost, fresh.cost) {
 					t.Fatalf("%s: session transfer costs differ from a fresh pool model", name)
 				}

@@ -118,8 +118,9 @@ func TestGoldenTraceJacobiRound(t *testing.T) {
 	if bestIdx < 0 || winner.Score != bestScore {
 		t.Fatalf("winner score %v is not the minimum candidate score %v", winner.Score, bestScore)
 	}
-	// Schedule.Hosts is in strip-chain order; trace events carry the
-	// candidate set in enumeration order. Same resources, maybe permuted.
+	// Schedule.Hosts is ordered by placement share (ties, 0-row hosts
+	// included, in strip-chain order); trace events carry the candidate
+	// set in strip-chain order. Same resources, maybe permuted.
 	if !sameHosts(winner.Hosts, sched.Hosts) || !sameHosts(events[bestIdx].Hosts, sched.Hosts) {
 		t.Fatalf("trace winner %v / best candidate %v disagree with schedule hosts %v",
 			winner.Hosts, events[bestIdx].Hosts, sched.Hosts)
